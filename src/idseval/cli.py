@@ -136,9 +136,6 @@ def _print_warnings(series: LabeledSeries, gap_tolerance: int) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
-_FORMAT_EXT = {"md": "md", "csv": "csv", "json": "json"}
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
@@ -156,7 +153,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         text = report_to_json(report)
     else:
         text = build_table([report]).render(args.format)
-    target = outdir / f"report.{_FORMAT_EXT[args.format]}"
+    target = outdir / f"report.{args.format}"
     target.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
@@ -176,7 +173,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ]
     table = build_table(reports, rank_by=args.rank_by)
     text = table.render(args.format)
-    target = outdir / f"comparison.{_FORMAT_EXT[args.format]}"
+    target = outdir / f"comparison.{args.format}"
     target.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0

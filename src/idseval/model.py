@@ -66,7 +66,7 @@ class LabeledSeries:
             raise ValueError("timestamps and labels must have equal length")
         if len(self.timestamps) == 0:
             raise ValueError("series must contain at least one point")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         if self.tick_seconds <= 0:
             raise ValueError("tick_seconds must be positive")

@@ -466,3 +466,44 @@ class TestUsage:
             assert code in (1, 2)
             lines = [l for l in captured.err.splitlines() if l]
             assert lines[0].startswith("error: ")
+
+
+class TestInputErrorsAreOneLine:
+    """Bad bytes and out-of-range numbers end as one ``error:`` line, exit 1."""
+
+    def assert_one_error(self, capsys, argv, expected):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stderr.splitlines() == [f"error: {expected}"]
+
+    def test_huge_integer_score_in_roc(self, workdir, capsys):
+        scores = workdir / "huge.jsonl"
+        lines = (workdir / "scores.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[6] = '{"timestamp": 6, "score": ' + "9" * 400 + "}"
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.assert_one_error(
+            capsys,
+            ["roc", "--labels", workdir / "labels.csv", "--alerts", scores, "--auto",
+             "--out", workdir / "run"],
+            f"{scores}: line 7: 'score' is too large for a 64-bit float",
+        )
+
+    def test_labels_not_utf8(self, workdir, capsys):
+        labels = workdir / "latin1.csv"
+        labels.write_bytes("timestamp,label\n0,benign\n1,d\xe9ni\n".encode("latin-1"))
+        self.assert_one_error(
+            capsys,
+            ["evaluate", "--labels", labels, "--detector", "baseline:never",
+             "--out", workdir / "run"],
+            f"{labels}: line 3: not valid UTF-8 (byte 0xe9)",
+        )
+
+    def test_timestamp_beyond_int64(self, workdir, capsys):
+        labels = workdir / "far.csv"
+        labels.write_text(f"timestamp,label\n0,benign\n{2**70},dos\n", encoding="utf-8")
+        self.assert_one_error(
+            capsys,
+            ["evaluate", "--labels", labels, "--detector", "baseline:never",
+             "--out", workdir / "run"],
+            f"{labels}: line 3: timestamp {2**70} is outside the 64-bit integer range",
+        )

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from idseval import (
     AlertKind,
+    AlertSeries,
     DatasetManifest,
     IngestError,
     ValidationReport,
@@ -21,6 +23,8 @@ from idseval import (
     validate_pair,
 )
 from support import make_alerts, make_series, random_binary_instance
+
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
 
 def write(path, text):
@@ -83,6 +87,10 @@ class TestLoadLabels:
         path = write(tmp_path / "bad.csv", text)
         with pytest.raises(IngestError, match=match):
             load_labels(path)
+
+    def test_int64_extremes_load(self, tmp_path):
+        path = write(tmp_path / "wide.csv", label_csv([(-(2**63), "benign"), (2**63 - 1, "dos")]))
+        assert list(load_labels(path).timestamps) == [-(2**63), 2**63 - 1]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path / "demo.csv", "timestamp,label\n0,benign\n\n1,dos\n")
@@ -238,6 +246,44 @@ class TestLoadAlerts:
             first.read_text().splitlines()[0]
             == '{"timestamp": 0, "alert": true, "detector": "det"}'
         )
+
+
+class TestSaveAlertsBytes:
+    """save_alerts must write exactly ``json.dumps(record) + "\\n"`` per point."""
+
+    TIMESTAMPS = [-123456789012345678, -5, 0, 7, 123456789012345678]
+
+    @staticmethod
+    def json_dumps_bytes(series, alerts):
+        key = "alert" if alerts.kind is AlertKind.BOOLEAN else "score"
+        lines = []
+        for ts, value in zip(series.timestamps, alerts.values):
+            value = bool(value) if key == "alert" else float(value)
+            record = {"timestamp": int(ts), key: value, "detector": alerts.detector}
+            lines.append(json.dumps(record) + "\n")
+        return "".join(lines).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "detector", ["det", "détecteur", "検出器", 'say "hi"', "back\\slash", "50% %d %r"]
+    )
+    @pytest.mark.parametrize("kind", ["bool", "score"])
+    def test_bytes_equal_json_dumps(self, tmp_path, detector, kind):
+        series = make_series(["benign"] * 5, name="demo", timestamps=self.TIMESTAMPS)
+        if kind == "bool":
+            alerts = AlertSeries.from_bool(detector, [True, False, False, True, True], "demo")
+        else:
+            scores = [1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308]
+            alerts = AlertSeries.from_scores(detector, scores, "demo")
+        path = tmp_path / "out.jsonl"
+        save_alerts(alerts, series, path)
+        assert path.read_bytes() == self.json_dumps_bytes(series, alerts)
+
+    @pytest.mark.parametrize("name", ["lagged.jsonl", "scored.jsonl"])
+    def test_demo_files_round_trip(self, tmp_path, name):
+        series = load_labels(DEMO / "labels.csv", name="demo")
+        alerts = load_alerts(DEMO / name, series)
+        save_alerts(alerts, series, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (DEMO / name).read_bytes()
 
 
 class TestValidatePair:
