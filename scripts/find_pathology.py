@@ -17,46 +17,48 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from idseval import (
+    AttackScenario,
     BaselineSpec,
+    Intervals,
     LabeledSeries,
     affiliation,
     alerts_to_intervals,
     etapr,
     extract_scenarios,
     generate,
+    intervals_to_mask,
 )
 from idseval.model import AlertSeries
 
 
 def build_series(n_scenarios: int, scenario_len: int, spacing: int) -> LabeledSeries:
     n = n_scenarios * spacing
-    labels = ["benign"] * n
-    for k in range(n_scenarios):
-        start = k * spacing + (spacing - scenario_len) // 2
-        for i in range(start, start + scenario_len):
-            labels[i] = "attack"
+    starts = np.arange(n_scenarios) * spacing + (spacing - scenario_len) // 2
+    attacks = Intervals(starts, starts + scenario_len - 1)
+    labels = np.where(intervals_to_mask(attacks, n), "attack", "benign").tolist()
     return LabeledSeries.from_labels(
-        name="pathology", timestamps=list(range(n)), labels=labels, tick_seconds=1
+        name="pathology", timestamps=np.arange(n), labels=labels, tick_seconds=1
     )
 
 
-def sparse_detector(series: LabeledSeries, covered: tuple[int, ...]) -> AlertSeries:
-    scenarios = extract_scenarios(series)
-    values = [False] * len(series)
-    for k in covered:
-        scenario = scenarios[k]
-        for i in range(scenario.start_index, scenario.end_index + 1):
-            values[i] = True
+def sparse_detector(
+    series: LabeledSeries, scenarios: list[AttackScenario], covered: tuple[int, ...]
+) -> AlertSeries:
+    runs = Intervals.of_scenarios(scenarios)
+    values = intervals_to_mask([runs[k] for k in covered], len(series))
     return AlertSeries.from_bool("sparse", values, series.name)
 
 
-def score(series: LabeledSeries, alerts: AlertSeries) -> tuple[float, float]:
+def score(
+    series: LabeledSeries, scenarios: list[AttackScenario], alerts: AlertSeries
+) -> tuple[float, float]:
     """(affiliation F1, eTaF1) of one detector."""
-    scenarios = extract_scenarios(series)
-    intervals = alerts_to_intervals(alerts, series)
-    aff, _ = affiliation(scenarios, intervals, series)
-    eta = etapr(scenarios, intervals)
+    runs = alerts_to_intervals(alerts, series)
+    aff, _ = affiliation(scenarios, runs, series)
+    eta = etapr(scenarios, runs)
     return aff.f1_like or 0.0, eta.f1_like or 0.0
 
 
@@ -79,9 +81,10 @@ def main() -> int:
     args = parser.parse_args()
 
     series = build_series(args.scenarios, args.scenario_len, args.spacing)
+    scenarios = extract_scenarios(series)
     covered = (0, args.scenarios // 2)
-    sparse = sparse_detector(series, covered)
-    sparse_aff, sparse_eta = score(series, sparse)
+    sparse = sparse_detector(series, scenarios, covered)
+    sparse_aff, sparse_eta = score(series, scenarios, sparse)
     print(f"series: {len(series)} points, {args.scenarios} scenarios of {args.scenario_len}")
     print(f"sparse detector covers scenarios {covered}")
     print(f"sparse: affiliation-f1={sparse_aff:.4f} etaf1={sparse_eta:.4f}")
@@ -90,7 +93,7 @@ def main() -> int:
     for seed in range(args.max_seed):
         spec = BaselineSpec.parse(f"baseline:random:p={args.p}:seed={seed}")
         random_alerts = generate(spec, series)
-        rand_aff, rand_eta = score(series, random_alerts)
+        rand_aff, rand_eta = score(series, scenarios, random_alerts)
         if rand_aff > sparse_aff + args.margin and sparse_eta > rand_eta + args.margin:
             print(
                 f"seed {seed}: random affiliation-f1={rand_aff:.4f} > sparse {sparse_aff:.4f}"

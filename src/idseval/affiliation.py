@@ -15,13 +15,12 @@ after splitting at the breakpoints.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from .model import AttackScenario, LabeledSeries
-from .timeaware import TimeAwareScores, _check_intervals, harmonic_f1
+import numpy as np
 
-Span = tuple[float, float]
+from .model import AttackScenario, Intervals, IntervalsLike, LabeledSeries, as_intervals
+from .timeaware import TimeAwareScores, harmonic_f1
 
 
 @dataclass(frozen=True)
@@ -36,114 +35,95 @@ class AffiliationZone:
     recall: float
 
 
-def _to_spans(intervals: list[tuple[int, int]], series: LabeledSeries) -> list[Span]:
-    ts = series.timestamps
-    return [(float(ts[i]), float(ts[j]) + 1.0) for i, j in intervals]
+def _ordered_sum(terms: np.ndarray) -> float:
+    """Left-to-right float sum of ``terms`` (``np.sum`` would pair them up)."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
-def _clip(spans: list[Span], lo: float, hi: float) -> list[Span]:
-    return [(max(u, lo), min(v, hi)) for u, v in spans if max(u, lo) < min(v, hi)]
+def _dist_to_event(t: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Distance from each instant to the event span [a, b)."""
+    return np.where(t < a, a - t, np.where(t > b, t - b, 0.0))
 
 
-def _dist_to_event(t: float, a: float, b: float) -> float:
-    """Distance from an instant to the event span [a, b)."""
-    if t < a:
-        return a - t
-    if t > b:
-        return t - b
-    return 0.0
+def _dist_to_alerts(t: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Distance from each instant to a sorted disjoint union of alert spans."""
+    i = np.searchsorted(starts, t, side="right") - 1
+    prev_end = ends[np.maximum(i, 0)]
+    before = np.where(i >= 0, t - prev_end, np.inf)
+    after = np.where(i + 1 < len(starts), starts[np.minimum(i + 1, len(starts) - 1)] - t, np.inf)
+    return np.where((i >= 0) & (t < prev_end), 0.0, np.minimum(before, after))
 
 
-def _dist_to_alerts(t: float, starts: list[float], ends: list[float]) -> float:
-    """Distance from an instant to a sorted disjoint union of alert spans."""
-    i = bisect_right(starts, t) - 1
-    best = float("inf")
-    if i >= 0:
-        if t < ends[i]:
-            return 0.0
-        best = t - ends[i]
-    if i + 1 < len(starts):
-        best = min(best, starts[i + 1] - t)
-    return best
+def _split(lo: np.ndarray, hi: np.ndarray, cuts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Pieces of each [lo, hi) split at those ``cuts`` lying strictly inside it.
 
-
-def _farther_fraction(t: float, a: float, b: float, z0: float, z1: float) -> float:
-    """P that a uniform instant of the zone is at least as far from the event."""
-    d = _dist_to_event(t, a, b)
-    if d == 0.0:
-        return 1.0
-    closer = max(0.0, min(z1, b + d) - max(z0, a - d))
-    return 1.0 - closer / (z1 - z0)
+    Row ``k`` of the result lists the pieces of ``[lo[k], hi[k])`` in order;
+    cuts outside a piece become zero-width pieces, which add nothing to an
+    integral.
+    """
+    inner = [np.where((lo < cut) & (cut < hi), cut, lo) for cut in cuts]
+    points = np.sort(np.stack([lo, *inner, hi], axis=1), axis=1)
+    return points[:, :-1], points[:, 1:]
 
 
 def _zone_precision(
-    pieces: list[Span], a: float, b: float, z0: float, z1: float
+    lo: np.ndarray, hi: np.ndarray, a: float, b: float, z0: float, z1: float
 ) -> float | None:
     """Average closeness credit of the alert mass inside one zone.
 
-    Returns None when the zone holds no alert mass; such zones express no
-    opinion about precision and are left out of the overall mean.
+    The credit of an instant t is the probability that a uniform instant of
+    the zone is at least as far from the event. It is linear between the
+    kinks a, b, a + b - z1 and a + b - z0, so each piece between them is
+    integrated exactly at its midpoint. Returns None when the zone holds no
+    alert mass; such zones express no opinion about precision and are left
+    out of the overall mean.
     """
-    mass = sum(v - u for u, v in pieces)
+    mass = _ordered_sum(hi - lo)
     if mass == 0.0:
         return None
-    kinks = (a, b, a + b - z1, a + b - z0)
-    total = 0.0
-    for u, v in pieces:
-        cuts = sorted({u, v} | {x for x in kinks if u < x < v})
-        for p, q in zip(cuts, cuts[1:]):
-            total += (q - p) * _farther_fraction((p + q) / 2.0, a, b, z0, z1)
-    return total / mass
+    p, q = _split(lo, hi, [a, b, a + b - z1, a + b - z0])
+    t = (p + q) / 2.0
+    d = _dist_to_event(t, a, b)
+    closer = np.maximum(0.0, np.minimum(z1, b + d) - np.maximum(z0, a - d))
+    credit = np.where(d == 0.0, 1.0, 1.0 - closer / (z1 - z0))
+    return _ordered_sum(((q - p) * credit).ravel()) / mass
 
 
-def _zone_recall(pieces: list[Span], a: float, b: float, z0: float, z1: float) -> float:
+def _zone_recall(
+    lo: np.ndarray, hi: np.ndarray, a: float, b: float, z0: float, z1: float
+) -> float:
     """Average closeness credit the zone's alerts earn across the event.
 
     Each event instant t scores the probability that a uniform instant of the
     zone lies at least as far from t as the nearest alert does. A zone
     without alerts scores 0.
     """
-    if not pieces:
+    if len(lo) == 0:
         return 0.0
-    starts = [u for u, _ in pieces]
-    ends = [v for _, v in pieces]
     length = z1 - z0
-
-    cuts = {a, b}
-    cuts.update(x for u, v in pieces for x in (u, v) if a < x < b)
-    cuts.update(
-        mid
-        for (_, v1), (u2, _) in zip(pieces, pieces[1:])
-        if a < (mid := (v1 + u2) / 2.0) < b
-    )
-    ordered = sorted(cuts)
-
-    total = 0.0
-    for p, q in zip(ordered, ordered[1:]):
-        dp = _dist_to_alerts(p, starts, ends)
-        dq = _dist_to_alerts(q, starts, ends)
-        slope = (dq - dp) / (q - p)
-        intercept = dp - slope * p
-        inner: set[float] = set()
-        if slope != -1.0:
-            x = (z1 - intercept) / (1.0 + slope)
-            if p < x < q:
-                inner.add(x)
-        if slope != 1.0:
-            x = (z0 + intercept) / (1.0 - slope)
-            if p < x < q:
-                inner.add(x)
-        for pp, qq in zip(fine := sorted({p, q} | inner), fine[1:]):
-            mid = (pp + qq) / 2.0
-            d = _dist_to_alerts(mid, starts, ends)
-            excluded = max(0.0, min(z1, mid + d) - max(z0, mid - d))
-            total += (qq - pp) * (1.0 - excluded / length)
-    return total / (b - a)
+    # The distance to the alerts is linear between alert bounds and the
+    # midpoints of the gaps; the credit has further kinks where t +- d(t)
+    # crosses a zone bound.
+    cuts = np.concatenate(([a, b], lo, hi, (hi[:-1] + lo[1:]) / 2.0))
+    ordered = np.unique(cuts[(a <= cuts) & (cuts <= b)])
+    p, q = ordered[:-1], ordered[1:]
+    dp = _dist_to_alerts(p, lo, hi)
+    dq = _dist_to_alerts(q, lo, hi)
+    slope = (dq - dp) / (q - p)
+    intercept = dp - slope * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(slope != -1.0, (z1 - intercept) / (1.0 + slope), p)
+        lower = np.where(slope != 1.0, (z0 + intercept) / (1.0 - slope), p)
+    pp, qq = _split(p, q, [upper, lower])
+    mid = (pp + qq) / 2.0
+    d = _dist_to_alerts(mid, lo, hi)
+    excluded = np.maximum(0.0, np.minimum(z1, mid + d) - np.maximum(z0, mid - d))
+    return _ordered_sum(((qq - pp) * (1.0 - excluded / length)).ravel()) / (b - a)
 
 
 def affiliation(
     scenarios: list[AttackScenario],
-    alert_intervals: list[tuple[int, int]],
+    alert_intervals: IntervalsLike,
     series: LabeledSeries,
 ) -> tuple[TimeAwareScores, list[AffiliationZone]]:
     """Zone-based precision and recall for a set of alert intervals.
@@ -153,31 +133,37 @@ def affiliation(
     averages over every zone, counting alert-free zones as 0. Both are
     Undefined when the series has no attack scenarios.
     """
-    scenario_spans = [(s.start_index, s.end_index) for s in scenarios]
-    _check_intervals(scenario_spans, "scenario")
-    _check_intervals(alert_intervals, "alert")
+    scenario_runs = Intervals.of_scenarios(scenarios)
+    alerts = as_intervals(alert_intervals, "alert")
     if not scenarios:
         return TimeAwareScores(None, None, None), []
 
-    events = _to_spans(scenario_spans, series)
-    alerts = _to_spans(alert_intervals, series)
-    span_start = float(series.timestamps[0])
-    span_end = float(series.timestamps[-1]) + 1.0
-    bounds = [span_start]
-    bounds += [(prev[1] + cur[0]) / 2.0 for prev, cur in zip(events, events[1:])]
-    bounds.append(span_end)
+    ts = series.timestamps
+    event_lo, event_hi = scenario_runs.spans(ts)
+    alert_lo, alert_hi = alerts.spans(ts)
+    bounds = np.concatenate(
+        ([float(ts[0])], (event_hi[:-1] + event_lo[1:]) / 2.0, [float(ts[-1]) + 1.0])
+    )
+    # Alert spans are sorted and disjoint, so both their ends and their
+    # starts ascend: a zone's alerts are one slice.
+    first = np.searchsorted(alert_hi, bounds[:-1], side="right")
+    stop = np.searchsorted(alert_lo, bounds[1:], side="left")
 
     zones: list[AffiliationZone] = []
-    for (a, b), z0, z1 in zip(events, bounds, bounds[1:]):
-        pieces = _clip(alerts, z0, z1)
+    for a, b, z0, z1, i, j in zip(
+        event_lo.tolist(), event_hi.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
+        first.tolist(), stop.tolist(),
+    ):
+        lo = np.maximum(alert_lo[i:j], z0)
+        hi = np.minimum(alert_hi[i:j], z1)
         zones.append(
             AffiliationZone(
                 zone_start=z0,
                 zone_end=z1,
                 event_start=a,
                 event_end=b,
-                precision=_zone_precision(pieces, a, b, z0, z1),
-                recall=_zone_recall(pieces, a, b, z0, z1),
+                precision=_zone_precision(lo, hi, a, b, z0, z1),
+                recall=_zone_recall(lo, hi, a, b, z0, z1),
             )
         )
 

@@ -20,6 +20,7 @@ from .model import (
     AttackScenario,
     ConfusionMatrix,
     EvaluationError,
+    Intervals,
     LabeledSeries,
     MetricReport,
     MetricValue,
@@ -95,7 +96,7 @@ class EvalContext:
         return extract_scenarios(self.series, gap_tolerance=self.gap_tolerance)
 
     @cached_property
-    def alert_intervals(self) -> list[tuple[int, int]]:
+    def alert_intervals(self) -> Intervals:
         return alerts_to_intervals(self.alerts, self.series)
 
     @cached_property

@@ -9,7 +9,7 @@ per-second process datasets use tick=1 second. All interval endpoints
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -338,7 +338,95 @@ def require_alignment(series: LabeledSeries, alerts: AlertSeries) -> None:
         )
 
 
-def alerts_to_intervals(alerts: AlertSeries, series: LabeledSeries) -> list[tuple[int, int]]:
+@dataclass(frozen=True, eq=False)
+class Intervals:
+    """Sorted, disjoint inclusive index runs held as int64 ``starts``/``ends``.
+
+    The arrays are checked once, when the object is built. The object also
+    reads as a sequence of ``(start, end)`` pairs: ``len`` is the run count,
+    indexing gives a pair (a slice gives ``Intervals``), and it compares equal
+    to a list or tuple holding the same pairs. ``what`` names the runs in
+    error messages.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    what: InitVar[str] = "index"
+
+    def __post_init__(self, what: str) -> None:
+        starts = _frozen_array(self.starts, np.int64)
+        ends = _frozen_array(self.ends, np.int64)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", ends)
+        if starts.ndim != 1 or starts.shape != ends.shape:
+            raise ValueError(f"{what} interval starts and ends must be equal-length 1-D arrays")
+        inverted = starts > ends
+        faults = inverted.copy()
+        faults[1:] |= starts[1:] <= ends[:-1]
+        if faults.any():
+            i = int(np.argmax(faults))
+            if inverted[i]:
+                raise ValueError(f"{what} interval ({starts[i]}, {ends[i]}) has start > end")
+            raise ValueError(f"{what} intervals must be sorted and disjoint")
+
+    @classmethod
+    def of_scenarios(cls, scenarios: Sequence[AttackScenario]) -> "Intervals":
+        """Index spans of attack scenarios, which must be sorted and disjoint."""
+        starts = [s.start_index for s in scenarios]
+        ends = [s.end_index for s in scenarios]
+        return cls(starts, ends, "scenario")
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Points per run."""
+        return self.ends - self.starts + 1
+
+    def spans(self, timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half-open float tick spans: run ``(i, j)`` occupies ``[ts[i], ts[j] + 1)``."""
+        return (
+            timestamps[self.starts].astype(np.float64),
+            timestamps[self.ends].astype(np.float64) + 1.0,
+        )
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self):
+        return zip(self.starts.tolist(), self.ends.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Intervals(self.starts[index], self.ends[index])
+        return int(self.starts[index]), int(self.ends[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Intervals):
+            return bool(
+                np.array_equal(self.starts, other.starts) and np.array_equal(self.ends, other.ends)
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+IntervalsLike = Intervals | Sequence[tuple[int, int]]
+
+
+def as_intervals(runs: IntervalsLike, what: str) -> Intervals:
+    """``runs`` itself, or the checked ``Intervals`` of a sequence of pairs."""
+    if isinstance(runs, Intervals):
+        return runs
+    pairs = np.array(list(runs), dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{what} intervals must be (start, end) pairs")
+    return Intervals(pairs[:, 0], pairs[:, 1], what)
+
+
+def alerts_to_intervals(alerts: AlertSeries, series: LabeledSeries) -> Intervals:
     """Maximal runs of true alerts as inclusive index intervals, sorted."""
     if alerts.kind is not AlertKind.BOOLEAN:
         raise EvaluationError("alert intervals require boolean alerts, not scores")
@@ -346,16 +434,12 @@ def alerts_to_intervals(alerts: AlertSeries, series: LabeledSeries) -> list[tupl
     return mask_to_intervals(alerts.values)
 
 
-def mask_to_intervals(mask: np.ndarray) -> list[tuple[int, int]]:
+def mask_to_intervals(mask: np.ndarray) -> Intervals:
     """Inclusive index intervals of the true runs of a boolean mask."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return []
     padded = np.concatenate(([False], mask, [False]))
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    starts = edges[0::2]
-    ends = edges[1::2] - 1
-    return [(int(s), int(e)) for s, e in zip(starts, ends)]
+    return Intervals(edges[0::2], edges[1::2] - 1)
 
 
 def intervals_to_mask(intervals: Iterable[tuple[int, int]], n: int) -> np.ndarray:

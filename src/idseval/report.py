@@ -23,6 +23,7 @@ from .model import (
     AlertKind,
     AlertSeries,
     EvaluationError,
+    Intervals,
     LabeledSeries,
     MetricReport,
     MetricValue,
@@ -283,38 +284,23 @@ def render_timeline(
     t0 = float(series.timestamps[0])
     t1 = float(series.timestamps[-1]) + 1.0
 
-    def spans_of(intervals: list[tuple[int, int]]) -> list[tuple[float, float]]:
-        ts = series.timestamps
-        return [(float(ts[i]), float(ts[j]) + 1.0) for i, j in intervals]
-
-    lanes: list[TimelineLane] = []
-    gt_spans = spans_of(
-        [(s.start_index, s.end_index) for s in extract_scenarios(series)]
-    )
-    lanes.append(
-        TimelineLane(
-            name="ground truth",
-            kind="labels",
-            true_spans=tuple(gt_spans),
-            drawn_spans=tuple(gt_spans),
-            widened=tuple(False for _ in gt_spans),
-        )
-    )
-    for alert_series in alerts:
-        true_spans = spans_of(alerts_to_intervals(alert_series, series))
-        if alert_series.detector in exempt_names:
-            drawn, widened = list(true_spans), [False] * len(true_spans)
+    def lane(name: str, kind: str, runs: Intervals) -> TimelineLane:
+        lo, hi = runs.spans(series.timestamps)
+        true_spans = list(zip(lo.tolist(), hi.tolist()))
+        if kind == "labels" or name in exempt_names:
+            drawn, widened = true_spans, [False] * len(true_spans)
         else:
             drawn, widened = _widen(true_spans, min_width, t0, t1)
-        lanes.append(
-            TimelineLane(
-                name=alert_series.detector,
-                kind="alerts",
-                true_spans=tuple(true_spans),
-                drawn_spans=tuple(drawn),
-                widened=tuple(widened),
-            )
+        return TimelineLane(
+            name=name,
+            kind=kind,
+            true_spans=tuple(true_spans),
+            drawn_spans=tuple(drawn),
+            widened=tuple(widened),
         )
+
+    lanes = [lane("ground truth", "labels", Intervals.of_scenarios(extract_scenarios(series)))]
+    lanes += [lane(a.detector, "alerts", alerts_to_intervals(a, series)) for a in alerts]
 
     margin_left, margin_right = 160.0, 20.0
     lane_height, lane_gap = 26.0, 8.0

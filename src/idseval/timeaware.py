@@ -7,18 +7,20 @@ are measured in ticks; conversion to seconds happens at report time.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import (
     AttackScenario,
+    Intervals,
+    IntervalsLike,
     LabeledSeries,
     MetricValue,
     ParameterError,
+    as_intervals,
 )
-
-Interval = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -40,45 +42,38 @@ class ScenarioDetection:
             raise ValueError("delay_ticks must be non-negative")
 
 
-def _check_intervals(intervals: list[Interval], what: str) -> None:
-    prev_end = None
-    for start, end in intervals:
-        if start > end:
-            raise ValueError(f"{what} interval ({start}, {end}) has start > end")
-        if prev_end is not None and start <= prev_end:
-            raise ValueError(f"{what} intervals must be sorted and disjoint")
-        prev_end = end
+def _first_overlaps(
+    scenarios: list[AttackScenario], alerts: Intervals
+) -> tuple[list[int], list[bool]]:
+    """Per scenario: the earliest alert run overlapping it, and whether one does."""
+    starts = np.array([s.start_index for s in scenarios], dtype=np.int64)
+    ends = np.array([s.end_index for s in scenarios], dtype=np.int64)
+    first = np.searchsorted(alerts.ends, starts, side="left")
+    hit = first < len(alerts)
+    hit[hit] = alerts.starts[first[hit]] <= ends[hit]
+    return first.tolist(), hit.tolist()
 
 
-def _overlap_len(a: Interval, b: Interval) -> int:
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]) + 1)
+def _points_before(runs: Intervals, positions: np.ndarray) -> np.ndarray:
+    """Points of ``runs`` strictly before each of ``positions``."""
+    if len(runs) == 0:
+        return np.zeros(len(positions), dtype=np.int64)
+    prefix = np.concatenate(([0], np.cumsum(runs.lengths)))
+    started = np.searchsorted(runs.starts, positions, side="left")
+    # Only the last run starting before a position can reach past it.
+    overhang = runs.ends[started - 1] + 1 - positions
+    overhang[(started == 0) | (overhang < 0)] = 0
+    return prefix[started] - overhang
 
 
-def _first_overlap(span: Interval, intervals: list[Interval], ends: list[int]) -> int | None:
-    """Index of the earliest of the sorted disjoint ``intervals`` overlapping ``span``."""
-    i = bisect_left(ends, span[0])
-    if i < len(intervals) and intervals[i][0] <= span[1]:
-        return i
-    return None
-
-
-def _union_overlaps(intervals: list[Interval], others: list[Interval]) -> list[int]:
-    """Points of each interval covered by the union of ``others`` (both sorted disjoint)."""
-    overlaps = [0] * len(intervals)
-    j = 0
-    for i, interval in enumerate(intervals):
-        while j < len(others) and others[j][1] < interval[0]:
-            j += 1
-        k = j
-        while k < len(others) and others[k][0] <= interval[1]:
-            overlaps[i] += _overlap_len(interval, others[k])
-            k += 1
-    return overlaps
+def _covered(runs: Intervals, others: Intervals) -> np.ndarray:
+    """Points of each of ``runs`` covered by the union of ``others``."""
+    return _points_before(others, runs.ends + 1) - _points_before(others, runs.starts)
 
 
 def detected_scenarios(
     scenarios: list[AttackScenario],
-    alert_intervals: list[Interval],
+    alert_intervals: IntervalsLike,
     group_by_type: bool = False,
 ) -> tuple[MetricValue, list[bool]]:
     """Fraction of attack instances touched by at least one alert interval.
@@ -88,12 +83,7 @@ def detected_scenarios(
     types instead: a type is detected iff at least one of its scenarios is.
     Returns the ratio plus the per-scenario detection flags.
     """
-    _check_intervals(alert_intervals, "alert")
-    ends = [e for _, e in alert_intervals]
-    flags = [
-        _first_overlap((s.start_index, s.end_index), alert_intervals, ends) is not None
-        for s in scenarios
-    ]
+    _, flags = _first_overlaps(scenarios, as_intervals(alert_intervals, "alert"))
     name = "detected-scenarios"
     params: dict[str, object] = {"by-type": True} if group_by_type else {}
     if not scenarios:
@@ -109,7 +99,7 @@ def detected_scenarios(
 
 def detection_delay(
     scenarios: list[AttackScenario],
-    alert_intervals: list[Interval],
+    alert_intervals: IntervalsLike,
     series: LabeledSeries,
 ) -> tuple[list[ScenarioDetection], list[MetricValue]]:
     """Delay from each scenario's start to its first overlapping alert.
@@ -119,19 +109,17 @@ def detection_delay(
     and median and reported through the undetected count; mean and median are
     Undefined when nothing was detected.
     """
-    _check_intervals(alert_intervals, "alert")
-    ends = [e for _, e in alert_intervals]
+    alerts = as_intervals(alert_intervals, "alert")
+    firsts, hits = _first_overlaps(scenarios, alerts)
     details: list[ScenarioDetection] = []
     delays: list[int] = []
-    for scenario in scenarios:
-        span = (scenario.start_index, scenario.end_index)
-        hit = _first_overlap(span, alert_intervals, ends)
-        if hit is None:
+    for scenario, first, hit in zip(scenarios, firsts, hits):
+        if not hit:
             details.append(ScenarioDetection(scenario=scenario, detected=False))
             continue
-        first = alert_intervals[hit]
-        first_alert_time = int(series.timestamps[max(first[0], scenario.start_index)])
-        delay = max(0, int(series.timestamps[first[0]]) - scenario.start_time)
+        alert_start = int(alerts.starts[first])
+        first_alert_time = int(series.timestamps[max(alert_start, scenario.start_index)])
+        delay = max(0, int(series.timestamps[alert_start]) - scenario.start_time)
         delays.append(delay)
         details.append(
             ScenarioDetection(
@@ -213,9 +201,35 @@ def harmonic_f1(precision: float | None, recall: float | None) -> float | None:
     return 2 * precision * recall / (precision + recall)
 
 
+def _mean_score(
+    covered: np.ndarray, lengths: np.ndarray, theta: Fraction, w: Fraction
+) -> tuple[float | None, np.ndarray]:
+    """Mean of ``w * hit + (1 - w) * covered / length`` over runs, and the hit flags.
+
+    A run is hit when ``covered / length`` is positive and at least ``theta``,
+    that is when ``covered >= max(1, ceil(theta * length))``. The mean is the
+    exact rational rounded once to float; the portions are summed per distinct
+    length, of which there are at most sqrt(2 * total points).
+    """
+    if len(lengths) == 0:
+        return None, np.zeros(0, dtype=bool)
+    distinct, group = np.unique(lengths, return_inverse=True)
+    p, q = theta.numerator, theta.denominator
+    needed = np.array([max(1, -(-p * n // q)) for n in distinct.tolist()], dtype=np.int64)
+    hit = covered >= needed[group]
+    covered_by_length = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(covered_by_length, group, covered)
+    portions = sum(
+        (Fraction(c, n) for c, n in zip(covered_by_length.tolist(), distinct.tolist())),
+        Fraction(0),
+    )
+    total = w * int(np.count_nonzero(hit)) + (1 - w) * portions
+    return float(total / len(lengths)), hit
+
+
 def etapr(
     scenarios: list[AttackScenario],
-    alert_intervals: list[Interval],
+    alert_intervals: IntervalsLike,
     params: EtaParams | None = None,
 ) -> TimeAwareScores:
     """Enhanced time-aware precision and recall over interval overlaps.
@@ -235,34 +249,17 @@ def etapr(
     """
     if params is None:
         params = EtaParams()
-    scenario_spans = [(s.start_index, s.end_index) for s in scenarios]
-    _check_intervals(scenario_spans, "scenario")
-    _check_intervals(alert_intervals, "alert")
+    scenario_runs = Intervals.of_scenarios(scenarios)
+    alerts = as_intervals(alert_intervals, "alert")
     w = params.detection_weight
 
-    correct: list[Interval] = []
-    precision_scores: list[Fraction] = []
-    alert_coverage = _union_overlaps(alert_intervals, scenario_spans)
-    for interval, covered in zip(alert_intervals, alert_coverage):
-        length = interval[1] - interval[0] + 1
-        portion = Fraction(covered, length)
-        is_correct = portion > 0 and portion >= params.theta_p
-        if is_correct:
-            correct.append(interval)
-        precision_scores.append(w * int(is_correct) + (1 - w) * portion)
-
-    recall_scores: list[Fraction] = []
-    scenario_coverage = _union_overlaps(scenario_spans, correct)
-    for span, covered in zip(scenario_spans, scenario_coverage):
-        length = span[1] - span[0] + 1
-        portion = Fraction(covered, length)
-        is_detected = portion > 0 and portion >= params.theta_r
-        recall_scores.append(w * int(is_detected) + (1 - w) * portion)
-
-    precision = (
-        float(sum(precision_scores) / len(precision_scores)) if precision_scores else None
+    precision, correct = _mean_score(
+        _covered(alerts, scenario_runs), alerts.lengths, params.theta_p, w
     )
-    recall = float(sum(recall_scores) / len(recall_scores)) if recall_scores else None
+    correct_alerts = Intervals(alerts.starts[correct], alerts.ends[correct])
+    recall, _ = _mean_score(
+        _covered(scenario_runs, correct_alerts), scenario_runs.lengths, params.theta_r, w
+    )
     return TimeAwareScores(
         precision_like=precision,
         recall_like=recall,

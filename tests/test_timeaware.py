@@ -234,6 +234,31 @@ class TestEtapr:
         lax = etapr([scenario(0, 4)], [(3, 7)], EtaParams(theta_p=Fraction(1, 5)))
         assert lax.precision_like == float(Fraction(1, 2) + Fraction(1, 2) * Fraction(2, 5))
 
+    @pytest.mark.parametrize("which", ["theta_p", "theta_r"])
+    def test_thresholds_with_denominators_past_int64(self, which):
+        # 10**20 > 2**63: the cut-off ceil(theta * length) must not be formed
+        # in int64. One of three points covered is a portion of exactly 1/3,
+        # which passes 0.333...33 and fails 0.333...34 (20 decimals).
+        scenarios = [scenario(0, 2), scenario(10, 12)]
+        alerts = [(2, 4), (10, 12), (20, 22)]
+        results = []
+        for text in ("0.33333333333333333333", "0.33333333333333333334"):
+            theta = Fraction(text)
+            assert theta.denominator > 2**63
+            kwargs = {"theta_p": Fraction(1, 3), "theta_r": Fraction(1, 3), which: theta}
+            got = etapr(scenarios, alerts, EtaParams(**kwargs))
+            want = eta_oracle(
+                [(0, 2), (10, 12)], alerts, kwargs["theta_p"], kwargs["theta_r"]
+            )
+            assert got.precision_like == float(want[0])
+            assert got.recall_like == float(want[1])
+            results.append(got)
+        passed, failed = results
+        if which == "theta_p":
+            assert passed.precision_like > failed.precision_like
+        else:
+            assert passed.recall_like > failed.recall_like
+
     def test_overlapping_scenarios_rejected(self):
         with pytest.raises(ValueError, match="sorted and disjoint"):
             etapr([scenario(0, 5), scenario(3, 8)], [])
