@@ -11,9 +11,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import AlertSeries, LabeledSeries, ParameterError
 
 PREFIX = "baseline"
+# Points drawn per getrandbits call by the random baseline.
+_DRAW_CHUNK = 1 << 16
 
 
 class BaselineKind(str, Enum):
@@ -93,12 +97,24 @@ def generate(spec: BaselineSpec, series: LabeledSeries) -> AlertSeries:
     """
     n = len(series)
     if spec.kind is BaselineKind.NEVER:
-        values = [False] * n
+        values = np.zeros(n, dtype=bool)
     elif spec.kind is BaselineKind.ALWAYS:
-        values = [True] * n
+        values = np.ones(n, dtype=bool)
     else:
         if spec.seed is None:
             raise ParameterError("random baseline requires a seed to be reproducible")
         rng = random.Random(spec.seed)
-        values = [rng.random() < spec.p for _ in range(n)]
+        values = np.empty(n, dtype=bool)
+        for start in range(0, n, _DRAW_CHUNK):
+            count = min(_DRAW_CHUNK, n - start)
+            # getrandbits puts the generator's 32-bit outputs in order from the
+            # least significant word up; random() builds each double from two
+            # of them, a and b, as ((a >> 5) * 2**26 + (b >> 6)) / 2**53.
+            raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+            words = np.frombuffer(raw, dtype="<u4")
+            draws = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (
+                1.0 / 9007199254740992.0
+            )
+            values[start : start + count] = draws < spec.p
+    values.setflags(write=False)
     return AlertSeries.from_bool(detector=spec.label, values=values, aligned_to=series.name)

@@ -216,7 +216,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _roc_thresholds(args: argparse.Namespace, alert: AlertSeries) -> list[float]:
+def _roc_thresholds(args: argparse.Namespace, alert: AlertSeries) -> list[float] | np.ndarray:
     if args.thresholds and args.auto:
         raise ParameterError("pass either --thresholds or --auto, not both")
     if args.thresholds:
@@ -228,7 +228,7 @@ def _roc_thresholds(args: argparse.Namespace, alert: AlertSeries) -> list[float]
             ) from None
     if not args.auto:
         raise ParameterError("pass --thresholds LIST or --auto to choose operating points")
-    return [float(v) for v in np.unique(alert.values)]
+    return np.unique(alert.values)
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
@@ -250,16 +250,16 @@ def cmd_roc(args: argparse.Namespace) -> int:
     curve = roc(series, alert, _roc_thresholds(args, alert))
     area = auc(curve)
     if args.format == "json":
-        def encode(value: float) -> float | str:
-            return value if np.isfinite(value) else ("inf" if value > 0 else "-inf")
-
+        thresholds = curve.thresholds.tolist()
+        # Only the synthetic endpoints are infinite; JSON has no infinity.
+        thresholds[0], thresholds[-1] = "inf", "-inf"
         payload = {
             "dataset": series.name,
             "detector": alert.detector,
             "auc": area.value,
             "points": [
-                {"threshold": encode(p.threshold), "fpr": p.fpr, "tpr": p.tpr}
-                for p in curve.points
+                {"threshold": t, "fpr": f, "tpr": r}
+                for t, f, r in zip(thresholds, curve.fpr.tolist(), curve.tpr.tolist())
             ],
         }
         text = json.dumps(payload, indent=2) + "\n"

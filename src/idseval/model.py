@@ -36,6 +36,14 @@ class ParameterError(EvaluationError):
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values``; a read-only array that owns its memory is shared."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -508,10 +516,13 @@ def collapse_multiclass(
         is_positive = np.isin(series.label_codes, sorted(positive_codes))
     else:
         is_positive = np.zeros(len(series), dtype=bool)
+    codes = is_positive.astype(np.int32)
+    codes.setflags(write=False)
+    # Read-only arrays are shared by the new series, not copied.
     return LabeledSeries(
         name=series.name,
         timestamps=series.timestamps,
-        label_codes=is_positive.astype(np.int32),
+        label_codes=codes,
         attack_types=(collapsed_type,) if is_positive.any() else (),
         tick_seconds=series.tick_seconds,
     )

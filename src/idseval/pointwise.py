@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .model import (
     LabeledSeries,
     MetricValue,
     ParameterError,
+    _frozen_array,
     extract_scenarios,
     format_fraction,
     require_alignment,
@@ -135,40 +138,74 @@ class RocPoint:
     tpr: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
     """(FPR, TPR) per threshold, sorted by threshold descending.
 
-    Includes the synthetic endpoints (0,0) at threshold +inf and (1,1) at
-    threshold -inf, so both coordinates sweep monotonically from 0 to 1.
+    Held as three read-only float64 arrays of equal length, checked once
+    when built; two curves are equal when their arrays are. Includes the
+    synthetic endpoints (0,0) at threshold +inf and (1,1) at threshold -inf,
+    so both coordinates sweep monotonically from 0 to 1.
     """
 
-    points: tuple[RocPoint, ...]
+    thresholds: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        thresholds = [p.threshold for p in self.points]
-        if any(a < b for a, b in zip(thresholds, thresholds[1:])):
+        for name in ("thresholds", "fpr", "tpr"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), np.float64))
+        shape = self.thresholds.shape
+        if len(shape) != 1 or not shape == self.fpr.shape == self.tpr.shape:
+            raise ValueError("curve thresholds, fpr and tpr must be equal-length 1-D arrays")
+        if np.any(self.thresholds[:-1] < self.thresholds[1:]):
             raise ValueError("curve points must be sorted by threshold descending")
-        for p in self.points:
-            if not (0.0 <= p.fpr <= 1.0 and 0.0 <= p.tpr <= 1.0):
+        for coords in (self.fpr, self.tpr):
+            # Written as a negation so that NaN fails the check too.
+            if not np.all((coords >= 0.0) & (coords <= 1.0)):
                 raise ValueError("curve coordinates must lie in [0, 1]")
 
+    @cached_property
+    def points(self) -> tuple[RocPoint, ...]:
+        """The curve as one RocPoint per threshold, for callers that iterate."""
+        return tuple(
+            map(RocPoint, self.thresholds.tolist(), self.fpr.tolist(), self.tpr.tolist())
+        )
 
-def roc(series: LabeledSeries, alerts: AlertSeries, thresholds: list[float]) -> RocCurve:
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RocCurve):
+            return NotImplemented
+        return all(map(
+            np.array_equal,
+            (self.thresholds, self.fpr, self.tpr),
+            (other.thresholds, other.fpr, other.tpr),
+        ))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def roc(
+    series: LabeledSeries, alerts: AlertSeries, thresholds: Sequence[float] | np.ndarray
+) -> RocCurve:
     """Sweep alert thresholds over scored output; the alert rule is score >= threshold.
 
     Requires binary labels with at least one attack and one benign point
     (otherwise TPR or FPR has a zero denominator at every threshold).
+    Duplicate thresholds are dropped; of ``0.0`` and ``-0.0`` the first
+    listed is kept. Both classes are sorted once and every threshold is
+    counted with one ``searchsorted`` per class (Fawcett 2006, Algorithm 1).
     """
     if alerts.kind is not AlertKind.SCORED:
         raise EvaluationError("roc requires scored alerts")
     if not series.is_binary:
         raise EvaluationError("roc requires binary labels; collapse the series first")
     require_alignment(series, alerts)
-    if not thresholds:
+    requested = np.asarray(thresholds, dtype=np.float64)
+    if requested.ndim != 1:
+        raise ParameterError("thresholds must be a flat sequence of numbers")
+    if len(requested) == 0:
         raise ParameterError("at least one threshold is required")
-    if not all(np.isfinite(thresholds)):
+    if not np.all(np.isfinite(requested)):
         raise ParameterError("thresholds must be finite")
 
     attack = series.attack_mask
@@ -177,23 +214,32 @@ def roc(series: LabeledSeries, alerts: AlertSeries, thresholds: list[float]) -> 
     if n_attack == 0 or n_benign == 0:
         raise EvaluationError("roc requires both attack and benign points in the labels")
 
+    # np.unique sorts stably, so return_index points at each value's first
+    # occurrence: the first listed of 0.0 and -0.0 survives, as with set().
+    _, first = np.unique(requested, return_index=True)
+    swept = requested[first][::-1]
     attack_scores = np.sort(alerts.values[attack])
     benign_scores = np.sort(alerts.values[~attack])
-    points = [RocPoint(threshold=float("inf"), fpr=0.0, tpr=0.0)]
-    for threshold in sorted(set(float(t) for t in thresholds), reverse=True):
-        tp = n_attack - int(np.searchsorted(attack_scores, threshold, side="left"))
-        fp = n_benign - int(np.searchsorted(benign_scores, threshold, side="left"))
-        points.append(RocPoint(threshold=threshold, fpr=fp / n_benign, tpr=tp / n_attack))
-    points.append(RocPoint(threshold=float("-inf"), fpr=1.0, tpr=1.0))
-    return RocCurve(points=tuple(points))
+    tp = n_attack - np.searchsorted(attack_scores, swept, side="left")
+    fp = n_benign - np.searchsorted(benign_scores, swept, side="left")
+    # int64 / int is correctly rounded below 2**53, like Python's int / int.
+    return RocCurve(
+        thresholds=np.concatenate(([np.inf], swept, [-np.inf])),
+        fpr=np.concatenate(([0.0], fp / n_benign, [1.0])),
+        tpr=np.concatenate(([0.0], tp / n_attack, [1.0])),
+    )
 
 
 def auc(curve: RocCurve) -> MetricValue:
-    """Trapezoidal area under the ROC curve (FPR on x, TPR on y)."""
-    area = 0.0
-    for a, b in zip(curve.points, curve.points[1:]):
-        area += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2.0
-    return MetricValue(name="auc", value=area)
+    """Trapezoidal area under the ROC curve (FPR on x, TPR on y).
+
+    The terms are summed left to right from 0.0 with ``np.cumsum``;
+    ``np.trapezoid`` sums pairwise and would change the last bits.
+    """
+    x, y = curve.fpr, curve.tpr
+    terms = (x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0
+    area = np.concatenate(([0.0], terms)).cumsum()[-1]
+    return MetricValue(name="auc", value=float(area))
 
 
 def auc_single(cm: ConfusionMatrix) -> MetricValue:

@@ -22,7 +22,6 @@ from idseval import (
     EtaParams,
     LabeledSeries,
     RocCurve,
-    RocPoint,
     accuracy,
     affiliation,
     alerts_to_intervals,
@@ -142,11 +141,11 @@ def test_criterion_04_metric_identities_on_10k_confusion_matrices():
             assert min(precision, recall) <= value <= max(precision, recall), trial
         single = auc_single(cm)
         if single.defined:
-            curve = RocCurve(points=(
-                RocPoint(float("inf"), 0.0, 0.0),
-                RocPoint(0.5, float(fpr(cm).exact), float(tpr(cm).exact)),
-                RocPoint(float("-inf"), 1.0, 1.0),
-            ))
+            curve = RocCurve(
+                thresholds=[float("inf"), 0.5, float("-inf")],
+                fpr=[0.0, float(fpr(cm).exact), 1.0],
+                tpr=[0.0, float(tpr(cm).exact), 1.0],
+            )
             assert abs(auc(curve).value - single.value) <= 1e-12, trial
 
 

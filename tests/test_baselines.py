@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -110,6 +111,25 @@ class TestGenerate:
         rng = random.Random(9)
         expected = [rng.random() < 0.4 for _ in range(50)]
         assert list(generate(spec, series).values) == expected
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40 + 3])
+    def test_random_matches_the_per_draw_loop(self, seed):
+        n = 150_001  # spans several generation chunks
+        series = make_series(["benign"] * n)
+        rng = random.Random(seed)
+        draws = [rng.random() for _ in range(n)]
+        # At and just above a draw: a stream off in its lowest bit, or <=
+        # for <, flips that point.
+        edges = [
+            edge
+            for k in (0, 65_535, 65_536, n - 1)
+            for edge in (draws[k], math.nextafter(draws[k], 1.0))
+        ]
+        for p in (0.0, 1e-9, 0.5, 1.0, *edges):
+            spec = BaselineSpec(BaselineKind.RANDOM, p=p, seed=seed)
+            rng = random.Random(seed)
+            expected = [rng.random() < p for _ in range(n)]
+            assert generate(spec, series).values.tolist() == expected, p
 
     def test_probability_extremes(self):
         series = make_series(["benign"] * 100)

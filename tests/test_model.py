@@ -194,6 +194,30 @@ class TestCollapse:
         assert collapsed.attack_types == ()
         assert not collapsed.attack_mask.any()
 
+    def test_shares_the_frozen_timestamps(self):
+        series = make_series(["benign", "a", "b"], timestamps=[3, 5, 9])
+        collapsed = collapse_multiclass(series)
+        assert np.shares_memory(collapsed.timestamps, series.timestamps)
+        assert not collapsed.timestamps.flags.writeable
+        assert not collapsed.label_codes.flags.writeable
+        assert list(collapsed.timestamps) == [3, 5, 9]
+
+    def test_writeable_arrays_are_still_copied(self):
+        timestamps = np.array([1, 2, 3], dtype=np.int64)
+        codes = np.array([0, 1, 0], dtype=np.int32)
+        series = LabeledSeries("s", timestamps, codes, ("a",))
+        timestamps[0] = 7
+        codes[0] = 1
+        assert list(series.timestamps) == [1, 2, 3]
+        assert list(series.label_codes) == [0, 1, 0]
+        assert timestamps.flags.writeable
+
+    def test_shared_arrays_are_still_validated(self):
+        decreasing = np.array([3, 2], dtype=np.int64)
+        decreasing.setflags(write=False)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LabeledSeries("s", decreasing, [0, 0], ())
+
 
 class TestMetricValue:
     def test_from_fraction_fills_float(self):

@@ -16,7 +16,6 @@ from idseval import (
     FBetaParams,
     ParameterError,
     RocCurve,
-    RocPoint,
     accuracy,
     auc,
     auc_single,
@@ -224,11 +223,11 @@ class TestRoc:
 
 class TestAuc:
     def test_trapezoid_hand_value(self):
-        curve = RocCurve(points=(
-            RocPoint(float("inf"), 0.0, 0.0),
-            RocPoint(0.5, 0.25, 0.75),
-            RocPoint(float("-inf"), 1.0, 1.0),
-        ))
+        curve = RocCurve(
+            thresholds=[float("inf"), 0.5, float("-inf")],
+            fpr=[0.0, 0.25, 1.0],
+            tpr=[0.0, 0.75, 1.0],
+        )
         assert abs(auc(curve).value - (0.09375 + 0.65625)) < 1e-12
 
     def test_perfectly_separated_scores_give_auc_one(self):

@@ -19,7 +19,6 @@ from idseval import (
     MetricValue,
     ParameterError,
     RocCurve,
-    RocPoint,
     build_table,
     evaluate_detector,
     format_cell,
@@ -297,11 +296,9 @@ class TestTimelineSvg:
 class TestRocCsv:
     def test_header_and_full_precision(self):
         curve = RocCurve(
-            points=(
-                RocPoint(float("inf"), 0.0, 0.0),
-                RocPoint(0.5, 1 / 3, 2 / 3),
-                RocPoint(float("-inf"), 1.0, 1.0),
-            )
+            thresholds=[float("inf"), 0.5, float("-inf")],
+            fpr=[0.0, 1 / 3, 1.0],
+            tpr=[0.0, 2 / 3, 1.0],
         )
         rows = list(csv.reader(io.StringIO(roc_to_csv(curve))))
         assert rows[0] == ["threshold", "fpr", "tpr"]

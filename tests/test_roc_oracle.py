@@ -1,0 +1,189 @@
+"""Array-backed ROC sweep against the per-threshold reference.
+
+``oracles/roc_oracle.py`` keeps the loop idseval began with: one
+``RocPoint`` per distinct threshold, a Python trapezoid sum and
+``csv.writer``. The array sweep must give the same thresholds and
+coordinates bit for bit (``0.0`` and ``-0.0`` are told apart), an equal
+area and equal CSV text, for any thresholds: tied scores, signed zeros in
+either order, thresholds outside the score range, duplicated and unsorted
+lists and a single threshold.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idseval import (
+    AlertSeries,
+    ParameterError,
+    RocCurve,
+    RocPoint,
+    auc,
+    load_alerts,
+    load_labels,
+    roc,
+    roc_to_csv,
+)
+from idseval.cli import main
+from idseval.model import collapse_multiclass
+from oracles import roc_oracle
+from support import make_series
+
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
+# roc.json of ``roc --auto --format json`` on the demo data, as the per-point code wrote it.
+DEMO_ROC_JSON_SHA256 = "513a7276401a591c37e7793f56160df1fe153b50e792b4e606138036d2c8d845"
+# Ties, both signed zeros, neighbours one ulp apart and a subnormal.
+POOL = (-1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 0.5000000000000001, 1.0, 3.0)
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def assert_same_sweep(attack: list[bool], scores: list[float], thresholds) -> None:
+    series = make_series(["attack" if a else "benign" for a in attack])
+    alerts = AlertSeries.from_scores("d", scores, "series")
+    curve = roc(series, alerts, thresholds)
+    expected = roc_oracle.roc(series, alerts, list(thresholds))
+    assert bits(curve.thresholds) == bits([p.threshold for p in expected.points])
+    assert bits(curve.fpr) == bits([p.fpr for p in expected.points])
+    assert bits(curve.tpr) == bits([p.tpr for p in expected.points])
+    assert curve.points == tuple(
+        RocPoint(p.threshold, p.fpr, p.tpr) for p in expected.points
+    )
+    area, expected_area = auc(curve).value, roc_oracle.auc(expected).value
+    assert type(area) is float
+    assert bits([area]) == bits([expected_area])
+    assert roc_to_csv(curve) == roc_oracle.roc_to_csv(expected)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 60))
+    attack = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    positive, negative = draw(st.permutations(range(n)))[:2]
+    attack[positive], attack[negative] = True, False
+    scores = draw(st.lists(st.sampled_from(POOL) | finite, min_size=n, max_size=n))
+    outside = st.sampled_from((-1e6, -11.0, 11.0, 1e300))
+    thresholds = draw(st.lists(
+        st.sampled_from(scores) | st.sampled_from(POOL) | outside | finite,
+        min_size=1, max_size=25,
+    ))
+    return attack, scores, thresholds
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_matches_reference_sweep(instance):
+    attack, scores, thresholds = instance
+    assert_same_sweep(attack, scores, thresholds)
+    assert_same_sweep(attack, scores, tuple(thresholds))
+    assert_same_sweep(attack, scores, np.array(thresholds))
+
+
+@pytest.mark.parametrize(
+    "scores,thresholds",
+    [
+        ([0.0, -0.0, 0.0, -0.0], [0.0, -0.0]),
+        ([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0]),
+        ([-0.0, 0.0, 1.0, -1.0], [-0.0, 1.0, 0.0, -0.0]),
+        ([0.5, 0.5, 0.5, 0.5], [0.5]),
+        ([0.1, 0.9, 0.4, 0.4], [7.0, -7.0]),
+        ([0.1, 0.9, 0.4, 0.4], [0.4, 0.1, 0.4, 0.9, 0.1, 2.0]),
+        ([0.1, 0.9, 0.4, 0.4], [0.3]),
+    ],
+)
+def test_named_cases(scores, thresholds):
+    assert_same_sweep([False, True, True, False], scores, thresholds)
+
+
+@pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_first_listed_signed_zero_is_kept(first, second):
+    series = make_series(["benign", "attack"])
+    alerts = AlertSeries.from_scores("d", [-0.0, 0.0], "series")
+    curve = roc(series, alerts, [first, second])
+    assert bits(curve.thresholds[1:2]) == bits([first])
+
+
+def test_auto_sweep_over_many_tied_scores():
+    rng = np.random.default_rng(17)
+    attack = (rng.random(5000) < 0.3).tolist()
+    scores = np.round(rng.random(5000), 2).tolist()
+    assert_same_sweep(attack, scores, np.unique(scores))
+
+
+class TestRocCurve:
+    def test_holds_read_only_float64_arrays(self):
+        curve = RocCurve(thresholds=[np.inf, 1, -np.inf], fpr=[0, 0.5, 1], tpr=[0, 1, 1])
+        for array in (curve.thresholds, curve.fpr, curve.tpr):
+            assert array.dtype == np.float64
+            assert not array.flags.writeable
+        assert curve.points[1] == RocPoint(1.0, 0.5, 1.0)
+        assert curve == RocCurve(curve.thresholds, [0.0, 0.5, 1.0], [-0.0, 1.0, 1.0])
+        assert curve != RocCurve(curve.thresholds, [0.0, 0.25, 1.0], curve.tpr)
+
+    def test_unsorted_thresholds_rejected(self):
+        with pytest.raises(ValueError, match="sorted by threshold descending"):
+            RocCurve(thresholds=[np.inf, 0.2, 0.5, -np.inf], fpr=[0, 0, 0, 1], tpr=[0, 0, 0, 1])
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("axis", ["fpr", "tpr"])
+    def test_coordinates_outside_unit_interval_rejected(self, bad, axis):
+        coords = {"fpr": [0.0, 0.5, 1.0], "tpr": [0.0, 0.5, 1.0]}
+        coords[axis][1] = bad
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            RocCurve(thresholds=[np.inf, 0.5, -np.inf], **coords)
+
+    @pytest.mark.parametrize(
+        "thresholds,fpr,tpr",
+        [([np.inf, -np.inf], [0.0, 1.0], [0.0]), ([[np.inf]], [[0.0]], [[0.0]])],
+    )
+    def test_shape_mismatch_rejected(self, thresholds, fpr, tpr):
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            RocCurve(thresholds, fpr, tpr)
+
+    def test_nested_thresholds_rejected(self):
+        series = make_series(["benign", "attack"])
+        alerts = AlertSeries.from_scores("d", [0.1, 0.9], "series")
+        with pytest.raises(ParameterError, match="flat sequence"):
+            roc(series, alerts, [[0.5]])
+
+
+def test_demo_roc_json_matches_the_per_point_payload(tmp_path, capsys, monkeypatch):
+    """roc.json on the demo data, byte for byte as the per-point code built it."""
+    monkeypatch.delenv("IDSEVAL_OUT", raising=False)
+    code = main([
+        "roc", "--config", str(DEMO / "manifest.json"), "--alerts", str(DEMO / "scored.jsonl"),
+        "--auto", "--format", "json", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    series = collapse_multiclass(load_labels(DEMO / "labels.csv", name="demo"))
+    alert = load_alerts(DEMO / "scored.jsonl", series)
+    curve = roc_oracle.roc(series, alert, [float(v) for v in np.unique(alert.values)])
+    area = roc_oracle.auc(curve)
+
+    def encode(value: float) -> float | str:
+        return value if np.isfinite(value) else ("inf" if value > 0 else "-inf")
+
+    payload = {
+        "dataset": series.name,
+        "detector": alert.detector,
+        "auc": area.value,
+        "points": [
+            {"threshold": encode(p.threshold), "fpr": p.fpr, "tpr": p.tpr}
+            for p in curve.points
+        ],
+    }
+    expected = json.dumps(payload, indent=2) + "\n"
+    written = (tmp_path / "roc.json").read_bytes()
+    assert written == expected.encode("utf-8")
+    assert hashlib.sha256(written).hexdigest() == DEMO_ROC_JSON_SHA256
+    assert f"auc: {area.value:.6f}" in capsys.readouterr().out
