@@ -9,7 +9,6 @@ directory, so a results folder is always reproducible on its own.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import shutil
@@ -35,7 +34,7 @@ from .model import (
     collapse_multiclass,
 )
 from .pointwise import auc, roc
-from .report import build_table, render_timeline, report_to_json, roc_to_csv
+from .report import build_table, render_timeline, report_to_json, roc_to_csv, roc_to_json
 
 OUT_ENV_VAR = "IDSEVAL_OUT"
 DEFAULT_OUT = "idseval-out"
@@ -250,19 +249,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
     curve = roc(series, alert, _roc_thresholds(args, alert))
     area = auc(curve)
     if args.format == "json":
-        thresholds = curve.thresholds.tolist()
-        # Only the synthetic endpoints are infinite; JSON has no infinity.
-        thresholds[0], thresholds[-1] = "inf", "-inf"
-        payload = {
-            "dataset": series.name,
-            "detector": alert.detector,
-            "auc": area.value,
-            "points": [
-                {"threshold": t, "fpr": f, "tpr": r}
-                for t, f, r in zip(thresholds, curve.fpr.tolist(), curve.tpr.tolist())
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = roc_to_json(curve, series.name, alert.detector, area.value)
         target = outdir / "roc.json"
     else:
         text = roc_to_csv(curve)

@@ -49,13 +49,18 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype.kind == b.dtype.kind and bool(np.array_equal(a, b))
+
+
+@dataclass(frozen=True, eq=False)
 class LabeledSeries:
     """Ground-truth stream: per-point benign/attack-type labels over integer ticks.
 
     Labels are stored as integer codes: 0 is benign, code k (k >= 1) is
     ``attack_types[k - 1]``. Timestamps are strictly increasing ticks;
-    ``tick_seconds`` converts ticks to wall-clock seconds.
+    ``tick_seconds`` converts ticks to wall-clock seconds. Two series are
+    equal when their fields are, arrays compared element by element.
     """
 
     name: str
@@ -138,15 +143,31 @@ class LabeledSeries:
     def labels_as_strings(self) -> list[str]:
         return ["benign" if c == 0 else self.attack_types[c - 1] for c in self.label_codes]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledSeries):
+            return NotImplemented
+        return (
+            (self.name, self.attack_types, self.tick_seconds)
+            == (other.name, other.attack_types, other.tick_seconds)
+            and _arrays_equal(self.timestamps, other.timestamps)
+            and _arrays_equal(self.label_codes, other.label_codes)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
 
 class AlertKind(str, Enum):
     BOOLEAN = "boolean"
     SCORED = "scored"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlertSeries:
-    """One detector's output aligned point-for-point to a LabeledSeries."""
+    """One detector's output aligned point-for-point to a LabeledSeries.
+
+    Two series are equal when their fields are, values compared element by
+    element.
+    """
 
     detector: str
     kind: AlertKind
@@ -173,6 +194,17 @@ class AlertSeries:
     @classmethod
     def from_scores(cls, detector: str, values, aligned_to: str) -> "AlertSeries":
         return cls(detector, AlertKind.SCORED, np.asarray(values, dtype=np.float64), aligned_to)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AlertSeries):
+            return NotImplemented
+        return (
+            (self.detector, self.kind, self.aligned_to)
+            == (other.detector, other.kind, other.aligned_to)
+            and _arrays_equal(self.values, other.values)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
-from xml.sax.saxutils import escape
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .model import (
     AlertKind,
@@ -34,8 +35,18 @@ from .model import (
 from .pointwise import RocCurve
 
 UNDEFINED_CELL = "—"
-# Rows per %-template in roc_to_csv; bounds the transient Python floats.
-_CSV_ROWS = 1 << 14
+# Rows per %-template in the ROC writers and render_timeline; bounds the
+# transient Python objects.
+_ROWS = 1 << 14
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data.
+
+    The same replacements, in the same order, as ``xml.sax.saxutils.escape``,
+    whose import pulls in ``urllib.request``, ``http.client`` and ``email``.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def format_cell(value: MetricValue | None, decimals: int = 3) -> str:
@@ -224,29 +235,6 @@ class TimelineRendering:
         Path(path).write_text(self.svg, encoding="utf-8")
 
 
-def _widen(
-    spans: list[tuple[float, float]],
-    min_width: float,
-    lo: float,
-    hi: float,
-) -> tuple[list[tuple[float, float]], list[bool]]:
-    drawn: list[tuple[float, float]] = []
-    widened: list[bool] = []
-    for start, end in spans:
-        width = end - start
-        if width >= min_width:
-            drawn.append((start, end))
-            widened.append(False)
-            continue
-        center = (start + end) / 2.0
-        new_start = max(lo, center - min_width / 2.0)
-        new_end = min(hi, new_start + min_width)
-        new_start = max(lo, new_end - min_width)
-        drawn.append((new_start, new_end))
-        widened.append(True)
-    return drawn, widened
-
-
 _GT_COLOR = "#c0392b"
 _ALERT_COLOR = "#2e6da4"
 _WIDENED_COLOR = "#7aa6d2"
@@ -264,6 +252,8 @@ def render_timeline(
     minimum width (clipped to the series span); the ground-truth lane and
     detectors named in ``exempt`` always show true widths. The output string
     depends only on the inputs, so identical calls produce identical bytes.
+    Spans are widened in numpy and each lane's ``<rect>`` rows are one
+    ``%`` template filled from ``tolist()`` chunks.
     """
     min_width = float(min_width_ticks)
     if min_width < 0:
@@ -287,23 +277,38 @@ def render_timeline(
     t0 = float(series.timestamps[0])
     t1 = float(series.timestamps[-1]) + 1.0
 
-    def lane(name: str, kind: str, runs: Intervals) -> TimelineLane:
+    def lane(
+        name: str, kind: str, runs: Intervals
+    ) -> tuple[TimelineLane, np.ndarray, np.ndarray, np.ndarray]:
+        """The lane's metadata, then its drawn spans and widened flags as arrays."""
         lo, hi = runs.spans(series.timestamps)
-        true_spans = list(zip(lo.tolist(), hi.tolist()))
-        if kind == "labels" or name in exempt_names:
-            drawn, widened = true_spans, [False] * len(true_spans)
-        else:
-            drawn, widened = _widen(true_spans, min_width, t0, t1)
-        return TimelineLane(
+        true_spans = tuple(zip(lo.tolist(), hi.tolist()))
+        widened = np.zeros(len(lo), dtype=bool)
+        drawn_spans = true_spans
+        if kind != "labels" and name not in exempt_names:
+            widened = hi - lo < min_width
+            if widened.any():
+                # The operations and order of widening one run at a time, so
+                # the drawn spans are bit-identical to it.
+                center = (lo[widened] + hi[widened]) / 2.0
+                new_start = np.maximum(t0, center - min_width / 2.0)
+                new_end = np.minimum(t1, new_start + min_width)
+                new_start = np.maximum(t0, new_end - min_width)
+                lo, hi = lo.copy(), hi.copy()
+                lo[widened], hi[widened] = new_start, new_end
+                drawn_spans = tuple(zip(lo.tolist(), hi.tolist()))
+        metadata = TimelineLane(
             name=name,
             kind=kind,
-            true_spans=tuple(true_spans),
-            drawn_spans=tuple(drawn),
-            widened=tuple(widened),
+            true_spans=true_spans,
+            drawn_spans=drawn_spans,
+            widened=tuple(widened.tolist()),
         )
+        return metadata, lo, hi, widened
 
-    lanes = [lane("ground truth", "labels", Intervals.of_scenarios(extract_scenarios(series)))]
-    lanes += [lane(a.detector, "alerts", alerts_to_intervals(a, series)) for a in alerts]
+    drawn = [lane("ground truth", "labels", Intervals.of_scenarios(extract_scenarios(series)))]
+    drawn += [lane(a.detector, "alerts", alerts_to_intervals(a, series)) for a in alerts]
+    lanes = tuple(metadata for metadata, *_ in drawn)
 
     margin_left, margin_right = 160.0, 20.0
     lane_height, lane_gap = 26.0, 8.0
@@ -316,68 +321,118 @@ def render_timeline(
     def x(t: float) -> float:
         return margin_left + (t - t0) * scale
 
+    # Every part is one line of the SVG, newline included.
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
     )
     parts.append(
-        '<style>text { font-family: monospace; font-size: 12px; fill: #222; }</style>'
+        '<style>text { font-family: monospace; font-size: 12px; fill: #222; }</style>\n'
     )
-    parts.append(f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>')
+    parts.append(f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n')
     title = f"{series.name} (1 tick = {series.tick_seconds}s)"
-    parts.append(f'<text x="{margin_left:.1f}" y="20">{escape(title)}</text>')
+    parts.append(f'<text x="{margin_left:.1f}" y="20">{_escape(title)}</text>\n')
     axis_y = top - 6.0
     parts.append(
         f'<line x1="{x(t0):.2f}" y1="{axis_y:.2f}" x2="{x(t1):.2f}" y2="{axis_y:.2f}" '
-        'stroke="#999" stroke-width="1"/>'
+        'stroke="#999" stroke-width="1"/>\n'
     )
-    parts.append(f'<text x="{x(t0):.2f}" y="{axis_y - 4:.2f}">{series.timestamps[0]}</text>')
+    parts.append(f'<text x="{x(t0):.2f}" y="{axis_y - 4:.2f}">{series.timestamps[0]}</text>\n')
     end_label = str(int(series.timestamps[-1]) + 1)
     parts.append(
-        f'<text x="{x(t1):.2f}" y="{axis_y - 4:.2f}" text-anchor="end">{end_label}</text>'
+        f'<text x="{x(t1):.2f}" y="{axis_y - 4:.2f}" text-anchor="end">{end_label}</text>\n'
     )
 
-    for row, lane in enumerate(lanes):
+    for row, (lane, lo, hi, widened) in enumerate(drawn):
         lane_top = top + row * (lane_height + lane_gap)
         label_y = lane_top + lane_height / 2.0 + 4.0
         parts.append(
             f'<rect x="{margin_left:.1f}" y="{lane_top:.2f}" width="{plot_width:.1f}" '
-            f'height="{lane_height:.1f}" fill="#f4f4f4"/>'
+            f'height="{lane_height:.1f}" fill="#f4f4f4"/>\n'
         )
-        parts.append(f'<text x="8" y="{label_y:.2f}">{escape(lane.name)}</text>')
+        parts.append(f'<text x="8" y="{label_y:.2f}">{_escape(lane.name)}</text>\n')
         base_color = _GT_COLOR if lane.kind == "labels" else _ALERT_COLOR
-        for span, flag in zip(lane.drawn_spans, lane.widened):
-            color = _WIDENED_COLOR if flag else base_color
-            rect_x = x(span[0])
-            rect_w = max(0.01, (span[1] - span[0]) * scale)
-            parts.append(
-                f'<rect x="{rect_x:.2f}" y="{lane_top + 4:.2f}" width="{rect_w:.2f}" '
-                f'height="{lane_height - 8:.1f}" fill="{color}"/>'
-            )
+        palette = np.array([base_color, _WIDENED_COLOR])
+        template = (
+            f'<rect x="%.2f" y="{lane_top + 4:.2f}" width="%.2f" '
+            f'height="{lane_height - 8:.1f}" fill="%s"/>\n'
+        )
+        rect_x = margin_left + (lo - t0) * scale
+        rect_w = np.maximum(0.01, (hi - lo) * scale)
+        for start in range(0, len(lo), _ROWS):
+            rows = slice(start, start + _ROWS)
+            xs = rect_x[rows].tolist()
+            fields: list[float | str] = [0.0] * (3 * len(xs))
+            fields[0::3] = xs
+            fields[1::3] = rect_w[rows].tolist()
+            fields[2::3] = palette[widened[rows].view(np.uint8)].tolist()
+            parts.append((template * len(xs)) % tuple(fields))
 
-    parts.append("</svg>")
+    parts.append("</svg>\n")
     return TimelineRendering(
-        svg="\n".join(parts) + "\n",
-        lanes=tuple(lanes),
+        svg="".join(parts),
+        lanes=lanes,
         min_width_ticks=min_width,
     )
+
+
+def _roc_rows(curve: RocCurve, row: str, ends: tuple[str, str] | None = None) -> Iterator[str]:
+    """``row``, a template over threshold, fpr and tpr, filled for every point.
+
+    Each yielded string covers up to ``_ROWS`` points, filled from
+    ``tolist()`` chunks. ``tpr`` takes few distinct values (one per attack
+    count), so its reprs are made once per bit pattern, which keeps ``0.0``
+    and ``-0.0`` apart, and go in through ``%s``; the other two columns are
+    nearly all distinct. ``ends`` replaces the first and last thresholds.
+    """
+    keys, inverse = np.unique(np.ascontiguousarray(curve.tpr).view(np.uint64), return_inverse=True)
+    tpr_reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    n = len(curve.thresholds)
+    for start in range(0, n, _ROWS):
+        rows = slice(start, start + _ROWS)
+        thresholds: list[float | str] = curve.thresholds[rows].tolist()
+        if ends is not None:
+            if start == 0:
+                thresholds[0] = ends[0]
+            if start + _ROWS >= n:
+                thresholds[-1] = ends[1]
+        fields: list[float | str] = [0.0] * (3 * len(thresholds))
+        fields[0::3] = thresholds
+        fields[1::3] = curve.fpr[rows].tolist()
+        fields[2::3] = tpr_reprs[inverse[rows]].tolist()
+        yield (row * len(thresholds)) % tuple(fields)
 
 
 def roc_to_csv(curve: RocCurve) -> str:
     """CSV form of a ROC sweep: threshold, fpr, tpr per row.
 
-    Float reprs need no CSV quoting, so each row is a ``%r,%r,%r`` template
-    filled from ``tolist()`` chunks, byte-equal to ``csv.writer`` over the
-    same reprs.
+    Float reprs need no CSV quoting, so the rows are a ``%r,%r,%s``
+    template, byte-equal to ``csv.writer`` over the same reprs.
     """
-    parts = ["threshold,fpr,tpr\n"]
-    for start in range(0, len(curve.thresholds), _CSV_ROWS):
-        rows = slice(start, start + _CSV_ROWS)
-        thresholds = curve.thresholds[rows].tolist()
-        fields: list[float] = [0.0] * (3 * len(thresholds))
-        fields[0::3] = thresholds
-        fields[1::3] = curve.fpr[rows].tolist()
-        fields[2::3] = curve.tpr[rows].tolist()
-        parts.append(("%r,%r,%r\n" * len(thresholds)) % tuple(fields))
+    return "".join(["threshold,fpr,tpr\n", *_roc_rows(curve, "%r,%r,%s\n")])
+
+
+def roc_to_json(curve: RocCurve, dataset: str, detector: str, area: float | None) -> str:
+    """JSON form of a ROC sweep: dataset, detector, auc and one object per point.
+
+    The text equals ``json.dumps(payload, indent=2) + "\\n"`` of that payload,
+    with the first and last thresholds (the synthetic infinite endpoints;
+    JSON has no infinity) written as the strings ``"inf"`` and ``"-inf"``.
+    ``json.dumps`` writes a finite float as its repr, so the points are a
+    template, without the pure-Python encoder that ``indent`` selects.
+    """
+    if len(curve.thresholds) == 0 or not np.all(np.isfinite(curve.thresholds[1:-1])):
+        raise ValueError("a ROC curve in JSON needs points, infinite only at either end")
+    # str(float) is its repr; the endpoint strings go in already quoted.
+    point = '    {\n      "threshold": %s,\n      "fpr": %r,\n      "tpr": %s\n    },\n'
+    parts = [
+        "{\n"
+        f'  "dataset": {json.dumps(dataset)},\n'
+        f'  "detector": {json.dumps(detector)},\n'
+        f'  "auc": {json.dumps(area)},\n'
+        '  "points": [\n',
+        *_roc_rows(curve, point, ('"inf"', '"-inf"')),
+    ]
+    parts[-1] = parts[-1][:-2] + "\n  ]\n}\n"
     return "".join(parts)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -507,3 +509,18 @@ class TestInputErrorsAreOneLine:
              "--out", workdir / "run"],
             f"{labels}: line 3: timestamp {2**70} is outside the 64-bit integer range",
         )
+
+
+def test_import_leaves_out_the_network_stack():
+    """Importing the CLI must not load urllib.request, http.client or email (~50 ms, ~6 MB)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, idseval.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in ('urllib.request', 'http.client') or m.split('.')[0] == 'email'))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

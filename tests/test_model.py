@@ -80,6 +80,22 @@ class TestLabeledSeries:
         series = make_series(["benign"], tick_seconds="0.1")
         assert series.tick_seconds == Fraction(1, 10)
 
+    def test_equality_compares_fields_and_arrays(self):
+        series = make_series(["benign", "dos", "scan"], timestamps=[1, 4, 9])
+        same = LabeledSeries("series", [1, 4, 9], np.array([0, 1, 2]), ("dos", "scan"))
+        assert series == same
+        assert not series != same
+        assert series != make_series(["benign", "dos", "scan"], timestamps=[1, 4, 10])
+        assert series != make_series(["benign", "scan", "dos"], timestamps=[1, 4, 9])
+        assert series != make_series(["dos", "benign", "scan"], timestamps=[1, 4, 9])
+        labels = ["benign", "dos", "scan"]
+        assert series != make_series(labels, name="other", timestamps=[1, 4, 9])
+        assert series != make_series(labels, tick_seconds=2, timestamps=[1, 4, 9])
+        assert series != make_series(["benign", "dos"], timestamps=[1, 4])
+        assert series != "series"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(series)
+
 
 class TestAlertSeries:
     def test_bool_and_scored_kinds(self):
@@ -93,6 +109,20 @@ class TestAlertSeries:
             AlertSeries.from_scores("d", [float("nan")], "s")
         with pytest.raises(ValueError, match="non-empty"):
             make_alerts([True], detector="")
+
+    def test_equality_compares_fields_and_values(self):
+        alerts = make_alerts([True, False, True])
+        assert alerts == AlertSeries.from_bool("det", np.array([1, 0, 1]), "series")
+        assert alerts != make_alerts([True, True, True])
+        assert alerts != make_alerts([True, False])
+        assert alerts != make_alerts([True, False, True], detector="other")
+        assert alerts != make_alerts([True, False, True], aligned_to="other")
+        assert alerts != AlertSeries.from_scores("det", [1.0, 0.0, 1.0], "series")
+        scores = AlertSeries.from_scores("d", [0.5, -0.0], "s")
+        assert scores == AlertSeries.from_scores("d", [0.5, 0.0], "s")
+        assert scores != AlertSeries.from_scores("d", [0.5, 0.25], "s")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(alerts)
 
     def test_alignment_check(self):
         series = make_series(["benign", "dos"])

@@ -6,7 +6,9 @@
 coordinates bit for bit (``0.0`` and ``-0.0`` are told apart), an equal
 area and equal CSV text, for any thresholds: tied scores, signed zeros in
 either order, thresholds outside the score range, duplicated and unsorted
-lists and a single threshold.
+lists and a single threshold. The templated CSV and JSON writers must give
+the text of ``csv.writer`` and of ``json.dumps(payload, indent=2)`` for any
+curve, with rows split into chunks of any size.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +34,10 @@ from idseval import (
     roc,
     roc_to_csv,
 )
+from idseval import report
 from idseval.cli import main
 from idseval.model import collapse_multiclass
+from idseval.report import roc_to_json
 from oracles import roc_oracle
 from support import make_series
 
@@ -187,3 +192,78 @@ def test_demo_roc_json_matches_the_per_point_payload(tmp_path, capsys, monkeypat
     assert written == expected.encode("utf-8")
     assert hashlib.sha256(written).hexdigest() == DEMO_ROC_JSON_SHA256
     assert f"auc: {area.value:.6f}" in capsys.readouterr().out
+
+
+def payload_json(curve: RocCurve, dataset: str, detector: str, area) -> str:
+    """roc.json as the per-point code built it: one dict per point, then json.dumps."""
+    thresholds = curve.thresholds.tolist()
+    thresholds[0], thresholds[-1] = "inf", "-inf"
+    payload = {
+        "dataset": dataset,
+        "detector": detector,
+        "auc": area,
+        "points": [
+            {"threshold": t, "fpr": f, "tpr": r}
+            for t, f, r in zip(thresholds, curve.fpr.tolist(), curve.tpr.tolist())
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+COORDS = (0.0, -0.0, 5e-324, 1 / 3, 0.5, 0.5000000000000001, 1.0)
+
+
+@st.composite
+def curves(draw):
+    inner = draw(st.lists(st.sampled_from(POOL) | finite | st.just(1e300), max_size=12))
+    n = len(inner) + 2
+    coords = st.lists(st.sampled_from(COORDS) | st.floats(0.0, 1.0), min_size=n, max_size=n)
+    return RocCurve(
+        thresholds=[np.inf, *sorted(inner, reverse=True), -np.inf],
+        fpr=draw(coords),
+        tpr=draw(coords),
+    )
+
+
+names = st.text() | st.sampled_from(
+    ('plain', 'say "hi"\\', "d\u00e9j\u00e0 \u03bc", "\U0001f600\n\t")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    curves(),
+    names,
+    names,
+    st.none() | st.floats(allow_infinity=False) | st.sampled_from((0.0, -0.0, 1.0)),
+    st.sampled_from((1, 2, 3, None)),
+)
+def test_writers_match_csv_writer_and_json_dumps(curve, dataset, detector, area, rows):
+    with mock.patch.object(report, "_ROWS", rows or report._ROWS):
+        csv_text = roc_to_csv(curve)
+        json_text = roc_to_json(curve, dataset, detector, area)
+    assert csv_text == roc_oracle.roc_to_csv(curve)
+    assert json_text == payload_json(curve, dataset, detector, area)
+
+
+def test_csv_keeps_signed_zeros_apart_in_tpr():
+    curve = RocCurve(
+        thresholds=[np.inf, 2.0, 1.0, 0.0, -np.inf],
+        fpr=[0.0, 0.0, -0.0, 0.5, 1.0],
+        tpr=[0.0, -0.0, 0.0, -0.0, 1.0],
+    )
+    assert roc_to_csv(curve).splitlines()[2:-1] == ["2.0,0.0,-0.0", "1.0,-0.0,0.0", "0.0,0.5,-0.0"]
+    assert roc_to_csv(curve) == roc_oracle.roc_to_csv(curve)
+
+
+def test_json_of_a_two_point_curve():
+    curve = RocCurve(thresholds=[np.inf, -np.inf], fpr=[0.0, 1.0], tpr=[0.0, 1.0])
+    for area in (0.5, None):
+        assert roc_to_json(curve, "d", "x", area) == payload_json(curve, "d", "x", area)
+
+
+@pytest.mark.parametrize("inner", [[np.inf], [np.nan], [1.0, -np.inf, -np.inf]])
+def test_json_rejects_infinite_inner_thresholds(inner):
+    curve = RocCurve([np.inf, *inner, -np.inf], [0.0] * (len(inner) + 2), [0.0] * (len(inner) + 2))
+    with pytest.raises(ValueError, match="infinite only at either end"):
+        roc_to_json(curve, "d", "x", None)
