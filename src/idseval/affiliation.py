@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AttackScenario, Intervals, IntervalsLike, LabeledSeries, as_intervals
+from .model import (
+    AttackScenario,
+    Intervals,
+    IntervalsLike,
+    LabeledSeries,
+    as_intervals,
+    float_ticks,
+)
 from .timeaware import TimeAwareScores, harmonic_f1
 
 
@@ -141,9 +148,8 @@ def affiliation(
     ts = series.timestamps
     event_lo, event_hi = scenario_runs.spans(ts)
     alert_lo, alert_hi = alerts.spans(ts)
-    bounds = np.concatenate(
-        ([float(ts[0])], (event_hi[:-1] + event_lo[1:]) / 2.0, [float(ts[-1]) + 1.0])
-    )
+    t0, t_last = float_ticks(ts, [0, -1])
+    bounds = np.concatenate(([t0], (event_hi[:-1] + event_lo[1:]) / 2.0, [t_last + 1.0]))
     # Alert spans are sorted and disjoint, so both their ends and their
     # starts ascend: a zone's alerts are one slice.
     first = np.searchsorted(alert_hi, bounds[:-1], side="right")

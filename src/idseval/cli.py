@@ -34,7 +34,14 @@ from .model import (
     collapse_multiclass,
 )
 from .pointwise import auc, roc
-from .report import build_table, render_timeline, report_to_json, roc_to_csv, roc_to_json
+from .report import (
+    build_table,
+    render_timeline,
+    report_to_json,
+    roc_csv_chunks,
+    roc_json_chunks,
+    roc_to_csv,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
+)
 
 OUT_ENV_VAR = "IDSEVAL_OUT"
 DEFAULT_OUT = "idseval-out"
@@ -249,12 +256,13 @@ def cmd_roc(args: argparse.Namespace) -> int:
     curve = roc(series, alert, _roc_thresholds(args, alert))
     area = auc(curve)
     if args.format == "json":
-        text = roc_to_json(curve, series.name, alert.detector, area.value)
+        chunks = roc_json_chunks(curve, series.name, alert.detector, area.value)
         target = outdir / "roc.json"
     else:
-        text = roc_to_csv(curve)
+        chunks = roc_csv_chunks(curve)
         target = outdir / "roc.csv"
-    target.write_text(text, encoding="utf-8")
+    with open(target, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
     print(f"auc: {area.value:.6f}")
     print(f"wrote {target}")
     return 0

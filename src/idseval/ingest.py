@@ -7,11 +7,13 @@ field. Timestamps are integer ticks or ISO-8601 instants (converted to epoch
 seconds); a file must stick to one style. All malformed-input errors carry
 the file path and 1-based line number.
 
-Files are read in blocks of whole lines. A block in the exact layout that
-``save_labels`` or ``save_alerts`` writes is parsed with numpy, every byte
-checked against that layout; any other block goes through ``csv`` or
-``json`` record by record. Both routes accept and reject the same files with
-the same messages, so the layout only decides the speed.
+Files are read in blocks of whole lines, each read into one reused buffer
+of about 1 MiB. A block in the exact layout that ``save_labels`` or
+``save_alerts`` writes is parsed with numpy, every byte checked against that
+layout: integers are read eight digits at a time from 64-bit words, and
+labels are decoded once per run of equal labels. Any other block goes
+through ``csv`` or ``json`` record by record. Both routes accept and reject
+the same files with the same messages, so the layout only decides the speed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,14 +45,18 @@ LABEL_HEADER = ("timestamp", "label")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-# Small blocks keep each block's numpy temporaries small. 1 MiB blocks
-# loaded about 25% faster, but what they left in glibc's heap made the later
-# `roc` stage on 3e5 scored points peak 9 MB higher (127 MB, against 118 MB
-# with line-by-line reading); with 64 KiB blocks it peaks at 120 MB.
-_BLOCK_BYTES = 1 << 16
+# Files are read through one buffer of this many bytes, reused for every
+# block. Each block costs ~25 numpy calls whatever its size, so at 10^6
+# points 1 MiB blocks load 1.7x faster than 64 KiB ones. The buffer is
+# reused, not allocated per block, so that a load leaves no freed 1 MiB
+# blocks in glibc's heap to raise the peak RSS of the stages after it.
+_BLOCK_BYTES = 1 << 20
 _WRITE_ROWS = 1 << 14
-# Zero bytes appended to a block so that fixed-width gathers near its end
-# stay inside the array; no valid line contains a zero byte.
+# Bytes before a block, so that the three 8-byte words ending at a 19-digit
+# token in the block's first line stay inside the buffer.
+_FRONT = 24
+# Bytes after a block, so that words and fixed-width gathers reaching past
+# its last line stay inside the buffer; their values are masked.
 _PAD = 64
 _LABEL_HEADER_LINE = b"timestamp,label\n"
 _ALERT_PREFIX = b'{"timestamp": '
@@ -126,18 +132,30 @@ def _parse_timestamp(raw: object, path: Path | str, line: int) -> int:
     raise _fail(path, line, f"timestamp must be an integer or ISO-8601 string, got {raw!r}")
 
 
-def _check_increasing(timestamps: np.ndarray, path: Path | str, first_line: int) -> None:
+def _line_of(lines: Iterable[Sequence[int]], i: int) -> int:
+    """The line of record ``i``, given the lines of each part's records in file order."""
+    for part in lines:
+        if i < len(part):
+            return part[i]
+        i -= len(part)
+    raise IndexError(i)
+
+
+def _check_increasing(
+    timestamps: np.ndarray, path: Path | str, lines: Iterable[Sequence[int]]
+) -> None:
     """Raise at the first record whose timestamp does not exceed its predecessor's.
 
-    Its line is given as ``first_line`` plus the record's index, so blank
-    lines before it are not counted.
+    ``lines`` holds the line of every record, part by part (see ``_line_of``).
     """
     bad = np.flatnonzero(timestamps[1:] <= timestamps[:-1])
     if len(bad):
         i = int(bad[0]) + 1
         current, previous = int(timestamps[i]), int(timestamps[i - 1])
         kind = "duplicate" if current == previous else "non-increasing"
-        raise _fail(path, first_line + i, f"{kind} timestamp {current} (previous was {previous})")
+        raise _fail(
+            path, _line_of(lines, i), f"{kind} timestamp {current} (previous was {previous})"
+        )
 
 
 def _int_column(timestamps: list[int]) -> np.ndarray:
@@ -152,27 +170,57 @@ def _int_column(timestamps: list[int]) -> np.ndarray:
         return np.array(timestamps, dtype=object)
 
 
-def _check_range(timestamps: np.ndarray, path: Path | str, first_line: int) -> None:
-    """Raise at the first timestamp outside int64, numbering lines as ``_check_increasing``."""
+def _check_range(timestamps: np.ndarray, path: Path | str, lines: Iterable[Sequence[int]]) -> None:
+    """Raise at the first timestamp outside int64, finding its line as ``_check_increasing``."""
     if timestamps.dtype == object:
         inside = (timestamps >= _INT64_MIN) & (timestamps <= _INT64_MAX)
         i = int(np.flatnonzero(~inside.astype(bool))[0])
         raise _fail(
-            path, first_line + i, f"timestamp {timestamps[i]} is outside the 64-bit integer range"
+            path,
+            _line_of(lines, i),
+            f"timestamp {timestamps[i]} is outside the 64-bit integer range",
         )
 
 
-def _read_blocks(handle) -> Iterator[bytes]:
-    """Yield a binary file in blocks of whole lines; only the last may lack its newline."""
-    tail = b""
-    while chunk := handle.read(_BLOCK_BYTES):
-        chunk = tail + chunk
-        cut = chunk.rfind(b"\n") + 1
-        tail = chunk[cut:]
+def _read_blocks(handle) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Read a binary file in blocks of whole lines; only the last may lack its newline.
+
+    Each block is ``buf[lo:hi]`` of one buffer, which the next block is
+    read into, so a caller must be done with a block, and keep no view of
+    it, before it asks for the next. The buffer holds ``_FRONT`` bytes
+    before a block and at least ``_PAD`` after it; they are not part of the
+    block. The partial line after a block's last newline moves to the front
+    for the next read, and a line longer than the buffer grows it.
+    """
+    size = _BLOCK_BYTES
+    raw = bytearray(_FRONT + size + _PAD)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    have = 0  # bytes held from _FRONT on: a carried partial line, then new reads
+    while True:
+        scanned = _FRONT + have
+        got = handle.readinto(memoryview(raw)[scanned : _FRONT + size])
+        have += got
+        end = _FRONT + have
+        cut = raw.rfind(b"\n", scanned, end) + 1
         if cut:
-            yield chunk[:cut]
-    if tail:
-        yield tail
+            yield buf, _FRONT, cut
+            have = end - cut
+            raw[_FRONT : _FRONT + have] = raw[cut:end]
+        elif not got:
+            if have:
+                yield buf, _FRONT, end
+            return
+        elif have == size:
+            size *= 2
+            grown = bytearray(_FRONT + size + _PAD)
+            grown[:end] = raw[:end]
+            raw, buf = grown, np.frombuffer(grown, dtype=np.uint8)
+
+
+def _as_bytes(blocks: Iterable[tuple[np.ndarray, int, int]]) -> Iterator[bytes]:
+    """Copies of the blocks ``_read_blocks`` yields, for the csv/json routes."""
+    for buf, lo, hi in blocks:
+        yield buf[lo:hi].tobytes()
 
 
 def _text_lines(
@@ -200,15 +248,12 @@ def _text_lines(
         yield from lines
 
 
-def _padded(block: bytes) -> np.ndarray:
-    return np.frombuffer(block + bytes(_PAD), dtype=np.uint8)
-
-
-def _line_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and newline offsets of the lines in a padded block."""
-    ends = np.flatnonzero(arr == ord("\n"))
+def _line_bounds(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and newline offsets, in ``buf``, of the lines of block ``buf[lo:hi]``."""
+    ends = np.flatnonzero(buf[lo:hi] == ord("\n"))
+    ends += lo
     starts = np.empty_like(ends)
-    starts[0] = 0
+    starts[0] = lo
     starts[1:] = ends[:-1] + 1
     return starts, ends
 
@@ -233,30 +278,68 @@ def _gather(arr: np.ndarray, start: np.ndarray, width: np.ndarray, columns: int)
     return chars
 
 
-def _block_ints(arr: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The integers ``arr[start:end]``, or None unless each is an optional '-' then
+def _byte_masks(high: bool) -> np.ndarray:
+    """``masks[k]`` keeps the ``k`` highest (or lowest) bytes of a uint64, k = 0..8."""
+    ones = [(1 << (8 * k)) - 1 for k in range(9)]
+    return np.array([m << (64 - 8 * k) if high else m for k, m in enumerate(ones)], np.uint64)
+
+
+# Word-at-a-time (SWAR) decimal parsing. A little-endian word holds eight
+# ASCII digits, the most significant in its lowest byte; XOR with '0' * 8
+# turns each into its value, and each step below joins neighbouring lanes.
+_HIGH_BYTES, _LOW_BYTES = _byte_masks(True), _byte_masks(False)
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+_SWAR_STEPS = tuple(
+    (np.uint64(mask), np.uint64(factor), np.uint64(shift))
+    for mask, factor, shift in (
+        (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),  # two digits per 16-bit lane
+        (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),  # four digits per 32-bit lane
+        (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32),  # all eight digits
+    )
+)
+_POW8 = tuple(np.uint64(10 ** (8 * k)) for k in range(3))
+
+
+def _block_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The integers ``buf[start:end]``, or None unless each is an optional '-' then
     1-19 digits without a leading zero, within int64.
 
-    The digits are right-aligned in a matrix and summed column by column.
+    Each token is read as up to three little-endian words ending at its end,
+    least significant first; they reach at most 24 bytes before it, into
+    ``_FRONT``. In each word the bytes left of the token's first digit are
+    masked off after the XOR with '0' * 8, so they read as zero digits. A
+    byte is a digit when its high nibble and that of byte + 6 are both zero,
+    and three multiply-and-shift steps sum the eight digits.
     """
-    negative = arr[start] == ord("-")
-    first = start + negative
+    negative = buf[start] == ord("-")
+    first = start + negative if negative.any() else start
     width = end - first
-    if not ((width >= 1) & (width <= 19)).all():
+    if not ((width - 1).view(np.uint64) < 19).all():
         return None
-    if not ((width == 1) | (arr[first] != ord("0"))).all():
+    zero_first = buf[first] == ord("0")
+    if zero_first.any() and (width[zero_first] != 1).any():
         return None
-    columns = int(width.max())
-    # Offsets left of a row's first digit may wrap to the padded end of the
-    # block; they are masked to zero either way.
-    digits = arr[(end - columns)[:, None] + np.arange(columns)] - np.uint8(ord("0"))
-    digits[np.arange(columns) < (columns - width)[:, None]] = 0
-    if (digits > 9).any():
-        return None
+    longest = int(width.max())
+    words = _words(buf)
     value = np.zeros(len(start), dtype=np.uint64)
-    for column in digits.T:
-        value = value * np.uint64(10) + column
-    if (value > np.where(negative, np.uint64(2**63), np.uint64(_INT64_MAX))).any():
+    for k in range((longest + 7) // 8):
+        # How many of the word's bytes belong to each token.
+        digits = np.clip(width - 8 * k, 0, 8) if longest > 8 else width
+        word = words[end - 8 * (k + 1)]
+        word ^= _ASCII_ZEROS
+        word &= _HIGH_BYTES[digits]
+        if ((word | (word + _SIXES)) & _HIGH_NIBBLES).any():
+            return None
+        for mask, factor, shift in _SWAR_STEPS:
+            word &= mask
+            word *= factor
+            word >>= shift
+        if k:
+            word *= _POW8[k]
+        value += word
+    if longest == 19 and (value > np.where(negative, np.uint64(2**63), np.uint64(_INT64_MAX))).any():
         return None
     result = value.astype(np.int64)  # 2**63 wraps to -2**63, which negation keeps
     np.negative(result, out=result, where=negative)
@@ -299,38 +382,67 @@ def _json_string(token: bytes) -> str | None:
 
 
 def _fast_labels(
-    block: bytes, index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Timestamps and label codes of a block of ``ts,label`` lines, or None.
+    buf: np.ndarray, lo: int, hi: int, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Timestamps, then label codes run by run and rows per run, of a block of
+    ``ts,label`` lines, or None.
 
     None means some byte leaves the layout ``save_labels`` writes for plain
     labels (no quotes, no control bytes, no surrounding whitespace); the
     block then goes through ``csv``. New attack types join ``index`` in the
     order they first appear.
+
+    Labels come in runs, so each row is keyed by its label's masked 8-byte
+    words and compared with the row before it; only the first row of each
+    run is decoded. ``load_labels`` repeats each code over its run once the
+    whole file is read.
     """
-    if not block.endswith(b"\n") or b'"' in block:
+    block = buf[lo:hi]
+    if block[-1] != ord("\n"):
         return None
-    arr = _padded(block)
-    starts, ends = _line_bounds(arr)
-    commas = np.flatnonzero(arr == ord(","))
-    # One comma per line, and no control byte but the line ends (csv also
-    # splits lines at '\r').
-    if len(commas) != len(ends) or np.count_nonzero(arr[: len(block)] < 0x20) != len(ends):
+    starts, ends = _line_bounds(buf, lo, hi)
+    commas = np.flatnonzero(block == ord(","))
+    commas += lo
+    # One comma per line, no quote, and no control byte but the line ends
+    # (csv also splits lines at '\r').
+    if len(commas) != len(ends) or np.count_nonzero(block < 0x20) != len(ends):
+        return None
+    if (block == ord('"')).any():
         return None
     width = ends - commas - 1
     if not ((commas >= starts) & (width >= 1) & (width <= _MAX_LABEL_BYTES)).all():
         return None
-    timestamps = _block_ints(arr, starts, commas)
+    timestamps = _block_ints(buf, starts, commas)
     if timestamps is None:
         return None
-    names = _gather(arr, commas + 1, width, int(width.max()))
-    names = names.view(f"S{names.shape[1]}").ravel()
-    distinct, first_row, inverse = np.unique(names, return_index=True, return_inverse=True)
-    lookup = np.zeros(len(distinct), dtype=np.int32)
+    # No label byte is zero, so a label's words with the bytes past its end
+    # masked to zero tell it apart from every other label.
+    words = _words(buf)
+    keys = []
+    changed = np.zeros(len(width), dtype=bool)
+    changed[0] = True
+    for k in range((int(width.max()) + 7) // 8):
+        word = words[commas + 1 + 8 * k] & _LOW_BYTES[np.clip(width - 8 * k, 0, 8)]
+        changed[1:] |= word[1:] != word[:-1]
+        keys.append(word)
+    heads = np.flatnonzero(changed)
+    # Group equal run heads: a stable sort by their words, then the first
+    # head of each group (the earliest) and every head's group.
+    order = np.lexsort([key[heads] for key in keys])
+    new_group = np.zeros(len(heads), dtype=bool)
+    new_group[0] = True
+    for key in keys:
+        ordered = key[heads[order]]
+        new_group[1:] |= ordered[1:] != ordered[:-1]
+    first_head = order[new_group]
+    group = np.empty(len(heads), dtype=np.intp)
+    group[order] = np.cumsum(new_group) - 1
+    lookup = np.zeros(len(first_head), dtype=np.int32)
     added: dict[str, int] = {}
-    for k in np.argsort(first_row):
+    for k in np.argsort(first_head):
+        row = heads[first_head[k]]
         try:
-            label = distinct[k].decode("utf-8")
+            label = buf[commas[row] + 1 : ends[row]].tobytes().decode("utf-8")
         except UnicodeDecodeError:
             return None
         if label != label.strip():
@@ -338,19 +450,21 @@ def _fast_labels(
         if label not in BENIGN_LABELS:
             lookup[k] = index.get(label) or added.setdefault(label, len(index) + len(added) + 1)
     index.update(added)
-    return timestamps, lookup[inverse.ravel()]
+    return timestamps, lookup[group], np.diff(heads, append=len(width))
 
 
 def _label_rows(
     path: Path, lines: Iterable[str], first_line: int, index: dict[str, int], header: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and label codes of CSV lines, parsed and checked row by row.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """CSV rows parsed and checked row by row, as ``_fast_labels`` returns them
+    (each row a run of one), then the line of each row.
 
     With ``header``, the first row must be the ``timestamp,label`` header.
     """
     reader = csv.reader(lines)
     timestamps: list[int] = []
     codes: list[int] = []
+    record_lines: list[int] = []
     try:
         if header:
             try:
@@ -369,9 +483,11 @@ def _label_rows(
             if not label:
                 raise _fail(path, line, "empty label")
             codes.append(0 if label in BENIGN_LABELS else index.setdefault(label, len(index) + 1))
+            record_lines.append(line)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise _fail(path, first_line - 1 + reader.line_num, f"malformed CSV: {exc}") from None
-    return _int_column(timestamps), np.array(codes, dtype=np.int32)
+    runs = np.ones(len(codes), dtype=np.int64)
+    return _int_column(timestamps), np.array(codes, dtype=np.int32), runs, record_lines
 
 
 def load_labels(
@@ -386,46 +502,67 @@ def load_labels(
     """
     path = Path(path)
     index: dict[str, int] = {}  # attack type -> code, in order of first appearance
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    # Per part: timestamps, label codes run by run, rows per run, each record's line.
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]] = []
     with open(path, "rb") as handle:
         blocks = _read_blocks(handle)
-        first = next(blocks, b"")
-        if first.startswith(_LABEL_HEADER_LINE):
+        buf, lo, hi = next(blocks, (np.zeros(0, np.uint8), 0, 0))
+        if buf[lo:hi][: len(_LABEL_HEADER_LINE)].tobytes() == _LABEL_HEADER_LINE:
             line = 2
-            for block in itertools.chain([first[len(_LABEL_HEADER_LINE) :]], blocks):
-                part = _fast_labels(block, index)
+            lo += len(_LABEL_HEADER_LINE)
+            for buf, lo, hi in itertools.chain([(buf, lo, hi)], blocks):
+                if lo == hi:
+                    continue
+                part = _fast_labels(buf, lo, hi, index)
                 if part is None:
                     # csv quoting can span lines, so the rest of the file goes to csv.
-                    rest = _text_lines(path, itertools.chain([block], blocks), line, "")
-                    parts.append(_label_rows(path, rest, line, index, header=False))
+                    rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
+                    rows = _text_lines(path, rest, line, "")
+                    parts.append(_label_rows(path, rows, line, index, header=False))
                     break
-                parts.append(part)
+                parts.append((*part, range(line, line + len(part[0]))))
                 line += len(part[0])
         else:
-            lines = _text_lines(path, itertools.chain([first], blocks), 1, "")
-            parts.append(_label_rows(path, lines, 1, index, header=True))
-    timestamps = np.concatenate([ts for ts, _ in parts])
-    if not len(timestamps):
+            rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
+            parts.append(_label_rows(path, _text_lines(path, rest, 1, ""), 1, index, header=True))
+    if not any(len(part[0]) for part in parts):
         raise _fail(path, None, "no data rows")
-    _check_increasing(timestamps, path, first_line=2)
-    _check_range(timestamps, path, first_line=2)
+    stamps, codes, runs, lines = zip(*parts)
+    del parts
+    timestamps = np.concatenate(stamps)
+    del stamps  # so that the parts and the whole are not held at once
+    _check_increasing(timestamps, path, lines)
+    _check_range(timestamps, path, lines)
     return LabeledSeries(
         name=name or path.stem,
         timestamps=timestamps,
-        label_codes=np.concatenate([codes for _, codes in parts]),
+        label_codes=np.repeat(np.concatenate(codes), np.concatenate(runs)),
         attack_types=tuple(index),
         tick_seconds=Fraction(tick_seconds),
     )
 
 
 def save_labels(series: LabeledSeries, path: Path | str) -> None:
-    """Write a series back out as a ``timestamp,label`` CSV."""
-    path = Path(path)
+    """Write a series back out as a ``timestamp,label`` CSV.
+
+    Each line is byte for byte what ``csv.writer`` writes for the row
+    ``(timestamp, label)``: ``csv.writer`` quotes each distinct label once,
+    and the rows are a ``%d,%s`` template filled from ``tolist()`` chunks.
+    """
+    cells = []
+    for label in ("benign", *series.attack_types):
+        row = io.StringIO()
+        csv.writer(row, lineterminator="\n").writerow((0, label))
+        cells.append(row.getvalue()[2:-1])  # the label as quoted after "0,"
+    names = np.array(cells, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(LABEL_HEADER)
-        for ts, label in zip(series.timestamps, series.labels_as_strings()):
-            writer.writerow((int(ts), label))
+        handle.write(_LABEL_HEADER_LINE.decode())
+        for start in range(0, len(series), _WRITE_ROWS):
+            timestamps = series.timestamps[start : start + _WRITE_ROWS].tolist()
+            fields: list[object] = [None] * (2 * len(timestamps))
+            fields[0::2] = timestamps
+            fields[1::2] = names[series.label_codes[start : start + _WRITE_ROWS]].tolist()
+            handle.write(("%d,%s\n" * len(timestamps)) % tuple(fields))
 
 
 @dataclass
@@ -436,20 +573,20 @@ class _AlertColumns:
     values: np.ndarray
     kind: AlertKind | None
     detector: str | None  # the "detector" field, if any record had one
+    lines: Sequence[int]  # the line of each record
 
 
-def _fast_alerts(block: bytes) -> _AlertColumns | None:
-    """The records of a block in the layout ``save_alerts`` writes, or None.
+def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertColumns | None:
+    """The records of block ``buf[lo:hi]`` in the layout ``save_alerts`` writes, or None.
 
     Every line must read ``{"timestamp": N, "alert": true|false, "detector":
     "D"}`` or ``{"timestamp": N, "score": X, "detector": "D"}``, with one kind
     and one detector name throughout the block.
     """
-    if len(block) < 8 or not block.endswith(b"\n"):
+    if hi - lo < 8 or buf[hi - 1] != ord("\n"):
         return None
-    arr = _padded(block)
-    starts, ends = _line_bounds(arr)
-    first = block[: ends[0]]
+    starts, ends = _line_bounds(buf, lo, hi)
+    first = buf[lo : ends[0]].tobytes()
     at = first.find(_DETECTOR_KEY)
     if at < 0 or not first.endswith(b"}"):
         return None
@@ -466,13 +603,13 @@ def _fast_alerts(block: bytes) -> _AlertColumns | None:
         return None
     if (ends - starts < len(_ALERT_PREFIX) + 1 + len(key) + len(suffix)).any():
         return None
-    words = _words(arr)
+    words = _words(buf)
     tail = ends - len(suffix)
     found = _has(words, starts, _ALERT_PREFIX) & _has(words, tail, suffix)
     if kind is AlertKind.BOOLEAN:
         # ', "alert": true' is 15 bytes and ', "alert": false' 16; two
         # overlapping 8-byte words cover either.
-        falses = arr[tail - 16] == ord(",")
+        falses = buf[tail - 16] == ord(",")
         comma = tail - 15 - falses
         found &= words[comma] == int.from_bytes(b', "alert', "little")
         found &= words[comma + 7 + falses] == np.where(
@@ -480,17 +617,19 @@ def _fast_alerts(block: bytes) -> _AlertColumns | None:
         )
         values = ~falses
     else:
-        commas = np.flatnonzero(arr == ord(","))
+        commas = np.flatnonzero(buf[lo:hi] == ord(","))
+        commas += lo
         after = np.searchsorted(commas, starts + len(_ALERT_PREFIX))
         comma = commas[np.minimum(after, len(commas) - 1)]
         found &= _has(words, comma, b', "score": ')
-        values = _block_floats(arr, comma + 11, tail)
+        values = _block_floats(buf, comma + 11, tail)
     if not found.all() or values is None:
         return None
-    timestamps = _block_ints(arr, starts + len(_ALERT_PREFIX), comma)
+    timestamps = _block_ints(buf, starts + len(_ALERT_PREFIX), comma)
     if timestamps is None:
         return None
-    return _AlertColumns(timestamps, values, kind, detector)
+    lines = range(first_line, first_line + len(timestamps))
+    return _AlertColumns(timestamps, values, kind, detector, lines)
 
 
 def _alert_records(
@@ -504,6 +643,7 @@ def _alert_records(
     """
     timestamps: list[int] = []
     payload: list[object] = []
+    record_lines: list[int] = []
     line = first_line - 1
     for line, raw in enumerate(_text_lines(path, [block], first_line, None), start=first_line):
         text = raw.strip()
@@ -557,9 +697,10 @@ def _alert_records(
                 )
         timestamps.append(_parse_timestamp(record["timestamp"], path, line))
         payload.append(value)
+        record_lines.append(line)
     dtype = np.bool_ if kind is AlertKind.BOOLEAN else np.float64
     columns = _AlertColumns(
-        _int_column(timestamps), np.array(payload, dtype=dtype), kind, field_detector
+        _int_column(timestamps), np.array(payload, dtype=dtype), kind, field_detector, record_lines
     )
     return columns, line - first_line + 1
 
@@ -584,9 +725,10 @@ def load_alerts(
     field_detector: str | None = None
     line = 1
     with open(path, "rb") as handle:
-        for block in _read_blocks(handle):
-            part = _fast_alerts(block)
+        for buf, lo, hi in _read_blocks(handle):
+            part = _fast_alerts(buf, lo, hi, line)
             if part is None:
+                block = buf[lo:hi].tobytes()
                 part, lines = _alert_records(path, block, line, kind, field_detector)
             else:
                 lines = len(part.timestamps)
@@ -608,8 +750,9 @@ def load_alerts(
     got = np.concatenate([part.timestamps for part in parts]) if parts else np.empty(0, np.int64)
     if not len(got):
         raise _fail(path, None, "no alert records")
-    _check_increasing(got, path, first_line=1)
-    _check_range(got, path, first_line=1)
+    record_lines = [part.lines for part in parts]
+    _check_increasing(got, path, record_lines)
+    _check_range(got, path, record_lines)
 
     want = series.timestamps
     if len(got) != len(want) or not np.array_equal(got, want):

@@ -422,10 +422,13 @@ class Intervals:
         return self.ends - self.starts + 1
 
     def spans(self, timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Half-open float tick spans: run ``(i, j)`` occupies ``[ts[i], ts[j] + 1)``."""
+        """Half-open float tick spans: run ``(i, j)`` occupies ``[ts[i], ts[j] + 1)``.
+
+        Ticks are counted as ``float_ticks`` counts them.
+        """
         return (
-            timestamps[self.starts].astype(np.float64),
-            timestamps[self.ends].astype(np.float64) + 1.0,
+            float_ticks(timestamps, self.starts),
+            float_ticks(timestamps, self.ends) + 1.0,
         )
 
     def __len__(self) -> int:
@@ -452,6 +455,27 @@ class Intervals:
 
 
 IntervalsLike = Intervals | Sequence[tuple[int, int]]
+
+# float64 holds every integer of smaller magnitude exactly.
+_EXACT_FLOAT_TICKS = 2**53
+
+
+def float_ticks(timestamps: np.ndarray, index) -> np.ndarray:
+    """``timestamps[index]`` as float64, for span arithmetic.
+
+    ``timestamps`` is a whole series' strictly increasing ticks. When one of
+    them is too large for float64 to hold exactly, every tick is counted
+    from the first one, subtracted in 64-bit integers before the cast; the
+    metrics and drawings built on spans only use differences of ticks, so
+    this keeps neighbouring ticks apart. Otherwise the ticks are cast as
+    they are.
+    """
+    ticks = timestamps[index]
+    if -_EXACT_FLOAT_TICKS < timestamps[0] and timestamps[-1] < _EXACT_FLOAT_TICKS:
+        return ticks.astype(np.float64)
+    # A tick minus the first is in [0, 2**64), so uint64 arithmetic is exact.
+    origin = np.int64(timestamps[0]).view(np.uint64)
+    return (ticks.view(np.uint64) - origin).astype(np.float64)
 
 
 def as_intervals(runs: IntervalsLike, what: str) -> Intervals:

@@ -31,6 +31,7 @@ from .model import (
     ParameterError,
     alerts_to_intervals,
     extract_scenarios,
+    float_ticks,
 )
 from .pointwise import RocCurve
 
@@ -274,8 +275,8 @@ def render_timeline(
             "exempt names not among the detectors: " + ", ".join(sorted(unknown_exempt))
         )
 
-    t0 = float(series.timestamps[0])
-    t1 = float(series.timestamps[-1]) + 1.0
+    t0, last = float_ticks(series.timestamps, [0, -1]).tolist()
+    t1 = last + 1.0
 
     def lane(
         name: str, kind: str, runs: Intervals
@@ -404,13 +405,47 @@ def _roc_rows(curve: RocCurve, row: str, ends: tuple[str, str] | None = None) ->
         yield (row * len(thresholds)) % tuple(fields)
 
 
+def roc_csv_chunks(curve: RocCurve) -> Iterator[str]:
+    """The text of ``roc_to_csv`` in pieces, made as they are consumed."""
+    yield "threshold,fpr,tpr\n"
+    yield from _roc_rows(curve, "%r,%r,%s\n")
+
+
 def roc_to_csv(curve: RocCurve) -> str:
     """CSV form of a ROC sweep: threshold, fpr, tpr per row.
 
     Float reprs need no CSV quoting, so the rows are a ``%r,%r,%s``
     template, byte-equal to ``csv.writer`` over the same reprs.
     """
-    return "".join(["threshold,fpr,tpr\n", *_roc_rows(curve, "%r,%r,%s\n")])
+    return "".join(roc_csv_chunks(curve))
+
+
+def roc_json_chunks(
+    curve: RocCurve, dataset: str, detector: str, area: float | None
+) -> Iterator[str]:
+    """The text of ``roc_to_json`` in pieces; the curve is checked before the first."""
+    if len(curve.thresholds) == 0 or not np.all(np.isfinite(curve.thresholds[1:-1])):
+        raise ValueError("a ROC curve in JSON needs points, infinite only at either end")
+    # str(float) is its repr; the endpoint strings go in already quoted.
+    point = '    {\n      "threshold": %s,\n      "fpr": %r,\n      "tpr": %s\n    },\n'
+    head = (
+        "{\n"
+        f'  "dataset": {json.dumps(dataset)},\n'
+        f'  "detector": {json.dumps(detector)},\n'
+        f'  "auc": {json.dumps(area)},\n'
+        '  "points": [\n'
+    )
+
+    def chunks() -> Iterator[str]:
+        yield head
+        rows = _roc_rows(curve, point, ('"inf"', '"-inf"'))
+        last = next(rows)
+        for chunk in rows:
+            yield last
+            last = chunk
+        yield last[:-2] + "\n  ]\n}\n"  # the last point takes no comma
+
+    return chunks()
 
 
 def roc_to_json(curve: RocCurve, dataset: str, detector: str, area: float | None) -> str:
@@ -422,17 +457,4 @@ def roc_to_json(curve: RocCurve, dataset: str, detector: str, area: float | None
     ``json.dumps`` writes a finite float as its repr, so the points are a
     template, without the pure-Python encoder that ``indent`` selects.
     """
-    if len(curve.thresholds) == 0 or not np.all(np.isfinite(curve.thresholds[1:-1])):
-        raise ValueError("a ROC curve in JSON needs points, infinite only at either end")
-    # str(float) is its repr; the endpoint strings go in already quoted.
-    point = '    {\n      "threshold": %s,\n      "fpr": %r,\n      "tpr": %s\n    },\n'
-    parts = [
-        "{\n"
-        f'  "dataset": {json.dumps(dataset)},\n'
-        f'  "detector": {json.dumps(detector)},\n'
-        f'  "auc": {json.dumps(area)},\n'
-        '  "points": [\n',
-        *_roc_rows(curve, point, ('"inf"', '"-inf"')),
-    ]
-    parts[-1] = parts[-1][:-2] + "\n  ]\n}\n"
-    return "".join(parts)
+    return "".join(roc_json_chunks(curve, dataset, detector, area))

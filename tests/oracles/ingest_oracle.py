@@ -6,6 +6,10 @@ record, errors raised in file order. The block-parsed loaders in
 ``idseval.ingest`` must give the same series, or the same ``IngestError``
 message, for every input these accept or reject with an ``IngestError``.
 This file never changes to match the fast code.
+
+One fix has been made here as in ``idseval.ingest``, because both numbered
+order errors wrongly: a duplicate or decreasing timestamp is reported at its
+record's own line, where blank lines before it used to shift the number.
 """
 
 from __future__ import annotations
@@ -56,13 +60,13 @@ def _parse_timestamp(raw: object, path: Path | str, line: int) -> int:
     raise _fail(path, line, f"timestamp must be an integer or ISO-8601 string, got {raw!r}")
 
 
-def _check_increasing(timestamps: list[int], path: Path | str, first_line: int) -> None:
+def _check_increasing(timestamps: list[int], lines: list[int], path: Path | str) -> None:
     for i in range(1, len(timestamps)):
         if timestamps[i] <= timestamps[i - 1]:
             kind = "duplicate" if timestamps[i] == timestamps[i - 1] else "non-increasing"
             raise _fail(
                 path,
-                first_line + i,
+                lines[i],
                 f"{kind} timestamp {timestamps[i]} (previous was {timestamps[i - 1]})",
             )
 
@@ -79,6 +83,7 @@ def load_labels(
     """
     path = Path(path)
     timestamps: list[int] = []
+    lines: list[int] = []
     labels: list[str] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -98,9 +103,10 @@ def load_labels(
             if not label:
                 raise _fail(path, line, "empty label")
             labels.append(label)
+            lines.append(line)
     if not timestamps:
         raise _fail(path, None, "no data rows")
-    _check_increasing(timestamps, path, first_line=2)
+    _check_increasing(timestamps, lines, path)
     return LabeledSeries.from_labels(
         name=name or path.stem,
         timestamps=timestamps,
@@ -125,6 +131,7 @@ def load_alerts(
     """
     path = Path(path)
     timestamps: list[int] = []
+    lines: list[int] = []
     payload: list[object] = []
     kind: AlertKind | None = None
     field_detector: str | None = None
@@ -180,9 +187,10 @@ def load_alerts(
                     )
             timestamps.append(_parse_timestamp(record["timestamp"], path, line))
             payload.append(value)
+            lines.append(line)
     if not timestamps:
         raise _fail(path, None, "no alert records")
-    _check_increasing(timestamps, path, first_line=1)
+    _check_increasing(timestamps, lines, path)
 
     got = np.asarray(timestamps, dtype=np.int64)
     want = series.timestamps

@@ -145,3 +145,24 @@ class TestAgainstOracle:
             )
             assert scores.precision_like == pytest.approx(float(expected[0]), abs=1e-9)
             assert scores.recall_like == pytest.approx(float(expected[1]), abs=1e-9)
+
+
+class TestTicksPastFloatPrecision:
+    """float64 holds integers exactly only below 2**53; spans count from the first tick."""
+
+    def test_exact_alerts_on_a_short_scenario(self):
+        ticks = [10**18 + i for i in range(20)]
+        (scores, zones), _ = build(20, [(5, 9)], [(5, 9)], timestamps=ticks)
+        assert (scores.precision_like, scores.recall_like) == (1.0, 1.0)
+        assert (zones[0].event_start, zones[0].event_end) == (5.0, 10.0)
+
+    @pytest.mark.parametrize("origin", [10**18, -(2**63), 2**63 - 100, 2**53])
+    def test_bit_equal_to_ticks_from_zero(self, origin):
+        rng = random.Random(origin % 997)
+        for _ in range(30):
+            n = rng.randint(1, 60)
+            attacks = random_intervals(rng, n, 4)
+            alerts = random_intervals(rng, n, 6)
+            small, _ = build(n, attacks, alerts)
+            big, _ = build(n, attacks, alerts, timestamps=[origin + i for i in range(n)])
+            assert repr(big) == repr(small)

@@ -1,0 +1,300 @@
+"""The read buffer, word-at-a-time integers and run-coded labels of ``ingest``.
+
+Blocks come from one reused buffer, so these tests check what crosses a
+refill: lines split between two reads, lines longer than the whole buffer,
+label runs that continue into the next block, and results that must not
+change (or share memory with the buffer) when the next file is read. Files
+in the ``save_*`` layout must take the numpy route; where they leave it, the
+result must still equal the line-by-line reference loaders'.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idseval import AlertSeries, IngestError, LabeledSeries, ingest, save_alerts, save_labels
+from oracles import ingest_oracle
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def block_ints(tokens: list[bytes]) -> list[int] | None:
+    """``_block_ints`` over one block holding one token per line."""
+    payload = b"".join(token + b"\n" for token in tokens)
+    buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload)))
+    starts, ends = ingest._line_bounds(buf, lo, hi)
+    values = ingest._block_ints(buf, starts, ends)
+    return None if values is None else values.tolist()
+
+
+def digits(rng: random.Random, n: int) -> bytes:
+    return (str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(n - 1))).encode()
+
+
+class TestWordIntegers:
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 18, 19])
+    def test_widths(self, width):
+        rng = random.Random(width)
+        tokens = [digits(rng, width) for _ in range(50)]
+        tokens = [t if int(t) <= INT64_MAX else b"9" * 18 for t in tokens]
+        tokens += [b"-" + t for t in tokens]
+        assert block_ints(tokens) == [int(t) for t in tokens]
+
+    def test_mixed_widths_in_one_block(self):
+        tokens = [b"5", b"-12345678", b"123456789", b"0", b"-0", b"1234567890123456789"]
+        assert block_ints(tokens) == [int(t) for t in tokens]
+
+    def test_int64_extremes(self):
+        tokens = [str(INT64_MIN).encode(), str(INT64_MAX).encode()]
+        assert block_ints(tokens) == [INT64_MIN, INT64_MAX]
+
+    @pytest.mark.parametrize(
+        "token",
+        [str(INT64_MAX + 1), str(INT64_MIN - 1), "9" * 19, "-" + "9" * 19, "1" + "0" * 19],
+    )
+    def test_one_past_the_range_is_refused(self, token):
+        assert block_ints([b"1", token.encode()]) is None
+
+    @pytest.mark.parametrize("token", ["01", "-01", "00", "0123456789", "-", "", "+1"])
+    def test_malformed_tokens_are_refused(self, token):
+        assert block_ints([b"1", token.encode()]) is None
+
+    @pytest.mark.parametrize("width", [8, 16, 19])
+    @pytest.mark.parametrize("bad", [b"/", b":", b" ", b"a", b"\x00", b"\x80", b"\xff", b"-"])
+    def test_a_non_digit_at_every_byte_is_refused(self, width, bad):
+        token = digits(random.Random(0), width)
+        for at in range(1, width):  # position 0 would be a sign or a leading digit
+            broken = token[:at] + bad + token[at + 1 :]
+            assert block_ints([b"7", broken]) is None, broken
+
+    def test_first_line_reads_into_the_front_pad(self):
+        # The first token of a file starts at the buffer's front, so its
+        # words reach before it.
+        assert block_ints([b"1234567890123456789", b"2"]) == [1234567890123456789, 2]
+
+
+def label_file(rows) -> bytes:
+    return ("timestamp,label\n" + "".join(f"{t},{label}\n" for t, label in rows)).encode()
+
+
+@pytest.fixture
+def slow_routes(monkeypatch):
+    """Counts the blocks that leave the numpy route, per file kind."""
+    calls = {"labels": 0, "alerts": 0}
+
+    def counted(kind, function):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ingest, "_label_rows", counted("labels", ingest._label_rows))
+    monkeypatch.setattr(ingest, "_alert_records", counted("alerts", ingest._alert_records))
+    return calls
+
+
+def assert_labels_match(path):
+    fast = ingest.load_labels(path)
+    slow = ingest_oracle.load_labels(path)
+    assert fast == slow
+    return fast
+
+
+class TestReadBuffer:
+    @pytest.mark.parametrize("block", [16, 40, 64, 1000])
+    def test_lines_straddle_every_refill(self, tmp_path, monkeypatch, slow_routes, block):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        rng = random.Random(block)
+        t, rows = -(10**12), []
+        for _ in range(300):
+            t += rng.randint(1, 10**9)
+            rows.append((t, rng.choice(["benign", "dos", "a-much-longer-attack-name"])))
+        path = tmp_path / "labels.csv"
+        path.write_bytes(label_file(rows))
+        assert_labels_match(path)
+        # A line longer than the buffer grows it, and every block stays in layout.
+        assert slow_routes["labels"] == 0
+
+    def test_a_line_longer_than_the_buffer(self, tmp_path, monkeypatch, slow_routes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 32)
+        series = LabeledSeries("plant", np.arange(5) * 10**17, [0, 1, 1, 0, 0], ("dos",))
+        alerts = AlertSeries.from_scores("d" * 200, [0.5, -1e300, 3.0, 0.0, 2.5], "plant")
+        save_alerts(alerts, series, tmp_path / "det.jsonl")
+        loaded = ingest.load_alerts(tmp_path / "det.jsonl", series)
+        assert loaded == ingest_oracle.load_alerts(tmp_path / "det.jsonl", series)
+        assert loaded.detector == "d" * 200
+        assert slow_routes["alerts"] == 0
+
+    def test_a_line_straddling_a_default_size_refill(self, tmp_path, slow_routes):
+        line = b"1234567,benign\n"
+        rows = ingest._BLOCK_BYTES // len(line) + 10
+        payload = b"timestamp,label\n" + b"".join(b"%d,benign\n" % (10**6 + i) for i in range(rows))
+        assert len(payload) > ingest._BLOCK_BYTES
+        (tmp_path / "labels.csv").write_bytes(payload)
+        series = assert_labels_match(tmp_path / "labels.csv")
+        assert len(series) == rows
+        assert slow_routes["labels"] == 0
+
+    def test_results_outlive_the_buffer(self, tmp_path, monkeypatch):
+        buffers = []
+        read_blocks = ingest._read_blocks
+
+        def recording(handle):
+            for buf, lo, hi in read_blocks(handle):
+                buffers.append(buf)
+                yield buf, lo, hi
+
+        monkeypatch.setattr(ingest, "_read_blocks", recording)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+        first = LabeledSeries("a", np.arange(40) * 3, np.arange(40) % 3, ("x", "y"))
+        second = LabeledSeries("b", np.arange(40) * 5 + 1, (np.arange(40) // 7) % 2, ("z",))
+        save_labels(first, tmp_path / "a.csv")
+        save_labels(second, tmp_path / "b.csv")
+        save_alerts(
+            AlertSeries.from_bool("d", np.arange(40) % 2 == 0, "a"), first, tmp_path / "d.jsonl"
+        )
+        loaded = ingest.load_labels(tmp_path / "a.csv", name="a")
+        alerts = ingest.load_alerts(tmp_path / "d.jsonl", loaded)
+        before = (loaded.timestamps.copy(), loaded.label_codes.copy(), alerts.values.copy())
+        assert ingest.load_labels(tmp_path / "b.csv", name="b") == second
+        assert loaded == first
+        assert np.array_equal(loaded.timestamps, before[0])
+        assert np.array_equal(loaded.label_codes, before[1])
+        assert np.array_equal(alerts.values, before[2])
+        arrays = (loaded.timestamps, loaded.label_codes, alerts.values)
+        assert not any(np.shares_memory(a, buf) for a in arrays for buf in buffers)
+
+
+class TestLabelRuns:
+    @pytest.mark.parametrize("block", [16, 64, 1 << 20])
+    def test_runs_changing_on_every_row(self, tmp_path, monkeypatch, slow_routes, block):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        names = ["benign", "dos", "0", "spoof", "dos2", "benign"]
+        rows = [(i, names[i % len(names)]) for i in range(500)]
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        series = assert_labels_match(tmp_path / "labels.csv")
+        assert series.attack_types == ("dos", "spoof", "dos2")
+        assert slow_routes["labels"] == 0
+
+    def test_runs_continue_across_a_refill(self, tmp_path, monkeypatch, slow_routes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 48)
+        rows = [(i, "benign" if i < 7 else "replay" if i < 30 else "scan") for i in range(60)]
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        series = assert_labels_match(tmp_path / "labels.csv")
+        assert series.label_codes.tolist() == [0] * 7 + [1] * 23 + [2] * 30
+        assert slow_routes["labels"] == 0
+
+    @pytest.mark.parametrize("width", [1, 8, 9, 16, 17, 63, 64])
+    def test_label_widths_on_the_numpy_route(self, tmp_path, slow_routes, width):
+        rng = random.Random(width)
+        names = ["".join(rng.choice("abcxyz-_.") for _ in range(width)) for _ in range(3)]
+        # Labels equal up to their last byte, and labels that are prefixes of others.
+        names += [names[0][:-1] + "!", names[0][: width // 2] or "q"]
+        rows = [(i, rng.choice(names)) for i in range(200)]
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        assert_labels_match(tmp_path / "labels.csv")
+        assert slow_routes["labels"] == 0
+
+    def test_non_ascii_labels(self, tmp_path, slow_routes):
+        rows = [(i, ["déjà", "μ", "benign", "déjà vu"][i // 3 % 4]) for i in range(40)]
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        assert_labels_match(tmp_path / "labels.csv")
+        assert slow_routes["labels"] == 0
+
+    def test_a_65_byte_label_takes_the_csv_route(self, tmp_path, slow_routes):
+        rows = [(0, "benign"), (1, "x" * 65), (2, "x" * 65), (3, "dos")]
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        series = assert_labels_match(tmp_path / "labels.csv")
+        assert series.attack_types == ("x" * 65, "dos")
+        assert slow_routes["labels"] == 1
+
+
+class TestLineNumbers:
+    def test_labels_order_error_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("timestamp,label\n0,a\n\n\n0,b\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="line 5: duplicate timestamp 0"):
+            ingest.load_labels(path)
+
+    def test_labels_range_error_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"timestamp,label\n0,a\n\n{2**70},b\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="line 4: timestamp .* outside the 64-bit"):
+            ingest.load_labels(path)
+
+    def test_order_error_after_fast_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 32)
+        lines = [f"{t},dos" for t in range(20)] + ["", "", "5,dos"]
+        (tmp_path / "labels.csv").write_text(
+            "timestamp,label\n" + "\n".join(lines) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(IngestError, match="line 24: non-increasing timestamp 5"):
+            ingest.load_labels(tmp_path / "labels.csv")
+
+    def test_alerts_order_error_counts_blank_lines(self, tmp_path):
+        series = LabeledSeries("plant", [0, 1, 2], [0, 0, 0], ())
+        path = tmp_path / "det.jsonl"
+        path.write_text(
+            '{"timestamp": 0, "alert": true}\n\n  \n{"timestamp": 0, "alert": false}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match="line 4: duplicate timestamp 0"):
+            ingest.load_alerts(path, series)
+
+
+def csv_writer_bytes(series: LabeledSeries) -> bytes:
+    """``save_labels`` as first written: ``csv.writer``, one row at a time."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("timestamp", "label"))
+    for ts, label in zip(series.timestamps, series.labels_as_strings()):
+        writer.writerow((int(ts), label))
+    return out.getvalue().encode("utf-8")
+
+
+AWKWARD = ("a,b", 'say "hi"', "x\ry", "l\nm", " lead", "trail ", "déjà", "%d", "'")
+
+
+class TestSaveLabels:
+    def test_golden_bytes(self, tmp_path):
+        series = LabeledSeries(
+            "plant", [-5, 0, 7, 2**63 - 1], [0, 1, 2, 3], ("a,b", 'say "hi"', "l\nm")
+        )
+        save_labels(series, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == (
+            b"timestamp,label\n"
+            b"-5,benign\n"
+            b'0,"a,b"\n'
+            b'7,"say ""hi"""\n'
+            b'9223372036854775807,"l\nm"\n'
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        types=st.lists(
+            st.text(min_size=1) | st.sampled_from(AWKWARD), max_size=6, unique=True
+        ).filter(lambda types: "benign" not in types),
+        data=st.data(),
+    )
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, types, data):
+        n = data.draw(st.integers(1, 40))
+        codes = data.draw(st.lists(st.integers(0, len(types)), min_size=n, max_size=n))
+        start = data.draw(st.integers(INT64_MIN, INT64_MAX - n))
+        series = LabeledSeries("s", start + np.arange(n), codes, tuple(types))
+        path = tmp_path_factory.mktemp("save") / "labels.csv"
+        save_labels(series, path)
+        assert path.read_bytes() == csv_writer_bytes(series)
+
+    def test_chunked_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_WRITE_ROWS", 3)
+        series = LabeledSeries("s", np.arange(10), np.arange(10) % 3, AWKWARD[:2])
+        save_labels(series, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == csv_writer_bytes(series)

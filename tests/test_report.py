@@ -293,6 +293,30 @@ class TestTimelineSvg:
         assert target.read_text(encoding="utf-8") == rendering.svg
 
 
+class TestTicksPastFloatPrecision:
+    """float64 holds integers exactly only below 2**53; spans count from the first tick."""
+
+    @pytest.mark.parametrize("origin", [10**18, -(2**63), 2**63 - 100, 2**53])
+    def test_timeline_is_translation_invariant(self, origin):
+        labels = ["benign"] * 20 + ["dos"] * 5 + ["benign"] * 30 + ["dos"] * 2 + ["benign"] * 3
+        alerts = [i in (21, 22, 23, 40, 56) for i in range(len(labels))]
+
+        def rendered(start):
+            ticks = [start + i for i in range(len(labels))]
+            series = make_series(labels, name="plant", timestamps=ticks)
+            return render_timeline(
+                series, [make_alerts(alerts, aligned_to="plant")], min_width_ticks=4
+            )
+
+        small, big = rendered(0), rendered(origin)
+        assert repr(big.lanes) == repr(small.lanes)
+        assert big.lanes[1].true_spans == ((21.0, 24.0), (40.0, 41.0), (56.0, 57.0))
+        # Only the axis labels, which print the ticks themselves, differ.
+        end = len(labels)
+        svg = big.svg.replace(f">{origin}</text>", ">0</text>")
+        assert svg.replace(f">{origin + end}</text>", f">{end}</text>") == small.svg
+
+
 class TestRocCsv:
     def test_header_and_full_precision(self):
         curve = RocCurve(

@@ -194,6 +194,32 @@ def test_demo_roc_json_matches_the_per_point_payload(tmp_path, capsys, monkeypat
     assert f"auc: {area.value:.6f}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_streams_the_writers_text_in_small_chunks(tmp_path, capsys, monkeypatch, fmt):
+    """roc.csv and roc.json are written chunk by chunk, each chunk a few rows."""
+    monkeypatch.delenv("IDSEVAL_OUT", raising=False)
+    monkeypatch.setattr(report, "_ROWS", 3)
+    code = main([
+        "roc", "--config", str(DEMO / "manifest.json"), "--alerts", str(DEMO / "scored.jsonl"),
+        "--auto", "--format", fmt, "--out", str(tmp_path),
+    ])
+    assert code == 0
+    written = (tmp_path / f"roc.{fmt}").read_bytes()
+    if fmt == "json":
+        assert hashlib.sha256(written).hexdigest() == DEMO_ROC_JSON_SHA256
+        return
+    series = collapse_multiclass(load_labels(DEMO / "labels.csv", name="demo"))
+    alert = load_alerts(DEMO / "scored.jsonl", series)
+    curve = roc_oracle.roc(series, alert, [float(v) for v in np.unique(alert.values)])
+    assert written == roc_oracle.roc_to_csv(curve).encode("utf-8")
+
+
+def test_json_chunks_check_the_curve_before_any_text():
+    curve = RocCurve([np.inf, np.inf, -np.inf], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="infinite only at either end"):
+        report.roc_json_chunks(curve, "d", "x", None)
+
+
 def payload_json(curve: RocCurve, dataset: str, detector: str, area) -> str:
     """roc.json as the per-point code built it: one dict per point, then json.dumps."""
     thresholds = curve.thresholds.tolist()
