@@ -40,6 +40,9 @@ class BaselineSpec:
                 raise ParameterError("random baseline requires an alert probability p")
             if not 0.0 <= self.p <= 1.0:
                 raise ParameterError(f"alert probability must lie in [0, 1], got {self.p!r}")
+            # random.Random(seed) seeds with abs(seed): seed=-7 would repeat seed=7.
+            if self.seed is not None and self.seed < 0:
+                raise ParameterError(f"baseline seed must be non-negative, got {self.seed}")
         elif self.p is not None or self.seed is not None:
             raise ParameterError(f"baseline:{self.kind.value} takes no parameters")
 

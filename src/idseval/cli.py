@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     alerts.add_argument(
         "--seed", type=int, default=0,
-        help="seed for random baselines given without one (default 0)",
+        help="non-negative seed for random baselines given without one (default 0)",
     )
 
     scoring = argparse.ArgumentParser(add_help=False)
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_base.add_argument(
         "--seed", type=int, default=0,
-        help="seed for random baselines given without one (default 0)",
+        help="non-negative seed for random baselines given without one (default 0)",
     )
     p_base.set_defaults(func=cmd_baseline)
 

@@ -31,6 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .jsonl import ALERT_FALSE, ALERT_PREFIX, ALERT_TRUE, DETECTOR_KEY, SCORE_KEY
+from .jsonl import write_flags, write_scores
 from .model import (
     BENIGN_LABELS,
     AlertKind,
@@ -59,8 +61,6 @@ _FRONT = 24
 # its last line stay inside the buffer; their values are masked.
 _PAD = 64
 _LABEL_HEADER_LINE = b"timestamp,label\n"
-_ALERT_PREFIX = b'{"timestamp": '
-_DETECTOR_KEY = b', "detector": '
 # Longest label and score token the block parser handles; longer ones are
 # valid but go through csv/json.
 _MAX_LABEL_BYTES = 64
@@ -587,45 +587,47 @@ def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertCo
         return None
     starts, ends = _line_bounds(buf, lo, hi)
     first = buf[lo : ends[0]].tobytes()
-    at = first.find(_DETECTOR_KEY)
+    at = first.find(DETECTOR_KEY)
     if at < 0 or not first.endswith(b"}"):
         return None
     suffix = first[at:]  # ', "detector": "D"}', the same on every line
-    detector = _json_string(suffix[len(_DETECTOR_KEY) : -1])
+    detector = _json_string(suffix[len(DETECTOR_KEY) : -1])
     if detector is None:
         return None
     head = first[:at]
-    if head.endswith((b', "alert": true', b', "alert": false')):
-        kind, key = AlertKind.BOOLEAN, b', "alert": true'
-    elif b', "score": ' in head:
-        kind, key = AlertKind.SCORED, b', "score": 0'
+    if head.endswith((ALERT_TRUE, ALERT_FALSE)):
+        kind, key = AlertKind.BOOLEAN, ALERT_TRUE
+    elif SCORE_KEY in head:
+        kind, key = AlertKind.SCORED, SCORE_KEY + b"0"
     else:
         return None
-    if (ends - starts < len(_ALERT_PREFIX) + 1 + len(key) + len(suffix)).any():
+    if (ends - starts < len(ALERT_PREFIX) + 1 + len(key) + len(suffix)).any():
         return None
     words = _words(buf)
     tail = ends - len(suffix)
-    found = _has(words, starts, _ALERT_PREFIX) & _has(words, tail, suffix)
+    found = _has(words, starts, ALERT_PREFIX) & _has(words, tail, suffix)
     if kind is AlertKind.BOOLEAN:
-        # ', "alert": true' is 15 bytes and ', "alert": false' 16; two
-        # overlapping 8-byte words cover either.
-        falses = buf[tail - 16] == ord(",")
-        comma = tail - 15 - falses
-        found &= words[comma] == int.from_bytes(b', "alert', "little")
-        found &= words[comma + 7 + falses] == np.where(
-            falses, int.from_bytes(b'": false', "little"), int.from_bytes(b't": true', "little")
+        # ALERT_TRUE is 15 bytes and ALERT_FALSE 16; two overlapping
+        # 8-byte words cover either.
+        falses = buf[tail - len(ALERT_FALSE)] == ord(",")
+        comma = tail - len(ALERT_TRUE) - falses
+        found &= words[comma] == int.from_bytes(ALERT_FALSE[:8], "little")
+        found &= words[tail - 8] == np.where(
+            falses,
+            int.from_bytes(ALERT_FALSE[-8:], "little"),
+            int.from_bytes(ALERT_TRUE[-8:], "little"),
         )
         values = ~falses
     else:
         commas = np.flatnonzero(buf[lo:hi] == ord(","))
         commas += lo
-        after = np.searchsorted(commas, starts + len(_ALERT_PREFIX))
+        after = np.searchsorted(commas, starts + len(ALERT_PREFIX))
         comma = commas[np.minimum(after, len(commas) - 1)]
-        found &= _has(words, comma, b', "score": ')
-        values = _block_floats(buf, comma + 11, tail)
+        found &= _has(words, comma, SCORE_KEY)
+        values = _block_floats(buf, comma + len(SCORE_KEY), tail)
     if not found.all() or values is None:
         return None
-    timestamps = _block_ints(buf, starts + len(_ALERT_PREFIX), comma)
+    timestamps = _block_ints(buf, starts + len(ALERT_PREFIX), comma)
     if timestamps is None:
         return None
     lines = range(first_line, first_line + len(timestamps))
@@ -779,28 +781,14 @@ def save_alerts(alerts: AlertSeries, series: LabeledSeries, path: Path | str) ->
 
     Output is deterministic: fixed key order, fixed float formatting, one
     line per point in series order. Each line is byte for byte
-    ``json.dumps({"timestamp": t, key: v, "detector": d}) + "\\n"``, built
-    from a string template: ``%d`` formats ints and ``%r`` floats exactly as
-    ``json`` does.
+    ``json.dumps({"timestamp": t, key: v, "detector": d}) + "\\n"``, in the
+    layout of ``idseval.jsonl`` that the block parser checks. Boolean series
+    are built in numpy, scored ones from a ``%r`` template (see ``jsonl``).
     """
     require_alignment(series, alerts)
-    path = Path(path)
-    detector = json.dumps(alerts.detector).replace("%", "%%")
-    boolean = alerts.kind is AlertKind.BOOLEAN
-    if boolean:
-        line = '{"timestamp": %d, "alert": %s, "detector": ' + detector + "}\n"
-    else:
-        line = '{"timestamp": %d, "score": %r, "detector": ' + detector + "}\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, len(alerts), _WRITE_ROWS):
-            timestamps = series.timestamps[start : start + _WRITE_ROWS].tolist()
-            values = alerts.values[start : start + _WRITE_ROWS]
-            if boolean:
-                values = np.where(values, "true", "false")
-            fields: list[object] = [None] * (2 * len(timestamps))
-            fields[0::2] = timestamps
-            fields[1::2] = values.tolist()
-            handle.write((line * len(timestamps)) % tuple(fields))
+    write = write_flags if alerts.kind is AlertKind.BOOLEAN else write_scores
+    with open(path, "wb") as handle:
+        write(handle, series.timestamps, alerts.values, json.dumps(alerts.detector), _WRITE_ROWS)
 
 
 @dataclass(frozen=True)

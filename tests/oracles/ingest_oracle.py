@@ -7,6 +7,9 @@ record, errors raised in file order. The block-parsed loaders in
 message, for every input these accept or reject with an ``IngestError``.
 This file never changes to match the fast code.
 
+``save_alerts`` is the string-template writer that ``idseval.ingest`` used
+before it built boolean records in numpy; both must write the same bytes.
+
 One fix has been made here as in ``idseval.ingest``, because both numbered
 order errors wrongly: a duplicate or decreasing timestamp is reported at its
 record's own line, where blank lines before it used to shift the number.
@@ -24,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from idseval.ingest import IngestError
-from idseval.model import AlertKind, AlertSeries, LabeledSeries
+from idseval.model import AlertKind, AlertSeries, LabeledSeries, require_alignment
 
 LABEL_HEADER = ("timestamp", "label")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
+_WRITE_ROWS = 1 << 14
 
 
 def _fail(path: Path | str, line: int | None, message: str) -> "IngestError":
@@ -210,3 +214,32 @@ def load_alerts(
     if kind is AlertKind.BOOLEAN:
         return AlertSeries.from_bool(detector=name, values=payload, aligned_to=series.name)
     return AlertSeries.from_scores(detector=name, values=payload, aligned_to=series.name)
+
+
+def save_alerts(alerts: AlertSeries, series: LabeledSeries, path: Path | str) -> None:
+    """Write an alert series as JSONL, one record per point.
+
+    Output is deterministic: fixed key order, fixed float formatting, one
+    line per point in series order. Each line is byte for byte
+    ``json.dumps({"timestamp": t, key: v, "detector": d}) + "\\n"``, built
+    from a string template: ``%d`` formats ints and ``%r`` floats exactly as
+    ``json`` does.
+    """
+    require_alignment(series, alerts)
+    path = Path(path)
+    detector = json.dumps(alerts.detector).replace("%", "%%")
+    boolean = alerts.kind is AlertKind.BOOLEAN
+    if boolean:
+        line = '{"timestamp": %d, "alert": %s, "detector": ' + detector + "}\n"
+    else:
+        line = '{"timestamp": %d, "score": %r, "detector": ' + detector + "}\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        for start in range(0, len(alerts), _WRITE_ROWS):
+            timestamps = series.timestamps[start : start + _WRITE_ROWS].tolist()
+            values = alerts.values[start : start + _WRITE_ROWS]
+            if boolean:
+                values = np.where(values, "true", "false")
+            fields: list[object] = [None] * (2 * len(timestamps))
+            fields[0::2] = timestamps
+            fields[1::2] = values.tolist()
+            handle.write((line * len(timestamps)) % tuple(fields))

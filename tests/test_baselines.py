@@ -56,6 +56,7 @@ class TestParse:
             ("baseline:random:p=0.5:burst=3", "unknown baseline parameter"),
             ("baseline:never:p=0.5", "takes no parameters"),
             ("baseline:always:seed=3", "takes no parameters"),
+            ("baseline:random:p=0.5:seed=-7", "seed must be non-negative, got -7"),
         ],
     )
     def test_rejected_forms(self, text, match):
@@ -70,6 +71,11 @@ class TestParse:
 
 
 class TestWithSeed:
+    def test_negative_seed_is_rejected(self):
+        spec = BaselineSpec.parse("baseline:random:p=0.5")
+        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+            spec.with_seed(-1)
+
     def test_fills_missing_seed_only(self):
         spec = BaselineSpec.parse("baseline:random:p=0.5")
         assert spec.with_seed(11).seed == 11

@@ -426,6 +426,22 @@ class TestBaselineVerb:
         name = "baseline_random_p_0.5_seed_9.jsonl"
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "detector,seed",
+        [("baseline:random:p=0.5:seed=-7", "0"), ("baseline:random:p=0.5", "-7")],
+    )
+    @pytest.mark.parametrize("verb", ["baseline", "compare"])
+    def test_negative_seed_exits_2(self, workdir, capsys, verb, detector, seed):
+        # random.Random(-7) is random.Random(7): the two would be one detector.
+        code, stdout, stderr = run(
+            capsys, verb, "--labels", workdir / "labels.csv", "--detector", detector,
+            "--seed", seed, "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: baseline seed must be non-negative, got -7\n"
+        assert not (workdir / "run" / "alerts").exists()
+
     def test_generated_files_load_back(self, workdir, capsys):
         out = workdir / "base"
         run(
