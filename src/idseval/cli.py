@@ -198,9 +198,14 @@ def parse_min_width(text: str, tick_seconds: Fraction) -> float:
         )
     value = Fraction(match.group(1))
     unit = match.group(2)
-    if unit is None:
+    if unit is not None:
+        value = value * _UNIT_SECONDS[unit] / tick_seconds
+    try:
         return float(value)
-    return float(value * _UNIT_SECONDS[unit] / tick_seconds)
+    except OverflowError:
+        raise ParameterError(
+            f"--min-width {text!r} is too large: the width in ticks overflows a 64-bit float"
+        ) from None
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
@@ -217,7 +222,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     )
     target = outdir / "timeline.svg"
     rendering.save(target)
-    widened = sum(sum(lane.widened) for lane in rendering.lanes)
+    widened = sum(np.count_nonzero(lane.widened) for lane in rendering.lanes)
     print(f"wrote {target} ({len(rendering.lanes)} lanes, {widened} alarms widened)")
     return 0
 

@@ -366,6 +366,9 @@ def _block_floats(arr: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     if not (_NUM_NEXT[state, _END] == _ACCEPT).all():
         return None
     values = chars.view(f"S{columns}").ravel().astype(np.float64)
+    # json reads the token -0 as the integer 0, hence +0.0, and -0.0 as -0.0.
+    # -0 is the only zero among two-byte tokens; adding 0.0 moves no other value.
+    values[width == 2] += 0.0
     # Out of range ("1e400", a 400-digit integer): json reports these per line.
     return values if np.isfinite(values).all() else None
 

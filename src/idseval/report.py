@@ -215,15 +215,33 @@ def report_to_json(report: MetricReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimelineLane:
-    """One horizontal band of the timeline and what was drawn in it."""
+    """One horizontal band of the timeline and what was drawn in it.
+
+    ``true_spans`` and ``drawn_spans`` are read-only float64 arrays of
+    half-open ``[start, end)`` tick spans, shape ``(runs, 2)``; ``widened``
+    is a read-only bool array, one flag per run. When no run was widened,
+    ``drawn_spans`` is ``true_spans``. Lanes compare equal when their names,
+    kinds and arrays are.
+    """
 
     name: str
     kind: str
-    true_spans: tuple[tuple[float, float], ...]
-    drawn_spans: tuple[tuple[float, float], ...]
-    widened: tuple[bool, ...]
+    true_spans: np.ndarray
+    drawn_spans: np.ndarray
+    widened: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TimelineLane):
+            return NotImplemented
+        return (self.name, self.kind) == (other.name, other.kind) and all(map(
+            np.array_equal,
+            (self.true_spans, self.drawn_spans, self.widened),
+            (other.true_spans, other.drawn_spans, other.widened),
+        ))
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -257,8 +275,8 @@ def render_timeline(
     ``%`` template filled from ``tolist()`` chunks.
     """
     min_width = float(min_width_ticks)
-    if min_width < 0:
-        raise ParameterError("min_width_ticks must be non-negative")
+    if not 0 <= min_width < np.inf:
+        raise ParameterError("min_width_ticks must be finite and non-negative")
     exempt_names = set(exempt)
     for alert_series in alerts:
         if alert_series.kind is not AlertKind.BOOLEAN:
@@ -278,14 +296,15 @@ def render_timeline(
     t0, last = float_ticks(series.timestamps, [0, -1]).tolist()
     t1 = last + 1.0
 
-    def lane(
-        name: str, kind: str, runs: Intervals
-    ) -> tuple[TimelineLane, np.ndarray, np.ndarray, np.ndarray]:
-        """The lane's metadata, then its drawn spans and widened flags as arrays."""
+    def frozen(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        spans = np.column_stack((lo, hi))
+        spans.setflags(write=False)
+        return spans
+
+    def lane(name: str, kind: str, runs: Intervals) -> TimelineLane:
         lo, hi = runs.spans(series.timestamps)
-        true_spans = tuple(zip(lo.tolist(), hi.tolist()))
+        true_spans = drawn_spans = frozen(lo, hi)
         widened = np.zeros(len(lo), dtype=bool)
-        drawn_spans = true_spans
         if kind != "labels" and name not in exempt_names:
             widened = hi - lo < min_width
             if widened.any():
@@ -295,21 +314,13 @@ def render_timeline(
                 new_start = np.maximum(t0, center - min_width / 2.0)
                 new_end = np.minimum(t1, new_start + min_width)
                 new_start = np.maximum(t0, new_end - min_width)
-                lo, hi = lo.copy(), hi.copy()
                 lo[widened], hi[widened] = new_start, new_end
-                drawn_spans = tuple(zip(lo.tolist(), hi.tolist()))
-        metadata = TimelineLane(
-            name=name,
-            kind=kind,
-            true_spans=true_spans,
-            drawn_spans=drawn_spans,
-            widened=tuple(widened.tolist()),
-        )
-        return metadata, lo, hi, widened
+                drawn_spans = frozen(lo, hi)
+        widened.setflags(write=False)
+        return TimelineLane(name, kind, true_spans, drawn_spans, widened)
 
-    drawn = [lane("ground truth", "labels", Intervals.of_scenarios(extract_scenarios(series)))]
-    drawn += [lane(a.detector, "alerts", alerts_to_intervals(a, series)) for a in alerts]
-    lanes = tuple(metadata for metadata, *_ in drawn)
+    lanes = (lane("ground truth", "labels", Intervals.of_scenarios(extract_scenarios(series))),)
+    lanes += tuple(lane(a.detector, "alerts", alerts_to_intervals(a, series)) for a in alerts)
 
     margin_left, margin_right = 160.0, 20.0
     lane_height, lane_gap = 26.0, 8.0
@@ -345,7 +356,7 @@ def render_timeline(
         f'<text x="{x(t1):.2f}" y="{axis_y - 4:.2f}" text-anchor="end">{end_label}</text>\n'
     )
 
-    for row, (lane, lo, hi, widened) in enumerate(drawn):
+    for row, lane in enumerate(lanes):
         lane_top = top + row * (lane_height + lane_gap)
         label_y = lane_top + lane_height / 2.0 + 4.0
         parts.append(
@@ -359,6 +370,7 @@ def render_timeline(
             f'<rect x="%.2f" y="{lane_top + 4:.2f}" width="%.2f" '
             f'height="{lane_height - 8:.1f}" fill="%s"/>\n'
         )
+        lo, hi = lane.drawn_spans.T
         rect_x = margin_left + (lo - t0) * scale
         rect_w = np.maximum(0.01, (hi - lo) * scale)
         for start in range(0, len(lo), _ROWS):
@@ -367,7 +379,7 @@ def render_timeline(
             fields: list[float | str] = [0.0] * (3 * len(xs))
             fields[0::3] = xs
             fields[1::3] = rect_w[rows].tolist()
-            fields[2::3] = palette[widened[rows].view(np.uint8)].tolist()
+            fields[2::3] = palette[lane.widened[rows].view(np.uint8)].tolist()
             parts.append((template * len(xs)) % tuple(fields))
 
     parts.append("</svg>\n")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from idseval import AlertSeries, LabeledSeries
 
 
@@ -20,6 +22,21 @@ def make_series(
 
 def make_alerts(values, detector: str = "det", aligned_to: str = "series") -> AlertSeries:
     return AlertSeries.from_bool(detector, list(values), aligned_to)
+
+
+def lane_bits(lanes) -> list[tuple]:
+    """Each timeline lane with its spans as float64 bit patterns, so that two
+    lanes compare equal only when every span is bit-identical, zero signs too."""
+    return [
+        (
+            lane.name,
+            lane.kind,
+            lane.true_spans.view(np.uint64).tolist(),
+            lane.drawn_spans.view(np.uint64).tolist(),
+            lane.widened.tolist(),
+        )
+        for lane in lanes
+    ]
 
 
 def random_binary_instance(rng: random.Random, max_len: int = 64) -> tuple[list[str], list[bool]]:

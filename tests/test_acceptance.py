@@ -294,13 +294,13 @@ def test_criterion_10_timeline_widens_one_tick_alarm_to_60_ticks():
         exempt=["coin"],
     )
     widened_lane = rendering.lanes[1]
-    assert widened_lane.true_spans == ((310.0, 311.0),)
+    assert widened_lane.true_spans.tolist() == [[310.0, 311.0]]
     drawn = widened_lane.drawn_spans[0]
     assert drawn[1] - drawn[0] == pytest.approx(60.0, abs=1e-12)
-    assert widened_lane.widened == (True,)
+    assert widened_lane.widened.tolist() == [True]
     exempt_lane = rendering.lanes[2]
-    assert exempt_lane.drawn_spans == ((310.0, 311.0),)
-    assert exempt_lane.widened == (False,)
+    assert exempt_lane.drawn_spans.tolist() == [[310.0, 311.0]]
+    assert exempt_lane.widened.tolist() == [False]
 
     again = render_timeline(
         series, [detector, exempt], min_width_ticks=60.0, exempt=["coin"]

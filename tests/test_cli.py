@@ -312,6 +312,20 @@ class TestTimeline:
         with pytest.raises(ParameterError):
             parse_min_width("60x", Fraction(1))
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--min-width", "9" * 400], ["--tick-seconds", "1e-400", "--min-width", "60s"]],
+        ids=["400-nines", "tiny-tick"],
+    )
+    def test_min_width_past_float_range_exits_2(self, workdir, capsys, options):
+        code, _, stderr = run(
+            capsys, "timeline", "--labels", workdir / "labels.csv",
+            "--detector", "baseline:never", *options, "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stderr.startswith("error: --min-width ")
+        assert stderr.count("\n") == 1 and "overflows a 64-bit float" in stderr
+
     def test_exempt_unknown_detector_exits_2(self, workdir, capsys):
         code, _, stderr = run(
             capsys, "timeline", "--labels", workdir / "labels.csv",

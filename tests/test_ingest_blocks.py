@@ -298,3 +298,50 @@ class TestSaveLabels:
         series = LabeledSeries("s", np.arange(10), np.arange(10) % 3, AWKWARD[:2])
         save_labels(series, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == csv_writer_bytes(series)
+
+
+class TestZeroScores:
+    """``json`` reads the token ``-0`` as the integer 0, so as +0.0, and
+    ``-0.0``/``-0e0`` as -0.0; the numpy route must read each the same way."""
+
+    CANONICAL = '{"timestamp": %d, "score": %s, "detector": "d"}\n'
+    COMPACT = '{"timestamp":%d,"score":%s,"detector":"d"}\n'
+
+    def write(self, path, layout, token):
+        scores = (token, "0.5", "1")
+        path.write_text("".join(layout % (t, s) for t, s in enumerate(scores)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("token", ["-0", "-0.0", "-0e0", "-0E-0", "0", "0e0", "-1", "-9"])
+    def test_both_layouts_load_the_same_bits(self, tmp_path, slow_routes, token):
+        series = LabeledSeries.from_labels("plant", [0, 1, 2], ["benign", "dos", "benign"])
+        loaded = {}
+        for layout, numpy_route in ((self.CANONICAL, True), (self.COMPACT, False)):
+            path = self.write(tmp_path / f"{numpy_route}.jsonl", layout, token)
+            before = slow_routes["alerts"]
+            loaded[numpy_route] = ingest.load_alerts(path, series)
+            assert (slow_routes["alerts"] == before) is numpy_route
+            reference = ingest_oracle.load_alerts(path, series)
+            assert loaded[numpy_route].values.view(np.uint64).tolist() == (
+                reference.values.view(np.uint64).tolist()
+            )
+        bits = [loaded[r].values.view(np.uint64).tolist() for r in (True, False)]
+        assert bits[0] == bits[1]
+        assert np.signbit(loaded[True].values[0]) == (token != "-0" and token.startswith("-"))
+
+    def test_roc_csv_is_the_same_for_both_layouts(self, tmp_path, capsys):
+        from idseval.cli import main
+
+        labels = tmp_path / "labels.csv"
+        labels.write_text("timestamp,label\n0,benign\n1,dos\n2,benign\n", encoding="utf-8")
+        texts = []
+        for layout in (self.CANONICAL, self.COMPACT):
+            alerts = self.write(tmp_path / "scores.jsonl", layout, "-0")
+            out = tmp_path / f"run{len(texts)}"
+            argv = ["roc", "--labels", str(labels), "--alerts", str(alerts), "--auto",
+                    "--out", str(out)]
+            assert main(argv) == 0
+            texts.append((out / "roc.csv").read_text(encoding="utf-8"))
+        capsys.readouterr()
+        assert texts[0] == texts[1]
+        assert "\n0.0," in texts[0] and "-0.0" not in texts[0]

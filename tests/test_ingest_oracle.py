@@ -29,6 +29,8 @@ LABELS = ("benign", "0", "dos", "spoof", "replay", "scan x")
 # past float64 and tokens with leading zeros.
 BAD_NUMBERS = ("1.", ".5", "nan", "inf", "+1", "1_0", "NaN", "Infinity", "-Infinity",
                "01", "-01", "1e400", "1" + "0" * 400)
+# Valid JSON numbers that save_alerts never writes; json reads -0 as the integer 0.
+VALID_NUMBERS = ("-0", "-0.0", "0e0", "-0E-0", "1E2", "1.50")
 ISO_MIN, ISO_MAX = -62135596800, 253402300799  # datetime's range in epoch seconds
 SETTINGS = settings(
     max_examples=100,
@@ -215,7 +217,7 @@ def mutate_lines(draw, lines: list[str]) -> list[str]:
             key, token = "timestamp", f"0{i}"
         else:
             key = "score" if "score" in record else "timestamp"
-            token = draw(st.sampled_from(BAD_NUMBERS))
+            token = draw(st.sampled_from(BAD_NUMBERS + VALID_NUMBERS))
         record[key] = "@@"
         lines[i] = json.dumps(record).replace('"@@"', token) + "\n"
         return lines

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from idseval import (
@@ -30,7 +32,7 @@ from idseval import (
 )
 from idseval.timeaware import ScenarioDetection
 from idseval.model import AttackScenario
-from support import make_alerts, make_series
+from support import lane_bits, make_alerts, make_series
 
 
 def mv(name, num, den, **params):
@@ -200,9 +202,9 @@ class TestWidening:
         alerts = make_alerts([i == 54 for i in range(100)], detector="det", aligned_to="demo")
         rendering = render_timeline(self.series(), [alerts], min_width_ticks=10)
         lane = rendering.lanes[1]
-        assert lane.true_spans == ((54.0, 55.0),)
-        assert lane.drawn_spans == ((49.5, 59.5),)
-        assert lane.widened == (True,)
+        assert lane.true_spans.tolist() == [[54.0, 55.0]]
+        assert lane.drawn_spans.tolist() == [[49.5, 59.5]]
+        assert lane.widened.tolist() == [True]
 
     def test_wide_alarm_untouched(self):
         alerts = make_alerts(
@@ -210,24 +212,24 @@ class TestWidening:
         )
         rendering = render_timeline(self.series(), [alerts], min_width_ticks=10)
         lane = rendering.lanes[1]
-        assert lane.drawn_spans == ((20.0, 40.0),)
-        assert lane.widened == (False,)
+        assert lane.drawn_spans.tolist() == [[20.0, 40.0]]
+        assert lane.widened.tolist() == [False]
 
     def test_widening_clips_to_series_span(self):
         alerts = make_alerts([i == 0 for i in range(100)], detector="det", aligned_to="demo")
         rendering = render_timeline(self.series(), [alerts], min_width_ticks=20)
-        assert rendering.lanes[1].drawn_spans == ((0.0, 20.0),)
+        assert rendering.lanes[1].drawn_spans.tolist() == [[0.0, 20.0]]
         tail = make_alerts([i == 99 for i in range(100)], detector="det", aligned_to="demo")
         rendering = render_timeline(self.series(), [tail], min_width_ticks=20)
-        assert rendering.lanes[1].drawn_spans == ((80.0, 100.0),)
+        assert rendering.lanes[1].drawn_spans.tolist() == [[80.0, 100.0]]
 
     def test_ground_truth_never_widens(self):
         rendering = render_timeline(self.series(), [], min_width_ticks=500)
         gt = rendering.lanes[0]
         assert gt.name == "ground truth"
         assert gt.kind == "labels"
-        assert gt.true_spans == ((50.0, 60.0),)
-        assert gt.drawn_spans == gt.true_spans
+        assert gt.true_spans.tolist() == [[50.0, 60.0]]
+        assert gt.drawn_spans.tolist() == gt.true_spans.tolist()
 
     def test_exempt_detector_keeps_true_width(self):
         alerts = make_alerts([i == 54 for i in range(100)], detector="coin", aligned_to="demo")
@@ -235,13 +237,13 @@ class TestWidening:
             self.series(), [alerts], min_width_ticks=10, exempt=["coin"]
         )
         lane = rendering.lanes[1]
-        assert lane.drawn_spans == lane.true_spans
-        assert lane.widened == (False,)
+        assert lane.drawn_spans.tolist() == lane.true_spans.tolist()
+        assert lane.widened.tolist() == [False]
 
     def test_zero_min_width_is_identity(self):
         alerts = make_alerts([i == 54 for i in range(100)], detector="det", aligned_to="demo")
         rendering = render_timeline(self.series(), [alerts])
-        assert rendering.lanes[1].drawn_spans == rendering.lanes[1].true_spans
+        assert rendering.lanes[1].drawn_spans.tolist() == rendering.lanes[1].true_spans.tolist()
 
 
 class TestTimelineSvg:
@@ -265,7 +267,7 @@ class TestTimelineSvg:
         rendering = render_timeline(self.series(), [alerts])
         lane = rendering.lanes[1]
         assert lane.name == "quiet"
-        assert lane.drawn_spans == ()
+        assert lane.drawn_spans.tolist() == []
         assert ">quiet</text>" in rendering.svg
 
     def test_scored_alerts_rejected(self):
@@ -286,11 +288,72 @@ class TestTimelineSvg:
         with pytest.raises(ParameterError, match="non-negative"):
             render_timeline(self.series(), [], min_width_ticks=-1)
 
+    @pytest.mark.parametrize("min_width", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_min_width_rejected(self, min_width):
+        with pytest.raises(ParameterError, match="must be finite and non-negative"):
+            render_timeline(self.series(), [], min_width_ticks=min_width)
+
     def test_save_writes_svg_bytes(self, tmp_path):
         rendering = render_timeline(self.series(), [])
         target = tmp_path / "timeline.svg"
         rendering.save(target)
         assert target.read_text(encoding="utf-8") == rendering.svg
+
+
+class TestTimelineLaneArrays:
+    """Lane metadata is read-only arrays: ``(runs, 2)`` float64 spans, bool flags."""
+
+    def rendering(self, **kwargs):
+        series = make_series(["benign"] * 5 + ["dos"] * 3 + ["benign"] * 12, name="demo")
+        lanes = {
+            "short": [i in (2, 9, 10) for i in range(20)],
+            "quiet": [False] * 20,
+            "long": [3 <= i < 15 for i in range(20)],
+        }
+        alerts = [make_alerts(v, detector=k, aligned_to="demo") for k, v in lanes.items()]
+        return render_timeline(series, alerts, min_width_ticks=4, **kwargs)
+
+    def test_dtypes_shapes_and_read_only(self):
+        truth, short, quiet, long = self.rendering().lanes
+        for lane, runs in ((truth, 1), (short, 2), (quiet, 0), (long, 1)):
+            for array in (lane.true_spans, lane.drawn_spans):
+                assert array.dtype == np.float64 and array.shape == (runs, 2)
+                assert not array.flags.writeable
+            assert lane.widened.dtype == np.bool_ and lane.widened.shape == (runs,)
+            assert not lane.widened.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                lane.true_spans[...] = 0.0
+        assert short.widened.tolist() == [True, True]
+        assert short.drawn_spans.tolist() == [[0.5, 4.5], [8.0, 12.0]]
+        assert long.widened.tolist() == [False]
+
+    def test_drawn_spans_shared_only_when_nothing_widened(self):
+        truth, short, quiet, long = self.rendering().lanes
+        assert truth.drawn_spans is truth.true_spans
+        assert quiet.drawn_spans is quiet.true_spans
+        assert long.drawn_spans is long.true_spans
+        assert short.drawn_spans is not short.true_spans
+        assert short.true_spans.tolist() == [[2.0, 3.0], [9.0, 11.0]]
+        exempt = self.rendering(exempt=["short"]).lanes[1]
+        assert exempt.drawn_spans is exempt.true_spans
+        assert exempt.widened.tolist() == [False, False]
+
+    def test_equality_compares_arrays_and_lanes_are_unhashable(self):
+        first, second = self.rendering(), self.rendering()
+        assert first.lanes == second.lanes and first == second
+        assert first.lanes[1] != first.lanes[3]
+        lane = first.lanes[1]
+        for field, value in (
+            ("name", "other"),
+            ("kind", "labels"),
+            ("true_spans", lane.true_spans + 1.0),
+            ("drawn_spans", lane.drawn_spans[:1]),
+            ("widened", ~lane.widened),
+        ):
+            assert dataclasses.replace(lane, **{field: value}) != lane
+        assert lane != (lane.name, lane.kind)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(lane)
 
 
 class TestTicksPastFloatPrecision:
@@ -309,8 +372,8 @@ class TestTicksPastFloatPrecision:
             )
 
         small, big = rendered(0), rendered(origin)
-        assert repr(big.lanes) == repr(small.lanes)
-        assert big.lanes[1].true_spans == ((21.0, 24.0), (40.0, 41.0), (56.0, 57.0))
+        assert lane_bits(big.lanes) == lane_bits(small.lanes)
+        assert big.lanes[1].true_spans.tolist() == [[21.0, 24.0], [40.0, 41.0], [56.0, 57.0]]
         # Only the axis labels, which print the ticks themselves, differ.
         end = len(labels)
         svg = big.svg.replace(f">{origin}</text>", ">0</text>")

@@ -3,11 +3,11 @@
 ``oracles/timeline_oracle.py`` keeps the renderer idseval began with: a
 Python loop widens each short run and each ``<rect>`` is one f-string. The
 numpy renderer must write the same SVG text and the same lane metadata
-(``repr`` included, so a ``-0.0`` or an int among the floats would show) for
-gapped and negative ticks (with gaps wide enough to hit the 0.01 px floor
-on rect widths), any minimum width, runs at either edge of the
-series, exempt and empty lanes, a one-point series and names that need
-escaping, with the ``<rect>`` rows split into chunks of any size.
+(the oracle's tuples as float64 and bool arrays, compared bit for bit, so a
+``-0.0`` would show) for gapped and negative ticks (with gaps wide enough
+to hit the 0.01 px floor on rect widths), any minimum width, runs at either
+edge of the series, exempt and empty lanes, a one-point series and names
+that need escaping, with the ``<rect>`` rows split into chunks of any size.
 """
 
 from __future__ import annotations
@@ -20,20 +20,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idseval import AlertSeries, LabeledSeries, report, render_timeline
+from idseval import AlertSeries, LabeledSeries, TimelineLane, report, render_timeline
 from oracles import timeline_oracle
+from support import lane_bits
 
 NAMES = ("plain", "a&b", "<x>", "x > y & z < w", "ü-détecteur", "&amp;")
 LABELS = ("benign", "dos", "scan")
+
+
+def as_arrays(lane: TimelineLane) -> TimelineLane:
+    """The oracle's tuple lane in the array form that ``render_timeline`` returns."""
+    def spans(pairs):
+        return np.array(pairs, dtype=np.float64).reshape(-1, 2)
+
+    return TimelineLane(
+        lane.name, lane.kind, spans(lane.true_spans), spans(lane.drawn_spans),
+        np.array(lane.widened, dtype=bool),
+    )
 
 
 def assert_same_rendering(series, alerts, min_width, exempt=(), rows=None) -> None:
     with mock.patch.object(report, "_ROWS", rows or report._ROWS):
         got = render_timeline(series, alerts, min_width, exempt)
     expected = timeline_oracle.render_timeline(series, alerts, min_width, exempt)
+    expected_lanes = tuple(map(as_arrays, expected.lanes))
     assert got.svg == expected.svg
-    assert got.lanes == expected.lanes
-    assert repr(got.lanes) == repr(expected.lanes)
+    assert got.lanes == expected_lanes
+    assert lane_bits(got.lanes) == lane_bits(expected_lanes)
+    for lane in got.lanes:
+        for array, dtype in ((lane.true_spans, np.float64), (lane.drawn_spans, np.float64),
+                             (lane.widened, np.bool_)):
+            assert array.dtype == dtype and not array.flags.writeable
+        assert lane.drawn_spans.shape == lane.true_spans.shape == (len(lane.widened), 2)
     assert got.min_width_ticks == expected.min_width_ticks
 
 
