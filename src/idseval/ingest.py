@@ -300,19 +300,51 @@ _SWAR_STEPS = tuple(
     )
 )
 _POW8 = tuple(np.uint64(10 ** (8 * k)) for k in range(3))
+_DOTS = np.uint64(0x2E2E2E2E2E2E2E2E)
+_ONES = np.uint64(0x0101010101010101)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_POW10_INTS = np.array([10**k for k in range(17)], dtype=np.uint64)
+_POW10_FLOATS = _POW10_INTS.astype(np.float64)
+
+
+def _digit_runs(
+    buf: np.ndarray, end: np.ndarray, width: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``width`` (0-19) bytes before each ``end`` read as decimal digits: their
+    value, and whether any of them is not a digit.
+
+    Each run is read as up to three little-endian words ending at its end,
+    least significant first; they reach at most 24 bytes before it, into
+    ``_FRONT``. In each word the bytes left of the run are masked off after
+    the XOR with '0' * 8, so they read as zero digits. A byte is a digit when
+    its high nibble and that of byte + 6 are both zero, and three
+    multiply-and-shift steps sum the eight digits.
+    """
+    longest = int(width.max(initial=0))
+    words = _words(buf)
+    value = np.zeros(len(end), dtype=np.uint64)
+    nibbles = np.zeros(len(end), dtype=np.uint64)
+    for k in range((longest + 7) // 8):
+        # How many of the word's bytes belong to each run.
+        digits = np.clip(width - 8 * k, 0, 8) if longest > 8 else width
+        word = words[end - 8 * (k + 1)]
+        word ^= _ASCII_ZEROS
+        word &= _HIGH_BYTES[digits]
+        nibbles |= word
+        nibbles |= word + _SIXES
+        for mask, factor, shift in _SWAR_STEPS:
+            word &= mask
+            word *= factor
+            word >>= shift
+        if k:
+            word *= _POW8[k]
+        value += word
+    return value, (nibbles & _HIGH_NIBBLES) != 0
 
 
 def _block_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """The integers ``buf[start:end]``, or None unless each is an optional '-' then
-    1-19 digits without a leading zero, within int64.
-
-    Each token is read as up to three little-endian words ending at its end,
-    least significant first; they reach at most 24 bytes before it, into
-    ``_FRONT``. In each word the bytes left of the token's first digit are
-    masked off after the XOR with '0' * 8, so they read as zero digits. A
-    byte is a digit when its high nibble and that of byte + 6 are both zero,
-    and three multiply-and-shift steps sum the eight digits.
-    """
+    1-19 digits without a leading zero, within int64."""
     negative = buf[start] == ord("-")
     first = start + negative if negative.any() else start
     width = end - first
@@ -321,32 +353,65 @@ def _block_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarr
     zero_first = buf[first] == ord("0")
     if zero_first.any() and (width[zero_first] != 1).any():
         return None
-    longest = int(width.max())
-    words = _words(buf)
-    value = np.zeros(len(start), dtype=np.uint64)
-    for k in range((longest + 7) // 8):
-        # How many of the word's bytes belong to each token.
-        digits = np.clip(width - 8 * k, 0, 8) if longest > 8 else width
-        word = words[end - 8 * (k + 1)]
-        word ^= _ASCII_ZEROS
-        word &= _HIGH_BYTES[digits]
-        if ((word | (word + _SIXES)) & _HIGH_NIBBLES).any():
-            return None
-        for mask, factor, shift in _SWAR_STEPS:
-            word &= mask
-            word *= factor
-            word >>= shift
-        if k:
-            word *= _POW8[k]
-        value += word
-    if longest == 19 and (value > np.where(negative, np.uint64(2**63), np.uint64(_INT64_MAX))).any():
+    value, bad = _digit_runs(buf, end, width)
+    if bad.any():
         return None
+    if width.max() == 19:
+        if (value > np.where(negative, np.uint64(2**63), np.uint64(_INT64_MAX))).any():
+            return None
     result = value.astype(np.int64)  # 2**63 wraps to -2**63, which negation keeps
     np.negative(result, out=result, where=negative)
     return result
 
 
-def _block_floats(arr: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+def _block_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The JSON numbers ``buf[start:end]`` as float64, or None unless every token
+    matches the JSON number grammar and is finite.
+
+    A token ``-?(0|[1-9][0-9]*)(.[0-9]+)?`` whose digits, read without the
+    point, are an integer ``D < 2**53`` is ``D / 10.0**k`` for its ``k``
+    fraction digits: ``D`` and ``10**k`` (``k <= 16``) are exact doubles, so
+    the one division rounds the token's value correctly, as ``float`` does.
+    The digit runs on both sides of the point are read by ``_digit_runs``.
+    Other tokens (exponents, longer digit strings) go through ``_dfa_floats``.
+    """
+    negative = buf[start] == ord("-")
+    first = start + negative
+    # The first '.' in the eight bytes from the first digit: the lowest zero
+    # byte of the word XOR '.' * 8, found exactly by the borrow trick.
+    word = _words(buf)[first] ^ _DOTS
+    zeros = (word - _ONES) & ~word & _HIGH_BITS
+    lowest = zeros & (~zeros + np.uint64(1))
+    offset = (np.frexp(lowest.astype(np.float64))[1] - 1) >> 3
+    point = np.where(zeros != 0, first + offset, end)
+    np.minimum(point, end, out=point)
+    whole = point - first
+    fraction = np.maximum(end - point - 1, 0)
+    fast = (whole >= 1) & (whole + fraction <= 16) & ((point == end) | (fraction >= 1))
+    fast &= (whole == 1) | (buf[first] != ord("0"))
+    whole *= fast
+    fraction *= fast
+    high, high_bad = _digit_runs(buf, point, whole)
+    low, low_bad = _digit_runs(buf, end, fraction)
+    high *= _POW10_INTS[fraction]
+    high += low
+    fast &= ~high_bad & ~low_bad & (high < np.uint64(2**53))
+    values = high.astype(np.float64)
+    values /= _POW10_FLOATS[fraction]
+    np.negative(values, out=values, where=negative)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        rest = _dfa_floats(buf, start[slow], end[slow])
+        if rest is None:
+            return None
+        values[slow] = rest
+    # json reads the token -0 as the integer 0, hence +0.0, and -0.0 as -0.0.
+    # -0 is the only zero among two-byte tokens; adding 0.0 moves no other value.
+    values[end - start == 2] += 0.0
+    return values
+
+
+def _dfa_floats(arr: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """The JSON numbers ``arr[start:end]`` as float64, or None unless every token
     matches the JSON number grammar and is finite.
 
@@ -366,9 +431,6 @@ def _block_floats(arr: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     if not (_NUM_NEXT[state, _END] == _ACCEPT).all():
         return None
     values = chars.view(f"S{columns}").ravel().astype(np.float64)
-    # json reads the token -0 as the integer 0, hence +0.0, and -0.0 as -0.0.
-    # -0 is the only zero among two-byte tokens; adding 0.0 moves no other value.
-    values[width == 2] += 0.0
     # Out of range ("1e400", a 400-digit integer): json reports these per line.
     return values if np.isfinite(values).all() else None
 

@@ -194,6 +194,8 @@ def roc(
     Duplicate thresholds are dropped; of ``0.0`` and ``-0.0`` the first
     listed is kept. Both classes are sorted once and every threshold is
     counted with one ``searchsorted`` per class (Fawcett 2006, Algorithm 1).
+    Thresholds that already increase strictly (``--auto`` passes the
+    distinct scores) skip the deduplicating sort and its index arrays.
     """
     if alerts.kind is not AlertKind.SCORED:
         raise EvaluationError("roc requires scored alerts")
@@ -214,10 +216,13 @@ def roc(
     if n_attack == 0 or n_benign == 0:
         raise EvaluationError("roc requires both attack and benign points in the labels")
 
-    # np.unique sorts stably, so return_index points at each value's first
-    # occurrence: the first listed of 0.0 and -0.0 survives, as with set().
-    _, first = np.unique(requested, return_index=True)
-    swept = requested[first][::-1]
+    if np.all(requested[1:] > requested[:-1]):
+        swept = requested[::-1]
+    else:
+        # np.unique sorts stably, so return_index points at each value's first
+        # occurrence: the first listed of 0.0 and -0.0 survives, as with set().
+        _, first = np.unique(requested, return_index=True)
+        swept = requested[first][::-1]
     attack_scores = np.sort(alerts.values[attack])
     benign_scores = np.sort(alerts.values[~attack])
     tp = n_attack - np.searchsorted(attack_scores, swept, side="left")

@@ -36,8 +36,8 @@ from .model import (
 from .pointwise import RocCurve
 
 UNDEFINED_CELL = "—"
-# Rows per %-template in the ROC writers and render_timeline; bounds the
-# transient Python objects.
+# Rows per chunk of the ROC writers and per %-template in render_timeline;
+# bounds the transient arrays and Python objects.
 _ROWS = 1 << 14
 
 
@@ -274,7 +274,10 @@ def render_timeline(
     Spans are widened in numpy and each lane's ``<rect>`` rows are one
     ``%`` template filled from ``tolist()`` chunks.
     """
-    min_width = float(min_width_ticks)
+    try:
+        min_width = float(min_width_ticks)
+    except OverflowError:  # an int or Fraction past the float range
+        min_width = np.inf
     if not 0 <= min_width < np.inf:
         raise ParameterError("min_width_ticks must be finite and non-negative")
     exempt_names = set(exempt)
@@ -390,72 +393,100 @@ def render_timeline(
     )
 
 
-def _roc_rows(curve: RocCurve, row: str, ends: tuple[str, str] | None = None) -> Iterator[str]:
-    """``row``, a template over threshold, fpr and tpr, filled for every point.
+def _column_fields(values: np.ndarray) -> np.ndarray:
+    """``repr_fields`` of ``values``, each run of equal bit patterns formatted once.
 
-    Each yielded string covers up to ``_ROWS`` points, filled from
-    ``tolist()`` chunks. ``tpr`` takes few distinct values (one per attack
-    count), so its reprs are made once per bit pattern, which keeps ``0.0``
-    and ``-0.0`` apart, and go in through ``%s``; the other two columns are
-    nearly all distinct. ``ends`` replaces the first and last thresholds.
+    A ROC coordinate repeats while only the other class crosses thresholds;
+    comparing bit patterns keeps ``0.0`` and ``-0.0`` apart.
     """
-    keys, inverse = np.unique(np.ascontiguousarray(curve.tpr).view(np.uint64), return_inverse=True)
-    tpr_reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    # Imported on use, so that verbs without a ROC never compile it.
+    from .floattext import repr_fields
+
+    bits = np.ascontiguousarray(values).view(np.uint64)
+    heads = np.empty(len(bits), dtype=bool)
+    heads[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    if np.count_nonzero(heads) * 2 > len(bits):
+        return repr_fields(values)
+    return repr_fields(values[heads])[np.cumsum(heads) - 1]
+
+
+def _roc_rows(
+    curve: RocCurve, pieces: tuple[bytes, ...], ends: tuple[bytes, bytes] | None = None
+) -> Iterator[bytes]:
+    """Per point, ``pieces`` interleaved with the reprs of threshold, fpr and tpr.
+
+    Each yielded chunk covers up to ``_ROWS`` points. A chunk is a uint8 row
+    per point: the pieces, broadcast, with each column's NUL-padded field
+    (``floattext.repr_fields``) copied in between; dropping the NULs leaves
+    the text. ``ends`` replaces the first and last thresholds.
+    """
+    from .floattext import WIDTH
+
+    template = np.frombuffer((b"\0" * WIDTH).join(pieces), dtype=np.uint8)
+    offsets = (np.cumsum([len(piece) + WIDTH for piece in pieces[:-1]]) - WIDTH).tolist()
+    threshold = slice(offsets[0], offsets[0] + WIDTH)
+    if ends is not None:
+        first, last = (np.frombuffer(end.ljust(WIDTH, b"\0"), dtype=np.uint8) for end in ends)
     n = len(curve.thresholds)
     for start in range(0, n, _ROWS):
-        rows = slice(start, start + _ROWS)
-        thresholds: list[float | str] = curve.thresholds[rows].tolist()
+        stop = min(start + _ROWS, n)
+        rows = np.empty((stop - start, len(template)), dtype=np.uint8)
+        rows[:] = template
+        for at, column in zip(offsets, (curve.thresholds, curve.fpr, curve.tpr)):
+            rows[:, at : at + WIDTH] = _column_fields(column[start:stop])
         if ends is not None:
             if start == 0:
-                thresholds[0] = ends[0]
-            if start + _ROWS >= n:
-                thresholds[-1] = ends[1]
-        fields: list[float | str] = [0.0] * (3 * len(thresholds))
-        fields[0::3] = thresholds
-        fields[1::3] = curve.fpr[rows].tolist()
-        fields[2::3] = tpr_reprs[inverse[rows]].tolist()
-        yield (row * len(thresholds)) % tuple(fields)
+                rows[0, threshold] = first
+            if stop == n:
+                rows[-1, threshold] = last
+        yield rows[rows != 0].tobytes()
 
 
-def roc_csv_chunks(curve: RocCurve) -> Iterator[str]:
-    """The text of ``roc_to_csv`` in pieces, made as they are consumed."""
-    yield "threshold,fpr,tpr\n"
-    yield from _roc_rows(curve, "%r,%r,%s\n")
+def roc_csv_chunks(curve: RocCurve) -> Iterator[bytes]:
+    """The UTF-8 text of ``roc_to_csv`` in pieces, made as they are consumed."""
+    yield b"threshold,fpr,tpr\n"
+    yield from _roc_rows(curve, (b"", b",", b",", b"\n"))
 
 
 def roc_to_csv(curve: RocCurve) -> str:
     """CSV form of a ROC sweep: threshold, fpr, tpr per row.
 
-    Float reprs need no CSV quoting, so the rows are a ``%r,%r,%s``
-    template, byte-equal to ``csv.writer`` over the same reprs.
+    Float reprs need no CSV quoting, so each row is the three reprs joined
+    by commas, byte-equal to ``csv.writer`` over the same reprs.
     """
-    return "".join(roc_csv_chunks(curve))
+    return b"".join(roc_csv_chunks(curve)).decode()
 
 
 def roc_json_chunks(
     curve: RocCurve, dataset: str, detector: str, area: float | None
-) -> Iterator[str]:
-    """The text of ``roc_to_json`` in pieces; the curve is checked before the first."""
+) -> Iterator[bytes]:
+    """The UTF-8 text of ``roc_to_json`` in pieces; the curve is checked before the first."""
     if len(curve.thresholds) == 0 or not np.all(np.isfinite(curve.thresholds[1:-1])):
         raise ValueError("a ROC curve in JSON needs points, infinite only at either end")
-    # str(float) is its repr; the endpoint strings go in already quoted.
-    point = '    {\n      "threshold": %s,\n      "fpr": %r,\n      "tpr": %s\n    },\n'
+    # json.dumps writes a finite float as its repr; the endpoints go in quoted.
+    pieces = (
+        b'    {\n      "threshold": ',
+        b',\n      "fpr": ',
+        b',\n      "tpr": ',
+        b"\n    },\n",
+    )
     head = (
         "{\n"
         f'  "dataset": {json.dumps(dataset)},\n'
         f'  "detector": {json.dumps(detector)},\n'
         f'  "auc": {json.dumps(area)},\n'
         '  "points": [\n'
-    )
+    ).encode()
 
-    def chunks() -> Iterator[str]:
+    def chunks() -> Iterator[bytes]:
         yield head
-        rows = _roc_rows(curve, point, ('"inf"', '"-inf"'))
+        rows = _roc_rows(curve, pieces, (b'"inf"', b'"-inf"'))
         last = next(rows)
         for chunk in rows:
             yield last
             last = chunk
-        yield last[:-2] + "\n  ]\n}\n"  # the last point takes no comma
+        yield last[:-2] + b"\n  ]\n}\n"  # the last point takes no comma
 
     return chunks()
 
@@ -466,7 +497,8 @@ def roc_to_json(curve: RocCurve, dataset: str, detector: str, area: float | None
     The text equals ``json.dumps(payload, indent=2) + "\\n"`` of that payload,
     with the first and last thresholds (the synthetic infinite endpoints;
     JSON has no infinity) written as the strings ``"inf"`` and ``"-inf"``.
-    ``json.dumps`` writes a finite float as its repr, so the points are a
-    template, without the pure-Python encoder that ``indent`` selects.
+    ``json.dumps`` writes a finite float as its repr, so the points are rows
+    of reprs between fixed pieces, without the pure-Python encoder that
+    ``indent`` selects.
     """
-    return "".join(roc_json_chunks(curve, dataset, detector, area))
+    return b"".join(roc_json_chunks(curve, dataset, detector, area)).decode()

@@ -188,6 +188,38 @@ class TestEvaluate:
         assert code == 2
         assert "not both" in stderr
 
+    @pytest.mark.parametrize("tick", ["1e400", "1e308"])
+    def test_tick_past_float_range_in_seconds_exits_2(self, workdir, capsys, tick):
+        # 1e308 is a float, but a delay of 8.5 ticks in seconds is not.
+        demo = Path(__file__).resolve().parents[1] / "data" / "demo"
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--labels", demo / "labels.csv",
+            "--alerts", demo / "lagged.jsonl", "--tick-seconds", tick,
+            "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (
+            f"error: --tick-seconds {tick}: the series' 5000 ticks in seconds "
+            "overflow a 64-bit float\n"
+        )
+
+    def test_manifest_tick_past_float_range_in_seconds_exits_2(self, workdir, capsys):
+        manifest = workdir / "huge-tick.json"
+        manifest.write_text(
+            json.dumps({"name": "plant", "labels": "labels.csv", "tick_seconds": 1e307}),
+            encoding="utf-8",
+        )
+        code, _, stderr = run(
+            capsys, "evaluate", "--config", manifest, "--detector", "baseline:never",
+            "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stderr == (
+            f"error: tick_seconds of {manifest}: the series' 50 ticks in seconds "
+            "overflow a 64-bit float\n"
+        )
+
     def test_warnings_go_to_stderr(self, workdir, capsys):
         sparse = workdir / "sparse.csv"
         rows = ["timestamp,label"] + [

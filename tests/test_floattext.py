@@ -1,0 +1,88 @@
+"""``floattext.repr_fields`` against ``repr``, byte for byte.
+
+The formatter certifies every digit string it builds and leaves the rest to
+``float.__repr__``, so its fields must equal ``repr`` for any double: raw bit
+patterns, neighbours of powers of ten and two, signed zeros, subnormals,
+non-finite values and the ``k/n`` ratios that ROC curves are made of.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idseval.floattext import WIDTH, repr_fields
+
+
+def assert_reprs(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    fields = repr_fields(values)
+    assert fields.shape == (len(values), WIDTH)
+    got = [bytes(row).rstrip(b"\0").decode() for row in fields]
+    assert got == [repr(value) for value in values.tolist()]
+
+
+def from_bits(bits: list[int]) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# Sign, biased exponent and mantissa; the exponents span 1e-5 to 1e17, where
+# repr switches between exponent and fixed notation.
+fixed_range_bits = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.integers(1006, 1080),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | fixed_range_bits, max_size=40))
+def test_raw_bit_patterns(bits):
+    assert_reprs(from_bits(bits))
+
+
+def test_neighbours_of_powers_of_ten():
+    values = []
+    for k in range(-5, 18):
+        power = 10.0**k
+        values += [power, np.nextafter(power, np.inf), np.nextafter(power, -np.inf)]
+    assert_reprs(values + [-v for v in values])
+
+
+def test_powers_of_two_and_integers_near_2_53():
+    values = [2.0**k for k in range(-20, 60)]
+    for base in (2**52, 2**53):
+        values += [float(base + d) for d in range(-3, 4)]
+    values += [np.nextafter(v, np.inf) for v in values] + [np.nextafter(v, -np.inf) for v in values]
+    assert_reprs(values)
+
+
+def test_zeros_subnormals_and_classics():
+    assert_reprs([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        0.1 + 0.2, 1e-4, 1e16, 9999999999999998.0, 0.00009999999999999999, 1 / 3, 2 / 3,
+        np.inf, -np.inf, np.nan, 1.7976931348623157e308,
+    ])
+
+
+def test_ties_at_17_digits():
+    # Dyadic values halfway between two 17-digit decimals: repr takes the even one.
+    assert_reprs([211 / 2**21, 15.4560699462890625, 12.5990753173828125, 10.7559356689453125])
+
+
+def test_ratios():
+    # 10**5 fractions k/n, as fpr and tpr of a ROC sweep are.
+    rng = np.random.default_rng(5)
+    n = rng.integers(1, 10**7, 10**5)
+    k = rng.integers(0, n + 1)
+    assert_reprs(k / n)
+
+
+@pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 10000])
+def test_any_length(size):
+    # Values are formatted in blocks; lengths around a block's size.
+    rng = np.random.default_rng(size)
+    assert_reprs(rng.random(size) * 10.0 ** rng.integers(-6, 18, size))

@@ -1,4 +1,4 @@
-"""The read buffer, word-at-a-time integers and run-coded labels of ``ingest``.
+"""The read buffer, word-at-a-time integers and scores, and run-coded labels of ``ingest``.
 
 Blocks come from one reused buffer, so these tests check what crosses a
 refill: lines split between two reads, lines longer than the whole buffer,
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 
 import numpy as np
@@ -78,6 +79,60 @@ class TestWordIntegers:
         # The first token of a file starts at the buffer's front, so its
         # words reach before it.
         assert block_ints([b"1234567890123456789", b"2"]) == [1234567890123456789, 2]
+
+
+def block_floats(tokens: list[bytes]) -> list[int] | None:
+    """The bit patterns ``_block_floats`` reads from one block holding one token per line."""
+    payload = b"".join(token + b"\n" for token in tokens)
+    buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload)))
+    starts, ends = ingest._line_bounds(buf, lo, hi)
+    values = ingest._block_floats(buf, starts, ends)
+    return None if values is None else values.view(np.uint64).tolist()
+
+
+def json_bits(tokens: list[bytes]) -> list[int]:
+    return np.array([float(json.loads(t)) for t in tokens]).view(np.uint64).tolist()
+
+
+class TestWordScores:
+    """Score tokens of up to 16 digits, read by word as ``D / 10**k``, against ``json``."""
+
+    def test_reprs(self):
+        rng = np.random.default_rng(7)
+        n = 10000  # 40k tokens, one block
+        values = np.concatenate([
+            rng.random(n),
+            np.round(rng.random(n), 6),
+            -rng.random(n) * 10.0 ** rng.integers(-7, 18, n),
+            rng.integers(0, 10**6, n) / rng.integers(1, 10**6, n),
+        ])
+        tokens = [repr(v).encode() for v in values.tolist()]
+        assert block_floats(tokens) == json_bits(tokens)
+
+    @pytest.mark.parametrize("count", range(1, 20))
+    def test_every_digit_count_and_point_position(self, count):
+        rng = random.Random(count)
+        tokens = []
+        for _ in range(40):
+            text = digits(rng, count).decode()
+            cut = rng.randint(0, count)
+            token = text if cut == count else (text[:cut] or "0") + "." + text[cut:]
+            tokens.append((rng.choice(["", "-"]) + token).encode())
+        assert block_floats(tokens) == json_bits(tokens)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["9007199254740992", "9007199254740993", "-9007199254740993", "900719925474099.3",
+         "0.000123", "0.0000000000000001", "1e5", "1.5E-3", "-0", "-0.0", "0", "0.0",
+         "12345678901234567890"],
+    )
+    def test_edges(self, token):
+        tokens = [b"0.5", token.encode(), b"2"]
+        assert block_floats(tokens) == json_bits(tokens)
+
+    @pytest.mark.parametrize("token", ["1.", ".5", "01.5", "-", "1.2.3", "0x1", "1,5", "- 1", "1e"])
+    def test_malformed_tokens_are_refused(self, token):
+        assert block_floats([b"0.5", token.encode()]) is None
 
 
 def label_file(rows) -> bytes:

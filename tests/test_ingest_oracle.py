@@ -30,7 +30,12 @@ LABELS = ("benign", "0", "dos", "spoof", "replay", "scan x")
 BAD_NUMBERS = ("1.", ".5", "nan", "inf", "+1", "1_0", "NaN", "Infinity", "-Infinity",
                "01", "-01", "1e400", "1" + "0" * 400)
 # Valid JSON numbers that save_alerts never writes; json reads -0 as the integer 0.
-VALID_NUMBERS = ("-0", "-0.0", "0e0", "-0E-0", "1E2", "1.50")
+# Then tokens of 15-19 digits on either side of 2**53, where score tokens
+# leave the word-parsed route, and a few short ones that stay on it.
+VALID_NUMBERS = ("-0", "-0.0", "0e0", "-0E-0", "1E2", "1.50",
+                 "123456789012345", "-0.12345678901234", "9007199254740992",
+                 "9007199254740993", "-900719925474099.3", "1234567890123456789",
+                 "0.1234567890123456789", "12345678.901234567", "0.000123", "-12.5")
 ISO_MIN, ISO_MAX = -62135596800, 253402300799  # datetime's range in epoch seconds
 SETTINGS = settings(
     max_examples=100,

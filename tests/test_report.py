@@ -293,6 +293,13 @@ class TestTimelineSvg:
         with pytest.raises(ParameterError, match="must be finite and non-negative"):
             render_timeline(self.series(), [], min_width_ticks=min_width)
 
+    @pytest.mark.parametrize(
+        "min_width", [Fraction(10**400), 10**400, -(10**400)], ids=["fraction", "int", "negative"]
+    )
+    def test_min_width_past_float_range_rejected(self, min_width):
+        with pytest.raises(ParameterError, match="must be finite and non-negative"):
+            render_timeline(self.series(), [], min_width_ticks=min_width)
+
     def test_save_writes_svg_bytes(self, tmp_path):
         rendering = render_timeline(self.series(), [])
         target = tmp_path / "timeline.svg"

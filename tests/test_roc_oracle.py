@@ -125,6 +125,18 @@ def test_auto_sweep_over_many_tied_scores():
     assert_same_sweep(attack, scores, np.unique(scores))
 
 
+def test_sorted_distinct_thresholds_skip_the_dedup_but_not_the_copy():
+    # --auto passes np.unique output; such input is swept as given.
+    attack, scores = [False, True, True, False], [0.1, 0.9, 0.4, -0.0]
+    thresholds = np.array([-0.0, 0.1, 0.4, 2.0])
+    assert_same_sweep(attack, scores, thresholds)
+    assert_same_sweep(attack, scores, np.array([0.0, 0.0, 0.4]))  # not strictly increasing
+    curve = roc(make_series(["attack" if a else "benign" for a in attack]),
+                AlertSeries.from_scores("d", scores, "series"), thresholds)
+    thresholds[:] = 7.0
+    assert bits(curve.thresholds) == bits([np.inf, 2.0, 0.4, 0.1, -0.0, -np.inf])
+
+
 class TestRocCurve:
     def test_holds_read_only_float64_arrays(self):
         curve = RocCurve(thresholds=[np.inf, 1, -np.inf], fpr=[0, 0.5, 1], tpr=[0, 1, 1])
