@@ -308,10 +308,10 @@ _POW10_FLOATS = _POW10_INTS.astype(np.float64)
 
 
 def _digit_runs(
-    buf: np.ndarray, end: np.ndarray, width: np.ndarray
+    buf: np.ndarray, end: np.ndarray, width: np.ndarray, longest: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``width`` (0-19) bytes before each ``end`` read as decimal digits: their
-    value, and whether any of them is not a digit.
+    """The ``width`` (0-19, at most ``longest``) bytes before each ``end`` read as
+    decimal digits: their value, and whether any of them is not a digit.
 
     Each run is read as up to three little-endian words ending at its end,
     least significant first; they reach at most 24 bytes before it, into
@@ -320,7 +320,6 @@ def _digit_runs(
     its high nibble and that of byte + 6 are both zero, and three
     multiply-and-shift steps sum the eight digits.
     """
-    longest = int(width.max(initial=0))
     words = _words(buf)
     value = np.zeros(len(end), dtype=np.uint64)
     nibbles = np.zeros(len(end), dtype=np.uint64)
@@ -353,12 +352,12 @@ def _block_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarr
     zero_first = buf[first] == ord("0")
     if zero_first.any() and (width[zero_first] != 1).any():
         return None
-    value, bad = _digit_runs(buf, end, width)
+    longest = int(width.max())
+    value, bad = _digit_runs(buf, end, width, longest)
     if bad.any():
         return None
-    if width.max() == 19:
-        if (value > np.where(negative, np.uint64(2**63), np.uint64(_INT64_MAX))).any():
-            return None
+    if longest == 19 and (value > np.where(negative, np.uint64(2**63), np.uint64(_INT64_MAX))).any():
+        return None
     result = value.astype(np.int64)  # 2**63 wraps to -2**63, which negation keeps
     np.negative(result, out=result, where=negative)
     return result
@@ -391,8 +390,8 @@ def _block_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     fast &= (whole == 1) | (buf[first] != ord("0"))
     whole *= fast
     fraction *= fast
-    high, high_bad = _digit_runs(buf, point, whole)
-    low, low_bad = _digit_runs(buf, end, fraction)
+    high, high_bad = _digit_runs(buf, point, whole, int(whole.max(initial=0)))
+    low, low_bad = _digit_runs(buf, end, fraction, int(fraction.max(initial=0)))
     high *= _POW10_INTS[fraction]
     high += low
     fast &= ~high_bad & ~low_bad & (high < np.uint64(2**53))
@@ -908,7 +907,6 @@ def validate_pair(
     by_type: dict[str, int] = {}
     for scenario in scenarios:
         by_type[scenario.attack_type] = by_type.get(scenario.attack_type, 0) + 1
-    duration = (int(series.timestamps[-1]) - int(series.timestamps[0]) + 1) * series.tick_seconds
 
     warnings: list[str] = []
     if not scenarios:
@@ -942,7 +940,7 @@ def validate_pair(
         attack_fraction=attack_fraction,
         n_scenarios=len(scenarios),
         scenarios_by_type=by_type,
-        duration_seconds=duration,
+        duration_seconds=series.span_seconds,
         alert_kind=alert_kind,
         alert_fraction=alert_fraction,
         warnings=tuple(warnings),

@@ -83,6 +83,15 @@ class LabeledSeries:
             raise ValueError("timestamps must be strictly increasing")
         if self.tick_seconds <= 0:
             raise ValueError("tick_seconds must be positive")
+        try:
+            # Every duration reported in seconds (delays, the span) is at most this.
+            float(self.span_seconds)
+        except OverflowError:
+            span = self.span_seconds / self.tick_seconds
+            raise ParameterError(
+                f"tick_seconds is too large: the series' {span} ticks in seconds"
+                " overflow a 64-bit float"
+            ) from None
         for type_name in self.attack_types:
             if not type_name:
                 raise ValueError("attack type ids must be non-empty")
@@ -124,6 +133,11 @@ class LabeledSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    @property
+    def span_seconds(self) -> Fraction:
+        """From the first tick to the end of the last, in seconds."""
+        return (int(self.timestamps[-1]) - int(self.timestamps[0]) + 1) * self.tick_seconds
 
     @cached_property
     def attack_mask(self) -> np.ndarray:

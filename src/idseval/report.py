@@ -393,24 +393,6 @@ def render_timeline(
     )
 
 
-def _column_fields(values: np.ndarray) -> np.ndarray:
-    """``repr_fields`` of ``values``, each run of equal bit patterns formatted once.
-
-    A ROC coordinate repeats while only the other class crosses thresholds;
-    comparing bit patterns keeps ``0.0`` and ``-0.0`` apart.
-    """
-    # Imported on use, so that verbs without a ROC never compile it.
-    from .floattext import repr_fields
-
-    bits = np.ascontiguousarray(values).view(np.uint64)
-    heads = np.empty(len(bits), dtype=bool)
-    heads[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
-    if np.count_nonzero(heads) * 2 > len(bits):
-        return repr_fields(values)
-    return repr_fields(values[heads])[np.cumsum(heads) - 1]
-
-
 def _roc_rows(
     curve: RocCurve, pieces: tuple[bytes, ...], ends: tuple[bytes, bytes] | None = None
 ) -> Iterator[bytes]:
@@ -421,7 +403,8 @@ def _roc_rows(
     (``floattext.repr_fields``) copied in between; dropping the NULs leaves
     the text. ``ends`` replaces the first and last thresholds.
     """
-    from .floattext import WIDTH
+    # Imported on use, so that verbs without a ROC never compile it.
+    from .floattext import WIDTH, repr_fields
 
     template = np.frombuffer((b"\0" * WIDTH).join(pieces), dtype=np.uint8)
     offsets = (np.cumsum([len(piece) + WIDTH for piece in pieces[:-1]]) - WIDTH).tolist()
@@ -434,7 +417,7 @@ def _roc_rows(
         rows = np.empty((stop - start, len(template)), dtype=np.uint8)
         rows[:] = template
         for at, column in zip(offsets, (curve.thresholds, curve.fpr, curve.tpr)):
-            rows[:, at : at + WIDTH] = _column_fields(column[start:stop])
+            rows[:, at : at + WIDTH] = repr_fields(column[start:stop])
         if ends is not None:
             if start == 0:
                 rows[0, threshold] = first

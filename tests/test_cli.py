@@ -200,7 +200,7 @@ class TestEvaluate:
         assert code == 2
         assert stdout == ""
         assert stderr == (
-            f"error: --tick-seconds {tick}: the series' 5000 ticks in seconds "
+            "error: tick_seconds is too large: the series' 5000 ticks in seconds "
             "overflow a 64-bit float\n"
         )
 
@@ -216,7 +216,7 @@ class TestEvaluate:
         )
         assert code == 2
         assert stderr == (
-            f"error: tick_seconds of {manifest}: the series' 50 ticks in seconds "
+            "error: tick_seconds is too large: the series' 50 ticks in seconds "
             "overflow a 64-bit float\n"
         )
 
@@ -381,6 +381,16 @@ class TestRoc:
         assert text.splitlines()[0] == "threshold,fpr,tpr"
         # Two distinct scores plus the two synthetic endpoints.
         assert len(text.splitlines()) == 5
+
+    def test_tick_past_float_range_in_seconds_exits_2(self, workdir, capsys):
+        # The sweep converts no tick to seconds, but the dataset is rejected on load.
+        code, stdout, stderr = run(
+            capsys, "roc", "--labels", workdir / "labels.csv", "--tick-seconds", "1e308",
+            "--alerts", workdir / "scores.jsonl", "--auto", "--out", workdir / "run",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: tick_seconds is too large")
+        assert not (workdir / "run").exists()
 
     def test_json_format_encodes_infinities(self, workdir, capsys):
         out = workdir / "run"

@@ -14,6 +14,7 @@ from idseval import (
     AlertSeries,
     DatasetManifest,
     IngestError,
+    ParameterError,
     ValidationReport,
     load_alerts,
     load_labels,
@@ -54,6 +55,13 @@ class TestLoadLabels:
         series = load_labels(path, name="plant", tick_seconds="0.1")
         assert series.name == "plant"
         assert series.tick_seconds == Fraction(1, 10)
+
+    def test_tick_past_float_range_in_seconds_rejected(self):
+        # Once loaded, delays and the span in seconds are floats, so evaluate_detector
+        # and validate_pair never reach an OverflowError of their own.
+        demo = Path(__file__).resolve().parents[1] / "data" / "demo" / "labels.csv"
+        with pytest.raises(ParameterError, match="the series' 5000 ticks in seconds overflow"):
+            load_labels(demo, tick_seconds=Fraction("1e308"))
 
     def test_iso_timestamps_become_epoch_seconds(self, tmp_path):
         path = write(

@@ -71,6 +71,14 @@ class TestLabeledSeries:
         with pytest.raises(ValueError, match="unique"):
             LabeledSeries("x", np.array([1]), np.array([1]), ("a", "a"))
 
+    def test_rejects_tick_whose_span_in_seconds_overflows_a_float(self):
+        # One tick of 1e308 s fits a float; the two-tick span of 2e308 s does not.
+        assert make_series(["benign"], tick_seconds="1e308").span_seconds == Fraction(10**308)
+        with pytest.raises(ParameterError, match="the series' 2 ticks in seconds overflow"):
+            make_series(["benign", "dos"], tick_seconds="1e308")
+        with pytest.raises(ParameterError, match="the series' 1 ticks in seconds overflow"):
+            make_series(["benign"], tick_seconds="1e400")
+
     def test_arrays_are_frozen(self):
         series = make_series(["benign", "dos"])
         with pytest.raises(ValueError):
