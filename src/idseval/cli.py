@@ -248,8 +248,6 @@ def cmd_roc(args: argparse.Namespace) -> int:
     if len(tokens) != 1:
         raise ParameterError("roc sweeps one scored detector at a time")
     sources = _resolve_alerts(tokens, series, args.seed)
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
     alert = sources[0][0]
     if alert.kind is not AlertKind.SCORED:
         raise EvaluationError(
@@ -260,6 +258,8 @@ def cmd_roc(args: argparse.Namespace) -> int:
         series = collapse_multiclass(series)
     curve = roc(series, alert, _roc_thresholds(args, alert))
     area = auc(curve)
+    outdir = _prepare_outdir(args)
+    _copy_alerts(sources, series, outdir)
     if args.format == "json":
         chunks = roc_json_chunks(curve, series.name, alert.detector, area.value)
         target = outdir / "roc.json"
@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep thresholds over scored alerts and report the curve and AUC",
     )
     p_roc.add_argument(
-        "--thresholds", metavar="LIST", help="comma-separated threshold values"
+        "--thresholds", metavar="LIST",
+        help="comma-separated threshold values; write a list that starts with a "
+             "negative number as --thresholds=-0.5,0.1",
     )
     p_roc.add_argument(
         "--auto", action="store_true",

@@ -123,11 +123,24 @@ _T0, _T1, _T2, _SHIFT = _templates()
 
 
 def repr_fields(values: np.ndarray) -> np.ndarray:
-    """``repr`` of every float64 in ``values`` as rows of ``WIDTH`` bytes, NUL-padded."""
+    """``repr`` of every float64 in ``values`` as rows of ``WIDTH`` bytes, NUL-padded.
+
+    Each run of consecutive equal bit patterns is formatted once and its
+    field repeated; bits, not values, are compared, so ``0.0`` and ``-0.0``
+    stay apart.
+    """
     x = np.ascontiguousarray(values, dtype=np.float64)
-    words = np.empty((len(x), 3), dtype=np.uint64)
-    for start in range(0, len(x), _BLOCK):
-        _fill(x[start : start + _BLOCK], words[start : start + _BLOCK])
+    bits = x.view(np.uint64)
+    head = np.empty(len(x), dtype=bool)
+    head[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    distinct = x[heads]
+    words = np.empty((len(distinct), 3), dtype=np.uint64)
+    for start in range(0, len(distinct), _BLOCK):
+        _fill(distinct[start : start + _BLOCK], words[start : start + _BLOCK])
+    if len(distinct) < len(x):
+        words = words.repeat(np.diff(heads, append=len(x)), axis=0)
     return words.view(np.uint8)
 
 

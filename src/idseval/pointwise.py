@@ -221,18 +221,24 @@ def roc(
     else:
         # np.unique sorts stably, so return_index points at each value's first
         # occurrence: the first listed of 0.0 and -0.0 survives, as with set().
-        _, first = np.unique(requested, return_index=True)
-        swept = requested[first][::-1]
-    attack_scores = np.sort(alerts.values[attack])
-    benign_scores = np.sort(alerts.values[~attack])
-    tp = n_attack - np.searchsorted(attack_scores, swept, side="left")
-    fp = n_benign - np.searchsorted(benign_scores, swept, side="left")
-    # int64 / int is correctly rounded below 2**53, like Python's int / int.
-    return RocCurve(
-        thresholds=np.concatenate(([np.inf], swept, [-np.inf])),
-        fpr=np.concatenate(([0.0], fp / n_benign, [1.0])),
-        tpr=np.concatenate(([0.0], tp / n_attack, [1.0])),
-    )
+        swept = requested[np.unique(requested, return_index=True)[1]][::-1]
+    # The curve is written in place, into arrays that RocCurve then shares.
+    thresholds = np.empty(len(swept) + 2)
+    thresholds[0], thresholds[1:-1], thresholds[-1] = np.inf, swept, -np.inf
+    del swept
+    fpr, tpr = np.empty_like(thresholds), np.empty_like(thresholds)
+    for coords, mask, total in ((fpr, ~attack, n_benign), (tpr, attack, n_attack)):
+        scores = alerts.values[mask]
+        scores.sort()
+        counts = np.searchsorted(scores, thresholds[1:-1], side="left")
+        del scores
+        # int64 / int is correctly rounded below 2**53, like Python's int / int.
+        np.divide(np.subtract(total, counts, out=counts), total, out=coords[1:-1])
+        del counts
+        coords[0], coords[-1] = 0.0, 1.0
+    for array in (thresholds, fpr, tpr):
+        array.setflags(write=False)
+    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
 
 
 def auc(curve: RocCurve) -> MetricValue:

@@ -422,6 +422,7 @@ class TestRoc:
         )
         assert code == 1
         assert "score them with evaluate instead" in stderr
+        assert not (workdir / "run").exists()
 
     @pytest.mark.parametrize(
         "extra,match",
@@ -429,6 +430,8 @@ class TestRoc:
             ([], "pass --thresholds LIST or --auto"),
             (["--thresholds", "0.5", "--auto"], "not both"),
             (["--thresholds", "high,low"], "comma-separated numbers"),
+            (["--thresholds=nan"], "thresholds must be finite"),
+            (["--thresholds", ","], "at least one threshold"),
         ],
     )
     def test_threshold_usage_errors(self, workdir, capsys, extra, match):
@@ -438,6 +441,19 @@ class TestRoc:
         )
         assert code == 2
         assert match in stderr
+        assert not (workdir / "run").exists()
+
+    def test_negative_first_threshold_after_equals_sign(self, workdir, capsys):
+        # "--thresholds -0.5,0.1" reads -0.5,0.1 as an option; the "=" form does not.
+        out = workdir / "run"
+        code, _, _ = run(
+            capsys, "roc", "--labels", workdir / "labels.csv",
+            "--alerts", workdir / "scores.jsonl", "--thresholds=-0.5,0.1",
+            "--out", out,
+        )
+        assert code == 0
+        rows = (out / "roc.csv").read_text().splitlines()
+        assert rows[2:4] == ["0.1,1.0,1.0", "-0.5,1.0,1.0"]
 
     def test_multiclass_labels_are_collapsed(self, workdir, capsys):
         multi = workdir / "multi.csv"

@@ -8,11 +8,14 @@ non-finite values and the ``k/n`` ratios that ROC curves are made of.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idseval import floattext
 from idseval.floattext import WIDTH, repr_fields
 
 
@@ -86,3 +89,55 @@ def test_any_length(size):
     # Values are formatted in blocks; lengths around a block's size.
     rng = np.random.default_rng(size)
     assert_reprs(rng.random(size) * 10.0 ** rng.integers(-6, 18, size))
+
+
+# Values whose runs the formatter must keep apart or get right alone: both
+# signed zeros, powers of two (left to float.__repr__), NaNs with different
+# payloads and signs, subnormals, and values the arithmetic certifies.
+RUN_POOL = [
+    0x0000000000000000, 0x8000000000000000,  # 0.0, -0.0
+    0x3FF0000000000000, 0x3FE0000000000000, 0x4090000000000000,  # 1.0, 0.5, 1024.0
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,  # NaNs
+    0x0000000000000001, 0x000FFFFFFFFFFFFF,  # 5e-324 and the largest subnormal
+    0x3FB999999999999A, 0x3FD5555555555555, 0x405EDD2F1A9FBE77,  # 0.1, 1/3, 123.456
+]
+
+
+def assert_run_reprs(values: np.ndarray) -> None:
+    """``repr`` for every value, with each run of equal bits formatted once."""
+    formatted = []
+    fill = floattext._fill
+
+    def spy(x, out):
+        formatted.append(len(x))
+        fill(x, out)
+
+    bits = values.view(np.uint64)
+    runs = int(len(bits) > 0) + int(np.count_nonzero(bits[1:] != bits[:-1]))
+    with mock.patch.object(floattext, "_fill", spy):
+        assert_reprs(values)
+    assert sum(formatted) == runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(RUN_POOL), st.integers(1, 5)), max_size=30),
+    st.sampled_from((1, 2, 3, 7, floattext._BLOCK)),
+)
+def test_runs_of_equal_bit_patterns(runs, block):
+    # Small blocks put block edges inside and between runs.
+    values = from_bits([bits for bits, length in runs for _ in range(length)])
+    with mock.patch.object(floattext, "_BLOCK", block):
+        assert_run_reprs(values)
+
+
+def test_runs_across_a_block_edge():
+    # A run of 1.0 over rows _BLOCK - 1 to _BLOCK + 1, then more than
+    # _BLOCK distinct values, so the distinct values fill two blocks.
+    block = floattext._BLOCK
+    assert_run_reprs(np.concatenate((
+        np.arange(1, block) / 7, [1.0] * 3, [-0.0, -0.0, 0.0, 0.0], np.arange(block) / 3,
+    )))
+    assert_run_reprs(np.full(block + 1, 0.1))
+    assert_run_reprs(np.array([1.0]))
+    assert_run_reprs(np.array([]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -34,9 +35,9 @@ from idseval import (
     roc,
     roc_to_csv,
 )
-from idseval import report
+from idseval import pointwise, report
 from idseval.cli import main
-from idseval.model import collapse_multiclass
+from idseval.model import LabeledSeries, collapse_multiclass
 from idseval.report import roc_to_json
 from oracles import roc_oracle
 from support import make_series
@@ -135,6 +136,44 @@ def test_sorted_distinct_thresholds_skip_the_dedup_but_not_the_copy():
                 AlertSeries.from_scores("d", scores, "series"), thresholds)
     thresholds[:] = 7.0
     assert bits(curve.thresholds) == bits([np.inf, 2.0, 0.4, 0.1, -0.0, -np.inf])
+
+
+def test_curve_shares_the_read_only_arrays_roc_builds(monkeypatch):
+    built = []
+
+    def record(**arrays):
+        built.append(arrays)
+        return RocCurve(**arrays)
+
+    monkeypatch.setattr(pointwise, "RocCurve", record)
+    attack, scores = [False, True, True, False, True], [0.1, 0.9, 0.4, -0.0, 0.4]
+    for thresholds in ([0.4, -0.0, 0.4, 2.0], np.array([-0.0, 0.1, 0.4])):
+        curve = roc(make_series(["attack" if a else "benign" for a in attack]),
+                    AlertSeries.from_scores("d", scores, "series"), thresholds)
+        for name, array in built.pop().items():
+            assert not array.flags.writeable
+            assert np.shares_memory(array, getattr(curve, name))
+        assert_same_sweep(attack, scores, thresholds)
+
+
+def test_sweep_peak_memory_is_bounded_by_the_curve():
+    # ~200k distinct thresholds over 220k points. The curve's three arrays are
+    # kept; besides them the sweep holds one class's sorted scores and one
+    # count per threshold (each at most a third of the curve) and a mask.
+    n = 220_000
+    rng = np.random.default_rng(3)
+    series = LabeledSeries("s", np.arange(n), (rng.random(n) < 0.1).astype(np.int32), ("attack",))
+    alerts = AlertSeries.from_scores("d", np.round(rng.random(n), 6), "s")
+    thresholds = np.unique(alerts.values)
+    assert len(thresholds) > 190_000
+    tracemalloc.start()
+    try:
+        curve = roc(series, alerts, thresholds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    curve_bytes = curve.thresholds.nbytes + curve.fpr.nbytes + curve.tpr.nbytes
+    assert peak < 2 * curve_bytes
 
 
 class TestRocCurve:
