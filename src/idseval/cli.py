@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on data or I/O errors, 2 on usage errors
 (including unknown metrics, which also print the catalog). Every run that
 reads or generates alerts copies the raw alert streams into the output
-directory, so a results folder is always reproducible on its own.
+directory, so a results folder is always reproducible on its own. The output
+directory is created only after a run's checks and computation succeed, so a
+rejected run writes nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+# idseval makes no BLAS call, and each idle OpenBLAS worker that numpy starts
+# at import spins on a core before it sleeps. This must run before numpy's
+# first import in the process; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -148,8 +155,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(tokens) != 1:
         raise ParameterError("evaluate scores one detector; use compare for several")
     sources = _resolve_alerts(tokens, series, args.seed)
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
     _print_warnings(series, args.gap_tolerance)
     alert = sources[0][0]
     report = evaluate_detector(
@@ -159,6 +164,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         text = report_to_json(report)
     else:
         text = build_table([report]).render(args.format)
+    outdir = _prepare_outdir(args)
+    _copy_alerts(sources, series, outdir)
     target = outdir / f"report.{args.format}"
     target.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -169,8 +176,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
     sources = _resolve_alerts(tokens, series, args.seed)
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
     _print_warnings(series, args.gap_tolerance)
     metrics = _gather_metrics(args.metrics)
     reports = [
@@ -179,6 +184,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ]
     table = build_table(reports, rank_by=args.rank_by)
     text = table.render(args.format)
+    outdir = _prepare_outdir(args)
+    _copy_alerts(sources, series, outdir)
     target = outdir / f"comparison.{args.format}"
     target.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -212,14 +219,14 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
     sources = _resolve_alerts(tokens, series, args.seed)
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
     rendering = render_timeline(
         series,
         [alert for alert, _ in sources],
         min_width_ticks=parse_min_width(args.min_width, series.tick_seconds),
         exempt=args.exempt or (),
     )
+    outdir = _prepare_outdir(args)
+    _copy_alerts(sources, series, outdir)
     target = outdir / "timeline.svg"
     rendering.save(target)
     widened = sum(np.count_nonzero(lane.widened) for lane in rendering.lanes)

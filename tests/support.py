@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -87,3 +91,21 @@ def alerts_from_intervals(n: int, intervals: list[tuple[int, int]]) -> list[bool
         for i in range(start, end + 1):
             values[i] = True
     return values
+
+
+def fresh_python(*args, **env_updates):
+    """Run ``python ARGS`` in a new interpreter that imports idseval from this checkout.
+
+    A keyword set to None removes that variable from the child's environment.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for name, value in env_updates.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    run = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout

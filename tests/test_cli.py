@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from idseval.cli import main, parse_min_width
 from idseval import ParameterError
+from support import fresh_python
 from fractions import Fraction
 
 
@@ -137,6 +136,7 @@ class TestEvaluate:
         assert stderr.splitlines()[0].startswith("error: unknown metric 'f2'")
         assert "metric catalog:" in stderr
         assert "fbeta" in stderr
+        assert not (workdir / "run").exists()
 
     def test_missing_labels_file_exits_1(self, workdir, capsys):
         code, _, stderr = run(
@@ -165,6 +165,7 @@ class TestEvaluate:
         )
         assert code == 1
         assert "roc" in stderr.splitlines()[-1]
+        assert not (workdir / "run").exists()
 
     def test_two_detectors_rejected(self, workdir, capsys):
         code, _, stderr = run(
@@ -292,6 +293,7 @@ class TestCompare:
         )
         assert code == 2
         assert "rank-by metric 'tpr' is not in the table" in stderr
+        assert not (workdir / "run").exists()
 
     def test_manifest_supplies_alerts(self, workdir, capsys):
         out = workdir / "run"
@@ -341,6 +343,7 @@ class TestTimeline:
         )
         assert code == 2
         assert "cannot parse --min-width" in stderr
+        assert not (workdir / "run").exists()
         with pytest.raises(ParameterError):
             parse_min_width("60x", Fraction(1))
 
@@ -357,6 +360,7 @@ class TestTimeline:
         assert code == 2
         assert stderr.startswith("error: --min-width ")
         assert stderr.count("\n") == 1 and "overflows a 64-bit float" in stderr
+        assert not (workdir / "run").exists()
 
     def test_exempt_unknown_detector_exits_2(self, workdir, capsys):
         code, _, stderr = run(
@@ -366,6 +370,7 @@ class TestTimeline:
         )
         assert code == 2
         assert "exempt names not among the detectors" in stderr
+        assert not (workdir / "run").exists()
 
 
 class TestRoc:
@@ -601,14 +606,36 @@ class TestInputErrorsAreOneLine:
 
 def test_import_leaves_out_the_network_stack():
     """Importing the CLI must not load urllib.request, http.client or email (~50 ms, ~6 MB)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys, idseval.cli\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m in ('urllib.request', 'http.client') or m.split('.')[0] == 'email'))"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert fresh_python("-c", code) == "[]\n"
+
+
+def test_package_import_leaves_out_numpy():
+    code = "import sys, idseval\nprint('numpy' in sys.modules)"
+    assert fresh_python("-c", code) == "False\n"
+
+
+@pytest.mark.parametrize(
+    "module,preset,expected",
+    [("idseval.cli", None, "1"), ("idseval.cli", "3", "3"), ("idseval", None, "None")],
+    ids=["cli-default", "user-setting-wins", "library-untouched"],
+)
+def test_cli_defaults_openblas_to_one_thread(module, preset, expected):
+    code = f"import os, {module}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert fresh_python("-c", code, OPENBLAS_NUM_THREADS=preset) == f"{expected}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_process_starts_no_blas_workers():
+    """After ``import idseval.cli`` (which imports numpy) the process runs one thread."""
+    code = "import os, idseval.cli\nprint(len(os.listdir('/proc/self/task')))"
+    assert fresh_python("-c", code, OPENBLAS_NUM_THREADS=None) == "1\n"
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "compare", "timeline", "roc", "baseline"])
+def test_verb_help_runs_as_module(verb):
+    assert fresh_python("-m", "idseval.cli", verb, "--help").startswith("usage: idseval " + verb)
