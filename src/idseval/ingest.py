@@ -39,7 +39,9 @@ from .model import (
     AlertSeries,
     EvaluationError,
     LabeledSeries,
+    ParameterError,
     extract_scenarios,
+    format_fraction,
     require_alignment,
 )
 
@@ -518,7 +520,7 @@ def _fast_labels(
 
 
 def _label_rows(
-    path: Path, lines: Iterable[str], first_line: int, index: dict[str, int], header: bool
+    path: Path, lines: Iterable[str], first: int, index: dict[str, int], tick: Fraction, header: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """CSV rows parsed and checked row by row, as ``_fast_labels`` returns them
     (each row a run of one), then the line of each row.
@@ -537,19 +539,24 @@ def _label_rows(
                 raise _fail(path, None, "empty file, expected a 'timestamp,label' header") from None
             if tuple(cell.strip() for cell in row) != LABEL_HEADER:
                 raise _fail(path, 1, f"expected header 'timestamp,label', got {','.join(row)!r}")
-        for line, row in enumerate(reader, start=first_line + header):
+        for line, row in enumerate(reader, start=first + header):
             if not row:
                 continue
             if len(row) != 2:
                 raise _fail(path, line, f"expected 2 fields, got {len(row)}")
             timestamps.append(_parse_timestamp(row[0], path, line))
+            if tick != 1 and not _INT_RE.match(row[0].strip()):
+                raise ParameterError(
+                    f"{path}: line {line}: ISO-8601 timestamps are epoch seconds,"
+                    f" so tick_seconds must be 1, got {format_fraction(tick)}"
+                )
             label = row[1].strip()
             if not label:
                 raise _fail(path, line, "empty label")
             codes.append(0 if label in BENIGN_LABELS else index.setdefault(label, len(index) + 1))
             record_lines.append(line)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise _fail(path, first_line - 1 + reader.line_num, f"malformed CSV: {exc}") from None
+        raise _fail(path, first - 1 + reader.line_num, f"malformed CSV: {exc}") from None
     runs = np.ones(len(codes), dtype=np.int64)
     return _int_column(timestamps), np.array(codes, dtype=np.int32), runs, record_lines
 
@@ -563,8 +570,10 @@ def load_labels(
 
     The label ``benign`` (or ``0``) marks benign points; any other non-empty
     string names an attack type. Timestamps must be strictly increasing.
+    ISO-8601 timestamps are epoch seconds, so they require ``tick_seconds`` 1.
     """
     path = Path(path)
+    tick = Fraction(tick_seconds)
     index: dict[str, int] = {}  # attack type -> code, in order of first appearance
     # Per part: timestamps, label codes run by run, rows per run, each record's line.
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]] = []
@@ -582,27 +591,30 @@ def load_labels(
                     # csv quoting can span lines, so the rest of the file goes to csv.
                     rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
                     rows = _text_lines(path, rest, line, "")
-                    parts.append(_label_rows(path, rows, line, index, header=False))
+                    parts.append(_label_rows(path, rows, line, index, tick, header=False))
                     break
                 parts.append((*part, range(line, line + len(part[0]))))
                 line += len(part[0])
         else:
             rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
-            parts.append(_label_rows(path, _text_lines(path, rest, 1, ""), 1, index, header=True))
+            parts.append(_label_rows(path, _text_lines(path, rest, 1, ""), 1, index, tick, True))
     if not any(len(part[0]) for part in parts):
         raise _fail(path, None, "no data rows")
     stamps, codes, runs, lines = zip(*parts)
     del parts
     timestamps = np.concatenate(stamps)
-    del stamps  # so that the parts and the whole are not held at once
+    del stamps  # np.concatenate held the parts and the whole; free the parts now
     _check_increasing(timestamps, path, lines)
     _check_range(timestamps, path, lines)
+    label_codes = np.repeat(np.concatenate(codes), np.concatenate(runs))
+    for column in (timestamps, label_codes):
+        column.setflags(write=False)  # so that LabeledSeries shares it
     return LabeledSeries(
         name=name or path.stem,
         timestamps=timestamps,
-        label_codes=np.repeat(np.concatenate(codes), np.concatenate(runs)),
+        label_codes=label_codes,
         attack_types=tuple(index),
-        tick_seconds=Fraction(tick_seconds),
+        tick_seconds=tick,
     )
 
 
@@ -631,7 +643,7 @@ def save_labels(series: LabeledSeries, path: Path | str) -> None:
 
 @dataclass
 class _AlertColumns:
-    """Alert records of one block, or of the whole file once joined."""
+    """Alert records of one block."""
 
     timestamps: np.ndarray
     values: np.ndarray
@@ -786,7 +798,10 @@ def load_alerts(
     file stem.
     """
     path = Path(path)
-    parts: list[_AlertColumns] = []
+    want = series.timestamps
+    values: np.ndarray | None = None  # of the blocks that match ``want``, in order
+    at = 0  # records matched: the timestamps ``want[:at]``, not kept
+    tail: list[_AlertColumns] = []  # every part from the first block that differs on
     kind: AlertKind | None = None
     field_detector: str | None = None
     line = 1
@@ -811,17 +826,22 @@ def load_alerts(
                     )
             kind = part.kind or kind
             field_detector = part.detector or field_detector
-            parts.append(part)
             line += lines
-    got = np.concatenate([part.timestamps for part in parts]) if parts else np.empty(0, np.int64)
-    if not len(got):
-        raise _fail(path, None, "no alert records")
-    record_lines = [part.lines for part in parts]
-    _check_increasing(got, path, record_lines)
-    _check_range(got, path, record_lines)
-
-    want = series.timestamps
-    if len(got) != len(want) or not np.array_equal(got, want):
+            n = len(part.timestamps)
+            if tail or not np.array_equal(part.timestamps, want[at : at + n]):
+                tail.append(part)
+            elif n:  # an empty part may not know the kind yet
+                values = np.empty(len(want), part.values.dtype) if values is None else values
+                values[at : at + n] = part.values
+                at += n
+    if tail or at < len(want):
+        got = np.concatenate([want[:at], *(part.timestamps for part in tail)])
+        if not len(got):
+            raise _fail(path, None, "no alert records")
+        # want[:at] is increasing and in int64: no check stops in it or needs its lines.
+        record_lines = [range(at), *(part.lines for part in tail)]
+        _check_increasing(got, path, record_lines)
+        _check_range(got, path, record_lines)
         missing = np.setdiff1d(want, got)
         extra = np.setdiff1d(got, want)
         parts_text = [f"alerts do not align with dataset '{series.name}'"]
@@ -834,7 +854,7 @@ def load_alerts(
         raise _fail(path, None, "; ".join(parts_text))
 
     name = detector or field_detector or path.stem
-    values = np.concatenate([part.values for part in parts])
+    values.setflags(write=False)  # so that AlertSeries shares it
     if kind is AlertKind.BOOLEAN:
         return AlertSeries.from_bool(detector=name, values=values, aligned_to=series.name)
     return AlertSeries.from_scores(detector=name, values=values, aligned_to=series.name)

@@ -350,7 +350,7 @@ def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> list[Att
     codes = series.label_codes
     if len(codes) == 0 or not series.attack_mask.any():
         return []
-    boundaries = np.flatnonzero(np.diff(codes)) + 1
+    boundaries = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries - 1, [len(codes) - 1]))
     runs = [(int(s), int(e), int(codes[s])) for s, e in zip(starts, ends) if codes[s] > 0]
@@ -516,7 +516,7 @@ def mask_to_intervals(mask: np.ndarray) -> Intervals:
     """Inclusive index intervals of the true runs of a boolean mask."""
     mask = np.asarray(mask, dtype=bool)
     padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     return Intervals(edges[0::2], edges[1::2] - 1)
 
 

@@ -221,6 +221,51 @@ class TestEvaluate:
             "overflow a 64-bit float\n"
         )
 
+    def test_iso_labels_need_a_one_second_tick(self, workdir, capsys):
+        # ISO instants are epoch seconds: with --tick-seconds 10 the one-second
+        # delay below was reported as 10 s, with exit 0.
+        labels = workdir / "iso.csv"
+        labels.write_text(
+            "timestamp,label\n"
+            + "".join(
+                f"2021-01-01T00:00:{t:02d}Z,{'dos' if 3 <= t < 6 else 'benign'}\n"
+                for t in range(10)
+            ),
+            encoding="utf-8",
+        )
+        alerts = workdir / "iso.jsonl"
+        alerts.write_text(
+            "".join(
+                json.dumps({"timestamp": 1609459200 + t, "alert": 4 <= t < 6}) + "\n"
+                for t in range(10)
+            ),
+            encoding="utf-8",
+        )
+        manifest = workdir / "iso.json"
+        manifest.write_text(
+            json.dumps({"name": "plant", "labels": "iso.csv", "tick_seconds": "0.5"}),
+            encoding="utf-8",
+        )
+        datasets = {"10": ["--labels", labels, "--tick-seconds", "10"], "0.5": ["--config", manifest]}
+        for tick, args in datasets.items():
+            code, stdout, stderr = run(
+                capsys, "evaluate", *args, "--alerts", alerts,
+                "--metrics", "detection-delay", "--out", workdir / "run",
+            )
+            assert (code, stdout) == (2, "")
+            assert stderr == (
+                f"error: {labels}: line 2: ISO-8601 timestamps are epoch seconds,"
+                f" so tick_seconds must be 1, got {tick}\n"
+            )
+            assert not (workdir / "run").exists()
+        code, stdout, _ = run(
+            capsys, "evaluate", "--labels", labels, "--alerts", alerts,
+            "--metrics", "detection-delay", "--out", workdir / "run", "--format", "json",
+        )
+        assert code == 0
+        metrics = {m["name"]: m["exact"] for m in json.loads(stdout)["metrics"]}
+        assert metrics["detection-delay-mean-seconds"] == "1"
+
     def test_warnings_go_to_stderr(self, workdir, capsys):
         sparse = workdir / "sparse.csv"
         rows = ["timestamp,label"] + [

@@ -23,6 +23,7 @@ from idseval import (
     save_labels,
     validate_pair,
 )
+from idseval.model import format_fraction
 from support import make_alerts, make_series, random_binary_instance
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
@@ -72,6 +73,27 @@ class TestLoadLabels:
         )
         series = load_labels(path)
         assert list(series.timestamps) == [1609459200, 1609459201]
+
+    def test_iso_timestamps_need_a_one_second_tick(self, tmp_path):
+        # An ISO instant is an epoch second, so with a 10 s tick a delay of one
+        # second would be reported as 10 s.
+        path = write(
+            tmp_path / "iso.csv",
+            "timestamp,label\n1609459199,benign\n\n"
+            "2021-01-01T00:00:00+00:00,dos\n2021-01-01T00:00:01+00:00,dos\n",
+        )
+        for tick in ("0.5", 10, Fraction(1, 3)):
+            with pytest.raises(ParameterError) as caught:
+                load_labels(path, tick_seconds=tick)
+            assert str(caught.value) == (
+                f"{path}: line 4: ISO-8601 timestamps are epoch seconds,"
+                f" so tick_seconds must be 1, got {format_fraction(Fraction(tick))}"
+            )
+        assert list(load_labels(path, tick_seconds="1").timestamps) == [
+            1609459199, 1609459200, 1609459201
+        ]
+        integers = write(tmp_path / "ints.csv", label_csv([(0, "benign"), (1, "dos")]))
+        assert load_labels(integers, tick_seconds="0.5").tick_seconds == Fraction(1, 2)
 
     def test_naive_iso_treated_as_utc(self, tmp_path):
         path = write(tmp_path / "iso.csv", "timestamp,label\n1970-01-01T00:01:00,benign\n")
@@ -385,6 +407,17 @@ class TestManifest:
         series = manifest.load()
         assert series.name == "plant"
         assert series.tick_seconds == Fraction(1, 10)
+
+    def test_iso_labels_need_a_one_second_tick(self, tmp_path):
+        write(tmp_path / "iso.csv", "timestamp,label\n2021-01-01T00:00:00Z,dos\n")
+        manifest = load_manifest(
+            write(
+                tmp_path / "m.json",
+                json.dumps({"name": "x", "labels": "iso.csv", "tick_seconds": 10}),
+            )
+        )
+        with pytest.raises(ParameterError, match="iso.csv: line 2: ISO-8601 .* got 10$"):
+            manifest.load()
 
     def test_defaults(self, tmp_path):
         write(tmp_path / "labels.csv", label_csv([(0, "benign")]))

@@ -14,13 +14,15 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idseval import AlertSeries, IngestError, LabeledSeries, ingest, save_alerts, save_labels
+from idseval import AlertKind, AlertSeries, IngestError, LabeledSeries, ingest, model
+from idseval import save_alerts, save_labels
 from oracles import ingest_oracle
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -400,3 +402,215 @@ class TestZeroScores:
         capsys.readouterr()
         assert texts[0] == texts[1]
         assert "\n0.0," in texts[0] and "-0.0" not in texts[0]
+
+
+
+N_POINTS = 30
+PAST_INT64 = 2**63
+OTHER_KIND = {"alert": ("score", 0.5), "score": ("alert", True)}
+
+
+def alert_lines(key, rows, detector="d", compact=False) -> list[str]:
+    """``(timestamp, value)`` rows as JSON lines; the default layout is ``save_alerts``'s."""
+    separators = (",", ":") if compact else None
+    return [
+        json.dumps({"timestamp": t, key: v, "detector": detector}, separators=separators) + "\n"
+        for t, v in rows
+    ]
+
+
+def retimed(rows, k, t):
+    return rows[:k] + [(t, rows[k][1])] + rows[k + 1 :]
+
+
+def _kind_switch(key, rows, k, rest):
+    """Rows from ``k`` (only row ``k`` unless ``rest``) with the other kind of value."""
+    end = len(rows) if rest else k + 1
+    other_key, other_value = OTHER_KIND[key]
+    switched = alert_lines(other_key, [(t, other_value) for t, _ in rows[k:end]])
+    return alert_lines(key, rows[:k]) + switched + alert_lines(key, rows[end:])
+
+
+def _json_route_line(key, rows, k):
+    """Row ``k`` in compact JSON, so that its block leaves the numpy route."""
+    return (
+        alert_lines(key, rows[:k])
+        + alert_lines(key, rows[k : k + 1], compact=True)
+        + alert_lines(key, rows[k + 1 :])
+    )
+
+
+# Each makes the lines of a file from the canonical rows and a record index
+# k, or returns None where k does not apply.
+MUTATIONS = {
+    "shifted": lambda key, rows, k: alert_lines(key, retimed(rows, k, rows[k][0] + 5)),
+    "extra record inside": lambda key, rows, k: alert_lines(
+        key, rows[: k + 1] + [(rows[k][0] + 5, rows[k][1])] + rows[k + 1 :]
+    ),
+    "extra records at the end": lambda key, rows, k: alert_lines(
+        key, rows + [(rows[-1][0] + 10 * (j + 1), rows[j][1]) for j in range(k % 3 + 1)]
+    ),
+    "missing record": lambda key, rows, k: alert_lines(key, rows[:k] + rows[k + 1 :]),
+    "truncated": lambda key, rows, k: alert_lines(key, rows[:k]),
+    "duplicate": lambda key, rows, k: (
+        alert_lines(key, retimed(rows, k, rows[k - 1][0])) if k else None
+    ),
+    "decreasing": lambda key, rows, k: (
+        alert_lines(key, retimed(rows, k, rows[k - 1][0] - 3)) if k else None
+    ),
+    "duplicate after blank lines": lambda key, rows, k: (
+        alert_lines(key, rows[:k]) + ["\n", "  \n"]
+        + alert_lines(key, retimed(rows, k, rows[k - 1][0])[k:])
+        if k else None
+    ),
+    "order error after a timestamp past int64": lambda key, rows, k: (
+        alert_lines(key, retimed(rows, k, PAST_INT64)) if k < len(rows) - 1 else None
+    ),
+    "kind switch on one line": lambda key, rows, k: _kind_switch(key, rows, k, rest=False),
+    "kind switch for the rest": lambda key, rows, k: _kind_switch(key, rows, k, rest=True),
+    "detector conflict on one line": lambda key, rows, k: (
+        alert_lines(key, rows[:k])
+        + alert_lines(key, rows[k : k + 1], detector="e")
+        + alert_lines(key, rows[k + 1 :])
+    ),
+    "detector conflict for the rest": lambda key, rows, k: (
+        alert_lines(key, rows[:k]) + alert_lines(key, rows[k:], detector="e")
+    ),
+    "json-route line": _json_route_line,
+    "json-route line, shifted": lambda key, rows, k: _json_route_line(
+        key, retimed(rows, k, rows[k][0] + 5), k
+    ),
+    "json-route line, last record shifted": lambda key, rows, k: _json_route_line(
+        key, retimed(rows, len(rows) - 1, rows[-1][0] + 5), k
+    ),
+}
+
+
+def alert_outcome(load, path, series):
+    try:
+        alerts = load(path, series)
+    except IngestError as exc:
+        return "error", str(exc)
+    values = alerts.values if alerts.kind is AlertKind.BOOLEAN else alerts.values.view(np.uint64)
+    return "ok", alerts.detector, alerts.kind, values.tolist()
+
+
+@pytest.fixture
+def plant():
+    codes = (np.arange(N_POINTS) // 4) % 2
+    return LabeledSeries("plant", 10 * np.arange(N_POINTS), codes, ("dos",))
+
+
+def canonical_rows(key):
+    if key == "alert":
+        return [(10 * i, i % 4 == 1) for i in range(N_POINTS)]
+    return [(10 * i, i / 7) for i in range(N_POINTS)]
+
+
+class TestAlignmentWhileReading:
+    """``load_alerts`` compares each block with the dataset while it reads and
+    keeps timestamps only from the first block that differs. Blocks of one
+    line, or of about three, put each change in the first, a middle or the
+    last block, at a block's first line or inside it; every file must load,
+    or fail with the text, as the reference loader does."""
+
+    @pytest.fixture(autouse=True, params=[16, 160])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", request.param)
+
+    def test_canonical_files_take_the_numpy_route(self, tmp_path, plant, slow_routes):
+        for key in ("alert", "score"):
+            path = tmp_path / f"{key}.jsonl"
+            path.write_text("".join(alert_lines(key, canonical_rows(key))), encoding="utf-8")
+            with open(path, "rb") as handle:
+                assert sum(1 for _ in ingest._read_blocks(handle)) >= 10
+            assert alert_outcome(ingest.load_alerts, path, plant) == (
+                alert_outcome(ingest_oracle.load_alerts, path, plant)
+            )
+        assert slow_routes["alerts"] == 0
+
+    @pytest.mark.parametrize("key", ["alert", "score"])
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_same_outcome_as_the_reference(self, tmp_path, plant, key, mutation):
+        rows = canonical_rows(key)
+        path = tmp_path / "det.jsonl"
+        for k in range(N_POINTS):
+            lines = MUTATIONS[mutation](key, rows, k)
+            if lines is None:
+                continue
+            path.write_text("".join(lines), encoding="utf-8")
+            expected = alert_outcome(ingest_oracle.load_alerts, path, plant)
+            assert alert_outcome(ingest.load_alerts, path, plant) == expected, k
+
+    @pytest.mark.parametrize("key", ["alert", "score"])
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_timestamp_past_int64_after_a_matched_prefix(self, tmp_path, plant, key, shift):
+        # The reference loader raises OverflowError here; the message is the
+        # range error of _check_range at the first such record.
+        rows = canonical_rows(key)
+        if shift:  # a block that differs, and so is kept, before the range error
+            rows = retimed(rows, 2, rows[2][0] + 5)
+        path = tmp_path / "det.jsonl"
+        for k in range(3 if shift else 0, N_POINTS):
+            huge = [(PAST_INT64 + j, v) for j, (_, v) in enumerate(rows[k:])]
+            path.write_text("".join(alert_lines(key, rows[:k] + huge)), encoding="utf-8")
+            with pytest.raises(IngestError) as caught:
+                ingest.load_alerts(path, plant)
+            assert str(caught.value) == (
+                f"{path}: line {k + 1}: timestamp {PAST_INT64} is outside the 64-bit integer range"
+            )
+
+    @pytest.mark.parametrize("text", ["\n", "\n" * 3, "  \n\n \t\n", "\n" * 400])
+    def test_blank_lines_only(self, tmp_path, plant, text):
+        path = tmp_path / "det.jsonl"
+        path.write_text(text, encoding="utf-8")
+        expected = alert_outcome(ingest_oracle.load_alerts, path, plant)
+        assert expected == ("error", f"{path}: no alert records")
+        assert alert_outcome(ingest.load_alerts, path, plant) == expected
+
+
+class TestLoadMemory:
+    def test_alert_load_holds_no_timestamp_column(self, tmp_path, monkeypatch):
+        n = 50_000
+        series = LabeledSeries("plant", 3 * np.arange(n), np.zeros(n, np.int32), ())
+        path = tmp_path / "det.jsonl"
+        save_alerts(AlertSeries.from_bool("d", np.arange(n) % 5 == 0, "plant"), series, path)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            alerts = ingest.load_alerts(path, series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond its result, the load never holds an int64 column of the file.
+        assert peak - before - alerts.values.nbytes < 8 * n
+
+    @pytest.mark.parametrize("layout", ["save_*", "compact"])
+    @pytest.mark.parametrize("key", ["alert", "score"])
+    def test_series_share_the_loaded_arrays(self, tmp_path, monkeypatch, layout, key):
+        shared = []
+        frozen = model._frozen_array
+
+        def spy(values, dtype):
+            result = frozen(values, dtype)
+            shared.append(result is values)
+            return result
+
+        monkeypatch.setattr(model, "_frozen_array", spy)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+        rows = canonical_rows(key)
+        label_rows = [(t, "dos" if i % 3 else "benign") for i, (t, _) in enumerate(rows)]
+        if layout == "compact":  # quoted cells and compact records take csv and json
+            label_rows = [(f'"{t}"', label) for t, label in label_rows]
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(label_file(label_rows))
+        path = tmp_path / "det.jsonl"
+        lines = alert_lines(key, rows, compact=layout == "compact")
+        if layout == "compact":  # and a first block that holds no record
+            lines.insert(0, "\n" * 100)
+        path.write_text("".join(lines), encoding="utf-8")
+        series = ingest.load_labels(labels)
+        assert shared == [True, True]  # timestamps and label codes
+        ingest.load_alerts(path, series)
+        assert shared == [True, True, True]
