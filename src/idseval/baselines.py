@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import AlertSeries, LabeledSeries, ParameterError
+from .model import AlertSeries, LabeledSeries, Param, ParameterError, bind_params, parse_spec
 
 PREFIX = "baseline"
 # Points drawn per getrandbits call by the random baseline.
@@ -24,6 +24,10 @@ class BaselineKind(str, Enum):
     NEVER = "never"
     ALWAYS = "always"
     RANDOM = "random"
+
+
+# The parameters each kind's spec may give.
+_PARAMS = {"never": (), "always": (), "random": (Param("p", float), Param("seed", int))}
 
 
 @dataclass(frozen=True)
@@ -60,31 +64,14 @@ class BaselineSpec:
 
     @classmethod
     def parse(cls, text: str) -> "BaselineSpec":
-        parts = text.split(":")
-        if parts[0] != PREFIX or len(parts) < 2:
+        """Read ``baseline:kind:key=value...`` with the metric spec grammar."""
+        prefix, sep, rest = text.partition(":")
+        if prefix != PREFIX or not sep:
             raise ParameterError(f"not a baseline detector name: {text!r}")
-        kinds = {k.value: k for k in BaselineKind}
-        if parts[1] not in kinds:
-            raise ParameterError(
-                f"unknown baseline {parts[1]!r}; expected one of {sorted(kinds)}"
-            )
-        kind = kinds[parts[1]]
-        p: float | None = None
-        seed: int | None = None
-        for part in parts[2:]:
-            key, sep, raw = part.partition("=")
-            if not sep:
-                raise ParameterError(f"malformed baseline parameter {part!r}; expected key=value")
-            try:
-                if key == "p":
-                    p = float(raw)
-                elif key == "seed":
-                    seed = int(raw)
-                else:
-                    raise ParameterError(f"unknown baseline parameter {key!r}")
-            except ValueError:
-                raise ParameterError(f"malformed baseline parameter {part!r}") from None
-        return cls(kind=kind, p=p, seed=seed)
+        name, given = parse_spec(rest, "baseline")
+        if name not in _PARAMS:
+            raise ParameterError(f"unknown baseline {name!r}; expected one of {sorted(_PARAMS)}")
+        return cls(kind=BaselineKind(name), **bind_params(_PARAMS[name], given, "baseline", name))
 
 
 def is_baseline_name(text: str) -> bool:

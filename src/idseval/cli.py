@@ -282,10 +282,10 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     series, _ = _load_dataset(args)
+    specs = [BaselineSpec.parse(token).with_seed(args.seed) for token in args.detector]
     outdir = _prepare_outdir(args)
     used: set[str] = set()
-    for token in args.detector:
-        spec = BaselineSpec.parse(token).with_seed(args.seed)
+    for spec in specs:
         alert = generate(spec, series)
         target = outdir / (_safe_filename(alert.detector, used) + ".jsonl")
         save_alerts(alert, series, target)

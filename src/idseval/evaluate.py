@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from . import pointwise
@@ -24,16 +24,19 @@ from .model import (
     LabeledSeries,
     MetricReport,
     MetricValue,
-    ParameterError,
+    Param,
     alerts_to_intervals,
+    bind_params,
     collapse_multiclass,
     extract_scenarios,
     format_fraction,
+    parse_spec as parse_metric_spec,
     require_alignment,
 )
 from .timeaware import (
     EtaParams,
     ScenarioDetection,
+    as_unit_fraction,
     detected_scenarios,
     detection_delay,
     etapr,
@@ -42,26 +45,6 @@ from .timeaware import (
 
 class UnknownMetricError(EvaluationError):
     """A metric name that is not in the catalog."""
-
-
-def parse_metric_spec(text: str) -> tuple[str, dict[str, str | bool]]:
-    """Split ``name:key=value:flag`` into the name and its parameter dict."""
-    parts = [part.strip() for part in text.split(":")]
-    name = parts[0]
-    if not name:
-        raise ParameterError(f"empty metric name in {text!r}")
-    params: dict[str, str | bool] = {}
-    for part in parts[1:]:
-        if not part:
-            raise ParameterError(f"empty parameter in metric spec {text!r}")
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not key:
-            raise ParameterError(f"empty parameter name in metric spec {text!r}")
-        if key in params:
-            raise ParameterError(f"duplicate parameter {key!r} in metric spec {text!r}")
-        params[key] = value.strip() if sep else True
-    return name, params
 
 
 class EvalContext:
@@ -104,7 +87,7 @@ class EvalContext:
         return detection_delay(self.scenarios, self.alert_intervals, self.series)
 
 
-ComputeFn = Callable[[EvalContext, dict[str, "str | bool"]], list[MetricValue]]
+ComputeFn = Callable[[EvalContext, dict[str, object]], list[MetricValue]]
 
 
 @dataclass(frozen=True)
@@ -114,38 +97,14 @@ class MetricDefinition:
     compute: ComputeFn
     params_help: str = ""
     aliases: tuple[str, ...] = ()
+    params: tuple[Param, ...] = ()
 
 
-def _reject_unknown(name: str, params: dict[str, str | bool], allowed: tuple[str, ...]) -> None:
-    unknown = set(params) - set(allowed)
-    if unknown:
-        extras = ", ".join(sorted(unknown))
-        if allowed:
-            raise ParameterError(
-                f"metric {name!r} does not accept: {extras} (allowed: {', '.join(allowed)})"
-            )
-        raise ParameterError(f"metric {name!r} takes no parameters, got: {extras}")
+def _cm_metric(fn: Callable[[ConfusionMatrix], MetricValue]) -> ComputeFn:
+    return lambda ctx, params: [fn(ctx.cm)]
 
 
-def _require_value(name: str, params: dict[str, str | bool], key: str) -> str:
-    value = params.get(key)
-    if value is None:
-        raise ParameterError(f"metric {name!r} requires {key}=..., e.g. {name}:{key}=0.1")
-    if value is True:
-        raise ParameterError(f"parameter {key!r} of metric {name!r} needs a value")
-    return value
-
-
-def _cm_metric(fn: Callable[[ConfusionMatrix], MetricValue], name: str) -> ComputeFn:
-    def compute(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-        _reject_unknown(name, params, ())
-        return [fn(ctx.cm)]
-
-    return compute
-
-
-def _compute_confusion(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-    _reject_unknown("confusion", params, ())
+def _compute_confusion(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
     cm = ctx.cm
     return [
         MetricValue.from_fraction(field, Fraction(getattr(cm, field)))
@@ -153,27 +112,17 @@ def _compute_confusion(ctx: EvalContext, params: dict[str, str | bool]) -> list[
     ]
 
 
-def _compute_fbeta(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-    _reject_unknown("fbeta", params, ("beta",))
-    raw = _require_value("fbeta", params, "beta")
-    try:
-        beta = pointwise.as_beta(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"beta is not a number: {raw!r}") from None
-    return [pointwise.f_beta(ctx.cm, beta)]
+def _compute_fbeta(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
+    return [pointwise.f_beta(ctx.cm, params["beta"])]
 
 
-def _compute_detected(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-    _reject_unknown("detected-scenarios", params, ("by-type",))
-    by_type = params.get("by-type", False)
-    if by_type is not True and by_type is not False:
-        raise ParameterError("by-type is a flag and takes no value")
-    value, _ = detected_scenarios(ctx.scenarios, ctx.alert_intervals, group_by_type=bool(by_type))
+def _compute_detected(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
+    group_by_type = "by-type" in params
+    value, _ = detected_scenarios(ctx.scenarios, ctx.alert_intervals, group_by_type=group_by_type)
     return [value]
 
 
-def _compute_delay(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-    _reject_unknown("detection-delay", params, ())
+def _compute_delay(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
     _, values = ctx.delay_results
     tick = ctx.series.tick_seconds
     out = list(values)
@@ -188,27 +137,11 @@ def _compute_delay(ctx: EvalContext, params: dict[str, str | bool]) -> list[Metr
     return out
 
 
-def _parse_eta_params(params: dict[str, str | bool]) -> tuple[EtaParams, dict[str, object]]:
-    _reject_unknown("etapr", params, ("theta_p", "theta_r", "weight"))
-    kwargs: dict[str, Fraction] = {}
-    display: dict[str, object] = {}
-    mapping = {"theta_p": "theta_p", "theta_r": "theta_r", "weight": "detection_weight"}
-    for key, attr in mapping.items():
-        if key not in params:
-            continue
-        raw = _require_value("etapr", params, key)
-        try:
-            value = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ParameterError(f"{key} is not a number: {raw!r}") from None
-        kwargs[attr] = value
-        display[key] = format_fraction(value)
-    return EtaParams(**kwargs), display
-
-
-def _compute_etapr(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-    eta_params, display = _parse_eta_params(params)
-    scores = etapr(ctx.scenarios, ctx.alert_intervals, eta_params)
+def _compute_etapr(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
+    fields = {("detection_weight" if key == "weight" else key): value
+              for key, value in params.items()}
+    scores = etapr(ctx.scenarios, ctx.alert_intervals, EtaParams(**fields))
+    display = {key: format_fraction(value) for key, value in params.items()}
     pairs = (
         ("etap", scores.precision_like),
         ("etar", scores.recall_like),
@@ -219,8 +152,7 @@ def _compute_etapr(ctx: EvalContext, params: dict[str, str | bool]) -> list[Metr
     ]
 
 
-def _compute_affiliation(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-    _reject_unknown("affiliation", params, ())
+def _compute_affiliation(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
     scores, _ = affiliation(ctx.scenarios, ctx.alert_intervals, ctx.series)
     pairs = (
         ("affiliation-precision", scores.precision_like),
@@ -230,42 +162,45 @@ def _compute_affiliation(ctx: EvalContext, params: dict[str, str | bool]) -> lis
     return [MetricValue(name=name, value=value) for name, value in pairs]
 
 
-def _compute_scenario_recall(ctx: EvalContext, params: dict[str, str | bool]) -> list[MetricValue]:
-    _reject_unknown("scenario-recall", params, ())
+def _compute_scenario_recall(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
     return [pointwise.scenario_normalized_recall(ctx.series, ctx.alerts, ctx.scenarios)]
 
 
 CATALOG: tuple[MetricDefinition, ...] = (
     MetricDefinition("confusion", "TP/TN/FP/FN counts", _compute_confusion),
     MetricDefinition("accuracy", "fraction of correctly classified points",
-                     _cm_metric(pointwise.accuracy, "accuracy")),
+                     _cm_metric(pointwise.accuracy)),
     MetricDefinition("tpr", "true positive rate (recall)",
-                     _cm_metric(pointwise.tpr, "tpr"), aliases=("recall",)),
+                     _cm_metric(pointwise.tpr), aliases=("recall",)),
     MetricDefinition("fnr", "false negative rate",
-                     _cm_metric(pointwise.fnr, "fnr")),
+                     _cm_metric(pointwise.fnr)),
     MetricDefinition("tnr", "true negative rate",
-                     _cm_metric(pointwise.tnr, "tnr")),
+                     _cm_metric(pointwise.tnr)),
     MetricDefinition("fpr", "false positive rate",
-                     _cm_metric(pointwise.fpr, "fpr")),
+                     _cm_metric(pointwise.fpr)),
     MetricDefinition("ppv", "positive predictive value (precision)",
-                     _cm_metric(pointwise.ppv, "ppv"), aliases=("precision",)),
+                     _cm_metric(pointwise.ppv), aliases=("precision",)),
     MetricDefinition("npv", "negative predictive value",
-                     _cm_metric(pointwise.npv, "npv")),
+                     _cm_metric(pointwise.npv)),
     MetricDefinition("f1", "harmonic mean of precision and recall",
-                     _cm_metric(pointwise.f1, "f1")),
+                     _cm_metric(pointwise.f1)),
     MetricDefinition("fbeta", "F-score weighting recall by beta",
-                     _compute_fbeta, params_help="beta=<positive number> (required)"),
+                     _compute_fbeta, params_help="beta=<positive number> (required)",
+                     params=(Param("beta", pointwise.as_beta, required=True),)),
     MetricDefinition("auc-single", "area under the one-point ROC: 1 - (FPR + FNR)/2",
-                     _cm_metric(pointwise.auc_single, "auc-single")),
+                     _cm_metric(pointwise.auc_single)),
     MetricDefinition("scenario-recall", "mean per-scenario fraction of alerted points",
                      _compute_scenario_recall),
     MetricDefinition("detected-scenarios", "fraction of attack instances with any alert",
-                     _compute_detected, params_help="by-type (flag: count attack types instead)"),
+                     _compute_detected, params_help="by-type (flag: count attack types instead)",
+                     params=(Param("by-type"),)),
     MetricDefinition("detection-delay", "ticks from scenario start to first alert",
                      _compute_delay),
     MetricDefinition("etapr", "enhanced time-aware precision/recall (etap, etar, etaf1)",
                      _compute_etapr,
-                     params_help="theta_p=, theta_r=, weight= (defaults 0.5, 0.1, 0.5)"),
+                     params_help="theta_p=, theta_r=, weight= (defaults 0.5, 0.1, 0.5)",
+                     params=tuple(Param(key, partial(as_unit_fraction, key))
+                                  for key in ("theta_p", "theta_r", "weight"))),
     MetricDefinition("affiliation", "zone-based affiliation precision/recall/F1",
                      _compute_affiliation),
 )
@@ -314,9 +249,16 @@ def catalog_lines() -> list[str]:
     return lines
 
 
+def _bind(spec: str) -> tuple[MetricDefinition, dict[str, object]]:
+    """Resolve a metric spec and its parameters, typed and range-checked."""
+    name, given = parse_metric_spec(spec)
+    definition = resolve_metric(name)
+    return definition, bind_params(definition.params, given, "metric", definition.name)
+
+
 def compute_metric(ctx: EvalContext, spec: str) -> list[MetricValue]:
-    name, params = parse_metric_spec(spec)
-    return resolve_metric(name).compute(ctx, params)
+    definition, params = _bind(spec)
+    return definition.compute(ctx, params)
 
 
 def evaluate_detector(
@@ -328,23 +270,21 @@ def evaluate_detector(
     """Score one boolean-alert detector on one dataset.
 
     ``metrics`` is a list of metric specs (see ``parse_metric_spec``);
-    duplicates collapsing to the same reported value are kept once. Scenario
-    detection details ride along whenever detection-delay was requested.
+    duplicates collapsing to the same reported value are kept once. Every spec
+    is checked before the first metric runs. Scenario detection details ride
+    along whenever detection-delay was requested.
     """
     ctx = EvalContext(series, alerts, gap_tolerance=gap_tolerance)
-    requested = DEFAULT_METRICS if metrics is None else tuple(metrics)
+    bound = [_bind(spec) for spec in (DEFAULT_METRICS if metrics is None else metrics)]
     values: list[MetricValue] = []
     seen: set[str] = set()
-    wants_details = False
-    for spec in requested:
-        name, _ = parse_metric_spec(spec)
-        if resolve_metric(name).name == "detection-delay":
-            wants_details = True
-        for value in compute_metric(ctx, spec):
+    for definition, params in bound:
+        for value in definition.compute(ctx, params):
             if value.display_name in seen:
                 continue
             seen.add(value.display_name)
             values.append(value)
+    wants_details = any(definition.name == "detection-delay" for definition, _ in bound)
     details = ctx.delay_results[0] if wants_details else []
     return MetricReport(
         dataset=series.name,

@@ -4,8 +4,10 @@ Labels travel as a two-column CSV (``timestamp,label``); alerts as JSON
 Lines, one record per point, either ``{"timestamp": ..., "alert": bool}`` or
 ``{"timestamp": ..., "score": number}`` with an optional ``"detector"``
 field. Timestamps are integer ticks or ISO-8601 instants (converted to epoch
-seconds); a file must stick to one style. All malformed-input errors carry
-the file path and 1-based line number.
+seconds), each read on its own, so one file may mix the two. A label file
+with any ISO-8601 timestamp takes only a one-second tick, so its integer
+ticks count epoch seconds too. All malformed-input errors carry the file
+path and 1-based line number.
 
 Files are read in blocks of whole lines, each read into one reused buffer
 of about 1 MiB. A block in the exact layout that ``save_labels`` or

@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,73 @@ class AlignmentError(EvaluationError):
 
 class ParameterError(EvaluationError):
     """A metric parameter is outside its admissible range."""
+
+
+def parse_spec(text: str, noun: str = "metric") -> tuple[str, dict[str, str | bool]]:
+    """Split ``name:key=value:flag`` into the name and its parameter dict."""
+    parts = [part.strip() for part in text.split(":")]
+    name = parts[0]
+    if not name:
+        raise ParameterError(f"empty {noun} name in {text!r}")
+    params: dict[str, str | bool] = {}
+    for part in parts[1:]:
+        if not part:
+            raise ParameterError(f"empty parameter in {noun} spec {text!r}")
+        key, sep, value = part.partition("=")
+        key = key.strip()
+        if not key:
+            raise ParameterError(f"empty parameter name in {noun} spec {text!r}")
+        if key in params:
+            raise ParameterError(f"duplicate parameter {key!r} in {noun} spec {text!r}")
+        params[key] = value.strip() if sep else True
+    return name, params
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared spec parameter; ``convert`` reads its value, None makes it a flag."""
+
+    key: str
+    convert: Callable[[str], object] | None = None
+    required: bool = False
+
+
+def bind_params(
+    declared: tuple[Param, ...], given: dict[str, str | bool], noun: str, name: str
+) -> dict[str, object]:
+    """Check ``given`` against ``declared``; the given keys' typed values, in declared order."""
+    allowed = ", ".join(param.key for param in declared)
+    unknown = ", ".join(sorted(set(given) - {param.key for param in declared}))
+    if unknown and not declared:
+        raise ParameterError(f"{noun} {name!r} takes no parameters, got: {unknown}")
+    if unknown:
+        raise ParameterError(
+            f"{noun} {name!r} does not accept: {unknown}"
+            f" (unknown {noun} parameter; allowed: {allowed})"
+        )
+    bound: dict[str, object] = {}
+    for param in declared:
+        raw = given.get(param.key)
+        if raw is None:
+            if param.required:
+                raise ParameterError(f"{noun} {name!r} requires {param.key}=...")
+        elif param.convert is None:
+            if raw is not True:
+                raise ParameterError(f"{param.key} is a flag and takes no value")
+            bound[param.key] = True
+        elif raw is True:
+            raise ParameterError(
+                f"parameter {param.key!r} of {noun} {name!r} needs a value; expected key=value"
+            )
+        else:
+            try:
+                bound[param.key] = param.convert(raw)
+            except (ValueError, ZeroDivisionError):
+                kind = "an integer" if param.convert is int else "a number"
+                raise ParameterError(
+                    f"malformed parameter: {param.key} is not {kind}: {raw!r}"
+                ) from None
+    return bound
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -150,7 +150,7 @@ def detection_delay(
     return details, metrics
 
 
-def _as_unit_fraction(name: str, value: Fraction | int | float | str) -> Fraction:
+def as_unit_fraction(name: str, value: Fraction | int | float | str) -> Fraction:
     if isinstance(value, float):
         value = str(value)
     result = Fraction(value)
@@ -176,10 +176,10 @@ class EtaParams:
     detection_weight: Fraction = Fraction(1, 2)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_p", _as_unit_fraction("theta_p", self.theta_p))
-        object.__setattr__(self, "theta_r", _as_unit_fraction("theta_r", self.theta_r))
+        object.__setattr__(self, "theta_p", as_unit_fraction("theta_p", self.theta_p))
+        object.__setattr__(self, "theta_r", as_unit_fraction("theta_r", self.theta_r))
         object.__setattr__(
-            self, "detection_weight", _as_unit_fraction("detection_weight", self.detection_weight)
+            self, "detection_weight", as_unit_fraction("detection_weight", self.detection_weight)
         )
 
 

@@ -127,6 +127,28 @@ class TestEvaluate:
         name = "baseline_random_p_0.5_seed_7.jsonl"
         assert (first / "alerts" / name).read_bytes() == (second / "alerts" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "detector", ["baseline:random:p=0.1:p=0.9", "baseline:random:p=0.5:seed=1:seed=2"]
+    )
+    def test_duplicate_baseline_parameter_exits_2(self, workdir, capsys, detector):
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--labels", workdir / "labels.csv",
+            "--detector", detector, "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: duplicate parameter")
+        assert not (workdir / "run").exists()
+
+    def test_baseline_spec_parts_are_stripped(self, workdir, capsys):
+        code, stdout, _ = run(
+            capsys, "evaluate", "--labels", workdir / "labels.csv",
+            "--detector", "baseline:random: p=0.5", "--metrics", "tpr",
+            "--out", workdir / "run",
+        )
+        assert code == 0
+        assert "| baseline:random:p=0.5:seed=0 |" in stdout
+
     def test_unknown_metric_exits_2_with_catalog(self, workdir, capsys):
         code, _, stderr = run(
             capsys, "evaluate", "--labels", workdir / "labels.csv",
@@ -562,7 +584,7 @@ class TestBaselineVerb:
         assert code == 2
         assert stdout == ""
         assert stderr == "error: baseline seed must be non-negative, got -7\n"
-        assert not (workdir / "run" / "alerts").exists()
+        assert not (workdir / "run").exists()
 
     def test_generated_files_load_back(self, workdir, capsys):
         out = workdir / "base"
@@ -585,6 +607,17 @@ class TestBaselineVerb:
         )
         assert code == 2
         assert "unknown baseline" in stderr
+
+    def test_a_rejected_later_spec_writes_nothing(self, workdir, capsys):
+        code, stdout, stderr = run(
+            capsys, "baseline", "--labels", workdir / "labels.csv",
+            "--detector", "baseline:never", "--detector", "baseline:coin",
+            "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "unknown baseline 'coin'" in stderr
+        assert not (workdir / "run").exists()
 
 
 class TestUsage:
