@@ -28,6 +28,7 @@ import numpy as np
 from .baselines import BaselineSpec, generate, is_baseline_name
 from .evaluate import (
     UnknownMetricError,
+    bind_metric,
     catalog_lines,
     evaluate_detector,
 )
@@ -144,12 +145,27 @@ def _gather_metrics(raw: list[str] | None) -> list[str] | None:
     return metrics
 
 
+def _check_specs(args: argparse.Namespace, metrics: list[str] | None = None) -> None:
+    """Bind every metric spec and parse every baseline spec before any file is read.
+
+    The verbs bind and parse them again where they use them, which costs
+    microseconds; a rejected spec costs no load.
+    """
+    for spec in metrics or ():
+        bind_metric(spec)
+    for token in [*(args.alerts or ()), *(args.detector or ())]:
+        if is_baseline_name(token):
+            BaselineSpec.parse(token).with_seed(args.seed)
+
+
 def _print_warnings(series: LabeledSeries, gap_tolerance: int) -> None:
     for warning in validate_pair(series, gap_tolerance=gap_tolerance).warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    metrics = _gather_metrics(args.metrics)
+    _check_specs(args, metrics)
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
     if len(tokens) != 1:
@@ -157,9 +173,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     sources = _resolve_alerts(tokens, series, args.seed)
     _print_warnings(series, args.gap_tolerance)
     alert = sources[0][0]
-    report = evaluate_detector(
-        series, alert, metrics=_gather_metrics(args.metrics), gap_tolerance=args.gap_tolerance
-    )
+    report = evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
     if args.format == "json":
         text = report_to_json(report)
     else:
@@ -173,11 +187,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    metrics = _gather_metrics(args.metrics)
+    _check_specs(args, metrics)
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
     sources = _resolve_alerts(tokens, series, args.seed)
     _print_warnings(series, args.gap_tolerance)
-    metrics = _gather_metrics(args.metrics)
     reports = [
         evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
         for alert, _ in sources
@@ -216,6 +231,7 @@ def parse_min_width(text: str, tick_seconds: Fraction) -> float:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
+    _check_specs(args)
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
     sources = _resolve_alerts(tokens, series, args.seed)
@@ -250,6 +266,7 @@ def _roc_thresholds(args: argparse.Namespace, alert: AlertSeries) -> list[float]
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
+    _check_specs(args)
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
     if len(tokens) != 1:

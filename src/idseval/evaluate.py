@@ -249,7 +249,7 @@ def catalog_lines() -> list[str]:
     return lines
 
 
-def _bind(spec: str) -> tuple[MetricDefinition, dict[str, object]]:
+def bind_metric(spec: str) -> tuple[MetricDefinition, dict[str, object]]:
     """Resolve a metric spec and its parameters, typed and range-checked."""
     name, given = parse_metric_spec(spec)
     definition = resolve_metric(name)
@@ -257,7 +257,7 @@ def _bind(spec: str) -> tuple[MetricDefinition, dict[str, object]]:
 
 
 def compute_metric(ctx: EvalContext, spec: str) -> list[MetricValue]:
-    definition, params = _bind(spec)
+    definition, params = bind_metric(spec)
     return definition.compute(ctx, params)
 
 
@@ -275,7 +275,7 @@ def evaluate_detector(
     along whenever detection-delay was requested.
     """
     ctx = EvalContext(series, alerts, gap_tolerance=gap_tolerance)
-    bound = [_bind(spec) for spec in (DEFAULT_METRICS if metrics is None else metrics)]
+    bound = [bind_metric(spec) for spec in (DEFAULT_METRICS if metrics is None else metrics)]
     values: list[MetricValue] = []
     seen: set[str] = set()
     for definition, params in bound:

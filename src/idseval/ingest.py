@@ -65,38 +65,14 @@ _FRONT = 24
 # its last line stay inside the buffer; their values are masked.
 _PAD = 64
 _LABEL_HEADER_LINE = b"timestamp,label\n"
-# Longest label and score token the block parser handles; longer ones are
-# valid but go through csv/json.
+# Longest label the block parser handles; longer ones are valid but go
+# through csv.
 _MAX_LABEL_BYTES = 64
-_MAX_NUMBER_BYTES = 32
-
-# A DFA for the JSON number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
-# over byte classes: end of token, '-', '0', '1'-'9', '.', 'e'/'E', '+', other.
-_NUM_CLASS = np.full(256, 7, dtype=np.uint8)
-_NUM_CLASS[ord("-")] = 1
-_NUM_CLASS[ord("0")] = 2
-_NUM_CLASS[ord("1") : ord("9") + 1] = 3
-_NUM_CLASS[ord(".")] = 4
-_NUM_CLASS[[ord("e"), ord("E")]] = 5
-_NUM_CLASS[ord("+")] = 6
-_END, _ACCEPT = 0, 9  # state 10 rejects
-_NUM_NEXT = np.array(
-    [
-        # end  -   0   1-9  .   e   +  other
-        [10, 1, 2, 3, 10, 10, 10, 10],  # 0: start
-        [10, 10, 2, 3, 10, 10, 10, 10],  # 1: after '-'
-        [9, 10, 10, 10, 4, 6, 10, 10],  # 2: integer part "0"
-        [9, 10, 3, 3, 4, 6, 10, 10],  # 3: integer part [1-9][0-9]*
-        [10, 10, 5, 5, 10, 10, 10, 10],  # 4: after '.'
-        [9, 10, 5, 5, 10, 6, 10, 10],  # 5: fraction digits
-        [10, 7, 8, 8, 10, 10, 7, 10],  # 6: after 'e'
-        [10, 10, 8, 8, 10, 10, 10, 10],  # 7: exponent sign
-        [9, 10, 8, 8, 10, 10, 10, 10],  # 8: exponent digits
-        [9, 10, 10, 10, 10, 10, 10, 10],  # 9: accepted (only padding may follow)
-        [10] * 8,  # 10: rejected
-    ],
-    dtype=np.uint8,
-)
+# The bytes of a JSON number: a score token with any other byte goes to the
+# record route, so NaN, Infinity, literals and whitespace never reach the
+# json tier of ``_block_floats``.
+_NUMBER_BYTES = np.zeros(256, dtype=bool)
+_NUMBER_BYTES[list(b"0123456789.eE+-")] = True
 
 
 class IngestError(EvaluationError):
@@ -275,13 +251,6 @@ def _has(words: np.ndarray, at: np.ndarray, text: bytes) -> np.ndarray:
     return found
 
 
-def _gather(arr: np.ndarray, start: np.ndarray, width: np.ndarray, columns: int) -> np.ndarray:
-    """``arr[start : start + width]`` per row, left-aligned in ``columns`` bytes, zero-filled."""
-    chars = arr[start[:, None] + np.arange(columns)]
-    chars[np.arange(columns) >= width[:, None]] = 0
-    return chars
-
-
 def _byte_masks(high: bool) -> np.ndarray:
     """``masks[k]`` keeps the ``k`` highest (or lowest) bytes of a uint64, k = 0..8."""
     ones = [(1 << (8 * k)) - 1 for k in range(9)]
@@ -376,7 +345,8 @@ def _block_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     fraction digits: ``D`` and ``10**k`` (``k <= 16``) are exact doubles, so
     the one division rounds the token's value correctly, as ``float`` does.
     The digit runs on both sides of the point are read by ``_digit_runs``.
-    Other tokens (exponents, longer digit strings) go through ``_dfa_floats``.
+    Every other token (an exponent, more than 16 digits) is read by ``json``
+    in ``_json_floats``, so a score means what ``json`` reads on either route.
     """
     negative = buf[start] == ord("-")
     first = start + negative
@@ -404,7 +374,7 @@ def _block_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     np.negative(values, out=values, where=negative)
     slow = np.flatnonzero(~fast)
     if len(slow):
-        rest = _dfa_floats(buf, start[slow], end[slow])
+        rest = _json_floats(buf, start[slow], end[slow])
         if rest is None:
             return None
         values[slow] = rest
@@ -414,28 +384,27 @@ def _block_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     return values
 
 
-def _dfa_floats(arr: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The JSON numbers ``arr[start:end]`` as float64, or None unless every token
-    matches the JSON number grammar and is finite.
+def _json_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The JSON numbers ``buf[start:end]`` as float64, read by ``json``, or None
+    unless every token is a JSON number within the float range.
 
-    numpy's bytes-to-float cast also accepts ``1.``, ``.5``, ``nan``, ``inf``,
-    ``+1`` and ``1_0``, so tokens are checked by the grammar first.
+    The tokens are copied out in order, in one gather, as the text of one
+    JSON array. Every token byte must be a digit or one of ``.eE+-``; on
+    those bytes json's grammar is the JSON number grammar, so a token that
+    fails it raises ``ValueError``, as do integers past json's digit limit.
     """
     width = end - start
-    if not ((width >= 1) & (width <= _MAX_NUMBER_BYTES)).all():
+    stops = np.cumsum(width + 1)  # one past each token's ',' in the copy
+    text = buf[np.arange(stops[-1]) + np.repeat(start + width + 1 - stops, width + 1)]
+    text[stops - 1] = ord(",")
+    text[-1] = ord("]")
+    if np.count_nonzero(_NUMBER_BYTES[text]) != len(text) - len(start):
         return None
-    columns = int(width.max())
-    chars = _gather(arr, start, width, columns)
-    classes = _NUM_CLASS[chars]
-    classes[np.arange(columns) >= width[:, None]] = _END
-    state = np.zeros(len(start), dtype=np.uint8)
-    for column in classes.T:
-        state = _NUM_NEXT[state, column]
-    if not (_NUM_NEXT[state, _END] == _ACCEPT).all():
+    try:
+        values = np.array(json.loads(b"[" + text.tobytes()), dtype=np.float64)
+    except (ValueError, OverflowError):  # OverflowError: an integer past the float range
         return None
-    values = chars.view(f"S{columns}").ravel().astype(np.float64)
-    # Out of range ("1e400", a 400-digit integer): json reports these per line.
-    return values if np.isfinite(values).all() else None
+    return values if len(values) == len(start) and np.isfinite(values).all() else None
 
 
 def _json_string(token: bytes) -> str | None:
@@ -702,7 +671,8 @@ def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertCo
         after = np.searchsorted(commas, starts + len(ALERT_PREFIX))
         comma = commas[np.minimum(after, len(commas) - 1)]
         found &= _has(words, comma, SCORE_KEY)
-        values = _block_floats(buf, comma + len(SCORE_KEY), tail)
+        # Only lines in the layout have a token between the two keys.
+        values = _block_floats(buf, comma + len(SCORE_KEY), tail) if found.all() else None
     if not found.all() or values is None:
         return None
     timestamps = _block_ints(buf, starts + len(ALERT_PREFIX), comma)
@@ -810,22 +780,18 @@ def load_alerts(
     with open(path, "rb") as handle:
         for buf, lo, hi in _read_blocks(handle):
             part = _fast_alerts(buf, lo, hi, line)
-            if part is None:
+            # A block-route part has one kind and one detector throughout: if
+            # either differs from earlier blocks', its first record does, and
+            # _alert_records raises that message at its line.
+            if (
+                part is None
+                or kind not in (None, part.kind)
+                or field_detector not in (None, part.detector)
+            ):
                 block = buf[lo:hi].tobytes()
                 part, lines = _alert_records(path, block, line, kind, field_detector)
             else:
                 lines = len(part.timestamps)
-                # The block's first record is the first to differ, if any does.
-                if kind is not None and part.kind is not kind:
-                    raise _fail(
-                        path, line, "file mixes 'alert' and 'score' records; use one throughout"
-                    )
-                if field_detector is not None and part.detector != field_detector:
-                    raise _fail(
-                        path,
-                        line,
-                        f"conflicting detector names {field_detector!r} and {part.detector!r}",
-                    )
             kind = part.kind or kind
             field_detector = part.detector or field_detector
             line += lines

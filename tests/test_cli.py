@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from idseval import cli
 from idseval.cli import main, parse_min_width
 from idseval import ParameterError
 from support import fresh_python
@@ -639,6 +640,38 @@ class TestUsage:
             assert code in (1, 2)
             lines = [l for l in captured.err.splitlines() if l]
             assert lines[0].startswith("error: ")
+
+
+class TestSpecsBeforeFiles:
+    """Metric and baseline specs are checked before any file is read."""
+
+    @pytest.fixture(autouse=True)
+    def no_reads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_labels was called")
+
+        monkeypatch.setattr(cli, "load_labels", refuse)
+
+    @pytest.mark.parametrize("verb", ["evaluate", "compare"])
+    def test_bad_metric_spec(self, workdir, capsys, verb):
+        code, _, stderr = run(
+            capsys, verb, "--labels", workdir / "labels.csv", "--alerts", workdir / "det.jsonl",
+            "--metrics", "f1,fbeta:beta=0", "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stderr.splitlines() == ["error: beta must be positive, got 0"]
+        assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("verb", ["evaluate", "compare", "timeline", "roc"])
+    def test_bad_baseline_spec(self, workdir, capsys, verb):
+        code, _, stderr = run(
+            capsys, verb, "--labels", workdir / "labels.csv",
+            "--detector", "baseline:coin", "--out", workdir / "run",
+        )
+        assert code == 2
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: unknown baseline 'coin'")
+        assert not (workdir / "run").exists()
 
 
 class TestInputErrorsAreOneLine:

@@ -137,6 +137,61 @@ class TestWordScores:
         assert block_floats([b"0.5", token.encode()]) is None
 
 
+class TestJsonScores:
+    """Score tokens the word path leaves are read by ``json`` in one array, or
+    refused, so that their block takes the record route."""
+
+    @pytest.mark.parametrize(
+        "token",
+        ["NaN", "Infinity", "-Infinity", "true", "null", " 1", "1 ", "+1", "1_0", "1e+", "0x1",
+         "1e400", "9" * 400, "9" * 5000],
+    )
+    def test_refused(self, token):
+        assert block_floats([b"0.5", token.encode(), b"1e5"]) is None
+
+    def test_reprs_with_exponents(self):
+        rng = np.random.default_rng(11)
+        values = rng.random(5000) * 10.0 ** rng.integers(-320, 300, 5000)
+        tokens = [repr(v).encode() for v in values.tolist()]
+        # 17 significant digits and a two- or three-digit exponent: 19-23 digits.
+        assert sum(b"e" in t and len(t) >= 22 for t in tokens) > 1000
+        assert block_floats(tokens) == json_bits(tokens)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1e-400", "-1e-400", "1" * 40, "0." + "3" * 40, "12345678901234567890123456789.5e-7",
+         "1.7976931348623157e308", "5e-324", "-0e0", "9007199254740993e0"],
+    )
+    def test_edges(self, token):
+        tokens = [b"0.5", token.encode(), b"2"]
+        assert block_floats(tokens) == json_bits(tokens)
+
+    def test_a_line_without_its_score(self, tmp_path, plant):
+        # The line passes the length check, and its first comma is the
+        # detector's, so no score token lies between the keys: the block must
+        # leave the numpy route before any token is read.
+        lines = alert_lines("score", canonical_rows("score"))
+        lines[1] = '{"timestamp": 123456789012345, "detector": "d"}\n'
+        path = tmp_path / "det.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = alert_outcome(ingest_oracle.load_alerts, path, plant)
+        message = "line 2: each record needs exactly one of 'alert' or 'score'"
+        assert expected == ("error", f"{path}: {message}")
+        assert alert_outcome(ingest.load_alerts, path, plant) == expected
+
+    def test_full_precision_file_takes_the_numpy_route(self, tmp_path, slow_routes):
+        n = 20_000
+        series = LabeledSeries("plant", np.arange(n), np.zeros(n, np.int32), ())
+        rng = np.random.default_rng(5)
+        scores = rng.random(n)
+        scores[::7] *= 1e-5  # reprs with exponents
+        path = tmp_path / "d.jsonl"
+        save_alerts(AlertSeries.from_scores("d", scores, "plant"), series, path)
+        loaded = ingest.load_alerts(path, series)
+        assert slow_routes["alerts"] == 0
+        assert loaded.values.view(np.uint64).tolist() == scores.view(np.uint64).tolist()
+
+
 def label_file(rows) -> bytes:
     return ("timestamp,label\n" + "".join(f"{t},{label}\n" for t, label in rows)).encode()
 
@@ -614,3 +669,39 @@ class TestLoadMemory:
         assert shared == [True, True]  # timestamps and label codes
         ingest.load_alerts(path, series)
         assert shared == [True, True, True]
+
+
+class TestBlockRouteConflicts:
+    """A block-route part whose kind or detector differs from earlier blocks'
+    goes to the record route, which raises the message at its first line."""
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (alert_lines("alert", [(0, False), (10, True), (20, False)]),
+             alert_lines("score", [(30, 0.5), (40, 0.25), (50, 1.0)])),
+            (alert_lines("alert", [(0, False), (10, True), (20, False)], detector="a"),
+             alert_lines("alert", [(30, True), (40, True), (50, False)], detector="b")),
+        ],
+        ids=["boolean then scored", "detector a then b"],
+    )
+    def test_same_message_as_the_reference(self, tmp_path, monkeypatch, first, second):
+        path = tmp_path / "det.jsonl"
+        path.write_text("".join(first + second), encoding="utf-8")
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", len("".join(first)))
+        parts = []
+        fast = ingest._fast_alerts
+
+        def spy(*args):
+            parts.append(fast(*args))
+            return parts[-1]
+
+        monkeypatch.setattr(ingest, "_fast_alerts", spy)
+        series = LabeledSeries("plant", 10 * np.arange(6), np.zeros(6, np.int32), ())
+        with pytest.raises(IngestError) as caught:
+            ingest.load_alerts(path, series)
+        with pytest.raises(IngestError) as expected:
+            ingest_oracle.load_alerts(path, series)
+        assert str(caught.value) == str(expected.value)
+        assert f"{path}: line 4: " in str(caught.value)
+        assert len(parts) == 2 and None not in parts  # both blocks in the save_alerts layout
