@@ -27,7 +27,7 @@ from .model import (
     Param,
     alerts_to_intervals,
     bind_params,
-    collapse_multiclass,
+    collapse_multiclass,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
     extract_scenarios,
     format_fraction,
     parse_spec as parse_metric_spec,
@@ -50,9 +50,8 @@ class UnknownMetricError(EvaluationError):
 class EvalContext:
     """Shared intermediate results for one (dataset, detector) pair.
 
-    Everything expensive is computed once and cached: the binary collapse of
-    multi-class labels, the confusion matrix, the typed scenario list and the
-    alert run intervals.
+    Everything expensive is computed once and cached: the confusion matrix,
+    the typed scenario list and the alert run intervals.
     """
 
     def __init__(self, series: LabeledSeries, alerts: AlertSeries, gap_tolerance: int = 0):
@@ -67,12 +66,10 @@ class EvalContext:
         self.gap_tolerance = gap_tolerance
 
     @cached_property
-    def binary(self) -> LabeledSeries:
-        return self.series if self.series.is_binary else collapse_multiclass(self.series)
-
-    @cached_property
     def cm(self) -> ConfusionMatrix:
-        return pointwise.confusion(self.binary, self.alerts)
+        # Point metrics count any attack type as positive, so the attack mask
+        # of the multi-class series is that of its binary collapse.
+        return pointwise.count_confusion(self.series.attack_mask, self.alerts.values)
 
     @cached_property
     def scenarios(self) -> list[AttackScenario]:

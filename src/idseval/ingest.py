@@ -11,7 +11,8 @@ path and 1-based line number.
 
 Files are read in blocks of whole lines, each read into one reused buffer
 of about 1 MiB. A block in the exact layout that ``save_labels`` or
-``save_alerts`` writes is parsed with numpy, every byte checked against that
+``save_alerts`` writes is parsed with numpy (a label block in pieces of
+whole lines, to bound the temporaries), every byte checked against that
 layout: integers are read eight digits at a time from 64-bit words, and
 labels are decoded once per run of equal labels. Any other block goes
 through ``csv`` or ``json`` record by record. Both routes accept and reject
@@ -24,6 +25,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -52,10 +54,11 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Files are read through one buffer of this many bytes, reused for every
-# block. Each block costs ~25 numpy calls whatever its size, so at 10^6
-# points 1 MiB blocks load 1.7x faster than 64 KiB ones. The buffer is
-# reused, not allocated per block, so that a load leaves no freed 1 MiB
-# blocks in glibc's heap to raise the peak RSS of the stages after it.
+# block. Each block an alert parse takes costs ~25 numpy calls whatever its
+# size, so large blocks spread that cost over many lines (label blocks are
+# parsed in smaller pieces, see ``_PIECE_BYTES``). The buffer is reused, not
+# allocated per block, so that a load leaves no freed 1 MiB blocks in
+# glibc's heap to raise the peak RSS of the stages after it.
 _BLOCK_BYTES = 1 << 20
 _WRITE_ROWS = 1 << 14
 # Bytes before a block, so that the three 8-byte words ending at a 19-digit
@@ -68,6 +71,13 @@ _LABEL_HEADER_LINE = b"timestamp,label\n"
 # Longest label the block parser handles; longer ones are valid but go
 # through csv.
 _MAX_LABEL_BYTES = 64
+# Label blocks are parsed in pieces of at most about this many bytes, cut
+# after a newline: ``_fast_labels`` holds about nine int64-wide temporaries
+# per line. At 10^6 points that is ~1.5 MiB for a piece's ~21k lines, about
+# what a 1 MiB alert block's parse holds, against ~5.8 MiB for a whole block.
+_PIECE_BYTES = 1 << 18
+# The longest line of the label layout: '-', 19 digits, ',', a label, '\n'.
+_MAX_LABEL_LINE = 22 + _MAX_LABEL_BYTES
 # The bytes of a JSON number: a score token with any other byte goes to the
 # record route, so NaN, Infinity, literals and whitespace never reach the
 # json tier of ``_block_floats``.
@@ -195,6 +205,26 @@ def _read_blocks(handle) -> Iterator[tuple[np.ndarray, int, int]]:
             grown = bytearray(_FRONT + size + _PAD)
             grown[:end] = raw[:end]
             raw, buf = grown, np.frombuffer(grown, dtype=np.uint8)
+
+
+def _pieces(buf: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Cut block ``buf[lo:hi]`` after newlines into pieces of at most about ``_PIECE_BYTES``.
+
+    A cut is looked for only in the last ``_MAX_LABEL_LINE`` bytes before
+    the limit. Where none of them is a newline, the block is not in the
+    label layout, and the rest of it is one piece.
+    """
+    while hi - lo > _PIECE_BYTES:
+        limit = lo + _PIECE_BYTES
+        window = max(lo, limit - _MAX_LABEL_LINE)
+        newlines = np.flatnonzero(buf[window:limit] == ord("\n"))
+        if not len(newlines):
+            break
+        cut = window + int(newlines[-1]) + 1
+        yield lo, cut
+        lo = cut
+    if lo < hi:
+        yield lo, hi
 
 
 def _as_bytes(blocks: Iterable[tuple[np.ndarray, int, int]]) -> Iterator[bytes]:
@@ -393,9 +423,15 @@ def _json_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
     those bytes json's grammar is the JSON number grammar, so a token that
     fails it raises ``ValueError``, as do integers past json's digit limit.
     """
-    width = end - start
-    stops = np.cumsum(width + 1)  # one past each token's ',' in the copy
-    text = buf[np.arange(stops[-1]) + np.repeat(start + width + 1 - stops, width + 1)]
+    stops = np.cumsum(end - start + 1)  # one past each token's ',' in the copy
+    # The offset in ``buf`` of every copied byte, built in place as a running
+    # sum: a step of 1 inside a token and onto the byte after it (the ','
+    # slot), and a jump from there to the next token's start.
+    index = np.ones(stops[-1], dtype=np.intp)
+    index[0] = start[0]
+    index[stops[:-1]] = start[1:] - end[:-1]
+    np.cumsum(index, out=index)
+    text = buf[index]
     text[stops - 1] = ord(",")
     text[-1] = ord("]")
     if np.count_nonzero(_NUMBER_BYTES[text]) != len(text) - len(start):
@@ -421,13 +457,13 @@ def _json_string(token: bytes) -> str | None:
 def _fast_labels(
     buf: np.ndarray, lo: int, hi: int, index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Timestamps, then label codes run by run and rows per run, of a block of
-    ``ts,label`` lines, or None.
+    """Timestamps, then label codes run by run and rows per run, of a piece
+    ``buf[lo:hi]`` of ``ts,label`` lines, or None.
 
     None means some byte leaves the layout ``save_labels`` writes for plain
     labels (no quotes, no control bytes, no surrounding whitespace); the
-    block then goes through ``csv``. New attack types join ``index`` in the
-    order they first appear.
+    file from that piece on then goes through ``csv``. New attack types join
+    ``index`` in the order they first appear.
 
     Labels come in runs, so each row is keyed by its label's masked 8-byte
     words and compared with the row before it; only the first row of each
@@ -532,6 +568,37 @@ def _label_rows(
     return _int_column(timestamps), np.array(codes, dtype=np.int32), runs, record_lines
 
 
+def _label_parts(
+    path: Path, handle, index: dict[str, int], tick: Fraction
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int], int | None]]:
+    """The parts of an open label file in order: timestamps, label codes run by
+    run, rows per run, each record's line, and the bytes the part covers.
+
+    After the header, each piece of a block in the ``save_labels`` layout is
+    one part. From the first piece out of it, the rest of the file goes
+    through csv as one last part, whose byte count is None.
+    """
+    blocks = _read_blocks(handle)
+    buf, lo, hi = next(blocks, (np.zeros(0, np.uint8), 0, 0))
+    if buf[lo:hi][: len(_LABEL_HEADER_LINE)].tobytes() != _LABEL_HEADER_LINE:
+        rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
+        yield *_label_rows(path, _text_lines(path, rest, 1, ""), 1, index, tick, True), None
+        return
+    line = 2
+    lo += len(_LABEL_HEADER_LINE)
+    for buf, lo, hi in itertools.chain([(buf, lo, hi)], blocks):
+        for start, stop in _pieces(buf, lo, hi):
+            part = _fast_labels(buf, start, stop, index)
+            if part is None:
+                # csv quoting can span lines, so the rest of the file goes to csv.
+                rest = itertools.chain([buf[start:hi].tobytes()], _as_bytes(blocks))
+                rows = _text_lines(path, rest, line, "")
+                yield *_label_rows(path, rows, line, index, tick, header=False), None
+                return
+            yield *part, range(line, line + len(part[0])), stop - start
+            line += len(part[0])
+
+
 def load_labels(
     path: Path | str,
     name: str | None = None,
@@ -546,43 +613,50 @@ def load_labels(
     path = Path(path)
     tick = Fraction(tick_seconds)
     index: dict[str, int] = {}  # attack type -> code, in order of first appearance
-    # Per part: timestamps, label codes run by run, rows per run, each record's line.
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]] = []
+    # Each part's timestamps are written into one column, sized for the
+    # file's size at the bytes per line so far. Its unwritten tail never
+    # becomes resident, and the column is cut to its length at the end. A
+    # column that proves too short grows by ``resize``, which zero-fills,
+    # so it is first allocated with ``np.empty``.
+    column = np.empty(0, np.int64)
+    count = 0  # timestamps in the column
+    done = 0  # bytes of the file the block-route parts cover
+    codes: list[np.ndarray] = []
+    runs: list[np.ndarray] = []
+    lines: list[Sequence[int]] = []
     with open(path, "rb") as handle:
-        blocks = _read_blocks(handle)
-        buf, lo, hi = next(blocks, (np.zeros(0, np.uint8), 0, 0))
-        if buf[lo:hi][: len(_LABEL_HEADER_LINE)].tobytes() == _LABEL_HEADER_LINE:
-            line = 2
-            lo += len(_LABEL_HEADER_LINE)
-            for buf, lo, hi in itertools.chain([(buf, lo, hi)], blocks):
-                if lo == hi:
-                    continue
-                part = _fast_labels(buf, lo, hi, index)
-                if part is None:
-                    # csv quoting can span lines, so the rest of the file goes to csv.
-                    rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
-                    rows = _text_lines(path, rest, line, "")
-                    parts.append(_label_rows(path, rows, line, index, tick, header=False))
-                    break
-                parts.append((*part, range(line, line + len(part[0]))))
-                line += len(part[0])
-        else:
-            rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
-            parts.append(_label_rows(path, _text_lines(path, rest, 1, ""), 1, index, tick, True))
-    if not any(len(part[0]) for part in parts):
+        size = os.fstat(handle.fileno()).st_size
+        for stamps, part_codes, part_runs, part_lines, part_bytes in _label_parts(
+            path, handle, index, tick
+        ):
+            end = count + len(stamps)
+            if part_bytes is None:  # the csv part, the last
+                column = stamps if not count else np.concatenate((column[:count], stamps))
+            else:
+                done += part_bytes
+                if end > len(column):
+                    length = max(end, end * size // done, len(column) * 9 // 8)
+                    if count:
+                        column.resize(length, refcheck=False)  # no view of it is alive
+                    else:
+                        column = np.empty(length, np.int64)
+                column[count:end] = stamps
+            count = end
+            codes.append(part_codes)
+            runs.append(part_runs)
+            lines.append(part_lines)
+    if not count:
         raise _fail(path, None, "no data rows")
-    stamps, codes, runs, lines = zip(*parts)
-    del parts
-    timestamps = np.concatenate(stamps)
-    del stamps  # np.concatenate held the parts and the whole; free the parts now
-    _check_increasing(timestamps, path, lines)
-    _check_range(timestamps, path, lines)
+    if len(column) > count:
+        column.resize(count, refcheck=False)  # no view of it is alive
+    _check_increasing(column, path, lines)
+    _check_range(column, path, lines)
     label_codes = np.repeat(np.concatenate(codes), np.concatenate(runs))
-    for column in (timestamps, label_codes):
-        column.setflags(write=False)  # so that LabeledSeries shares it
+    for array in (column, label_codes):
+        array.setflags(write=False)  # so that LabeledSeries shares it
     return LabeledSeries(
         name=name or path.stem,
-        timestamps=timestamps,
+        timestamps=column,
         label_codes=label_codes,
         attack_types=tuple(index),
         tick_seconds=tick,

@@ -38,13 +38,21 @@ def confusion(series: LabeledSeries, alerts: AlertSeries) -> ConfusionMatrix:
     if alerts.kind is not AlertKind.BOOLEAN:
         raise EvaluationError("confusion requires boolean alerts, not scores")
     require_alignment(series, alerts)
-    attack = series.attack_mask
-    alert = alerts.values
+    return count_confusion(series.attack_mask, alerts.values)
+
+
+def count_confusion(attack: np.ndarray, alert: np.ndarray) -> ConfusionMatrix:
+    """TP/TN/FP/FN of two aligned boolean columns, with one boolean temporary.
+
+    TP, the attack points and the alerted points are counted; FN, FP and TN
+    follow from them.
+    """
+    attacks = int(np.count_nonzero(attack))
+    alarms = int(np.count_nonzero(alert))
     tp = int(np.count_nonzero(attack & alert))
-    fn = int(np.count_nonzero(attack & ~alert))
-    fp = int(np.count_nonzero(~attack & alert))
-    tn = int(np.count_nonzero(~attack & ~alert))
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    return ConfusionMatrix(
+        tp=tp, tn=len(attack) - attacks - alarms + tp, fp=alarms - tp, fn=attacks - tp
+    )
 
 
 def _ratio(name: str, numerator: int, denominator: int) -> MetricValue:

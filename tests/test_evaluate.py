@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from idseval import (
@@ -12,14 +15,18 @@ from idseval import (
     DEFAULT_METRICS,
     EvalContext,
     EvaluationError,
+    LabeledSeries,
     ParameterError,
     UnknownMetricError,
     catalog_lines,
+    collapse_multiclass,
     compute_metric,
+    confusion,
     evaluate_detector,
     parse_metric_spec,
     resolve_metric,
 )
+from oracles.brute import brute_confusion
 from support import make_alerts, make_series
 
 
@@ -94,6 +101,40 @@ class TestEvalContext:
         ctx = context(["dos", "spoof", "benign"], [True, True, False])
         assert ctx.cm.tp == 2
         assert [s.attack_type for s in ctx.scenarios] == ["dos", "spoof"]
+
+    def test_multiclass_counts_equal_the_collapsed_series_and_the_brute_counter(self):
+        rng = random.Random(4117)
+        for _ in range(300):
+            n = rng.randint(1, 64)
+            types = ["benign", "dos", "spoof", "scan"][: rng.randint(1, 4)]
+            weights = [rng.choice([0, 1, 5]) for _ in types]
+            if not any(weights):
+                weights[0] = 1
+            labels = rng.choices(types, weights, k=n)
+            alerted = [rng.random() < rng.choice([0.0, 0.3, 1.0]) for _ in range(n)]
+            series, alerts = make_series(labels), make_alerts(alerted)
+            cm = EvalContext(series, alerts).cm
+            counts = brute_confusion([label != "benign" for label in labels], alerted)
+            assert cm == confusion(collapse_multiclass(series), alerts)
+            assert (cm.tp, cm.tn, cm.fp, cm.fn) == (
+                counts["tp"], counts["tn"], counts["fp"], counts["fn"],
+            )
+
+    def test_point_metrics_on_multiclass_labels_copy_no_codes(self):
+        n = 200_000
+        codes = np.repeat(np.arange(n // 500) % 4, 500).astype(np.int32)
+        series = LabeledSeries("series", np.arange(n), codes, ("dos", "scan", "replay"))
+        alerts = make_alerts(np.random.default_rng(3).random(n) < 0.3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_detector(series, alerts, metrics=["confusion", "f1", "fpr", "npv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The attack mask and one boolean temporary are two bool columns; an
+        # int32 copy of the codes alone would be four.
+        assert peak - before < 2.5 * n
 
 
 class TestComputeMetric:

@@ -321,6 +321,62 @@ class TestLabelRuns:
         assert_labels_match(tmp_path / "labels.csv")
         assert slow_routes["labels"] == 0
 
+    @pytest.mark.parametrize("piece", [8, 40, 100, 1000])
+    def test_pieces_cut_inside_a_block(self, tmp_path, monkeypatch, slow_routes, piece):
+        # A piece smaller than a line has no newline to cut at, so the rest
+        # of its block is one piece.
+        monkeypatch.setattr(ingest, "_PIECE_BYTES", piece)
+        rng = random.Random(piece)
+        names = ["benign"] * 5 + ["dos", "a-much-longer-attack-name"]
+        rows, t, label = [], 0, "benign"
+        for _ in range(3000):
+            t += rng.randint(1, 10 ** rng.randint(1, 12))
+            if rng.random() < 0.1:
+                label = rng.choice(names)
+            rows.append((t, label))
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        with open(tmp_path / "labels.csv", "rb") as handle:
+            buf, lo, hi = next(ingest._read_blocks(handle))
+            cuts = list(ingest._pieces(buf, lo, hi))
+        # The pieces tile the block, and each but the last is whole lines
+        # within the piece size.
+        assert [start for start, _ in cuts] == [lo] + [stop for _, stop in cuts[:-1]]
+        assert cuts[-1][1] == hi
+        for start, stop in cuts[:-1]:
+            assert stop - start <= piece and buf[stop - 1] == ord("\n")
+        assert len(cuts) > 1 if piece >= 40 else len(cuts) == 1
+        assert_labels_match(tmp_path / "labels.csv")
+        assert slow_routes["labels"] == 0
+
+    @pytest.mark.parametrize("long_first", [True, False])
+    def test_the_column_fits_the_file_whatever_the_first_piece(
+        self, tmp_path, monkeypatch, slow_routes, long_first
+    ):
+        # The column is sized from the first piece's bytes per line: long
+        # lines first make it too short, so it grows; short lines first make
+        # it too long, so it is cut at the end.
+        monkeypatch.setattr(ingest, "_PIECE_BYTES", 256)
+        labels = ["x" * 60] * 40 + ["dos"] * 2000
+        rows = list(enumerate(labels if long_first else labels[::-1]))
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        series = assert_labels_match(tmp_path / "labels.csv")
+        assert series.timestamps.flags.owndata
+        assert slow_routes["labels"] == 0
+
+    @pytest.mark.parametrize("at", [0, 37, 150, 2999])
+    def test_a_piece_out_of_the_layout_sends_the_rest_of_its_block_to_csv(
+        self, tmp_path, monkeypatch, slow_routes, at
+    ):
+        # A quoted label holding a newline: the piece that holds its first
+        # line ends inside the quotes, so csv must read on past that piece.
+        monkeypatch.setattr(ingest, "_PIECE_BYTES", 64)
+        rows = [(i, "dos" if i // 9 % 2 else "benign") for i in range(3000)]
+        rows[at] = (at, '"multi\nline, quoted"')
+        (tmp_path / "labels.csv").write_bytes(label_file(rows))
+        series = assert_labels_match(tmp_path / "labels.csv")
+        assert "multi\nline, quoted" in series.attack_types
+        assert slow_routes["labels"] == 1
+
     def test_a_65_byte_label_takes_the_csv_route(self, tmp_path, slow_routes):
         rows = [(0, "benign"), (1, "x" * 65), (2, "x" * 65), (3, "dos")]
         (tmp_path / "labels.csv").write_bytes(label_file(rows))
@@ -640,6 +696,29 @@ class TestLoadMemory:
             tracemalloc.stop()
         # Beyond its result, the load never holds an int64 column of the file.
         assert peak - before - alerts.values.nbytes < 8 * n
+
+    @pytest.mark.parametrize("block", [1 << 14, None], ids=["small blocks", "default blocks"])
+    def test_label_load_holds_half_a_timestamp_column_at_most(self, tmp_path, monkeypatch, block):
+        n = 200_000
+        codes = (np.arange(n) // 1000 % 4).astype(np.int32)
+        series = LabeledSeries("plant", 7 * np.arange(n) + 10**12, codes, ("dos", "scan", "replay"))
+        path = tmp_path / "labels.csv"
+        save_labels(series, path)
+        if block:
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        buffer = ingest._FRONT + ingest._BLOCK_BYTES + ingest._PAD
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = ingest.load_labels(path, name="plant")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == series
+        # Beyond its result and the read buffer, the load holds neither the
+        # timestamps twice nor a whole block's parse temporaries.
+        result = loaded.timestamps.nbytes + loaded.label_codes.nbytes
+        assert peak - before - result - buffer < 8 * n / 2
 
     @pytest.mark.parametrize("layout", ["save_*", "compact"])
     @pytest.mark.parametrize("key", ["alert", "score"])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +62,17 @@ def test_affiliation_stays_the_function_once_its_module_loads():
         "print(affiliation is function)"
     )
     assert fresh_python("-c", code) == "True\n"
+
+
+def test_every_name_the_benchmark_patches_resolves(monkeypatch):
+    """``benchmarks/spans.py`` times layers by patching names on idseval's
+    modules, so a name it patches must stay where it looks for it."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("idseval_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up
+    spec.loader.exec_module(spans)
+    sites = spans.call_sites()
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in sites if not hasattr(owner, attr)]
+    assert sites
+    assert missing == []
