@@ -10,7 +10,7 @@ scenario, so a single long alarm cannot claim credit for every attack.
 All sets live on a continuous time axis: the inclusive tick interval
 ``[ts_i, ts_j]`` occupies ``[ts_i, ts_j + 1)``. Every integrand here is
 piecewise linear, so integrals are evaluated exactly with the midpoint rule
-after splitting at the breakpoints.
+after splitting at the breakpoints, for all zones at once.
 """
 
 from __future__ import annotations
@@ -42,90 +42,78 @@ class AffiliationZone:
     recall: float
 
 
-def _ordered_sum(terms: np.ndarray) -> float:
-    """Left-to-right float sum of ``terms`` (``np.sum`` would pair them up)."""
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+# Items per block of arithmetic: blocks bound the temporaries.
+_BLOCK = 8192
 
 
-def _dist_to_event(t: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Distance from each instant to the event span [a, b)."""
-    return np.where(t < a, a - t, np.where(t > b, t - b, 0.0))
+def _split(lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray, j: np.ndarray):
+    """Pieces [lo, hi) with piece j[i] cut at cuts[i] wherever that is strictly
+    inside it; j ascends, as do one piece's cuts. Returns lo, hi and the j cut."""
+    inside = (lo[j] < cuts) & (cuts < hi[j])
+    j, cuts = j[inside], cuts[inside]
+    return np.insert(lo, j + 1, cuts), np.insert(hi, j, cuts), j
 
 
-def _dist_to_alerts(t: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Distance from each instant to a sorted disjoint union of alert spans."""
-    i = np.searchsorted(starts, t, side="right") - 1
-    prev_end = ends[np.maximum(i, 0)]
-    before = np.where(i >= 0, t - prev_end, np.inf)
-    after = np.where(i + 1 < len(starts), starts[np.minimum(i + 1, len(starts) - 1)] - t, np.inf)
-    return np.where((i >= 0) & (t < prev_end), 0.0, np.minimum(before, after))
+def _recall_sums(lo, hi, start, stop, a, b, z0, z1) -> np.ndarray:
+    """Each zone's closeness credit integrated over its event.
 
-
-def _split(lo: np.ndarray, hi: np.ndarray, cuts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Pieces of each [lo, hi) split at those ``cuts`` lying strictly inside it.
-
-    Row ``k`` of the result lists the pieces of ``[lo[k], hi[k])`` in order;
-    cuts outside a piece become zero-width pieces, which add nothing to an
-    integral.
-    """
-    inner = [np.where((lo < cut) & (cut < hi), cut, lo) for cut in cuts]
-    points = np.sort(np.stack([lo, *inner, hi], axis=1), axis=1)
-    return points[:, :-1], points[:, 1:]
-
-
-def _zone_precision(
-    lo: np.ndarray, hi: np.ndarray, a: float, b: float, z0: float, z1: float
-) -> float | None:
-    """Average closeness credit of the alert mass inside one zone.
-
-    The credit of an instant t is the probability that a uniform instant of
-    the zone is at least as far from the event. It is linear between the
-    kinks a, b, a + b - z1 and a + b - z0, so each piece between them is
-    integrated exactly at its midpoint. Returns None when the zone holds no
-    alert mass; such zones express no opinion about precision and are left
-    out of the overall mean.
-    """
-    mass = _ordered_sum(hi - lo)
-    if mass == 0.0:
-        return None
-    p, q = _split(lo, hi, [a, b, a + b - z1, a + b - z0])
-    t = (p + q) / 2.0
-    d = _dist_to_event(t, a, b)
-    closer = np.maximum(0.0, np.minimum(z1, b + d) - np.maximum(z0, a - d))
-    credit = np.where(d == 0.0, 1.0, 1.0 - closer / (z1 - z0))
-    return _ordered_sum(((q - p) * credit).ravel()) / mass
-
-
-def _zone_recall(
-    lo: np.ndarray, hi: np.ndarray, a: float, b: float, z0: float, z1: float
-) -> float:
-    """Average closeness credit the zone's alerts earn across the event.
-
+    Takes ``affiliation``'s arrays: zone k's pieces are lo/hi[start[k]:stop[k]].
     Each event instant t scores the probability that a uniform instant of the
-    zone lies at least as far from t as the nearest alert does. A zone
-    without alerts scores 0.
+    zone lies at least as far from t as the nearest alert does. The distance
+    to the alerts is linear between alert bounds and the midpoints of the
+    gaps; the credit has further kinks where t +- d(t) crosses a zone bound.
+    Only the pieces that overlap an event, and one on either side, are
+    nearest to one of its instants or put a breakpoint into it.
     """
-    if len(lo) == 0:
-        return 0.0
-    length = z1 - z0
-    # The distance to the alerts is linear between alert bounds and the
-    # midpoints of the gaps; the credit has further kinks where t +- d(t)
-    # crosses a zone bound.
-    cuts = np.concatenate(([a, b], lo, hi, (hi[:-1] + lo[1:]) / 2.0))
-    ordered = np.unique(cuts[(a <= cuts) & (cuts <= b)])
-    p, q = ordered[:-1], ordered[1:]
-    dp = _dist_to_alerts(p, lo, hi)
-    dq = _dist_to_alerts(q, lo, hi)
-    slope = (dq - dp) / (q - p)
-    intercept = dp - slope * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(slope != -1.0, (z1 - intercept) / (1.0 + slope), p)
-        lower = np.where(slope != 1.0, (z0 + intercept) / (1.0 - slope), p)
-    pp, qq = _split(p, q, [upper, lower])
-    mid = (pp + qq) / 2.0
-    d = _dist_to_alerts(mid, lo, hi)
-    excluded = np.maximum(0.0, np.minimum(z1, mid + d) - np.maximum(z0, mid - d))
-    return _ordered_sum(((qq - pp) * (1.0 - excluded / length)).ravel()) / (b - a)
+    alerted = np.flatnonzero(stop > start)
+    near = np.maximum(np.searchsorted(hi, a, side="left") - 1, start)
+    count = np.maximum(np.minimum(np.searchsorted(lo, b, side="right") + 1, stop) - near, 0)
+    zone, stop = np.repeat(np.arange(len(a)), count), np.cumsum(count)
+    piece = np.arange(len(zone)) + (near - stop + count)[zone]
+    lo, hi = lo[piece], hi[piece]
+
+    def dist_to_alerts(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Distance from each instant of zone k's event to that zone's pieces."""
+        i = np.minimum(np.searchsorted(lo, t, side="right"), stop[k]) - 1
+        held = i >= stop[k] - count[k]
+        prev_end = hi[i]
+        before = np.where(held, t - prev_end, np.inf)
+        after = np.where(i + 1 < stop[k], lo[np.minimum(i + 1, len(lo) - 1)] - t, np.inf)
+        return np.where(held & (t < prev_end), 0.0, np.minimum(before, after))
+
+    gap = zone[:-1] == zone[1:]
+    cuts = np.concatenate((a[alerted], b[alerted], lo, hi, (hi[:-1] + lo[1:])[gap] / 2.0))
+    k = np.concatenate((alerted, alerted, zone, zone, zone[:-1][gap]))
+    keep = (a[k] <= cuts) & (cuts <= b[k])
+    cuts, k = cuts[keep], k[keep]
+    order = np.lexsort((cuts, k))
+    cuts, k = cuts[order], k[order]
+    fresh = np.ones(len(cuts), dtype=bool)
+    fresh[1:] = (cuts[1:] != cuts[:-1]) | (k[1:] != k[:-1])
+    cuts, k = cuts[fresh], k[fresh]
+    pair = k[:-1] == k[1:]
+    rows_lo, rows_hi, rows_zone = cuts[:-1][pair], cuts[1:][pair], k[:-1][pair]
+    # Blocks of whole zones bound the temporaries; each zone is summed in one.
+    starts = np.unique(np.searchsorted(rows_zone, rows_zone[::_BLOCK])).tolist()
+    sums = np.zeros(len(a))
+    for s, e in zip(starts, starts[1:] + [len(rows_zone)]):
+        p, q, k = rows_lo[s:e], rows_hi[s:e], rows_zone[s:e]
+        dp, dq = dist_to_alerts(p, k), dist_to_alerts(q, k)
+        slope = (dq - dp) / (q - p)
+        intercept = dp - slope * p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = np.where(slope != -1.0, (z1[k] - intercept) / (1.0 + slope), p)
+            lower = np.where(slope != 1.0, (z0[k] + intercept) / (1.0 - slope), p)
+        upper, lower = (np.where((p < cut) & (cut < q), cut, p) for cut in (upper, lower))
+        first_cut, second_cut = np.minimum(upper, lower), np.maximum(upper, lower)
+        pp = np.stack([p, first_cut, second_cut], axis=1).ravel()
+        qq = np.stack([first_cut, second_cut, q], axis=1).ravel()
+        k = np.repeat(k, 3)
+        mid = (pp + qq) / 2.0
+        d = dist_to_alerts(mid, k)
+        excluded = np.maximum(0.0, np.minimum(z1[k], mid + d) - np.maximum(z0[k], mid - d))
+        sums += np.bincount(k, (qq - pp) * (1.0 - excluded / (z1 - z0)[k]), minlength=len(a))
+    return sums
 
 
 def affiliation(
@@ -146,39 +134,49 @@ def affiliation(
         return TimeAwareScores(None, None, None), []
 
     ts = series.timestamps
-    event_lo, event_hi = scenario_runs.spans(ts)
-    alert_lo, alert_hi = alerts.spans(ts)
+    a, b = scenario_runs.spans(ts)
     t0, t_last = float_ticks(ts, [0, -1])
-    bounds = np.concatenate(([t0], (event_hi[:-1] + event_lo[1:]) / 2.0, [t_last + 1.0]))
-    # Alert spans are sorted and disjoint, so both their ends and their
-    # starts ascend: a zone's alerts are one slice.
-    first = np.searchsorted(alert_hi, bounds[:-1], side="right")
-    stop = np.searchsorted(alert_lo, bounds[1:], side="left")
+    bounds = np.concatenate(([t0], (b[:-1] + a[1:]) / 2.0, [t_last + 1.0]))
+    z0, z1 = bounds[:-1], bounds[1:]
+    # Alert spans cut at the zone bounds inside them are the alerts clipped
+    # to their zones: one sorted, disjoint array of pieces, zone k's pieces
+    # being lo[start[k]:stop[k]]. Each zone's terms are summed left to right
+    # from 0.0, as bincount adds. All terms are >= 0, so the zero-width
+    # pieces that a zone-by-zone evaluation makes would add nothing.
+    lo, hi = alerts.spans(ts)
+    j = np.searchsorted(hi, bounds[1:-1], side="right")
+    lo, hi, _ = _split(lo, hi, bounds[1:-1][j < len(hi)], j[j < len(hi)])
+    stop = np.searchsorted(lo, z1, side="left")
+    start = np.concatenate(([0], stop[:-1]))
+    mass = np.bincount(np.repeat(np.arange(len(z0)), stop - start), hi - lo, minlength=len(z0))
+    recalls = (_recall_sums(lo, hi, start, stop, a, b, z0, z1) / (b - a)).tolist()
 
-    zones: list[AffiliationZone] = []
-    for a, b, z0, z1, i, j in zip(
-        event_lo.tolist(), event_hi.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
-        first.tolist(), stop.tolist(),
-    ):
-        lo = np.maximum(alert_lo[i:j], z0)
-        hi = np.minimum(alert_hi[i:j], z1)
-        zones.append(
-            AffiliationZone(
-                zone_start=z0,
-                zone_end=z1,
-                event_start=a,
-                event_end=b,
-                precision=_zone_precision(lo, hi, a, b, z0, z1),
-                recall=_zone_recall(lo, hi, a, b, z0, z1),
-            )
-        )
-
-    opinions = [z.precision for z in zones if z.precision is not None]
+    # Precision: the credit of an instant t is the probability that a uniform
+    # instant of the zone is at least as far from the event. It is linear
+    # between the kinks a, b, a + b - z1 and a + b - z0, so each piece is cut
+    # where a kink of its zone falls strictly inside it and integrated exactly
+    # at its midpoint. Zones holding no alert mass express no opinion.
+    kinks = np.sort(np.stack([a, b, a + b - z1, a + b - z0], axis=1), axis=1)[stop > start]
+    kink_zone = np.repeat(np.flatnonzero(stop > start), 4)
+    j = np.searchsorted(hi, kinks.ravel(), side="right")
+    j = np.minimum(np.maximum(j, start[kink_zone]), stop[kink_zone] - 1)
+    lo, hi, j = _split(lo, hi, kinks.ravel(), j)
+    k = np.repeat(np.arange(len(z0)), np.diff(stop + np.searchsorted(j, stop), prepend=0))
+    for s in range(0, len(lo), _BLOCK):
+        # Each block of hi is overwritten with its pieces' terms.
+        i = slice(s, s + _BLOCK)
+        t, ak, bk = (lo[i] + hi[i]) / 2.0, a[k[i]], b[k[i]]
+        d = np.where(t < ak, ak - t, np.where(t > bk, t - bk, 0.0))
+        closer = np.maximum(0.0, np.minimum(z1[k[i]], bk + d) - np.maximum(z0[k[i]], ak - d))
+        hi[i] -= lo[i]
+        hi[i] *= np.where(d == 0.0, 1.0, 1.0 - closer / (z1 - z0)[k[i]])
+    with np.errstate(invalid="ignore"):
+        held = np.bincount(k, hi, minlength=len(z0)) / mass
+    precisions = np.where(mass == 0.0, None, held).tolist()
+    del lo, hi, k  # the pieces are not needed while the zones are built
+    fields = zip(z0.tolist(), z1.tolist(), a.tolist(), b.tolist(), precisions, recalls)
+    opinions = [p for p in precisions if p is not None]
     precision = sum(opinions) / len(opinions) if opinions else None
-    recall = sum(z.recall for z in zones) / len(zones)
-    scores = TimeAwareScores(
-        precision_like=precision,
-        recall_like=recall,
-        f1_like=harmonic_f1(precision, recall),
-    )
-    return scores, zones
+    recall = sum(recalls) / len(recalls)
+    scores = TimeAwareScores(precision, recall, harmonic_f1(precision, recall))
+    return scores, [AffiliationZone(*zone) for zone in fields]

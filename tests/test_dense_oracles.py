@@ -10,6 +10,7 @@ whole zone, and runs that end or start exactly on a zone bound.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -37,28 +38,30 @@ ZONES, BLOCK = 20, 80
 EMPTY_ZONE, FULL_ZONE = 4, 13
 
 
-def dense_instance(seed: int, gapped: bool):
+def dense_instance(seed: int, gapped: bool, zones: int = ZONES, block: int = BLOCK):
     """Labels, scenario index spans, timestamps, zone bounds and alerts.
 
-    Some zone bounds are put on a tick with a tick right before it, and the
+    Zone k's scenario lies in points ``[k * block, (k + 1) * block)``. Some
+    zone bounds are put on a tick with a tick right before it, and the
     alerts there are set to end or to start exactly on the bound.
     """
     rng = random.Random(seed)
-    n = ZONES * BLOCK
+    n = zones * block
     attacks = []
-    for k in range(ZONES):
-        start = k * BLOCK + rng.randint(10, 40)
-        attacks.append((start, start + rng.randint(5, 30)))
+    for k in range(zones):
+        start = k * block + rng.randint(block // 8, block // 2)
+        attacks.append((start, start + rng.randint(block // 16, 3 * block // 8)))
     # Bounds that land on a tick: all of them at unit steps, else every other
     # one and the two of the empty zone.
     if gapped:
-        on_tick = set(range(0, ZONES - 1, 2)) | {EMPTY_ZONE - 1, EMPTY_ZONE}
+        on_tick = set(range(0, zones - 1, 2)) | {EMPTY_ZONE - 1, EMPTY_ZONE}
     else:
-        on_tick = set(range(ZONES - 1))
+        on_tick = set(range(zones - 1))
     ts = [0]
     for i in range(1, n):
         step = rng.choice([1, 1, 1, 2, 3, 10]) if gapped else 1
-        for k in on_tick:
+        # Only scenario i // block or (i + 1) // block can start at i or i + 1.
+        for k in on_tick & {i // block - 1, (i + 1) // block - 1}:
             (_, prev_end), (next_start, next_end) = attacks[k], attacks[k + 1]
             if not gapped and i == next_start and (prev_end + 1 + next_start) % 2:
                 # Start the event one point later: the midpoint becomes a tick.
@@ -161,3 +164,43 @@ def test_dense_affiliation_matches_the_oracle(seed, gapped):
     got = (scores.precision_like, scores.recall_like, scores.f1_like)
     for value, expected in zip(got, want):
         assert value == pytest.approx(float(expected), abs=1e-9)
+
+
+@pytest.mark.parametrize("gapped", [False, True], ids=["contiguous", "gapped"])
+def test_scenario_dense_affiliation_matches_the_oracle(gapped):
+    """Five hundred zones, each checked against the oracle on its own zone.
+
+    Given one event, the oracle's only zone is the span it is handed, so
+    each zone's values come from the zone's event, bounds and the alert runs
+    that reach into it. The overall scores are the exact means of those.
+    """
+    zones = 500
+    series, attacks, ts, bounds, alerts = dense_instance(15 + gapped, gapped, zones, block=32)
+    runs = alerts_to_intervals(alerts, series)
+    scenarios = extract_scenarios(series)
+    assert len(scenarios) == zones and len(runs) >= 3 * zones
+    scores, got = affiliation(scenarios, runs, series)
+
+    def spans(intervals):
+        return [(Fraction(ts[a]), Fraction(ts[b]) + 1) for a, b in intervals]
+
+    run_spans = spans(runs)
+    run_starts, run_ends = [lo for lo, _ in run_spans], [hi for _, hi in run_spans]
+    edges = [Fraction(ts[0]), *bounds, Fraction(ts[-1]) + 1]
+    precisions, recalls = [], []
+    for zone, event, z0, z1 in zip(got, spans(attacks), edges, edges[1:]):
+        assert (zone.zone_start, zone.zone_end) == (z0, z1)
+        assert (zone.event_start, zone.event_end) == event
+        near = run_spans[bisect_right(run_ends, z0) : bisect_left(run_starts, z1)]
+        precision, recall, _ = affiliation_oracle([event], near, (z0, z1))
+        if precision is None:
+            assert zone.precision is None
+        else:
+            assert zone.precision == pytest.approx(float(precision), abs=1e-9)
+            precisions.append(precision)
+        assert zone.recall == pytest.approx(float(recall), abs=1e-9)
+        recalls.append(recall)
+    assert got[EMPTY_ZONE].precision is None
+    want = (sum(precisions) / len(precisions), sum(recalls) / len(recalls))
+    assert scores.precision_like == pytest.approx(float(want[0]), abs=1e-9)
+    assert scores.recall_like == pytest.approx(float(want[1]), abs=1e-9)
