@@ -20,7 +20,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from idseval import (
-    AttackScenario,
     BaselineSpec,
     Intervals,
     LabeledSeries,
@@ -31,7 +30,7 @@ from idseval import (
     generate,
     intervals_to_mask,
 )
-from idseval.model import AlertSeries
+from idseval.model import AlertSeries, Scenarios
 
 
 def build_series(n_scenarios: int, scenario_len: int, spacing: int) -> LabeledSeries:
@@ -45,15 +44,15 @@ def build_series(n_scenarios: int, scenario_len: int, spacing: int) -> LabeledSe
 
 
 def sparse_detector(
-    series: LabeledSeries, scenarios: list[AttackScenario], covered: tuple[int, ...]
+    series: LabeledSeries, scenarios: Scenarios, covered: tuple[int, ...]
 ) -> AlertSeries:
-    runs = Intervals.of_scenarios(scenarios)
+    runs = scenarios.runs
     values = intervals_to_mask([runs[k] for k in covered], len(series))
     return AlertSeries.from_bool("sparse", values, series.name)
 
 
 def score(
-    series: LabeledSeries, scenarios: list[AttackScenario], alerts: AlertSeries
+    series: LabeledSeries, scenarios: Scenarios, alerts: AlertSeries
 ) -> tuple[float, float]:
     """(affiliation F1, eTaF1) of one detector."""
     runs = alerts_to_intervals(alerts, series)

@@ -4,10 +4,11 @@
 The trace is built in memory: 10^6 points at unit ticks, with
 ``--scenarios`` attack scenarios of 5 points each, spread evenly and cycling
 through three attack types, and a boolean detector that fires on each point
-with probability 0.3 (seed 1). The script times ``affiliation`` on the
-extracted scenarios and alert runs, and ``evaluate_detector`` with the default
-metrics, each as the median of 5 runs (wall clock, no profiler), and prints
-one JSON line with the timings and the affiliation scores.
+with probability 0.3 (seed 1). The script times ``extract_scenarios``,
+``affiliation`` on the extracted scenarios and alert runs, and
+``evaluate_detector`` with the default metrics, each as the median of 5 runs
+(wall clock, no profiler), and prints one JSON line with the timings and the
+affiliation scores.
 
     python scripts/scenario_dense.py --scenarios 10000
 """
@@ -66,7 +67,7 @@ def main() -> int:
     args = parser.parse_args()
 
     series, alerts = build(POINTS, args.scenarios, seed=1)
-    scenarios = extract_scenarios(series)
+    extract_s, scenarios = median_seconds(lambda: extract_scenarios(series), REPEAT)
     runs = alerts_to_intervals(alerts, series)
     affiliation_s, (scores, zones) = median_seconds(
         lambda: affiliation(scenarios, runs, series), REPEAT
@@ -77,6 +78,7 @@ def main() -> int:
         "scenarios": len(scenarios),
         "alert_runs": len(runs),
         "zones": len(zones),
+        "extract_s": round(extract_s, 4),
         "affiliation_s": round(affiliation_s, 4),
         "evaluate_s": round(evaluate_s, 4),
         "affiliation_precision": scores.precision_like,

@@ -28,7 +28,7 @@ _EXPORTS = {
             load_labels load_manifest save_alerts save_labels validate_pair""",
         "model": """AlertKind AlertSeries AlignmentError AttackScenario
             ConfusionMatrix EvaluationError Intervals LabeledSeries MetricReport
-            MetricValue ParameterError alerts_to_intervals collapse_multiclass
+            MetricValue ParameterError Scenarios alerts_to_intervals collapse_multiclass
             extract_scenarios format_fraction intervals_to_mask mask_to_intervals""",
         "pointwise": """FBetaParams RocCurve RocPoint accuracy auc auc_single
             confusion f1 f_beta fnr fpr npv ppv roc scenario_normalized_recall

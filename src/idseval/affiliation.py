@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    AttackScenario,
-    Intervals,
     IntervalsLike,
     LabeledSeries,
+    Scenarios,
+    ScenariosLike,
     as_intervals,
     float_ticks,
 )
@@ -117,7 +117,7 @@ def _recall_sums(lo, hi, start, stop, a, b, z0, z1) -> np.ndarray:
 
 
 def affiliation(
-    scenarios: list[AttackScenario],
+    scenarios: ScenariosLike,
     alert_intervals: IntervalsLike,
     series: LabeledSeries,
 ) -> tuple[TimeAwareScores, list[AffiliationZone]]:
@@ -128,9 +128,9 @@ def affiliation(
     averages over every zone, counting alert-free zones as 0. Both are
     Undefined when the series has no attack scenarios.
     """
-    scenario_runs = Intervals.of_scenarios(scenarios)
+    scenario_runs = Scenarios.of(scenarios).runs
     alerts = as_intervals(alert_intervals, "alert")
-    if not scenarios:
+    if not len(scenario_runs):
         return TimeAwareScores(None, None, None), []
 
     ts = series.timestamps

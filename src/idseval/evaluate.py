@@ -17,7 +17,6 @@ from .affiliation import affiliation
 from .model import (
     AlertKind,
     AlertSeries,
-    AttackScenario,
     ConfusionMatrix,
     EvaluationError,
     Intervals,
@@ -25,6 +24,7 @@ from .model import (
     MetricReport,
     MetricValue,
     Param,
+    Scenarios,
     alerts_to_intervals,
     bind_params,
     collapse_multiclass,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
@@ -51,7 +51,7 @@ class EvalContext:
     """Shared intermediate results for one (dataset, detector) pair.
 
     Everything expensive is computed once and cached: the confusion matrix,
-    the typed scenario list and the alert run intervals.
+    the ``Scenarios`` table and the alert run intervals.
     """
 
     def __init__(self, series: LabeledSeries, alerts: AlertSeries, gap_tolerance: int = 0):
@@ -72,7 +72,7 @@ class EvalContext:
         return pointwise.count_confusion(self.series.attack_mask, self.alerts.values)
 
     @cached_property
-    def scenarios(self) -> list[AttackScenario]:
+    def scenarios(self) -> Scenarios:
         return extract_scenarios(self.series, gap_tolerance=self.gap_tolerance)
 
     @cached_property

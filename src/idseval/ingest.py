@@ -966,12 +966,11 @@ def validate_pair(
     attack_points = int(series.attack_mask.sum())
     attack_fraction = Fraction(attack_points, n)
     scenarios = extract_scenarios(series, gap_tolerance=gap_tolerance)
-    by_type: dict[str, int] = {}
-    for scenario in scenarios:
-        by_type[scenario.attack_type] = by_type.get(scenario.attack_type, 0) + 1
+    counts = np.bincount(scenarios.codes, minlength=len(scenarios.attack_types) + 1)
+    by_type = {t: c for t, c in zip(scenarios.attack_types, counts[1:].tolist()) if c}
 
     warnings: list[str] = []
-    if not scenarios:
+    if not len(scenarios):
         warnings.append("no attack scenarios; time-aware metrics will be undefined")
     if attack_points == n:
         warnings.append("every point is an attack; FPR, TNR and NPV will be undefined")

@@ -2,9 +2,9 @@
 
 Everything here is immutable after construction and safe to share across
 parallel metric evaluations. Time is kept as integer ticks plus a declared
-tick duration in seconds; per-packet datasets use tick=1 "packet index",
-per-second process datasets use tick=1 second. All interval endpoints
-(scenarios, alert intervals) are inclusive.
+tick duration in seconds (1 for packet indices or per-second records).
+Alert runs (``Intervals``) and attack scenarios (``Scenarios``) are arrays
+checked once when built; all their endpoints are inclusive.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ class MetricReport:
         return None
 
 
-def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> list[AttackScenario]:
+def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> "Scenarios":
     """Split the series into maximal runs of identically-typed attack points.
 
     Runs of the same attack type separated by at most ``gap_tolerance`` benign
@@ -415,34 +415,20 @@ def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> list[Att
     if gap_tolerance < 0:
         raise ParameterError("gap_tolerance must be non-negative")
     codes = series.label_codes
-    if len(codes) == 0 or not series.attack_mask.any():
-        return []
     boundaries = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries - 1, [len(codes) - 1]))
-    runs = [(int(s), int(e), int(codes[s])) for s, e in zip(starts, ends) if codes[s] > 0]
-
-    merged: list[tuple[int, int, int]] = []
-    for start, end, code in runs:
-        if merged:
-            prev_start, prev_end, prev_code = merged[-1]
-            benign_between = start - prev_end - 1
-            if code == prev_code and benign_between <= gap_tolerance:
-                merged[-1] = (prev_start, end, code)
-                continue
-        merged.append((start, end, code))
-
-    timestamps = series.timestamps
-    return [
-        AttackScenario(
-            start_index=s,
-            end_index=e,
-            start_time=int(timestamps[s]),
-            end_time=int(timestamps[e]),
-            attack_type=series.attack_types[code - 1],
-        )
-        for s, e, code in merged
-    ]
+    attack = codes[starts] > 0
+    starts, ends = starts[attack], ends[attack]
+    run_codes = codes[starts]
+    # A run opens a scenario unless the one before has its type and a short gap;
+    # it closes one when the next run opens (rolled, the last run's next is the first).
+    opens = np.ones(len(starts), dtype=bool)
+    opens[1:] = (run_codes[1:] != run_codes[:-1]) | (starts[1:] - ends[:-1] - 1 > gap_tolerance)
+    starts, ends = starts[opens], ends[np.roll(opens, -1)]
+    times = np.column_stack((series.timestamps[starts], series.timestamps[ends]))
+    runs = Intervals(starts, ends, "scenario")
+    return Scenarios(runs, run_codes[opens], times, series.attack_types)
 
 
 def require_alignment(series: LabeledSeries, alerts: AlertSeries) -> None:
@@ -491,11 +477,9 @@ class Intervals:
             raise ValueError(f"{what} intervals must be sorted and disjoint")
 
     @classmethod
-    def of_scenarios(cls, scenarios: Sequence[AttackScenario]) -> "Intervals":
+    def of_scenarios(cls, scenarios: ScenariosLike) -> "Intervals":
         """Index spans of attack scenarios, which must be sorted and disjoint."""
-        starts = [s.start_index for s in scenarios]
-        ends = [s.end_index for s in scenarios]
-        return cls(starts, ends, "scenario")
+        return Scenarios.of(scenarios).runs
 
     @property
     def lengths(self) -> np.ndarray:
@@ -536,6 +520,63 @@ class Intervals:
 
 
 IntervalsLike = Intervals | Sequence[tuple[int, int]]
+
+
+@dataclass(frozen=True, eq=False)
+class Scenarios:
+    """Attack scenarios as arrays checked once, read as a sequence of ``AttackScenario``.
+
+    ``runs`` are their index spans, ``codes`` their types (k is ``attack_types[k - 1]``)
+    and ``times`` one row of (start, end) ticks each.
+    """
+
+    runs: Intervals
+    codes: np.ndarray
+    times: np.ndarray
+    attack_types: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codes", codes := _frozen_array(self.codes, np.int32))
+        object.__setattr__(self, "times", times := _frozen_array(self.times, np.int64))
+        if codes.shape != (len(self.runs),) or times.shape != (len(self.runs), 2):
+            raise ValueError("scenario codes and times must have one entry per run")
+        if len(codes) and (codes.min() < 1 or codes.max() > len(self.attack_types)):
+            raise ValueError("scenario codes must reference attack_types")
+
+    @classmethod
+    def of(cls, scenarios: ScenariosLike) -> "Scenarios":
+        """``scenarios`` itself, or the checked table of a sequence of ``AttackScenario``."""
+        if isinstance(scenarios, Scenarios):
+            return scenarios
+        index: dict[str, int] = {}
+        rows = [
+            (s.start_index, s.end_index, s.start_time, s.end_time,
+             index.setdefault(s.attack_type, len(index) + 1))
+            for s in scenarios
+        ]
+        table = np.array(rows, dtype=np.int64).reshape(-1, 5)
+        runs = Intervals(table[:, 0], table[:, 1], "scenario")
+        return cls(runs, table[:, 4], table[:, 2:4], tuple(index))
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __iter__(self):
+        types = map(self.attack_types.__getitem__, (self.codes - 1).tolist())
+        indices = self.runs.starts.tolist(), self.runs.ends.tolist()
+        return map(AttackScenario, *indices, *self.times.T.tolist(), types)
+
+    def __getitem__(self, index: int) -> AttackScenario:
+        attack_type = self.attack_types[self.codes[index] - 1]
+        return AttackScenario(*self.runs[index], *self.times[index].tolist(), attack_type)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Scenarios, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+ScenariosLike = Scenarios | Sequence[AttackScenario]
 
 # float64 holds every integer of smaller magnitude exactly.
 _EXACT_FLOAT_TICKS = 2**53

@@ -16,17 +16,20 @@ import numpy as np
 from .model import (
     AlertKind,
     AlertSeries,
-    AttackScenario,
     ConfusionMatrix,
     EvaluationError,
     LabeledSeries,
     MetricValue,
     ParameterError,
+    Scenarios,
+    ScenariosLike,
     _frozen_array,
     extract_scenarios,
     format_fraction,
+    mask_to_intervals,
     require_alignment,
 )
+from .timeaware import _covered, _portions
 
 
 def confusion(series: LabeledSeries, alerts: AlertSeries) -> ConfusionMatrix:
@@ -277,7 +280,7 @@ def auc_single(cm: ConfusionMatrix) -> MetricValue:
 def scenario_normalized_recall(
     series: LabeledSeries,
     alerts: AlertSeries,
-    scenarios: list[AttackScenario] | None = None,
+    scenarios: ScenariosLike | None = None,
 ) -> MetricValue:
     """Recall normalized by scenario length: mean per-scenario alerted fraction.
 
@@ -288,12 +291,8 @@ def scenario_normalized_recall(
     if alerts.kind is not AlertKind.BOOLEAN:
         raise EvaluationError("scenario-normalized recall requires boolean alerts")
     require_alignment(series, alerts)
-    if scenarios is None:
-        scenarios = extract_scenarios(series, gap_tolerance=0)
-    if not scenarios:
+    runs = (extract_scenarios(series) if scenarios is None else Scenarios.of(scenarios)).runs
+    if not len(runs):
         return MetricValue.undefined("scenario-recall")
-    total = Fraction(0)
-    for scenario in scenarios:
-        covered = int(np.count_nonzero(alerts.values[scenario.start_index : scenario.end_index + 1]))
-        total += Fraction(covered, scenario.length)
-    return MetricValue.from_fraction("scenario-recall", total / len(scenarios))
+    total = _portions(_covered(runs, mask_to_intervals(alerts.values)), runs.lengths)
+    return MetricValue.from_fraction("scenario-recall", total / len(runs))

@@ -322,7 +322,7 @@ def render_timeline(
         widened.setflags(write=False)
         return TimelineLane(name, kind, true_spans, drawn_spans, widened)
 
-    lanes = (lane("ground truth", "labels", Intervals.of_scenarios(extract_scenarios(series))),)
+    lanes = (lane("ground truth", "labels", extract_scenarios(series).runs),)
     lanes += tuple(lane(a.detector, "alerts", alerts_to_intervals(a, series)) for a in alerts)
 
     margin_left, margin_right = 160.0, 20.0

@@ -19,6 +19,8 @@ from .model import (
     LabeledSeries,
     MetricValue,
     ParameterError,
+    Scenarios,
+    ScenariosLike,
     as_intervals,
 )
 
@@ -42,16 +44,12 @@ class ScenarioDetection:
             raise ValueError("delay_ticks must be non-negative")
 
 
-def _first_overlaps(
-    scenarios: list[AttackScenario], alerts: Intervals
-) -> tuple[list[int], list[bool]]:
-    """Per scenario: the earliest alert run overlapping it, and whether one does."""
-    starts = np.array([s.start_index for s in scenarios], dtype=np.int64)
-    ends = np.array([s.end_index for s in scenarios], dtype=np.int64)
-    first = np.searchsorted(alerts.ends, starts, side="left")
+def _first_overlaps(runs: Intervals, alerts: Intervals) -> tuple[np.ndarray, np.ndarray]:
+    """Per run: the earliest alert run overlapping it, and whether one does."""
+    first = np.searchsorted(alerts.ends, runs.starts, side="left")
     hit = first < len(alerts)
-    hit[hit] = alerts.starts[first[hit]] <= ends[hit]
-    return first.tolist(), hit.tolist()
+    hit[hit] = alerts.starts[first[hit]] <= runs.ends[hit]
+    return first, hit
 
 
 def _points_before(runs: Intervals, positions: np.ndarray) -> np.ndarray:
@@ -72,7 +70,7 @@ def _covered(runs: Intervals, others: Intervals) -> np.ndarray:
 
 
 def detected_scenarios(
-    scenarios: list[AttackScenario],
+    scenarios: ScenariosLike,
     alert_intervals: IntervalsLike,
     group_by_type: bool = False,
 ) -> tuple[MetricValue, list[bool]]:
@@ -83,22 +81,21 @@ def detected_scenarios(
     types instead: a type is detected iff at least one of its scenarios is.
     Returns the ratio plus the per-scenario detection flags.
     """
-    _, flags = _first_overlaps(scenarios, as_intervals(alert_intervals, "alert"))
+    table = Scenarios.of(scenarios)
+    _, hit = _first_overlaps(table.runs, as_intervals(alert_intervals, "alert"))
     name = "detected-scenarios"
     params: dict[str, object] = {"by-type": True} if group_by_type else {}
-    if not scenarios:
-        return MetricValue.undefined(name, **params), flags
+    if not len(table):
+        return MetricValue.undefined(name, **params), []
     if group_by_type:
-        types = {s.attack_type for s in scenarios}
-        detected_types = {s.attack_type for s, flag in zip(scenarios, flags) if flag}
-        ratio = Fraction(len(detected_types), len(types))
+        ratio = Fraction(len(np.unique(table.codes[hit])), len(np.unique(table.codes)))
     else:
-        ratio = Fraction(sum(flags), len(scenarios))
-    return MetricValue.from_fraction(name, ratio, **params), flags
+        ratio = Fraction(int(np.count_nonzero(hit)), len(table))
+    return MetricValue.from_fraction(name, ratio, **params), hit.tolist()
 
 
 def detection_delay(
-    scenarios: list[AttackScenario],
+    scenarios: ScenariosLike,
     alert_intervals: IntervalsLike,
     series: LabeledSeries,
 ) -> tuple[list[ScenarioDetection], list[MetricValue]]:
@@ -109,39 +106,29 @@ def detection_delay(
     and median and reported through the undetected count; mean and median are
     Undefined when nothing was detected.
     """
+    table = Scenarios.of(scenarios)
     alerts = as_intervals(alert_intervals, "alert")
-    firsts, hits = _first_overlaps(scenarios, alerts)
-    details: list[ScenarioDetection] = []
-    delays: list[int] = []
-    for scenario, first, hit in zip(scenarios, firsts, hits):
-        if not hit:
-            details.append(ScenarioDetection(scenario=scenario, detected=False))
-            continue
-        alert_start = int(alerts.starts[first])
-        first_alert_time = int(series.timestamps[max(alert_start, scenario.start_index)])
-        delay = max(0, int(series.timestamps[alert_start]) - scenario.start_time)
-        delays.append(delay)
-        details.append(
-            ScenarioDetection(
-                scenario=scenario,
-                detected=True,
-                first_alert_time=first_alert_time,
-                delay_ticks=delay,
-            )
-        )
-
-    undetected = len(scenarios) - len(delays)
-    metrics = [
-        MetricValue.from_fraction("undetected-scenarios", Fraction(undetected)),
+    first, hit = _first_overlaps(table.runs, alerts)
+    alert_start = alerts.starts[first[hit]]
+    alert_time = series.timestamps[np.maximum(alert_start, table.runs.starts[hit])]
+    # A later tick minus an earlier one lies in [0, 2**64): exact in uint64.
+    alarm, start = series.timestamps[alert_start], table.times[hit, 0]
+    delay = np.where(alarm > start, alarm.view(np.uint64) - start.view(np.uint64), 0)
+    # Undetected scenarios carry None for both; the rest exact Python ints.
+    times, delays = np.full((2, len(table)), None, dtype=object)
+    times[hit], delays[hit] = alert_time.tolist(), delay.tolist()
+    details = [
+        ScenarioDetection(scenario, detected, at, ticks)
+        for scenario, detected, at, ticks in zip(table, hit.tolist(), times, delays)
     ]
-    if delays:
-        mean = Fraction(sum(delays), len(delays))
-        ordered = sorted(delays)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            median = Fraction(ordered[mid])
-        else:
-            median = Fraction(ordered[mid - 1] + ordered[mid], 2)
+
+    undetected = Fraction(len(table) - len(delay))
+    metrics = [MetricValue.from_fraction("undetected-scenarios", undetected)]
+    if len(delay):
+        ordered = np.sort(delay).tolist()
+        mean = Fraction(sum(ordered), len(ordered))
+        # The middle pair; for an odd count both are the middle delay.
+        median = Fraction(ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2], 2)
         metrics.append(MetricValue.from_fraction("detection-delay-mean", mean))
         metrics.append(MetricValue.from_fraction("detection-delay-median", median))
     else:
@@ -201,6 +188,17 @@ def harmonic_f1(precision: float | None, recall: float | None) -> float | None:
     return 2 * precision * recall / (precision + recall)
 
 
+def _portions(covered: np.ndarray, lengths: np.ndarray) -> Fraction:
+    """Exact sum of ``covered / lengths``, one Fraction per distinct length."""
+    distinct, group = np.unique(lengths, return_inverse=True)
+    covered_by_length = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(covered_by_length, group, covered)
+    return sum(
+        (Fraction(c, n) for c, n in zip(covered_by_length.tolist(), distinct.tolist())),
+        Fraction(0),
+    )
+
+
 def _mean_score(
     covered: np.ndarray, lengths: np.ndarray, theta: Fraction, w: Fraction
 ) -> tuple[float | None, np.ndarray]:
@@ -208,27 +206,22 @@ def _mean_score(
 
     A run is hit when ``covered / length`` is positive and at least ``theta``,
     that is when ``covered >= max(1, ceil(theta * length))``. The mean is the
-    exact rational rounded once to float; the portions are summed per distinct
-    length, of which there are at most sqrt(2 * total points).
+    exact rational rounded once to float.
     """
     if len(lengths) == 0:
         return None, np.zeros(0, dtype=bool)
+    # Summed first, so that its grouping is freed before this one is made.
+    portions = _portions(covered, lengths)
     distinct, group = np.unique(lengths, return_inverse=True)
     p, q = theta.numerator, theta.denominator
     needed = np.array([max(1, -(-p * n // q)) for n in distinct.tolist()], dtype=np.int64)
     hit = covered >= needed[group]
-    covered_by_length = np.zeros(len(distinct), dtype=np.int64)
-    np.add.at(covered_by_length, group, covered)
-    portions = sum(
-        (Fraction(c, n) for c, n in zip(covered_by_length.tolist(), distinct.tolist())),
-        Fraction(0),
-    )
     total = w * int(np.count_nonzero(hit)) + (1 - w) * portions
     return float(total / len(lengths)), hit
 
 
 def etapr(
-    scenarios: list[AttackScenario],
+    scenarios: ScenariosLike,
     alert_intervals: IntervalsLike,
     params: EtaParams | None = None,
 ) -> TimeAwareScores:
@@ -249,7 +242,7 @@ def etapr(
     """
     if params is None:
         params = EtaParams()
-    scenario_runs = Intervals.of_scenarios(scenarios)
+    scenario_runs = Scenarios.of(scenarios).runs
     alerts = as_intervals(alert_intervals, "alert")
     w = params.detection_weight
 

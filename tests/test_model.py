@@ -15,10 +15,12 @@ from idseval import (
     AlignmentError,
     AttackScenario,
     EvaluationError,
+    Intervals,
     LabeledSeries,
     MetricReport,
     MetricValue,
     ParameterError,
+    Scenarios,
     alerts_to_intervals,
     collapse_multiclass,
     extract_scenarios,
@@ -185,6 +187,22 @@ class TestExtractScenarios:
             expected = brute_merge_runs(brute_runs(labels), gap)
             got = extract_scenarios(make_series(labels), gap_tolerance=gap)
             assert [(s.start_index, s.end_index, s.attack_type) for s in got] == expected
+            # Unit ticks: each scenario's times are its indices.
+            assert got == [AttackScenario(s, e, s, e, kind) for s, e, kind in expected]
+            assert Scenarios.of(list(got)) == got
+            assert list(got.runs) == [(s, e) for s, e, _ in expected]
+
+    def test_table_rejects_codes_or_times_that_disagree_with_runs(self):
+        runs = Intervals([0, 4], [1, 6])
+        Scenarios(runs, [1, 2], [[0, 1], [4, 6]], ("a", "b"))
+        with pytest.raises(ValueError, match="reference attack_types"):
+            Scenarios(runs, [1, 3], [[0, 1], [4, 6]], ("a", "b"))
+        with pytest.raises(ValueError, match="reference attack_types"):
+            Scenarios(runs, [0, 1], [[0, 1], [4, 6]], ("a", "b"))
+        with pytest.raises(ValueError, match="one entry per run"):
+            Scenarios(runs, [1], [[0, 1], [4, 6]], ("a", "b"))
+        with pytest.raises(ValueError, match="one entry per run"):
+            Scenarios(runs, [1, 2], [[0, 1]], ("a", "b"))
 
 
 class TestIntervalHelpers:

@@ -18,7 +18,7 @@ ROOT_NAMES = [
     "DEFAULT_METRICS", "DatasetManifest", "EtaParams", "EvalContext", "EvaluationError",
     "FBetaParams", "IngestError", "Intervals", "LabeledSeries", "MetricDefinition",
     "MetricReport", "MetricValue", "ParameterError", "RocCurve", "RocPoint",
-    "ScenarioDetection", "TimeAwareScores", "TimelineLane", "TimelineRendering",
+    "ScenarioDetection", "Scenarios", "TimeAwareScores", "TimelineLane", "TimelineRendering",
     "UNDEFINED_CELL", "UnknownMetricError", "ValidationReport", "accuracy", "affiliation",
     "alerts_to_intervals", "auc", "auc_single", "build_table", "catalog_lines",
     "collapse_multiclass", "compute_metric", "confusion", "detected_scenarios",

@@ -269,8 +269,9 @@ class TestScenarioRecall:
 
     def test_matches_brute_on_random_instances(self):
         rng = random.Random(6061)
-        for _ in range(200):
-            labels, alert_values = random_binary_instance(rng, max_len=50)
+        for i in range(200):
+            # Every fourth instance is long, so many scenarios share a length.
+            labels, alert_values = random_binary_instance(rng, max_len=400 if i % 4 else 50)
             gap = rng.randint(0, 2)
             series = make_series(labels)
             scenarios = extract_scenarios(series, gap_tolerance=gap)

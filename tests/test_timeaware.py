@@ -15,11 +15,12 @@ from idseval import (
     detected_scenarios,
     detection_delay,
     etapr,
+    evaluate_detector,
     extract_scenarios,
     harmonic_f1,
 )
 from oracles.eta_oracle import eta_oracle
-from support import make_series, random_intervals
+from support import make_alerts, make_series, random_intervals
 
 
 def scenario(start: int, end: int, attack_type: str = "attack") -> AttackScenario:
@@ -131,6 +132,25 @@ class TestDetectionDelay:
         _, metrics = detection_delay(scenarios, alerts, series)
         by_name = {m.name: m for m in metrics}
         assert by_name["detection-delay-median"].exact == Fraction(1 + 3, 2)
+
+    def test_delays_past_int64_are_exact(self):
+        # Ticks span the whole int64 range, so the first delay is near 2**64.
+        lo, hi = -(2**63), 2**63 - 1
+        series = make_series(
+            ["A"] * 4 + ["benign", "B"],
+            tick_seconds="1/1000",
+            timestamps=[lo, lo + 1, 0, hi - 2, hi - 1, hi],
+        )
+        alerts = make_alerts([False, False, False, True, False, True])
+        details, _ = detection_delay(extract_scenarios(series), [(3, 3), (5, 5)], series)
+        assert [d.delay_ticks for d in details] == [hi - 2 - lo, 0]
+        assert [d.first_alert_time for d in details] == [hi - 2, hi]
+        report = evaluate_detector(series, alerts, metrics=["detection-delay"])
+        mean = Fraction(hi - 2 - lo, 2)
+        assert report.get("detection-delay-mean").exact == mean
+        assert report.get("detection-delay-median").exact == mean
+        assert report.get("detection-delay-mean-seconds").exact == mean / 1000
+        assert [d.delay_ticks for d in report.scenario_details] == [hi - 2 - lo, 0]
 
     def test_all_undetected_gives_undefined_mean_median(self):
         series = make_series(["attack"] * 4)
