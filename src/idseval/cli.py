@@ -284,14 +284,22 @@ def cmd_roc(args: argparse.Namespace) -> int:
     area = auc(curve)
     outdir = _prepare_outdir(args)
     _copy_alerts(sources, series, outdir)
+    # The curve is streamed into a file of its own and renamed over the target
+    # after the last chunk, so a failed write leaves no truncated curve behind.
+    partial = outdir / f".roc.{os.getpid()}.tmp"
     if args.format == "json":
         chunks = roc_json_chunks(curve, series.name, alert.detector, area.value)
         target = outdir / "roc.json"
     else:
         chunks = roc_csv_chunks(curve)
         target = outdir / "roc.csv"
-    with open(target, "wb") as handle:
-        handle.writelines(chunks)
+    try:
+        with open(partial, "wb") as handle:
+            handle.writelines(chunks)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     print(f"auc: {area.value:.6f}")
     print(f"wrote {target}")
     return 0

@@ -30,8 +30,14 @@ import numpy as np
 
 # The longest repr, '-1.2345678901234567e-308', fills a field exactly.
 WIDTH = 24
-# Values per pass through the arithmetic; bounds the temporaries.
-_BLOCK = 1 << 14
+# Values per pass through the arithmetic; bounds the temporaries. A pass
+# holds ~300 bytes of them per value, 2.5 MiB at 8192 values, and frees
+# them all at its end. The heap may hand such a burst back and fault it in
+# again on the next pass, depending on what else the process holds: writing
+# a 2e5-row ROC curve took 8k-19k minor faults with 16384-value passes
+# (5.0 MiB) and under 1k with 8192. 4096 values take no fewer faults and
+# more time.
+_BLOCK = 1 << 13
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64
 _MARGIN = 1e-9
 _MANTISSA = np.uint64((1 << 52) - 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from pathlib import Path
@@ -545,6 +546,27 @@ class TestRoc:
         )
         assert code == 0
         assert "auc: 1.000000" in stdout
+
+    @pytest.mark.parametrize("fmt,writer", [("csv", "roc_csv_chunks"), ("json", "roc_json_chunks")])
+    def test_failed_write_leaves_no_curve(self, workdir, capsys, monkeypatch, fmt, writer):
+        real = getattr(cli, writer)
+
+        def full_disk(*args):
+            chunks = real(*args)
+            yield next(chunks)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, writer, full_disk)
+        out = workdir / "run"
+        code, stdout, stderr = run(
+            capsys, "roc", "--labels", workdir / "labels.csv",
+            "--alerts", workdir / "scores.jsonl", "--auto",
+            "--format", fmt, "--out", out,
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+        # The alert copy stays; neither the curve nor its partial file does.
+        assert [path.name for path in out.iterdir()] == ["alerts"]
 
 
 class TestBaselineVerb:

@@ -8,6 +8,7 @@ non-finite values and the ``k/n`` ratios that ROC curves are made of.
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,20 @@ def test_ratios():
     n = rng.integers(1, 10**7, 10**5)
     k = rng.integers(0, n + 1)
     assert_reprs(k / n)
+
+
+def test_one_block_of_temporaries_stays_small():
+    # A pass's temporaries are freed as one burst; kept small, the heap keeps
+    # them instead of faulting them in again on every pass.
+    x = np.random.default_rng(1).random(floattext._BLOCK)
+    out = np.empty((len(x), 3), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        floattext._fill(x, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 10000])
