@@ -5,7 +5,8 @@ Exit codes: 0 on success, 1 on data or I/O errors, 2 on usage errors
 reads or generates alerts copies the raw alert streams into the output
 directory, so a results folder is always reproducible on its own. The output
 directory is created only after a run's checks and computation succeed, so a
-rejected run writes nothing.
+rejected run writes nothing, and each artifact is written to a temporary file
+and renamed once whole, so a failed write leaves no partial one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 # idseval makes no BLAS call, and each idle OpenBLAS worker that numpy starts
 # at import spins on a core before it sleeps. This must run before numpy's
@@ -121,6 +123,21 @@ def _prepare_outdir(args: argparse.Namespace) -> Path:
     return outdir
 
 
+def _write_atomic(target: Path, write: Callable[[Path], object]) -> None:
+    """Call ``write`` on a temporary file beside ``target``, then rename it onto ``target``.
+
+    A write that fails removes the temporary file and leaves ``target`` as
+    it was, so an artifact is either whole or absent.
+    """
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        write(partial)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _copy_alerts(sources: list[AlertSource], series: LabeledSeries, outdir: Path) -> None:
     """Keep a byte-faithful copy of every consumed alert stream in the run folder."""
     alert_dir = outdir / "alerts"
@@ -129,9 +146,9 @@ def _copy_alerts(sources: list[AlertSource], series: LabeledSeries, outdir: Path
     for alert, src in sources:
         dest = alert_dir / (_safe_filename(alert.detector, used) + ".jsonl")
         if src is None:
-            save_alerts(alert, series, dest)
+            _write_atomic(dest, lambda partial: save_alerts(alert, series, partial))
         else:
-            shutil.copyfile(src, dest)
+            _write_atomic(dest, lambda partial: shutil.copyfile(src, partial))
 
 
 def _gather_metrics(raw: list[str] | None) -> list[str] | None:
@@ -180,8 +197,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         text = build_table([report]).render(args.format)
     outdir = _prepare_outdir(args)
     _copy_alerts(sources, series, outdir)
-    target = outdir / f"report.{args.format}"
-    target.write_text(text, encoding="utf-8")
+    _write_atomic(
+        outdir / f"report.{args.format}", lambda partial: partial.write_text(text, encoding="utf-8")
+    )
     sys.stdout.write(text)
     return 0
 
@@ -201,8 +219,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     text = table.render(args.format)
     outdir = _prepare_outdir(args)
     _copy_alerts(sources, series, outdir)
-    target = outdir / f"comparison.{args.format}"
-    target.write_text(text, encoding="utf-8")
+    _write_atomic(
+        outdir / f"comparison.{args.format}",
+        lambda partial: partial.write_text(text, encoding="utf-8"),
+    )
     sys.stdout.write(text)
     return 0
 
@@ -244,7 +264,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     outdir = _prepare_outdir(args)
     _copy_alerts(sources, series, outdir)
     target = outdir / "timeline.svg"
-    rendering.save(target)
+    _write_atomic(target, rendering.save)
     widened = sum(np.count_nonzero(lane.widened) for lane in rendering.lanes)
     print(f"wrote {target} ({len(rendering.lanes)} lanes, {widened} alarms widened)")
     return 0
@@ -284,22 +304,18 @@ def cmd_roc(args: argparse.Namespace) -> int:
     area = auc(curve)
     outdir = _prepare_outdir(args)
     _copy_alerts(sources, series, outdir)
-    # The curve is streamed into a file of its own and renamed over the target
-    # after the last chunk, so a failed write leaves no truncated curve behind.
-    partial = outdir / f".roc.{os.getpid()}.tmp"
     if args.format == "json":
         chunks = roc_json_chunks(curve, series.name, alert.detector, area.value)
         target = outdir / "roc.json"
     else:
         chunks = roc_csv_chunks(curve)
         target = outdir / "roc.csv"
-    try:
+
+    def stream(partial: Path) -> None:
         with open(partial, "wb") as handle:
             handle.writelines(chunks)
-        os.replace(partial, target)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+
+    _write_atomic(target, stream)
     print(f"auc: {area.value:.6f}")
     print(f"wrote {target}")
     return 0
@@ -313,7 +329,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     for spec in specs:
         alert = generate(spec, series)
         target = outdir / (_safe_filename(alert.detector, used) + ".jsonl")
-        save_alerts(alert, series, target)
+        _write_atomic(target, lambda partial: save_alerts(alert, series, partial))
         print(f"wrote {target}")
     return 0
 

@@ -1,4 +1,9 @@
-"""``repr`` of float64 arrays, built in numpy as NUL-padded uint8 fields.
+"""``repr`` and ``'%.2f'`` of float64 arrays, built in numpy as NUL-padded uint8 fields.
+
+``repr_fields`` serves the ROC writers and ``fixed2_fields`` the timeline's
+``<rect>`` rows. Both certify every answer they compute and give the values
+they cannot certify to Python's own formatting, so their bytes never differ
+from it.
 
 ``repr`` writes the shortest decimal that reads back as the same double
 (among those, the nearest), in fixed notation when its decimal exponent
@@ -18,10 +23,22 @@ three lengths a double can need) and every answer is certified exactly:
   multiple of 10 (16 digits) if it lies inside, otherwise ``B`` itself,
   which always does.
 
-Values that no step certifies get ``float.__repr__``, so the bytes never
-differ from it: zeros, non-finite values, magnitudes in exponent notation,
-powers of two (their interval is lopsided), ``B + f`` within 1e-9 of a tie
-or of an interval edge, and digits that round up to ``10**17``.
+Values that no step certifies get ``float.__repr__``: zeros, non-finite
+values, magnitudes in exponent notation, powers of two (their interval is
+lopsided), ``B + f`` within 1e-9 of a tie or of an interval edge, and
+digits that round up to ``10**17``.
+
+``'%.2f'`` is correctly rounded (Gay, "Correctly Rounded Binary-Decimal and
+Decimal-Binary Conversions", 1990): its digits are those of the integer
+nearest ``|a| * 100``, ties to even. ``fixed2_fields`` rounds the double
+product ``y = |a| * 100`` to ``N = rint(y)``, and ``N`` is that integer
+whenever ``|y - N| < 0.5``. Below ``2**50``, ``y - N`` is a multiple of
+``spacing(y)`` and so at most ``0.5 - spacing(y)``, while ``y`` is within
+``spacing(y) / 2`` of the exact product; the exact distance to ``N`` is
+therefore below one half, and the exact product needs no double-double
+(Dekker's error term never changes the outcome). Values with ``y`` exactly
+halfway (ties and near-ties that round onto one), magnitudes from ``2**43``
+up and non-finite values get ``'%.2f' % v``.
 """
 
 from __future__ import annotations
@@ -219,3 +236,86 @@ def _fill(x: np.ndarray, out: np.ndarray) -> None:
     if len(slow):
         text = b"".join(repr(value).encode().ljust(WIDTH, b"\0") for value in x[slow].tolist())
         out.view(np.uint8)[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, WIDTH)
+
+
+# '%.2f' below _FIXED2_LIMIT: a * 100 < 2**50, and the integer part has at
+# most 13 digits, so a field is at most 17 bytes.
+_FIXED2_LIMIT = 2.0**43
+# By biased exponent: the digits less one of 2**exponent's integer part
+# (0 below 1), and the power of ten above it. A value's integer part, or
+# that part rounded up, is below twice the power of two, so it has the
+# guessed digits or one more.
+_WHOLE_GUESS = np.clip((np.arange(2048) - 1023) * 78913 >> 18, 0, 12)
+_WHOLE_NEXT = 10 ** (_WHOLE_GUESS + 1)
+
+
+def _fixed2_templates() -> tuple[np.ndarray, ...]:
+    """Three template words by ``negative * 13 + k`` for an integer part of ``k + 1`` digits.
+
+    The text is right-aligned in 24 bytes. The 16 digits of ``V`` (the
+    integer part, a zero at the point, two decimals) fill bytes 8-23 and
+    add onto the template: '0' under each shown digit, '.' at the point,
+    '-' before the first digit of a negative value, NUL elsewhere.
+    """
+    words = np.zeros((2, 13, 3), dtype=np.uint64)
+    for negative in (0, 1):
+        for k in range(13):
+            text = (b"-" * negative + b"0" * (k + 1) + b".00").rjust(24, b"\0")
+            words[negative, k] = [int.from_bytes(text[i : i + 8], "little") for i in (0, 8, 16)]
+    return tuple(np.ascontiguousarray(column) for column in words.reshape(-1, 3).T)
+
+
+_F0, _F1, _F2 = _fixed2_templates()
+
+
+def fixed2_fields(values: np.ndarray) -> np.ndarray:
+    """``'%.2f' % v`` of every float64 in ``values`` as uint8 rows, NUL-padded on the left.
+
+    Rows are as wide as the longest text among them, so dropping the NULs
+    of a row leaves its text.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    words = np.empty((len(x), 3), dtype=np.uint64)
+    lengths = np.empty(len(x), dtype=np.int64)
+    fast = np.empty(len(x), dtype=bool)
+    for start in range(0, len(x), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        fast[block] = _fill_fixed2(x[block], words[block], lengths[block])
+    slow = np.flatnonzero(~fast)
+    texts = [b"%.2f" % value for value in x[slow].tolist()]
+    width = max(lengths[fast].max(initial=0), max(map(len, texts), default=0))
+    rows = words.view(np.uint8)[:, 24 - min(width, 24) :]
+    if width > 24:
+        rows = np.concatenate((np.zeros((len(x), width - 24), dtype=np.uint8), rows), axis=1)
+    if len(slow):
+        text = b"".join(t.rjust(width, b"\0") for t in texts)
+        rows[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
+    return rows
+
+
+def _fill_fixed2(x: np.ndarray, out: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Write the fields of ``x`` into ``out`` and their lengths into ``lengths``;
+    return which values the arithmetic certified."""
+    a = np.abs(x)
+    fast = a < _FIXED2_LIMIT  # False for NaN and infinities
+    a = np.where(fast, a, 0.0)
+    y = a * 100.0
+    n = np.rint(y)
+    fast &= np.abs(y - n) < 0.5  # the module docstring shows why this certifies n
+    n = n.astype(np.int64)
+    whole = n // 100
+    v = n + whole * 900  # a zero digit inserted at the point
+    high = v // 10**8
+    low = v - high * 10**8
+    high_q, low_q = high // 10**4, low // 10**4
+    biased = a.view(np.int64) >> 52
+    k = _WHOLE_GUESS[biased]
+    k += whole >= _WHOLE_NEXT[biased]
+    negative = np.signbit(x)
+    cls = negative * 13 + k
+    out[:, 0] = _F0[cls]
+    np.add(_QUADS[high_q] | _QUADS_UP[high - high_q * 10**4], _F1[cls], out=out[:, 1])
+    np.add(_QUADS[low_q] | _QUADS_UP[low - low_q * 10**4], _F2[cls], out=out[:, 2])
+    np.add(k, negative, out=lengths)
+    lengths += 4
+    return fast

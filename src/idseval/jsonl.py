@@ -11,6 +11,8 @@ bytecode is not cached, grows with the other's code.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 ALERT_PREFIX = b'{"timestamp": '
@@ -24,6 +26,17 @@ _WIDTH_STARTS = np.array(
     dtype=np.int64,
 )
 _WIDTHS = (*range(20, 1, -1), *range(1, 20))
+# Bytes per NUL-dropping copy: a whole 1.3 MB chunk at once costs two such
+# transients per chunk, which the heap may fault in again on every chunk.
+_PIECE_BYTES = 1 << 16
+
+
+def without_nuls(data: np.ndarray) -> Iterator[bytes]:
+    """The bytes of the C-contiguous uint8 array ``data`` with every NUL dropped,
+    in pieces of at most ``_PIECE_BYTES``."""
+    flat = data.reshape(-1)
+    for start in range(0, len(flat), _PIECE_BYTES):
+        yield flat[start : start + _PIECE_BYTES].tobytes().replace(b"\0", b"")
 
 
 def write_flags(
@@ -36,17 +49,17 @@ def write_flags(
     (``_WIDTH_STARTS``). Each run is one 2-D block: the row template with
     ``ALERT_FALSE`` (``ALERT_TRUE`` if the whole chunk is true) is broadcast,
     then the digits are written from the uint64 magnitude, right to left.
-    In a chunk that mixes both, ``ALERT_TRUE`` overwrites the start of
-    ``ALERT_FALSE`` on true rows and a mask drops the byte after it.
+    In a chunk that mixes both, ``ALERT_TRUE`` and a NUL overwrite
+    ``ALERT_FALSE`` on true rows, and the NULs are dropped as the chunk is
+    written. ``json.dumps`` escapes NUL as ``\\u0000``, so no other byte of a
+    row is one.
     """
     name = detector.encode()
-    true_key = np.frombuffer(ALERT_TRUE, dtype=np.uint8)
-    drop = len(ALERT_TRUE)  # the surplus byte of ALERT_FALSE on a true row
+    true_key = np.frombuffer(ALERT_TRUE + b"\0", dtype=np.uint8)
     widest = max(len(str(int(timestamps[0]))), len(str(int(timestamps[-1]))))
     size = min(len(timestamps), rows)
     longest = len(ALERT_PREFIX + ALERT_FALSE + DETECTOR_KEY + name + b"}\n") + widest
     buf = np.empty(size * longest, dtype=np.uint8)
-    keep = np.empty(len(buf), dtype=bool)
     mag, rest, low = (np.empty(size, dtype=np.uint64) for _ in range(3))
     digit = np.empty(size, dtype=np.uint8)
     for start in range(0, len(timestamps), rows):
@@ -55,8 +68,6 @@ def write_flags(
         trues = int(np.count_nonzero(chunk))
         mixed = 0 < trues < len(chunk)
         key = ALERT_TRUE if trues == len(chunk) else ALERT_FALSE
-        if mixed:
-            keep.fill(True)
         firsts = np.searchsorted(stamps, _WIDTH_STARTS)
         counts = np.diff(firsts, append=len(stamps))
         used = 0
@@ -81,11 +92,12 @@ def write_flags(
                 block[:, column] += d  # onto the template's '0'
                 q, r = r, q
             if mixed:
-                true_rows = chunk[a : a + n]
-                block[true_rows, end : end + drop] = true_key
-                np.invert(true_rows, out=keep[span].reshape(n, len(row))[:, end + drop])
+                block[chunk[a : a + n], end : end + len(true_key)] = true_key
             used = span.stop
-        handle.write(buf[:used][keep[:used]] if mixed else buf[:used])
+        if mixed:
+            handle.writelines(without_nuls(buf[:used]))
+        else:
+            handle.write(buf[:used])
 
 
 def write_scores(

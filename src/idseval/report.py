@@ -33,11 +33,12 @@ from .model import (
     extract_scenarios,
     float_ticks,
 )
+from .jsonl import without_nuls
 from .pointwise import RocCurve
 
 UNDEFINED_CELL = "—"
-# Rows per chunk of the ROC writers and per %-template in render_timeline;
-# bounds the transient arrays and Python objects.
+# Rows per chunk of the ROC writers and of render_timeline's <rect> rows;
+# bounds the transient arrays.
 _ROWS = 1 << 14
 
 
@@ -254,6 +255,10 @@ class TimelineRendering:
         Path(path).write_text(self.svg, encoding="utf-8")
 
 
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
 _GT_COLOR = "#c0392b"
 _ALERT_COLOR = "#2e6da4"
 _WIDENED_COLOR = "#7aa6d2"
@@ -271,9 +276,14 @@ def render_timeline(
     minimum width (clipped to the series span); the ground-truth lane and
     detectors named in ``exempt`` always show true widths. The output string
     depends only on the inputs, so identical calls produce identical bytes.
-    Spans are widened in numpy and each lane's ``<rect>`` rows are one
-    ``%`` template filled from ``tolist()`` chunks.
+    Spans are widened in numpy. Each chunk of a lane's ``<rect>`` rows is
+    one uint8 matrix: the template's pieces broadcast, the ``'%.2f'`` fields
+    of x and width (``floattext.fixed2_fields``) and the fill colour between
+    them; dropping the NULs leaves the text.
     """
+    # Imported on use, so that verbs without a timeline never compile it.
+    from .floattext import fixed2_fields
+
     try:
         min_width = float(min_width_ticks)
     except OverflowError:  # an int or Fraction past the float range
@@ -368,22 +378,26 @@ def render_timeline(
         )
         parts.append(f'<text x="8" y="{label_y:.2f}">{_escape(lane.name)}</text>\n')
         base_color = _GT_COLOR if lane.kind == "labels" else _ALERT_COLOR
-        palette = np.array([base_color, _WIDENED_COLOR])
-        template = (
-            f'<rect x="%.2f" y="{lane_top + 4:.2f}" width="%.2f" '
-            f'height="{lane_height - 8:.1f}" fill="%s"/>\n'
-        )
+        palette = _ascii(base_color + _WIDENED_COLOR).reshape(2, -1)
+        open_x = _ascii('<rect x="')
+        x_to_width = _ascii(f'" y="{lane_top + 4:.2f}" width="')
+        width_to_fill = _ascii(f'" height="{lane_height - 8:.1f}" fill="')
+        close = _ascii('"/>\n')
         lo, hi = lane.drawn_spans.T
         rect_x = margin_left + (lo - t0) * scale
         rect_w = np.maximum(0.01, (hi - lo) * scale)
         for start in range(0, len(lo), _ROWS):
             rows = slice(start, start + _ROWS)
-            xs = rect_x[rows].tolist()
-            fields: list[float | str] = [0.0] * (3 * len(xs))
-            fields[0::3] = xs
-            fields[1::3] = rect_w[rows].tolist()
-            fields[2::3] = palette[lane.widened[rows].view(np.uint8)].tolist()
-            parts.append((template * len(xs)) % tuple(fields))
+            xs = fixed2_fields(rect_x[rows])
+            columns = (
+                open_x, xs, x_to_width, fixed2_fields(rect_w[rows]),
+                width_to_fill, palette[lane.widened[rows].view(np.uint8)], close,
+            )
+            matrix = np.concatenate(
+                [np.broadcast_to(column, (len(xs), column.shape[-1])) for column in columns],
+                axis=1,
+            )
+            parts.extend(piece.decode("ascii") for piece in without_nuls(matrix))
 
     parts.append("</svg>\n")
     return TimelineRendering(

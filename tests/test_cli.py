@@ -5,12 +5,14 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 
 from idseval import cli
 from idseval.cli import main, parse_min_width
+from idseval.report import TimelineRendering
 from idseval import ParameterError
 from support import fresh_python
 from fractions import Fraction
@@ -569,6 +571,50 @@ class TestRoc:
         assert [path.name for path in out.iterdir()] == ["alerts"]
 
 
+def full_disk(path_index):
+    """A writer that writes part of its file, at argument ``path_index``, then fails."""
+    def write(*args, **kwargs):
+        Path(args[path_index]).write_bytes(b"part of it")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    return write
+
+
+class TestAtomicArtifacts:
+    """A failed write leaves neither its artifact nor a temporary file in --out."""
+
+    @pytest.mark.parametrize(
+        "argv,owner,attr,path_index,left",
+        [
+            (["evaluate", "--alerts", "det.jsonl"], "shutil", "copyfile", 1, []),
+            (["evaluate", "--detector", "baseline:never"], "cli", "save_alerts", 2, []),
+            (["evaluate", "--alerts", "det.jsonl"], "Path", "write_text", 0, ["alerts/det.jsonl"]),
+            (
+                ["compare", "--alerts", "det.jsonl", "--detector", "baseline:never"],
+                "Path", "write_text", 0, ["alerts/baseline_never.jsonl", "alerts/det.jsonl"],
+            ),
+            (
+                ["timeline", "--alerts", "det.jsonl"],
+                "TimelineRendering", "save", 1, ["alerts/det.jsonl"],
+            ),
+            (["baseline", "--detector", "baseline:never"], "cli", "save_alerts", 2, []),
+        ],
+        ids=["alert-copy", "baseline-copy", "report", "comparison", "timeline", "baseline"],
+    )
+    def test_failed_write_leaves_nothing_behind(
+        self, workdir, capsys, monkeypatch, argv, owner, attr, path_index, left
+    ):
+        owners = {"cli": cli, "shutil": shutil, "Path": Path, "TimelineRendering": TimelineRendering}
+        monkeypatch.setattr(owners[owner], attr, full_disk(path_index))
+        monkeypatch.chdir(workdir)
+        out = workdir / "run"
+        code, stdout, stderr = run(capsys, *argv, "--labels", "labels.csv", "--out", out)
+        assert code == 1
+        assert stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+        files = sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
+        assert files == left
+
+
 class TestBaselineVerb:
     def test_writes_each_detector(self, workdir, capsys):
         out = workdir / "base"
@@ -745,6 +791,25 @@ def test_import_leaves_out_the_network_stack():
         "             if m in ('urllib.request', 'http.client') or m.split('.')[0] == 'email'))"
     )
     assert fresh_python("-c", code) == "[]\n"
+
+
+def test_evaluate_and_compare_leave_out_floattext():
+    """``floattext`` is imported on use: importing the CLI, ``evaluate`` and
+    ``compare`` (which writes a mixed boolean copy) never load it."""
+    demo = Path(__file__).resolve().parents[1] / "data" / "demo"
+    code = (
+        "import sys, tempfile, idseval.cli\n"
+        "loaded = ['idseval.floattext' in sys.modules]\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    for verb in ('evaluate', 'compare', 'timeline'):\n"
+        f"        args = [verb, '--config', {str(demo / 'manifest.json')!r}, '--out', out]\n"
+        "        if verb == 'compare':\n"
+        "            args += ['--detector', 'baseline:random:p=0.5']\n"
+        "        assert idseval.cli.main(args) == 0\n"
+        "        loaded.append('idseval.floattext' in sys.modules)\n"
+        "print(loaded)"
+    )
+    assert fresh_python("-c", code).splitlines()[-1] == "[False, False, False, True]"
 
 
 def test_package_import_leaves_out_numpy():

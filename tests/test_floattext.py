@@ -1,9 +1,11 @@
-"""``floattext.repr_fields`` against ``repr``, byte for byte.
+"""``floattext.repr_fields`` against ``repr`` and ``fixed2_fields`` against
+``'%.2f'``, byte for byte.
 
-The formatter certifies every digit string it builds and leaves the rest to
-``float.__repr__``, so its fields must equal ``repr`` for any double: raw bit
+Both formatters certify every digit string they build and leave the rest to
+Python, so their fields must equal Python's text for any double: raw bit
 patterns, neighbours of powers of ten and two, signed zeros, subnormals,
-non-finite values and the ``k/n`` ratios that ROC curves are made of.
+non-finite values, the ``k/n`` ratios that ROC curves are made of, and for
+``'%.2f'`` the ties and near-ties around every ``k/100``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idseval import floattext
-from idseval.floattext import WIDTH, repr_fields
+from idseval.floattext import WIDTH, fixed2_fields, repr_fields
 
 
 def assert_reprs(values) -> None:
@@ -156,3 +158,52 @@ def test_runs_across_a_block_edge():
     assert_run_reprs(np.full(block + 1, 0.1))
     assert_run_reprs(np.array([1.0]))
     assert_run_reprs(np.array([]))
+
+
+def assert_fixed2(values) -> None:
+    """Each row is NULs, then ``'%.2f' % v``; the rows are as wide as the longest text."""
+    values = np.asarray(values, dtype=np.float64)
+    fields = fixed2_fields(values)
+    texts = [b"%.2f" % value for value in values.tolist()]
+    assert fields.dtype == np.uint8
+    assert fields.shape == (len(values), max(map(len, texts), default=0))
+    assert [bytes(row).lstrip(b"\0") for row in fields] == texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | fixed_range_bits, max_size=40))
+def test_fixed2_raw_bit_patterns(bits):
+    assert_fixed2(from_bits(bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(-(10**15), 10**15), st.integers(-2, 2), st.sampled_from((100, 200))),
+    max_size=40,
+))
+def test_fixed2_near_hundredths(cases):
+    """``k/100``, ``k/200`` (ties when k is odd) and their neighbours a few ulps away."""
+    values = []
+    for k, ulps, scale in cases:
+        value = k / scale
+        for _ in range(abs(ulps)):
+            value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+        values.append(value)
+    assert_fixed2(values)
+
+
+def test_fixed2_hand_cases():
+    assert_fixed2([
+        0.125, 0.375, 2.675, 1.005, 0.005, -0.0, 0.0, -0.001, 5e-324, -5e-324,
+        2.0**43 - 1, 2.0**43, 2.0**43 + 1, np.nextafter(2.0**43, 0), 1e15,
+        1.7976931348623157e308, -1.7976931348623157e308, np.nan, np.inf, -np.inf,
+        9.995, 99.995, 0.995, 999999999999.995, -0.005, 0.01, 160.0, 880.0,
+    ])
+
+
+@pytest.mark.parametrize("size", [0, 1, floattext._BLOCK - 1, floattext._BLOCK + 1, 20000])
+def test_fixed2_any_length(size):
+    # Values are formatted in blocks; lengths around a block's size, and
+    # every width of integer part from 1 to 13 digits.
+    rng = np.random.default_rng(size)
+    assert_fixed2((rng.random(size) - 0.5) * 10.0 ** rng.integers(-3, 14, size))

@@ -27,8 +27,12 @@ WIDTH_EDGES = sorted(
     | {sign * v for k in range(1, 19) for v in (10**k - 1, 10**k) for sign in (1, -1)}
 )
 # json.dumps escapes '"' and '\\', and non-ASCII as \uXXXX; '%' must not
-# reach a % template unescaped.
-NAMES = ("det", 'say "hi"', "back\\slash", "50% %d %r %%", "détecteur", "検出器", "tab\there")
+# reach a % template unescaped. A NUL or control byte is escaped too, so the
+# NULs that mixed chunks drop are never part of a name.
+NAMES = (
+    "det", 'say "hi"', "back\\slash", "50% %d %r %%", "détecteur", "検出器", "tab\there",
+    "nul\x00here", "ctl\x01\x1f",
+)
 SETTINGS = settings(
     max_examples=100,
     deadline=None,

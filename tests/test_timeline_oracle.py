@@ -7,7 +7,8 @@ numpy renderer must write the same SVG text and the same lane metadata
 ``-0.0`` would show) for gapped and negative ticks (with gaps wide enough
 to hit the 0.01 px floor on rect widths), any minimum width, runs at either
 edge of the series, exempt and empty lanes, a one-point series and names
-that need escaping, with the ``<rect>`` rows split into chunks of any size.
+that need escaping, with the ``<rect>`` rows split into chunks of any size,
+and ties at the second decimal that ``'%.2f'`` must round as Python does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idseval import AlertSeries, LabeledSeries, TimelineLane, report, render_timeline
+from idseval import AlertSeries, LabeledSeries, TimelineLane, floattext, report, render_timeline
 from oracles import timeline_oracle
 from support import lane_bits
 
@@ -126,3 +127,25 @@ def test_dense_lane_across_many_chunks():
     ]
     assert_same_rendering(series, alerts, 6, rows=97)
     assert_same_rendering(series, alerts, 6, exempt=["random"], rows=1000)
+
+
+@pytest.mark.parametrize("min_width", [0, 2.5, 3])
+def test_gapped_ticks_near_2_53_reach_the_fallback(min_width):
+    """A span of 128 ticks makes a tick 5.625 px, so x and width land on ties at
+    the second decimal, left to ``'%.2f'``; the last tick is 2**53 - 1."""
+    base = 2**53 - 128
+    timestamps = [base + gap for gap in (0, 1, 3, 8, 16, 17, 40, 64, 100, 127)]
+    labels = ["benign", "dos", "dos", "benign", "scan", "benign", "dos", "dos", "benign", "benign"]
+    series = LabeledSeries.from_labels("big", timestamps, labels)
+    values = [True, False, True, True, False, True, False, True, True, False]
+    alerts = [AlertSeries.from_bool("d", values, "big")]
+    fill, uncertified = floattext._fill_fixed2, []
+
+    def spy(x, out, lengths):
+        certified = fill(x, out, lengths)
+        uncertified.append(int(np.count_nonzero(~certified)))
+        return certified
+
+    with mock.patch.object(floattext, "_fill_fixed2", spy):
+        assert_same_rendering(series, alerts, min_width)
+    assert sum(uncertified) > 0
