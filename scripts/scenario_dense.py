@@ -6,9 +6,9 @@ The trace is built in memory: 10^6 points at unit ticks, with
 through three attack types, and a boolean detector that fires on each point
 with probability 0.3 (seed 1). The script times ``extract_scenarios``,
 ``affiliation`` on the extracted scenarios and alert runs, and
-``evaluate_detector`` with the default metrics, each as the median of 5 runs
-(wall clock, no profiler), and prints one JSON line with the timings and the
-affiliation scores.
+``evaluate_detector`` with the default metrics and ``report_to_json`` of
+that report, each as the median of 5 runs (wall clock, no profiler), and
+prints one JSON line with the timings and the affiliation scores.
 
     python scripts/scenario_dense.py --scenarios 10000
 """
@@ -33,6 +33,7 @@ from idseval import (
     alerts_to_intervals,
     evaluate_detector,
     extract_scenarios,
+    report_to_json,
 )
 
 POINTS, SCENARIO_LEN, REPEAT = 1_000_000, 5, 5
@@ -72,7 +73,8 @@ def main() -> int:
     affiliation_s, (scores, zones) = median_seconds(
         lambda: affiliation(scenarios, runs, series), REPEAT
     )
-    evaluate_s, _ = median_seconds(lambda: evaluate_detector(series, alerts), REPEAT)
+    evaluate_s, report = median_seconds(lambda: evaluate_detector(series, alerts), REPEAT)
+    json_s, _ = median_seconds(lambda: report_to_json(report), REPEAT)
     print(json.dumps({
         "points": POINTS,
         "scenarios": len(scenarios),
@@ -81,6 +83,7 @@ def main() -> int:
         "extract_s": round(extract_s, 4),
         "affiliation_s": round(affiliation_s, 4),
         "evaluate_s": round(evaluate_s, 4),
+        "json_s": round(json_s, 4),
         "affiliation_precision": scores.precision_like,
         "affiliation_recall": scores.recall_like,
     }))

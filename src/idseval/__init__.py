@@ -23,7 +23,7 @@ _EXPORTS = {
         "baselines": "BaselineKind BaselineSpec generate is_baseline_name",
         "evaluate": """CATALOG DEFAULT_METRICS EvalContext MetricDefinition
             UnknownMetricError catalog_lines compute_metric evaluate_detector
-            parse_metric_spec resolve_metric""",
+            resolve_metric""",
         "ingest": """DatasetManifest IngestError ValidationReport load_alerts
             load_labels load_manifest save_alerts save_labels validate_pair""",
         "model": """AlertKind AlertSeries AlignmentError AttackScenario

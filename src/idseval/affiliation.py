@@ -15,7 +15,7 @@ after splitting at the breakpoints, for all zones at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .model import (
 from .timeaware import TimeAwareScores, harmonic_f1
 
 
-@dataclass(frozen=True)
-class AffiliationZone:
+class AffiliationZone(NamedTuple):
     """Per-scenario zone with its precision and recall contributions."""
 
     zone_start: float
@@ -174,9 +173,9 @@ def affiliation(
         held = np.bincount(k, hi, minlength=len(z0)) / mass
     precisions = np.where(mass == 0.0, None, held).tolist()
     del lo, hi, k  # the pieces are not needed while the zones are built
-    fields = zip(z0.tolist(), z1.tolist(), a.tolist(), b.tolist(), precisions, recalls)
     opinions = [p for p in precisions if p is not None]
     precision = sum(opinions) / len(opinions) if opinions else None
     recall = sum(recalls) / len(recalls)
     scores = TimeAwareScores(precision, recall, harmonic_f1(precision, recall))
-    return scores, [AffiliationZone(*zone) for zone in fields]
+    return scores, list(map(AffiliationZone, z0.tolist(), z1.tolist(), a.tolist(), b.tolist(),
+                            precisions, recalls))

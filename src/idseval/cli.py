@@ -41,7 +41,7 @@ from .model import (
     EvaluationError,
     LabeledSeries,
     ParameterError,
-    collapse_multiclass,
+    collapse_multiclass,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
 )
 from .pointwise import auc, roc
 from .report import (
@@ -298,8 +298,6 @@ def cmd_roc(args: argparse.Namespace) -> int:
             "roc requires scored alerts; boolean alerts already fix an operating "
             "point, score them with evaluate instead"
         )
-    if not series.is_binary:
-        series = collapse_multiclass(series)
     curve = roc(series, alert, _roc_thresholds(args, alert))
     area = auc(curve)
     outdir = _prepare_outdir(args)

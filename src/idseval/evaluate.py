@@ -30,7 +30,7 @@ from .model import (
     collapse_multiclass,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
     extract_scenarios,
     format_fraction,
-    parse_spec as parse_metric_spec,
+    parse_spec,
     require_alignment,
 )
 from .timeaware import (
@@ -248,7 +248,7 @@ def catalog_lines() -> list[str]:
 
 def bind_metric(spec: str) -> tuple[MetricDefinition, dict[str, object]]:
     """Resolve a metric spec and its parameters, typed and range-checked."""
-    name, given = parse_metric_spec(spec)
+    name, given = parse_spec(spec)
     definition = resolve_metric(name)
     return definition, bind_params(definition.params, given, "metric", definition.name)
 
@@ -266,7 +266,7 @@ def evaluate_detector(
 ) -> MetricReport:
     """Score one boolean-alert detector on one dataset.
 
-    ``metrics`` is a list of metric specs (see ``parse_metric_spec``);
+    ``metrics`` is a list of metric specs (see ``model.parse_spec``);
     duplicates collapsing to the same reported value are kept once. Every spec
     is checked before the first metric runs. Scenario detection details ride
     along whenever detection-delay was requested.

@@ -121,13 +121,15 @@ def _templates() -> tuple[np.ndarray, ...]:
     template holds '0' where the text shows a digit and the other bytes of
     the text ('-', '0.', '.', '.0') where the string holds zeros.
     """
-    rows = np.zeros((2, 21, 19, 4), dtype=np.uint64)
+    texts, shifts = [], []
     for negative in (0, 1):
         sign = b"-" * negative
-        for e in range(20):
+        for e in range(21):
             point = e - 3
-            for used in range(1, 19):
-                if point <= 0:  # 0.000ddd: the string's leading zero is the last prefix zero
+            for used in range(19):
+                if e == 20 or used == 0:  # never looked up: all NUL
+                    text, shift = b"", 0
+                elif point <= 0:  # 0.000ddd: the string's leading zero is the last prefix zero
                     text = sign + b"0." + b"0" * -point + b"0" * (used - 1)
                     shift = negative + 1 - point
                 elif used - 1 > point:  # dd.ddd: the inserted zero is the point
@@ -136,10 +138,10 @@ def _templates() -> tuple[np.ndarray, ...]:
                 else:  # ddd00.0: no digit after the point
                     text = sign + b"0" * point + b".0"
                     shift = negative
-                text = text.ljust(WIDTH, b"\0")
-                words = [int.from_bytes(text[i : i + 8], "little") for i in (0, 8, 16)]
-                rows[negative, e, used] = [*words, 8 * shift]
-    return tuple(np.ascontiguousarray(column) for column in rows.reshape(-1, 4).T)
+                texts.append(text.ljust(WIDTH, b"\0"))
+                shifts.append(8 * shift)
+    words = np.frombuffer(b"".join(texts), "<u8").reshape(-1, 3).T
+    return (*(np.ascontiguousarray(column) for column in words), np.array(shifts, np.uint64))
 
 
 _T0, _T1, _T2, _SHIFT = _templates()
@@ -257,12 +259,13 @@ def _fixed2_templates() -> tuple[np.ndarray, ...]:
     add onto the template: '0' under each shown digit, '.' at the point,
     '-' before the first digit of a negative value, NUL elsewhere.
     """
-    words = np.zeros((2, 13, 3), dtype=np.uint64)
-    for negative in (0, 1):
-        for k in range(13):
-            text = (b"-" * negative + b"0" * (k + 1) + b".00").rjust(24, b"\0")
-            words[negative, k] = [int.from_bytes(text[i : i + 8], "little") for i in (0, 8, 16)]
-    return tuple(np.ascontiguousarray(column) for column in words.reshape(-1, 3).T)
+    texts = [
+        (b"-" * negative + b"0" * (k + 1) + b".00").rjust(24, b"\0")
+        for negative in (0, 1)
+        for k in range(13)
+    ]
+    words = np.frombuffer(b"".join(texts), "<u8").reshape(-1, 3).T
+    return tuple(np.ascontiguousarray(column) for column in words)
 
 
 _F0, _F1, _F2 = _fixed2_templates()

@@ -200,8 +200,9 @@ def roc(
 ) -> RocCurve:
     """Sweep alert thresholds over scored output; the alert rule is score >= threshold.
 
-    Requires binary labels with at least one attack and one benign point
-    (otherwise TPR or FPR has a zero denominator at every threshold).
+    Any attack type counts as positive. Requires at least one attack and
+    one benign point (otherwise TPR or FPR has a zero denominator at every
+    threshold).
     Duplicate thresholds are dropped; of ``0.0`` and ``-0.0`` the first
     listed is kept. Both classes are sorted once and every threshold is
     counted with one ``searchsorted`` per class (Fawcett 2006, Algorithm 1).
@@ -210,8 +211,6 @@ def roc(
     """
     if alerts.kind is not AlertKind.SCORED:
         raise EvaluationError("roc requires scored alerts")
-    if not series.is_binary:
-        raise EvaluationError("roc requires binary labels; collapse the series first")
     require_alignment(series, alerts)
     requested = np.asarray(thresholds, dtype=np.float64)
     if requested.ndim != 1:

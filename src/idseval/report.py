@@ -189,26 +189,13 @@ def report_to_dict(report: MetricReport) -> dict:
         if value.exact is not None:
             entry["exact"] = str(value.exact)
         metrics.append(entry)
-    scenarios = []
-    for detail in report.scenario_details:
-        scenario = detail.scenario
-        scenarios.append(
-            {
-                "start_time": scenario.start_time,
-                "end_time": scenario.end_time,
-                "attack_type": scenario.attack_type,
-                "detected": detail.detected,
-                "first_alert_time": detail.first_alert_time,
-                "delay_ticks": detail.delay_ticks,
-            }
-        )
     return {
         "dataset": report.dataset,
         "detector": report.detector,
         "tick_seconds": float(report.tick_seconds),
         "tick_seconds_exact": str(report.tick_seconds),
         "metrics": metrics,
-        "scenarios": scenarios,
+        "scenarios": [row._asdict() for row in report.scenario_details],
     }
 
 

@@ -1,7 +1,7 @@
 """Time-series-aware metrics: detected scenarios, detection delay, eTaP/eTaR.
 
 Attacks and alarms are treated as inclusive index intervals. Overlap is
-inclusive on both endpoints, consistent with AttackScenario indices. Delays
+inclusive on both endpoints, consistent with scenario indices. Delays
 are measured in ticks; conversion to seconds happens at report time.
 """
 
@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
-    AttackScenario,
     Intervals,
     IntervalsLike,
     LabeledSeries,
@@ -25,23 +25,19 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ScenarioDetection:
-    """Per-scenario detection outcome: flag, first alert instant and delay."""
+class ScenarioDetection(NamedTuple):
+    """One scenario's detection outcome, its fields those of the JSON report row.
 
-    scenario: AttackScenario
+    ``first_alert_time`` and ``delay_ticks`` are None exactly when the
+    scenario went undetected.
+    """
+
+    start_time: int
+    end_time: int
+    attack_type: str
     detected: bool
-    first_alert_time: int | None = None
-    delay_ticks: int | None = None
-
-    def __post_init__(self) -> None:
-        present = (self.first_alert_time is not None, self.delay_ticks is not None)
-        if self.detected and present != (True, True):
-            raise ValueError("detected scenarios carry first_alert_time and delay_ticks")
-        if not self.detected and present != (False, False):
-            raise ValueError("undetected scenarios carry neither alert time nor delay")
-        if self.delay_ticks is not None and self.delay_ticks < 0:
-            raise ValueError("delay_ticks must be non-negative")
+    first_alert_time: int | None
+    delay_ticks: int | None
 
 
 def _first_overlaps(runs: Intervals, alerts: Intervals) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +113,9 @@ def detection_delay(
     # Undetected scenarios carry None for both; the rest exact Python ints.
     times, delays = np.full((2, len(table)), None, dtype=object)
     times[hit], delays[hit] = alert_time.tolist(), delay.tolist()
-    details = [
-        ScenarioDetection(scenario, detected, at, ticks)
-        for scenario, detected, at, ticks in zip(table, hit.tolist(), times, delays)
-    ]
+    names = map(table.attack_types.__getitem__, (table.codes - 1).tolist())
+    details = list(map(ScenarioDetection, *table.times.T.tolist(), names, hit.tolist(),
+                       times.tolist(), delays.tolist()))
 
     undetected = Fraction(len(table) - len(delay))
     metrics = [MetricValue.from_fraction("undetected-scenarios", undetected)]

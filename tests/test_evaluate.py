@@ -23,9 +23,9 @@ from idseval import (
     compute_metric,
     confusion,
     evaluate_detector,
-    parse_metric_spec,
     resolve_metric,
 )
+from idseval.model import parse_spec
 from oracles.brute import brute_confusion
 from support import make_alerts, make_series
 
@@ -47,7 +47,7 @@ class TestParseMetricSpec:
         ],
     )
     def test_accepted(self, text, name, params):
-        assert parse_metric_spec(text) == (name, params)
+        assert parse_spec(text) == (name, params)
 
     @pytest.mark.parametrize(
         "text,match",
@@ -61,7 +61,7 @@ class TestParseMetricSpec:
     )
     def test_rejected(self, text, match):
         with pytest.raises(ParameterError, match=match):
-            parse_metric_spec(text)
+            parse_spec(text)
 
 
 class TestResolveMetric:

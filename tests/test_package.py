@@ -25,7 +25,7 @@ ROOT_NAMES = [
     "detection_delay", "etapr", "evaluate_detector", "extract_scenarios", "f1", "f_beta",
     "fnr", "format_cell", "format_fraction", "fpr", "generate", "harmonic_f1",
     "intervals_to_mask", "is_baseline_name", "load_alerts", "load_labels", "load_manifest",
-    "mask_to_intervals", "npv", "parse_metric_spec", "ppv", "render_timeline",
+    "mask_to_intervals", "npv", "ppv", "render_timeline",
     "report_to_dict", "report_to_json", "resolve_metric", "roc", "roc_to_csv",
     "save_alerts", "save_labels", "scenario_normalized_recall", "tnr", "tpr",
     "validate_pair",

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idseval import (
@@ -195,8 +196,27 @@ class TestRoc:
         with pytest.raises(EvaluationError, match="both attack and benign"):
             roc(benign_only, scores, [0.5])
         multi = make_series(["a", "b"])
-        with pytest.raises(EvaluationError, match="binary"):
+        with pytest.raises(EvaluationError, match="both attack and benign"):
             roc(multi, scores, [0.5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_multi_class_counts_any_type_as_positive(self, data):
+        n = data.draw(st.integers(2, 40))
+        labels = data.draw(st.lists(st.sampled_from(["benign", "dos", "scan", "spoof"]),
+                                    min_size=n, max_size=n))
+        labels[:2] = ["benign", data.draw(st.sampled_from(["dos", "scan", "spoof"]))]
+        labels = data.draw(st.permutations(labels))
+        pool = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+        scores = data.draw(st.lists(pool, min_size=n, max_size=n))
+        thresholds = data.draw(st.lists(pool, min_size=1, max_size=8))
+        series = make_series(labels)
+        alerts = AlertSeries.from_scores("d", scores, "series")
+        curve = roc(series, alerts, thresholds)
+        expected = roc(collapse_multiclass(series), alerts, thresholds)
+        for got, want in zip((curve.thresholds, curve.fpr, curve.tpr),
+                             (expected.thresholds, expected.fpr, expected.tpr)):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_matches_brute_counting_on_random_scores(self):
         rng = random.Random(314)

@@ -31,7 +31,6 @@ from idseval import (
     roc_to_csv,
 )
 from idseval.timeaware import ScenarioDetection
-from idseval.model import AttackScenario
 from support import lane_bits, make_alerts, make_series
 
 
@@ -153,9 +152,6 @@ class TestTableRendering:
 
 class TestReportJson:
     def test_schema(self):
-        scenario = AttackScenario(
-            start_index=3, end_index=7, start_time=3, end_time=7, attack_type="dos"
-        )
         full = MetricReport(
             dataset="demo",
             detector="det",
@@ -166,7 +162,8 @@ class TestReportJson:
             ),
             scenario_details=(
                 ScenarioDetection(
-                    scenario=scenario, detected=True, first_alert_time=5, delay_ticks=2
+                    start_time=3, end_time=7, attack_type="dos", detected=True,
+                    first_alert_time=5, delay_ticks=2,
                 ),
             ),
             tick_seconds=Fraction(1, 10),

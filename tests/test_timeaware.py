@@ -2,23 +2,30 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idseval import (
+    DEFAULT_METRICS,
     AttackScenario,
     EtaParams,
     ParameterError,
     ScenarioDetection,
+    alerts_to_intervals,
     detected_scenarios,
     detection_delay,
     etapr,
     evaluate_detector,
     extract_scenarios,
     harmonic_f1,
+    report_to_json,
 )
+from oracles.brute import brute_merge_runs, brute_runs
 from oracles.eta_oracle import eta_oracle
 from support import make_alerts, make_series, random_intervals
 
@@ -31,22 +38,70 @@ def scenario(start: int, end: int, attack_type: str = "attack") -> AttackScenari
     )
 
 
+@st.composite
+def delay_instances(draw):
+    """Multi-type labels, alerts and gapped timestamps, with a gap tolerance."""
+    n = draw(st.integers(1, 40))
+    kinds = st.sampled_from(["benign", "benign", "dos", "scan", "spoof"])
+    labels = draw(st.lists(kinds, min_size=n, max_size=n))
+    alerts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    first = draw(st.integers(-50, 50))
+    timestamps = [first + sum(steps[:i]) for i in range(n)]
+    return labels, alerts, timestamps, draw(st.sampled_from([0, 3]))
+
+
+def brute_detection(alerts, timestamps, start, end, kind) -> ScenarioDetection:
+    """One scenario's row by a scan over its points."""
+    alerted = [i for i in range(start, end + 1) if alerts[i]]
+    first_alert_time = delay_ticks = None
+    if alerted:
+        run_start = alerted[0]
+        while run_start > 0 and alerts[run_start - 1]:
+            run_start -= 1
+        first_alert_time = timestamps[alerted[0]]
+        delay_ticks = max(0, timestamps[run_start] - timestamps[start])
+    return ScenarioDetection(timestamps[start], timestamps[end], kind,
+                             bool(alerted), first_alert_time, delay_ticks)
+
+
 class TestScenarioDetection:
-    def test_detected_requires_both_fields(self):
-        with pytest.raises(ValueError, match="carry first_alert_time"):
-            ScenarioDetection(scenario=scenario(0, 1), detected=True)
+    @settings(max_examples=150, deadline=None)
+    @given(delay_instances())
+    def test_rows_match_a_scan_over_points(self, instance):
+        labels, flags, timestamps, gap_tolerance = instance
+        series = make_series(labels, timestamps=timestamps)
+        alerts = make_alerts(flags)
+        runs = brute_merge_runs(brute_runs(labels), gap_tolerance)
+        want = [brute_detection(flags, timestamps, *run) for run in runs]
+        table = extract_scenarios(series, gap_tolerance=gap_tolerance)
+        details, _ = detection_delay(table, alerts_to_intervals(alerts, series), series)
+        report = evaluate_detector(
+            series, alerts, metrics=["detection-delay"], gap_tolerance=gap_tolerance
+        )
+        assert details == want
+        assert report.scenario_details == tuple(want)
+        for row in details:
+            assert row.detected == (row.first_alert_time is not None)
+            assert row.detected == (row.delay_ticks is not None)
+            assert row.delay_ticks is None or row.delay_ticks >= 0
+            assert all(type(field) is int for field in row[:2] + row[4:] if field is not None)
+            assert type(row.detected) is bool
 
-    def test_undetected_rejects_fields(self):
-        with pytest.raises(ValueError, match="neither"):
-            ScenarioDetection(
-                scenario=scenario(0, 1), detected=False, first_alert_time=3, delay_ticks=3
-            )
+    def test_evaluation_builds_no_attack_scenario(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("AttackScenario built")
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ScenarioDetection(
-                scenario=scenario(0, 1), detected=True, first_alert_time=0, delay_ticks=-1
-            )
+        monkeypatch.setattr(AttackScenario, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="built"):
+            scenario(0, 1)
+        series = make_series(["benign", "dos", "dos", "benign", "scan", "benign"])
+        alerts = make_alerts([False, False, True, True, False, False])
+        metrics = [*DEFAULT_METRICS, "detected-scenarios:by-type", "etapr", "affiliation",
+                   "scenario-recall"]
+        report = evaluate_detector(series, alerts, metrics=metrics, gap_tolerance=1)
+        assert [row.detected for row in report.scenario_details] == [True, False]
+        assert json.loads(report_to_json(report))["scenarios"][0]["delay_ticks"] == 1
 
 
 class TestDetectedScenarios:
