@@ -19,6 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from idseval import LabeledSeries, extract_scenarios, save_alerts, save_labels
 from idseval.model import AlertSeries
 
+# A scenario is 20-60 points long, with at least 10 benign points on each side.
+MIN_POINTS_PER_SCENARIO = 80
+
 
 def build_labels(rng: random.Random, n: int, n_scenarios: int) -> LabeledSeries:
     labels = ["benign"] * n
@@ -69,6 +72,13 @@ def main() -> int:
     parser.add_argument("--scenarios", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1337)
     args = parser.parse_args()
+    if args.scenarios < 1:
+        parser.error("--scenarios must be at least 1")
+    if args.points < MIN_POINTS_PER_SCENARIO * args.scenarios:
+        parser.error(
+            f"--points must be at least {MIN_POINTS_PER_SCENARIO} per scenario:"
+            f" {args.scenarios} scenarios need {MIN_POINTS_PER_SCENARIO * args.scenarios}"
+        )
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

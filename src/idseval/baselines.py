@@ -8,12 +8,19 @@ looks on imbalanced data.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import AlertSeries, LabeledSeries, Param, ParameterError, bind_params, parse_spec
+from .model import (
+    AlertSeries,
+    LabeledSeries,
+    Param,
+    ParameterError,
+    Record,
+    bind_params,
+    parse_spec,
+)
 
 PREFIX = "baseline"
 # Points drawn per getrandbits call by the random baseline.
@@ -30,15 +37,13 @@ class BaselineKind(str, Enum):
 _PARAMS = {"never": (), "always": (), "random": (Param("p", float), Param("seed", int))}
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
+class BaselineSpec(Record):
     """Parsed form of a baseline detector name such as ``baseline:random:p=0.5:seed=7``."""
 
-    kind: BaselineKind
-    p: float | None = None
-    seed: int | None = None
+    __slots__ = _fields = ("kind", "p", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: BaselineKind, p: float | None = None, seed: int | None = None) -> None:
+        self._set(kind, p, seed)
         if self.kind is BaselineKind.RANDOM:
             if self.p is None:
                 raise ParameterError("random baseline requires an alert probability p")

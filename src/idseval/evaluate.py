@@ -7,10 +7,9 @@ expand into several reported values (``etapr`` yields etap, etar and etaf1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import pointwise
 from .affiliation import affiliation
@@ -87,8 +86,7 @@ class EvalContext:
 ComputeFn = Callable[[EvalContext, dict[str, object]], list[MetricValue]]
 
 
-@dataclass(frozen=True)
-class MetricDefinition:
+class MetricDefinition(NamedTuple):
     name: str
     summary: str
     compute: ComputeFn

@@ -21,17 +21,15 @@ the same files with the same messages, so the layout only decides the speed.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
 import os
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -534,6 +532,8 @@ def _label_rows(
 
     With ``header``, the first row must be the ``timestamp,label`` header.
     """
+    import csv  # imported on use: files in the save_labels layout never need it
+
     reader = csv.reader(lines)
     timestamps: list[int] = []
     codes: list[int] = []
@@ -670,6 +670,8 @@ def save_labels(series: LabeledSeries, path: Path | str) -> None:
     ``(timestamp, label)``: ``csv.writer`` quotes each distinct label once,
     and the rows are a ``%d,%s`` template filled from ``tolist()`` chunks.
     """
+    import csv
+
     cells = []
     for label in ("benign", *series.attack_types):
         row = io.StringIO()
@@ -686,8 +688,7 @@ def save_labels(series: LabeledSeries, path: Path | str) -> None:
             handle.write(("%d,%s\n" * len(timestamps)) % tuple(fields))
 
 
-@dataclass
-class _AlertColumns:
+class _AlertColumns(NamedTuple):
     """Alert records of one block."""
 
     timestamps: np.ndarray
@@ -917,8 +918,7 @@ def save_alerts(alerts: AlertSeries, series: LabeledSeries, path: Path | str) ->
         write(handle, series.timestamps, alerts.values, json.dumps(alerts.detector), _WRITE_ROWS)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Structural facts about a dataset (and optionally one alert series)."""
 
     dataset: str
@@ -1008,8 +1008,7 @@ def validate_pair(
     )
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(NamedTuple):
     """Pointer to a labeled dataset plus its display name and tick duration."""
 
     name: str

@@ -9,11 +9,10 @@ checked once when built; all their endpoints are inclusive.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,8 +54,43 @@ def parse_spec(text: str, noun: str = "metric") -> tuple[str, dict[str, str | bo
     return name, params
 
 
-@dataclass(frozen=True)
-class Param:
+class Record:
+    """An immutable record, as a frozen dataclass is: ``__init__`` sets its
+    ``_fields`` once; records of one class are equal, and hash, by them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Param(NamedTuple):
     """One declared spec parameter; ``convert`` reads its value, None makes it a flag."""
 
     key: str
@@ -120,8 +154,7 @@ def _arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype.kind == b.dtype.kind and bool(np.array_equal(a, b))
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSeries:
+class LabeledSeries(Record):
     """Ground-truth stream: per-point benign/attack-type labels over integer ticks.
 
     Labels are stored as integer codes: 0 is benign, code k (k >= 1) is
@@ -130,16 +163,19 @@ class LabeledSeries:
     equal when their fields are, arrays compared element by element.
     """
 
-    name: str
-    timestamps: np.ndarray
-    label_codes: np.ndarray
-    attack_types: tuple[str, ...]
-    tick_seconds: Fraction = Fraction(1)
+    _fields = ("name", "timestamps", "label_codes", "attack_types", "tick_seconds")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "timestamps", _frozen_array(self.timestamps, np.int64))
-        object.__setattr__(self, "label_codes", _frozen_array(self.label_codes, np.int32))
-        object.__setattr__(self, "tick_seconds", Fraction(self.tick_seconds))
+    def __init__(
+        self,
+        name: str,
+        timestamps: np.ndarray,
+        label_codes: np.ndarray,
+        attack_types: tuple[str, ...],
+        tick_seconds: Fraction = Fraction(1),
+    ) -> None:
+        timestamps = _frozen_array(timestamps, np.int64)
+        label_codes = _frozen_array(label_codes, np.int32)
+        self._set(name, timestamps, label_codes, attack_types, Fraction(tick_seconds))
         if self.timestamps.ndim != 1 or self.label_codes.ndim != 1:
             raise ValueError("timestamps and labels must be one-dimensional")
         if len(self.timestamps) != len(self.label_codes):
@@ -242,22 +278,18 @@ class AlertKind(str, Enum):
     SCORED = "scored"
 
 
-@dataclass(frozen=True, eq=False)
-class AlertSeries:
+class AlertSeries(Record):
     """One detector's output aligned point-for-point to a LabeledSeries.
 
     Two series are equal when their fields are, values compared element by
     element.
     """
 
-    detector: str
-    kind: AlertKind
-    values: np.ndarray
-    aligned_to: str
+    __slots__ = _fields = ("detector", "kind", "values", "aligned_to")
 
-    def __post_init__(self) -> None:
-        dtype = np.bool_ if self.kind is AlertKind.BOOLEAN else np.float64
-        object.__setattr__(self, "values", _frozen_array(self.values, dtype))
+    def __init__(self, detector: str, kind: AlertKind, values: np.ndarray, aligned_to: str) -> None:
+        dtype = np.bool_ if kind is AlertKind.BOOLEAN else np.float64
+        self._set(detector, kind, _frozen_array(values, dtype), aligned_to)
         if self.values.ndim != 1:
             raise ValueError("alert values must be one-dimensional")
         if self.kind is AlertKind.SCORED and not np.all(np.isfinite(self.values)):
@@ -288,21 +320,19 @@ class AlertSeries:
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class AttackScenario:
+class AttackScenario(Record):
     """Maximal contiguous ground-truth attack interval of one attack type.
 
     ``start_index``/``end_index`` are inclusive point indices into the parent
     series; ``start_time``/``end_time`` are the corresponding tick instants.
     """
 
-    start_index: int
-    end_index: int
-    start_time: int
-    end_time: int
-    attack_type: str
+    __slots__ = _fields = ("start_index", "end_index", "start_time", "end_time", "attack_type")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, start_index: int, end_index: int, start_time: int, end_time: int, attack_type: str
+    ) -> None:
+        self._set(start_index, end_index, start_time, end_time, attack_type)
         if self.start_index > self.end_index:
             raise ValueError("scenario start_index must be <= end_index")
         if self.start_time > self.end_time:
@@ -314,17 +344,14 @@ class AttackScenario:
         return self.end_index - self.start_index + 1
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Record):
     """TP/TN/FP/FN counts from a per-point comparison of labels and alerts."""
 
-    tp: int
-    tn: int
-    fp: int
-    fn: int
+    __slots__ = _fields = ("tp", "tn", "fp", "fn")
 
-    def __post_init__(self) -> None:
-        for name in ("tp", "tn", "fp", "fn"):
+    def __init__(self, tp: int, tn: int, fp: int, fn: int) -> None:
+        self._set(tp, tn, fp, fn)
+        for name in self._fields:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -333,8 +360,7 @@ class ConfusionMatrix:
         return self.tp + self.tn + self.fp + self.fn
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(Record):
     """A named metric result; ``value`` is None when the metric is undefined.
 
     Undefined happens exactly when a metric's denominator contract is
@@ -343,14 +369,18 @@ class MetricValue:
     metrics computed from integer counts.
     """
 
-    name: str
-    value: float | None
-    exact: Fraction | None = None
-    params: dict[str, object] = field(default_factory=dict)
+    __slots__ = _fields = ("name", "value", "exact", "params")
 
-    def __post_init__(self) -> None:
-        if self.exact is not None and self.value is None:
-            object.__setattr__(self, "value", float(self.exact))
+    def __init__(
+        self,
+        name: str,
+        value: float | None,
+        exact: Fraction | None = None,
+        params: dict[str, object] | None = None,
+    ) -> None:
+        if exact is not None and value is None:
+            value = float(exact)
+        self._set(name, value, exact, {} if params is None else params)
 
     @property
     def defined(self) -> bool:
@@ -379,19 +409,20 @@ class MetricValue:
         return cls(name=name, value=float(exact), exact=exact, params=dict(params))
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Record):
     """All metric results of one detector on one dataset."""
 
-    dataset: str
-    detector: str
-    metrics: tuple[MetricValue, ...]
-    scenario_details: tuple["ScenarioDetection", ...] = ()
-    tick_seconds: Fraction = Fraction(1)
+    __slots__ = _fields = ("dataset", "detector", "metrics", "scenario_details", "tick_seconds")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "metrics", tuple(self.metrics))
-        object.__setattr__(self, "scenario_details", tuple(self.scenario_details))
+    def __init__(
+        self,
+        dataset: str,
+        detector: str,
+        metrics: tuple[MetricValue, ...],
+        scenario_details: tuple[ScenarioDetection, ...] = (),
+        tick_seconds: Fraction = Fraction(1),
+    ) -> None:
+        self._set(dataset, detector, tuple(metrics), tuple(scenario_details), tick_seconds)
         names = [m.display_name for m in self.metrics]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -445,8 +476,7 @@ def require_alignment(series: LabeledSeries, alerts: AlertSeries) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Intervals:
+class Intervals(Record):
     """Sorted, disjoint inclusive index runs held as int64 ``starts``/``ends``.
 
     The arrays are checked once, when the object is built. The object also
@@ -456,15 +486,12 @@ class Intervals:
     error messages.
     """
 
-    starts: np.ndarray
-    ends: np.ndarray
-    what: InitVar[str] = "index"
+    __slots__ = _fields = ("starts", "ends")
 
-    def __post_init__(self, what: str) -> None:
-        starts = _frozen_array(self.starts, np.int64)
-        ends = _frozen_array(self.ends, np.int64)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "ends", ends)
+    def __init__(self, starts: np.ndarray, ends: np.ndarray, what: str = "index") -> None:
+        starts = _frozen_array(starts, np.int64)
+        ends = _frozen_array(ends, np.int64)
+        self._set(starts, ends)
         if starts.ndim != 1 or starts.shape != ends.shape:
             raise ValueError(f"{what} interval starts and ends must be equal-length 1-D arrays")
         inverted = starts > ends
@@ -522,22 +549,21 @@ class Intervals:
 IntervalsLike = Intervals | Sequence[tuple[int, int]]
 
 
-@dataclass(frozen=True, eq=False)
-class Scenarios:
+class Scenarios(Record):
     """Attack scenarios as arrays checked once, read as a sequence of ``AttackScenario``.
 
     ``runs`` are their index spans, ``codes`` their types (k is ``attack_types[k - 1]``)
     and ``times`` one row of (start, end) ticks each.
     """
 
-    runs: Intervals
-    codes: np.ndarray
-    times: np.ndarray
-    attack_types: tuple[str, ...]
+    __slots__ = _fields = ("runs", "codes", "times", "attack_types")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", codes := _frozen_array(self.codes, np.int32))
-        object.__setattr__(self, "times", times := _frozen_array(self.times, np.int64))
+    def __init__(
+        self, runs: Intervals, codes: np.ndarray, times: np.ndarray, attack_types: tuple[str, ...]
+    ) -> None:
+        codes = _frozen_array(codes, np.int32)
+        times = _frozen_array(times, np.int64)
+        self._set(runs, codes, times, attack_types)
         if codes.shape != (len(self.runs),) or times.shape != (len(self.runs), 2):
             raise ValueError("scenario codes and times must have one entry per run")
         if len(codes) and (codes.min() < 1 or codes.max() > len(self.attack_types)):

@@ -6,10 +6,9 @@ counts; a zero denominator yields an Undefined MetricValue, never 0 or NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .model import (
     LabeledSeries,
     MetricValue,
     ParameterError,
+    Record,
     Scenarios,
     ScenariosLike,
     _frozen_array,
@@ -33,11 +33,10 @@ from .timeaware import _covered, _portions
 
 
 def confusion(series: LabeledSeries, alerts: AlertSeries) -> ConfusionMatrix:
-    """Count TP/TN/FP/FN by comparing labels and boolean alerts point-to-point."""
-    if not series.is_binary:
-        raise EvaluationError(
-            "confusion requires binary labels; collapse the multi-class series first"
-        )
+    """Count TP/TN/FP/FN by comparing labels and boolean alerts point-to-point.
+
+    Any attack type counts as positive, as in the binary collapse of the series.
+    """
     if alerts.kind is not AlertKind.BOOLEAN:
         raise EvaluationError("confusion requires boolean alerts, not scores")
     require_alignment(series, alerts)
@@ -109,14 +108,13 @@ def as_beta(beta: Fraction | int | float | str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class FBetaParams:
+class FBetaParams(Record):
     """Weight of recall relative to precision; beta=1 recovers F1."""
 
-    beta: Fraction = Fraction(1)
+    __slots__ = _fields = ("beta",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", as_beta(self.beta))
+    def __init__(self, beta: Fraction = Fraction(1)) -> None:
+        self._set(as_beta(beta))
 
 
 def f_beta(cm: ConfusionMatrix, params: FBetaParams | Fraction | int | float | str = 1) -> MetricValue:
@@ -142,15 +140,13 @@ def f1(cm: ConfusionMatrix) -> MetricValue:
     return f_beta(cm, 1)
 
 
-@dataclass(frozen=True)
-class RocPoint:
+class RocPoint(NamedTuple):
     threshold: float
     fpr: float
     tpr: float
 
 
-@dataclass(frozen=True, eq=False)
-class RocCurve:
+class RocCurve(Record):
     """(FPR, TPR) per threshold, sorted by threshold descending.
 
     Held as three read-only float64 arrays of equal length, checked once
@@ -159,13 +155,10 @@ class RocCurve:
     so both coordinates sweep monotonically from 0 to 1.
     """
 
-    thresholds: np.ndarray
-    fpr: np.ndarray
-    tpr: np.ndarray
+    _fields = ("thresholds", "fpr", "tpr")
 
-    def __post_init__(self) -> None:
-        for name in ("thresholds", "fpr", "tpr"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), np.float64))
+    def __init__(self, thresholds: np.ndarray, fpr: np.ndarray, tpr: np.ndarray) -> None:
+        self._set(*(_frozen_array(values, np.float64) for values in (thresholds, fpr, tpr)))
         shape = self.thresholds.shape
         if len(shape) != 1 or not shape == self.fpr.shape == self.tpr.shape:
             raise ValueError("curve thresholds, fpr and tpr must be equal-length 1-D arrays")

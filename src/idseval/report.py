@@ -10,13 +10,11 @@ detector, widening would paint the whole lane solid).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from .model import (
     MetricReport,
     MetricValue,
     ParameterError,
+    Record,
     alerts_to_intervals,
     extract_scenarios,
     float_ticks,
@@ -60,8 +59,7 @@ def format_cell(value: MetricValue | None, decimals: int = 3) -> str:
     return f"{value.value:.{decimals}f}"
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     """Detectors as rows, metric display names as columns, one dataset."""
 
     dataset: str
@@ -83,6 +81,8 @@ class ComparisonTable:
 
     def to_csv(self) -> str:
         """Machine-readable form: full-precision floats, empty cell if undefined."""
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["detector", *self.columns])
@@ -203,8 +203,7 @@ def report_to_json(report: MetricReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
-class TimelineLane:
+class TimelineLane(Record):
     """One horizontal band of the timeline and what was drawn in it.
 
     ``true_spans`` and ``drawn_spans`` are read-only float64 arrays of
@@ -214,11 +213,17 @@ class TimelineLane:
     kinds and arrays are.
     """
 
-    name: str
-    kind: str
-    true_spans: np.ndarray
-    drawn_spans: np.ndarray
-    widened: np.ndarray
+    __slots__ = _fields = ("name", "kind", "true_spans", "drawn_spans", "widened")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        true_spans: np.ndarray,
+        drawn_spans: np.ndarray,
+        widened: np.ndarray,
+    ) -> None:
+        self._set(name, kind, true_spans, drawn_spans, widened)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimelineLane):
@@ -232,11 +237,11 @@ class TimelineLane:
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class TimelineRendering:
-    svg: str
-    lanes: tuple[TimelineLane, ...]
-    min_width_ticks: float
+class TimelineRendering(Record):
+    __slots__ = _fields = ("svg", "lanes", "min_width_ticks")
+
+    def __init__(self, svg: str, lanes: tuple[TimelineLane, ...], min_width_ticks: float) -> None:
+        self._set(svg, lanes, min_width_ticks)
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(self.svg, encoding="utf-8")

@@ -7,7 +7,6 @@ are measured in ticks; conversion to seconds happens at report time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,6 +18,7 @@ from .model import (
     LabeledSeries,
     MetricValue,
     ParameterError,
+    Record,
     Scenarios,
     ScenariosLike,
     as_intervals,
@@ -141,8 +141,7 @@ def as_unit_fraction(name: str, value: Fraction | int | float | str) -> Fraction
     return result
 
 
-@dataclass(frozen=True)
-class EtaParams:
+class EtaParams(Record):
     """Parameters of the enhanced time-aware precision/recall family.
 
     ``theta_p``: minimum fraction of an alert interval that must overlap
@@ -153,25 +152,26 @@ class EtaParams:
     Defaults follow the published parameterization (0.5, 0.1, 0.5).
     """
 
-    theta_p: Fraction = Fraction(1, 2)
-    theta_r: Fraction = Fraction(1, 10)
-    detection_weight: Fraction = Fraction(1, 2)
+    __slots__ = _fields = ("theta_p", "theta_r", "detection_weight")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_p", as_unit_fraction("theta_p", self.theta_p))
-        object.__setattr__(self, "theta_r", as_unit_fraction("theta_r", self.theta_r))
-        object.__setattr__(
-            self, "detection_weight", as_unit_fraction("detection_weight", self.detection_weight)
-        )
+    def __init__(
+        self,
+        theta_p: Fraction = Fraction(1, 2),
+        theta_r: Fraction = Fraction(1, 10),
+        detection_weight: Fraction = Fraction(1, 2),
+    ) -> None:
+        self._set(*map(as_unit_fraction, self._fields, (theta_p, theta_r, detection_weight)))
 
 
-@dataclass(frozen=True)
-class TimeAwareScores:
+class TimeAwareScores(Record):
     """Precision-like, recall-like and F1-like triple of a time-aware metric."""
 
-    precision_like: float | None
-    recall_like: float | None
-    f1_like: float | None
+    __slots__ = _fields = ("precision_like", "recall_like", "f1_like")
+
+    def __init__(
+        self, precision_like: float | None, recall_like: float | None, f1_like: float | None
+    ) -> None:
+        self._set(precision_like, recall_like, f1_like)
 
 
 def harmonic_f1(precision: float | None, recall: float | None) -> float | None:

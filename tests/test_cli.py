@@ -812,6 +812,20 @@ def test_evaluate_and_compare_leave_out_floattext():
     assert fresh_python("-c", code).splitlines()[-1] == "[False, False, False, True]"
 
 
+def test_cli_import_leaves_out_dataclasses_csv_and_floattext(tmp_path):
+    """Records generate no code at import and ``csv`` is imported on use: a
+    label file out of the ``save_labels`` layout still loads through it."""
+    labels = tmp_path / "labels.csv"
+    labels.write_text('timestamp,label\n0,benign\n1,"dos, syn"\n2,benign\n')
+    code = (
+        "import sys, idseval.cli\n"
+        "print([m for m in ('dataclasses', 'csv', 'idseval.floattext') if m in sys.modules])\n"
+        f"series = idseval.cli.load_labels({str(labels)!r})\n"
+        "print(series.attack_types, series.label_codes.tolist(), 'csv' in sys.modules)"
+    )
+    assert fresh_python("-c", code).splitlines() == ["[]", "('dos, syn',) [0, 1, 0] True"]
+
+
 def test_package_import_leaves_out_numpy():
     code = "import sys, idseval\nprint('numpy' in sys.modules)"
     assert fresh_python("-c", code) == "False\n"

@@ -66,15 +66,24 @@ class TestConfusion:
         assert (cm.tp, cm.tn, cm.fp, cm.fn) == (1, 2, 1, 1)
         assert cm.n == 5
 
-    def test_requires_binary_labels(self):
-        series = make_series(["a", "b"])
-        with pytest.raises(EvaluationError, match="binary"):
-            confusion(series, make_alerts([True, True]))
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_multi_class_counts_any_type_as_positive(self, data):
+        n = data.draw(st.integers(1, 40))
+        types = st.sampled_from(["benign", "0", "dos", "scan", "spoof"])
+        multi = make_series(data.draw(st.lists(types, min_size=n, max_size=n)))
+        alerts = make_alerts(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assert confusion(multi, alerts) == confusion(collapse_multiclass(multi), alerts)
 
     def test_requires_boolean_alerts(self):
         series = make_series(["benign"])
         with pytest.raises(EvaluationError, match="boolean"):
             confusion(series, AlertSeries.from_scores("d", [0.1], "series"))
+        multi = make_series(["benign", "dos", "scan"])
+        with pytest.raises(EvaluationError, match="boolean"):
+            confusion(multi, AlertSeries.from_scores("d", [0.0, 1.0, 0.5], "series"))
+        with pytest.raises(EvaluationError, match="aligned to"):
+            confusion(multi, make_alerts([True, False, True], aligned_to="other"))
 
     def test_matches_brute_counter_on_random_instances(self):
         rng = random.Random(7031)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import xml.etree.ElementTree as ET
@@ -21,6 +20,7 @@ from idseval import (
     MetricValue,
     ParameterError,
     RocCurve,
+    TimelineLane,
     build_table,
     evaluate_detector,
     format_cell,
@@ -354,7 +354,8 @@ class TestTimelineLaneArrays:
             ("drawn_spans", lane.drawn_spans[:1]),
             ("widened", ~lane.widened),
         ):
-            assert dataclasses.replace(lane, **{field: value}) != lane
+            changed = {name: getattr(lane, name) for name in lane._fields} | {field: value}
+            assert TimelineLane(**changed) != lane
         assert lane != (lane.name, lane.kind)
         with pytest.raises(TypeError, match="unhashable"):
             hash(lane)

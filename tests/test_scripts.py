@@ -1,0 +1,52 @@
+"""The helper scripts under ``scripts/`` run and fail cleanly."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True
+    )
+
+
+def test_make_demo_rejects_scenarios_that_do_not_fit(tmp_path):
+    out = tmp_path / "demo"
+    done = run_script(
+        "make_demo.py", "--points", "1000000", "--scenarios", "30000", "--out", str(out)
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1] == (
+        "make_demo.py: error: --points must be at least 80 per scenario:"
+        " 30000 scenarios need 2400000"
+    )
+    assert not out.exists()
+
+
+def test_make_demo_builds_the_densest_request_it_accepts(tmp_path):
+    done = run_script("make_demo.py", "--points", "800", "--scenarios", "10",
+                      "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert {path.name for path in tmp_path.iterdir()} == {
+        "labels.csv", "lagged.jsonl", "scored.jsonl", "manifest.json"
+    }
+
+
+def test_startup_prints_verb_medians_and_the_import_split():
+    done = run_script("startup.py", "--runs", "1")
+    assert done.returncode == 0, done.stderr
+    *verbs, split = map(json.loads, done.stdout.splitlines())
+    assert [row["verb"] for row in verbs] == ["evaluate", "compare", "timeline", "roc", "baseline"]
+    assert all(row["help_wall_ms"] > 0 for row in verbs)
+    parts = split["import_idseval_cli_after_numpy"]
+    assert set(parts) == {"import_ms", "compile_ms", "classes_ms", "rest_ms"}
+    assert parts["classes_ms"] > 0
+    total = parts["compile_ms"] + parts["classes_ms"] + parts["rest_ms"]
+    assert abs(total - parts["import_ms"]) < 0.5

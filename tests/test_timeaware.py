@@ -89,10 +89,10 @@ class TestScenarioDetection:
             assert type(row.detected) is bool
 
     def test_evaluation_builds_no_attack_scenario(self, monkeypatch):
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("AttackScenario built")
 
-        monkeypatch.setattr(AttackScenario, "__post_init__", refuse)
+        monkeypatch.setattr(AttackScenario, "__init__", refuse)
         with pytest.raises(AssertionError, match="built"):
             scenario(0, 1)
         series = make_series(["benign", "dos", "dos", "benign", "scan", "benign"])
