@@ -18,6 +18,13 @@ into three parts:
 - ``rest_ms``: the remainder, mostly module bodies and the standard modules
   they import.
 
+Last it prints ``teardown_ms``, the cost of the interpreter's finalization
+(module teardown, the last garbage collection) after ``import idseval.cli``:
+the median wall time of ``--runs`` fresh ``python -B -c "import idseval.cli"``
+processes that end normally, minus that of ``--runs`` that end with
+``os._exit(0)``, the two kinds started in turn. The CLI's own runs skip this
+cost (``idseval.cli.run``).
+
 A ``__pycache__`` under ``src/idseval`` would hide the compile cost, so the
 script says so on stderr when it finds one.
 """
@@ -135,6 +142,14 @@ def main() -> None:
             values.append(probe[part])
     split = {f"{part}_ms": _median_ms(values) for part, values in parts.items()}
     print(json.dumps({"import_idseval_cli_after_numpy": split, "runs": args.runs}))
+
+    endings = {"normal": "import idseval.cli", "os_exit": "import os, idseval.cli; os._exit(0)"}
+    walls = {ending: [] for ending in endings}
+    for run in range(args.runs):
+        for ending in sorted(endings, reverse=run % 2 == 1):  # alternate which goes first
+            walls[ending].append(_run([sys.executable, "-B", "-c", endings[ending]])[0])
+    teardown = _median_ms(walls["normal"]) - _median_ms(walls["os_exit"])
+    print(json.dumps({"teardown_ms": round(teardown, 1), "runs": args.runs}))
 
 
 if __name__ == "__main__":

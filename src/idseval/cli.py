@@ -12,6 +12,7 @@ and renamed once whole, so a failed write leaves no partial one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import shutil
@@ -200,7 +201,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_atomic(
         outdir / f"report.{args.format}", lambda partial: partial.write_text(text, encoding="utf-8")
     )
-    sys.stdout.write(text)
+    print(text, end="")
     return 0
 
 
@@ -223,7 +224,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         outdir / f"comparison.{args.format}",
         lambda partial: partial.write_text(text, encoding="utf-8"),
     )
-    sys.stdout.write(text)
+    print(text, end="")
     return 0
 
 
@@ -464,5 +465,31 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry of ``python -m idseval.cli`` and the ``idseval`` script.
+
+    Runs ``main``, flushes stdout and stderr, and skips the interpreter's
+    finalization with ``os._exit``: ``main`` has closed every artifact, and
+    idseval registers no ``atexit`` handler and starts no thread. A failed
+    flush is reported as the interpreter's last flush would report it.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        if not (exc.code is None or isinstance(exc.code, int)):
+            raise
+        code = exc.code or 0
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except OSError as exc:  # not retried: a failed flush may have dropped its bytes
+            code = 120
+            with contextlib.suppress(OSError):
+                message = f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}"
+                print(message, file=sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

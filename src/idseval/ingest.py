@@ -741,11 +741,11 @@ def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertCo
         )
         values = ~falses
     else:
-        commas = np.flatnonzero(buf[lo:hi] == ord(","))
-        commas += lo
-        after = np.searchsorted(commas, starts + len(ALERT_PREFIX))
-        comma = commas[np.minimum(after, len(commas) - 1)]
-        found &= _has(words, comma, SCORE_KEY)
+        commas = np.flatnonzero(buf[lo:hi] == ord(","))  # each line's: timestamp's, suffix's
+        if len(commas) != len(starts) * (1 + suffix.count(b",")):
+            return None
+        comma, last = commas.reshape(len(starts), -1)[:, [0, -1]].T + lo  # row i: line i's
+        found &= (comma >= starts) & (last < ends) & _has(words, comma, SCORE_KEY)
         # Only lines in the layout have a token between the two keys.
         values = _block_floats(buf, comma + len(SCORE_KEY), tail) if found.all() else None
     if not found.all() or values is None:

@@ -93,10 +93,10 @@ def alerts_from_intervals(n: int, intervals: list[tuple[int, int]]) -> list[bool
     return values
 
 
-def fresh_python(*args, **env_updates):
-    """Run ``python ARGS`` in a new interpreter that imports idseval from this checkout.
+def fresh_env(**env_updates) -> dict[str, str]:
+    """The environment of a new interpreter that imports idseval from this checkout.
 
-    A keyword set to None removes that variable from the child's environment.
+    A keyword set to None removes that variable from the environment.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -106,6 +106,16 @@ def fresh_python(*args, **env_updates):
             env.pop(name, None)
         else:
             env[name] = value
-    run = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return env
+
+
+def fresh_python(*args, **env_updates):
+    """Run ``python ARGS`` in a new interpreter that imports idseval from this checkout.
+
+    A keyword set to None removes that variable from the child's environment.
+    """
+    run = subprocess.run(
+        [sys.executable, *args], env=fresh_env(**env_updates), capture_output=True, text=True
+    )
     assert run.returncode == 0, run.stderr
     return run.stdout

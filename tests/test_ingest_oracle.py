@@ -172,7 +172,7 @@ def render_alert(t: int, value, detector, style: str) -> str:
 
 
 ALERT_STYLES = ("canonical", "compact", "reordered", "iso", "int-score", "crlf", "blank", "unicode")
-DETECTORS = (None, "det", "détecteur", 'q"uo\\te', "%d %s")
+DETECTORS = (None, "det", "détecteur", 'q"uo\\te', "%d %s", "a,b")
 
 
 @st.composite
@@ -299,6 +299,33 @@ class TestAlertsMatchReference:
         series, lines = case
         payload = mutate_bytes(data.draw, "".join(lines).encode())
         assert_same(tmp_path, payload, "det.jsonl", (series,))
+
+
+# Line 3 of a scored file in the save_alerts layout, with commas where the
+# layout has none; %s is the detector name as JSON.
+COMMA_LINES = {
+    "layout": '{"timestamp": 3, "score": 0.25, "detector": %s}',
+    "score-comma": '{"timestamp": 3, "score": 1,5, "detector": %s}',
+    "score-field": '{"timestamp": 3, "score": 1, "x": 2, "detector": %s}',
+    "timestamp-comma": '{"timestamp": "3,0", "score": 0.25, "detector": %s}',
+}
+
+
+@pytest.mark.parametrize("line", COMMA_LINES)
+@pytest.mark.parametrize("detector", ["det", "a,b", ",a,,"])
+def test_commas_in_scored_blocks(tmp_path, small_blocks, monkeypatch, detector, line):
+    """A comma in the detector name keeps a block on the block route; any other
+    comma sends it to the record route, which rejects the line."""
+    name = json.dumps(detector)
+    lines = [f'{{"timestamp": {t}, "score": 0.5, "detector": {name}}}\n' for t in range(8)]
+    lines[3] = COMMA_LINES[line] % name + "\n"
+    series = LabeledSeries("plant", list(range(8)), [0] * 8, ())
+    original, records = ingest._alert_records, []
+    monkeypatch.setattr(
+        ingest, "_alert_records", lambda *args: records.append(args) or original(*args)
+    )
+    assert_same(tmp_path, "".join(lines).encode(), "det.jsonl", (series,))
+    assert bool(records) == (line != "layout")
 
 
 @pytest.mark.parametrize("kind", ["bool", "score"])

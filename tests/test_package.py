@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import sys
 import types
@@ -76,3 +77,13 @@ def test_every_name_the_benchmark_patches_resolves(monkeypatch):
     missing = [(owner.__name__, attr) for owner, attr, _, _ in sites if not hasattr(owner, attr)]
     assert sites
     assert missing == []
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        entry = tomllib.load(handle)["project"]["scripts"]["idseval"]
+    module, _, name = entry.partition(":")
+    from idseval import cli
+
+    assert getattr(importlib.import_module(module), name) is cli.run

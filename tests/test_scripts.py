@@ -42,7 +42,7 @@ def test_make_demo_builds_the_densest_request_it_accepts(tmp_path):
 def test_startup_prints_verb_medians_and_the_import_split():
     done = run_script("startup.py", "--runs", "1")
     assert done.returncode == 0, done.stderr
-    *verbs, split = map(json.loads, done.stdout.splitlines())
+    *verbs, split, teardown = map(json.loads, done.stdout.splitlines())
     assert [row["verb"] for row in verbs] == ["evaluate", "compare", "timeline", "roc", "baseline"]
     assert all(row["help_wall_ms"] > 0 for row in verbs)
     parts = split["import_idseval_cli_after_numpy"]
@@ -50,3 +50,5 @@ def test_startup_prints_verb_medians_and_the_import_split():
     assert parts["classes_ms"] > 0
     total = parts["compile_ms"] + parts["classes_ms"] + parts["rest_ms"]
     assert abs(total - parts["import_ms"]) < 0.5
+    assert set(teardown) == {"teardown_ms", "runs"}
+    assert isinstance(teardown["teardown_ms"], float) and teardown["runs"] == 1
