@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--exempt", action="append", metavar="DETECTOR",
         help="draw this detector at true width even below --min-width; repeatable",
     )
-    p_tl.add_argument("--format", choices=("svg",), default="svg")
     p_tl.set_defaults(func=cmd_timeline)
 
     p_roc = sub.add_parser(
@@ -471,7 +470,7 @@ def run() -> None:
     Runs ``main``, flushes stdout and stderr, and skips the interpreter's
     finalization with ``os._exit``: ``main`` has closed every artifact, and
     idseval registers no ``atexit`` handler and starts no thread. A failed
-    flush is reported as the interpreter's last flush would report it.
+    flush is an I/O error: one ``error:`` line on stderr, exit code 1.
     """
     try:
         code = main()
@@ -484,10 +483,9 @@ def run() -> None:
             if stream is not None and not stream.closed:
                 stream.flush()
         except OSError as exc:  # not retried: a failed flush may have dropped its bytes
-            code = 120
+            code = 1
             with contextlib.suppress(OSError):
-                message = f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}"
-                print(message, file=sys.stderr)
+                print(f"error: {exc}", file=sys.stderr)
     os._exit(code)
 
 

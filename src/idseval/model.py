@@ -56,7 +56,9 @@ def parse_spec(text: str, noun: str = "metric") -> tuple[str, dict[str, str | bo
 
 class Record:
     """An immutable record, as a frozen dataclass is: ``__init__`` sets its
-    ``_fields`` once; records of one class are equal, and hash, by them."""
+    ``_fields`` once. Records are equal when they are of one class and their
+    fields are equal, arrays compared element by element; they hash by their
+    fields, so a record that holds an array is unhashable."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -77,7 +79,7 @@ class Record:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_fields_equal, self._values(), other._values()))
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -88,6 +90,12 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _fields_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(np.array_equal(a, b))
+    return a is b or a == b  # identity first, as tuple equality has it
 
 
 class Param(NamedTuple):
@@ -150,17 +158,12 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
-def _arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype.kind == b.dtype.kind and bool(np.array_equal(a, b))
-
-
 class LabeledSeries(Record):
     """Ground-truth stream: per-point benign/attack-type labels over integer ticks.
 
     Labels are stored as integer codes: 0 is benign, code k (k >= 1) is
     ``attack_types[k - 1]``. Timestamps are strictly increasing ticks;
-    ``tick_seconds`` converts ticks to wall-clock seconds. Two series are
-    equal when their fields are, arrays compared element by element.
+    ``tick_seconds`` converts ticks to wall-clock seconds.
     """
 
     _fields = ("name", "timestamps", "label_codes", "attack_types", "tick_seconds")
@@ -260,18 +263,6 @@ class LabeledSeries(Record):
     def labels_as_strings(self) -> list[str]:
         return ["benign" if c == 0 else self.attack_types[c - 1] for c in self.label_codes]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledSeries):
-            return NotImplemented
-        return (
-            (self.name, self.attack_types, self.tick_seconds)
-            == (other.name, other.attack_types, other.tick_seconds)
-            and _arrays_equal(self.timestamps, other.timestamps)
-            and _arrays_equal(self.label_codes, other.label_codes)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 class AlertKind(str, Enum):
     BOOLEAN = "boolean"
@@ -279,11 +270,7 @@ class AlertKind(str, Enum):
 
 
 class AlertSeries(Record):
-    """One detector's output aligned point-for-point to a LabeledSeries.
-
-    Two series are equal when their fields are, values compared element by
-    element.
-    """
+    """One detector's output aligned point-for-point to a LabeledSeries."""
 
     __slots__ = _fields = ("detector", "kind", "values", "aligned_to")
 
@@ -307,17 +294,6 @@ class AlertSeries(Record):
     @classmethod
     def from_scores(cls, detector: str, values, aligned_to: str) -> "AlertSeries":
         return cls(detector, AlertKind.SCORED, np.asarray(values, dtype=np.float64), aligned_to)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlertSeries):
-            return NotImplemented
-        return (
-            (self.detector, self.kind, self.aligned_to)
-            == (other.detector, other.kind, other.aligned_to)
-            and _arrays_equal(self.values, other.values)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 class AttackScenario(Record):
@@ -535,15 +511,9 @@ class Intervals(Record):
         return int(self.starts[index]), int(self.ends[index])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Intervals):
-            return bool(
-                np.array_equal(self.starts, other.starts) and np.array_equal(self.ends, other.ends)
-            )
         if isinstance(other, (list, tuple)):
             return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+        return super().__eq__(other)
 
 
 IntervalsLike = Intervals | Sequence[tuple[int, int]]

@@ -150,9 +150,8 @@ class RocCurve(Record):
     """(FPR, TPR) per threshold, sorted by threshold descending.
 
     Held as three read-only float64 arrays of equal length, checked once
-    when built; two curves are equal when their arrays are. Includes the
-    synthetic endpoints (0,0) at threshold +inf and (1,1) at threshold -inf,
-    so both coordinates sweep monotonically from 0 to 1.
+    when built. Includes the synthetic endpoints (0,0) at threshold +inf and
+    (1,1) at threshold -inf, so both coordinates sweep monotonically from 0 to 1.
     """
 
     _fields = ("thresholds", "fpr", "tpr")
@@ -175,17 +174,6 @@ class RocCurve(Record):
         return tuple(
             map(RocPoint, self.thresholds.tolist(), self.fpr.tolist(), self.tpr.tolist())
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RocCurve):
-            return NotImplemented
-        return all(map(
-            np.array_equal,
-            (self.thresholds, self.fpr, self.tpr),
-            (other.thresholds, other.fpr, other.tpr),
-        ))
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def roc(

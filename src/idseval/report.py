@@ -209,8 +209,7 @@ class TimelineLane(Record):
     ``true_spans`` and ``drawn_spans`` are read-only float64 arrays of
     half-open ``[start, end)`` tick spans, shape ``(runs, 2)``; ``widened``
     is a read-only bool array, one flag per run. When no run was widened,
-    ``drawn_spans`` is ``true_spans``. Lanes compare equal when their names,
-    kinds and arrays are.
+    ``drawn_spans`` is ``true_spans``.
     """
 
     __slots__ = _fields = ("name", "kind", "true_spans", "drawn_spans", "widened")
@@ -224,17 +223,6 @@ class TimelineLane(Record):
         widened: np.ndarray,
     ) -> None:
         self._set(name, kind, true_spans, drawn_spans, widened)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimelineLane):
-            return NotImplemented
-        return (self.name, self.kind) == (other.name, other.kind) and all(map(
-            np.array_equal,
-            (self.true_spans, self.drawn_spans, self.widened),
-            (other.true_spans, other.drawn_spans, other.widened),
-        ))
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 class TimelineRendering(Record):
@@ -450,7 +438,16 @@ def roc_to_csv(curve: RocCurve) -> str:
 def roc_json_chunks(
     curve: RocCurve, dataset: str, detector: str, area: float | None
 ) -> Iterator[bytes]:
-    """The UTF-8 text of ``roc_to_json`` in pieces; the curve is checked before the first."""
+    """JSON form of a ROC sweep as UTF-8 pieces: dataset, detector, auc and one
+    object per point. The curve is checked before the first piece.
+
+    The text equals ``json.dumps(payload, indent=2) + "\\n"`` of that payload,
+    with the first and last thresholds (the synthetic infinite endpoints;
+    JSON has no infinity) written as the strings ``"inf"`` and ``"-inf"``.
+    ``json.dumps`` writes a finite float as its repr, so the points are rows
+    of reprs between fixed pieces, without the pure-Python encoder that
+    ``indent`` selects.
+    """
     if len(curve.thresholds) == 0 or not np.all(np.isfinite(curve.thresholds[1:-1])):
         raise ValueError("a ROC curve in JSON needs points, infinite only at either end")
     # json.dumps writes a finite float as its repr; the endpoints go in quoted.
@@ -478,16 +475,3 @@ def roc_json_chunks(
         yield last[:-2] + b"\n  ]\n}\n"  # the last point takes no comma
 
     return chunks()
-
-
-def roc_to_json(curve: RocCurve, dataset: str, detector: str, area: float | None) -> str:
-    """JSON form of a ROC sweep: dataset, detector, auc and one object per point.
-
-    The text equals ``json.dumps(payload, indent=2) + "\\n"`` of that payload,
-    with the first and last thresholds (the synthetic infinite endpoints;
-    JSON has no infinity) written as the strings ``"inf"`` and ``"-inf"``.
-    ``json.dumps`` writes a finite float as its repr, so the points are rows
-    of reprs between fixed pieces, without the pure-Python encoder that
-    ``indent`` selects.
-    """
-    return b"".join(roc_json_chunks(curve, dataset, detector, area)).decode()

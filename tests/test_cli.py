@@ -433,6 +433,15 @@ class TestTimeline:
         assert stderr.count("\n") == 1 and "overflows a 64-bit float" in stderr
         assert not (workdir / "run").exists()
 
+    def test_timeline_has_no_format_option(self, workdir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["timeline", "--labels", str(workdir / "labels.csv"),
+                  "--detector", "baseline:never", "--format", "svg",
+                  "--out", str(workdir / "run")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format svg" in capsys.readouterr().err
+        assert not (workdir / "run").exists()
+
     def test_exempt_unknown_detector_exits_2(self, workdir, capsys):
         code, _, stderr = run(
             capsys, "timeline", "--labels", workdir / "labels.csv",

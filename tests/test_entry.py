@@ -2,7 +2,8 @@
 
 ``run`` flushes stdout and stderr and ends the process with ``os._exit``.
 These tests start fresh interpreters and hold each outcome against an
-in-process ``main(argv)`` and against an interpreter that exits normally.
+in-process ``main(argv)`` and against an interpreter that exits normally;
+a failed last flush is instead README's one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -168,12 +169,6 @@ SIX_KB = "print('x' * 6000, end='')"  # more than a 4 KiB buffer holds, less tha
     [
         ("print('x' * 100)", 3, "file", "pipe"),
         (SIX_KB, 0, "file", "pipe"),
-        ("print('x' * 100)", 0, "closed-pipe", "pipe"),  # the bytes stay in the buffer
-        (SIX_KB, 0, "closed-pipe", "pipe"),  # the failed flush drops them
-        pytest.param(SIX_KB, 1, "dev-full", "pipe",
-                     marks=pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")),
-        pytest.param("print('y' * 100, end='', file=sys.stderr)", 0, "file", "dev-full",
-                     marks=pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")),
         ("sys.exit('stopped')", 0, "file", "pipe"),
         ("raise SystemExit", 5, "file", "pipe"),
         ("sys.exit(4)", 0, "closed-pipe", "pipe"),
@@ -191,6 +186,55 @@ def test_run_ends_as_a_normal_exit_would(body, code, stdout, stderr, tmp_path):
         written = (tmp_path / "stdout").read_bytes() if stdout == "file" else None
         outcomes.append((done.returncode, written, done.stderr))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "body,code,stdout,stderr,reason",
+    [
+        # The bytes stay in the buffer until the last flush.
+        ("print('x' * 100)", 0, "closed-pipe", "pipe", "[Errno 32] Broken pipe"),
+        # More than the pipe's buffer: the last flush writes them straight through.
+        (SIX_KB, 0, "closed-pipe", "pipe", "[Errno 32] Broken pipe"),
+        pytest.param(SIX_KB, 3, "dev-full", "pipe", "[Errno 28] No space left on device",
+                     marks=pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")),
+        # stderr cannot take the error line either; the exit code still tells.
+        pytest.param("print('y' * 100, end='', file=sys.stderr)", 0, "file", "dev-full", None,
+                     marks=pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")),
+    ],
+)
+def test_run_reports_a_failed_flush_as_an_io_error(body, code, stdout, stderr, reason, tmp_path):
+    """A failed last flush is README's one ``error:`` line and exit code 1,
+    where a normal exit would print the interpreter's report and exit 120."""
+    program = PROGRAM.format(body=body, code=code, ending="cli.run()")
+    with sink(stdout, tmp_path / "stdout") as out, sink(stderr, tmp_path / "stderr") as err:
+        done = subprocess.run(
+            [sys.executable, "-c", program], stdout=out, stderr=err,
+            env=fresh_env(PYTHONUNBUFFERED=None),
+        )
+    assert done.returncode == 1
+    if reason is not None:
+        assert done.stderr.decode() == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "kind,reason",
+    [
+        ("closed-pipe", "[Errno 32] Broken pipe"),
+        pytest.param("dev-full", "[Errno 28] No space left on device",
+                     marks=pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")),
+    ],
+)
+@pytest.mark.parametrize("verb", ["roc", "evaluate"])
+def test_buffered_unwritable_stdout_is_one_error_line(verb, kind, reason, tmp_path):
+    """The output fits the buffer, so the write fails only in ``run``'s last flush."""
+    with sink(kind, tmp_path / "stdout") as stdout:
+        done = fresh_cli(RUNS[verb], tmp_path, stdout=stdout, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr.decode()) == (1, f"error: {reason}\n")
+    expected = {
+        "roc": ["alerts/scored.jsonl", "roc.csv"],
+        "evaluate": ["alerts/lagged.jsonl", "report.md"],
+    }
+    assert sorted(artifacts(tmp_path / "out")) == expected[verb]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")

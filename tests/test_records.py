@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
@@ -23,6 +24,7 @@ from idseval.model import (
     MetricReport,
     MetricValue,
     Param,
+    Record,
     Scenarios,
 )
 from idseval.pointwise import FBetaParams, RocCurve, RocPoint, f1
@@ -125,3 +127,50 @@ def test_records_of_another_class_are_not_equal():
     assert MetricValue("f1", 0.5).params == {}
     assert MetricValue("f1", 0.5).params is not MetricValue("f1", 0.5).params
     assert MetricValue("f1", None, Fraction(1, 4)).value == 0.25
+
+
+class Sampled(Record):
+    """A record defined here, holding an array and a scalar."""
+
+    __slots__ = _fields = ("values", "rate")
+
+    def __init__(self, values, rate) -> None:
+        self._set(values, rate)
+
+
+def test_any_record_compares_its_arrays_element_by_element():
+    record = Sampled(np.array([1, 2, 3]), 0.5)
+    assert record == Sampled(np.array([1, 2, 3]), 0.5)
+    assert not record != Sampled(np.array([1, 2, 3]), 0.5)
+    assert record != Sampled(np.array([1, 2, 4]), 0.5)
+    assert record != Sampled(np.array([1, 2]), 0.5)
+    assert record != Sampled(np.array([[1, 2, 3]]), 0.5)
+    assert record != Sampled(np.array([1, 2, 3]), 0.25)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    assert record != ConfusionMatrix(1, 2, 3, 4)
+    assert record != Intervals([1], [3])
+
+
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "idseval"
+
+
+def test_only_record_decides_equality_and_hashing():
+    """``Record`` holds the one rule; ``Intervals`` and ``Scenarios`` only add
+    their documented comparison with a list or tuple."""
+    defines: dict[str, set[str]] = {"__eq__": set(), "__hash__": set()}
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [target.id for target in targets if isinstance(target, ast.Name)]
+                else:
+                    continue
+                for name in set(names) & set(defines):
+                    defines[name].add(node.name)
+    assert defines == {"__eq__": {"Record", "Intervals", "Scenarios"}, "__hash__": {"Record"}}

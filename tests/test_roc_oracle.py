@@ -38,7 +38,7 @@ from idseval import (
 from idseval import pointwise, report
 from idseval.cli import main
 from idseval.model import LabeledSeries, collapse_multiclass
-from idseval.report import roc_to_json
+from idseval.report import roc_json_chunks
 from oracles import roc_oracle
 from support import make_series
 
@@ -307,6 +307,11 @@ names = st.text() | st.sampled_from(
 )
 
 
+def roc_json(curve, dataset, detector, area) -> str:
+    """The text of ``roc --format json``: its pieces, joined."""
+    return b"".join(roc_json_chunks(curve, dataset, detector, area)).decode()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     curves(),
@@ -318,7 +323,7 @@ names = st.text() | st.sampled_from(
 def test_writers_match_csv_writer_and_json_dumps(curve, dataset, detector, area, rows):
     with mock.patch.object(report, "_ROWS", rows or report._ROWS):
         csv_text = roc_to_csv(curve)
-        json_text = roc_to_json(curve, dataset, detector, area)
+        json_text = roc_json(curve, dataset, detector, area)
     assert csv_text == roc_oracle.roc_to_csv(curve)
     assert json_text == payload_json(curve, dataset, detector, area)
 
@@ -336,11 +341,11 @@ def test_csv_keeps_signed_zeros_apart_in_tpr():
 def test_json_of_a_two_point_curve():
     curve = RocCurve(thresholds=[np.inf, -np.inf], fpr=[0.0, 1.0], tpr=[0.0, 1.0])
     for area in (0.5, None):
-        assert roc_to_json(curve, "d", "x", area) == payload_json(curve, "d", "x", area)
+        assert roc_json(curve, "d", "x", area) == payload_json(curve, "d", "x", area)
 
 
 @pytest.mark.parametrize("inner", [[np.inf], [np.nan], [1.0, -np.inf, -np.inf]])
 def test_json_rejects_infinite_inner_thresholds(inner):
     curve = RocCurve([np.inf, *inner, -np.inf], [0.0] * (len(inner) + 2), [0.0] * (len(inner) + 2))
     with pytest.raises(ValueError, match="infinite only at either end"):
-        roc_to_json(curve, "d", "x", None)
+        roc_json(curve, "d", "x", None)
