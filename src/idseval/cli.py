@@ -35,7 +35,8 @@ from .evaluate import (
     catalog_lines,
     evaluate_detector,
 )
-from .ingest import load_alerts, load_labels, load_manifest, save_alerts, validate_pair
+from .ingest import alarm_warnings, load_alerts, load_labels, load_manifest
+from .ingest import save_alerts, validate_pair
 from .model import (
     AlertKind,
     AlertSeries,
@@ -176,9 +177,15 @@ def _check_specs(args: argparse.Namespace, metrics: list[str] | None = None) -> 
             BaselineSpec.parse(token).with_seed(args.seed)
 
 
-def _print_warnings(series: LabeledSeries, gap_tolerance: int) -> None:
+def _print_warnings(series: LabeledSeries, sources: list[AlertSource], gap_tolerance: int) -> None:
+    """The dataset's warnings, then one per boolean detector that never or always alarms."""
     for warning in validate_pair(series, gap_tolerance=gap_tolerance).warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    for alert, _ in sources:
+        if alert.kind is AlertKind.BOOLEAN:
+            fraction = Fraction(int(np.count_nonzero(alert.values)), len(alert))
+            for warning in alarm_warnings(fraction):
+                print(f"warning: {alert.detector}: {warning}", file=sys.stderr)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -189,7 +196,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(tokens) != 1:
         raise ParameterError("evaluate scores one detector; use compare for several")
     sources = _resolve_alerts(tokens, series, args.seed)
-    _print_warnings(series, args.gap_tolerance)
+    _print_warnings(series, sources, args.gap_tolerance)
     alert = sources[0][0]
     report = evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
     if args.format == "json":
@@ -211,7 +218,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     series, manifest = _load_dataset(args)
     tokens = _alert_tokens(args, manifest)
     sources = _resolve_alerts(tokens, series, args.seed)
-    _print_warnings(series, args.gap_tolerance)
+    _print_warnings(series, sources, args.gap_tolerance)
     reports = [
         evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
         for alert, _ in sources
@@ -333,8 +340,18 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage writes raise ``OSError`` when
+    they fail, as every other write does; its subparsers share the class."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            with contextlib.suppress(AttributeError):  # no stream to write to
+                (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idseval",
         description="Score intrusion detectors against labeled time series.",
     )
@@ -446,9 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UnknownMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

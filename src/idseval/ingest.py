@@ -10,9 +10,9 @@ ticks count epoch seconds too. All malformed-input errors carry the file
 path and 1-based line number.
 
 Files are read in blocks of whole lines, each read into one reused buffer
-of about 1 MiB. A block in the exact layout that ``save_labels`` or
-``save_alerts`` writes is parsed with numpy (a label block in pieces of
-whole lines, to bound the temporaries), every byte checked against that
+(about 1 MiB for alerts, 256 KiB for labels, to bound the label parse's
+temporaries). A block in the exact layout that ``save_labels`` or
+``save_alerts`` writes is parsed with numpy, every byte checked against that
 layout: integers are read eight digits at a time from 64-bit words, and
 labels are decoded once per run of equal labels. Any other block goes
 through ``csv`` or ``json`` record by record. Both routes accept and reject
@@ -42,6 +42,7 @@ from .model import (
     EvaluationError,
     LabeledSeries,
     ParameterError,
+    Record,
     extract_scenarios,
     format_fraction,
     require_alignment,
@@ -51,13 +52,17 @@ LABEL_HEADER = ("timestamp", "label")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-# Files are read through one buffer of this many bytes, reused for every
-# block. Each block an alert parse takes costs ~25 numpy calls whatever its
-# size, so large blocks spread that cost over many lines (label blocks are
-# parsed in smaller pieces, see ``_PIECE_BYTES``). The buffer is reused, not
-# allocated per block, so that a load leaves no freed 1 MiB blocks in
-# glibc's heap to raise the peak RSS of the stages after it.
+# Alert files are read through one buffer of this many bytes, reused for
+# every block. Each block an alert parse takes costs ~25 numpy calls whatever
+# its size, so large blocks spread that cost over many lines. The buffer is
+# reused, not allocated per block, so that a load leaves no freed 1 MiB
+# blocks in glibc's heap to raise the peak RSS of the stages after it.
 _BLOCK_BYTES = 1 << 20
+# Label files are read in smaller blocks: ``_fast_labels`` holds about nine
+# int64-wide temporaries per line. At 10^6 points that is ~1.5 MiB for a
+# block's ~21k lines, about what a 1 MiB alert block's parse holds, against
+# ~5.8 MiB for a 1 MiB label block.
+_LABEL_BLOCK_BYTES = 1 << 18
 _WRITE_ROWS = 1 << 14
 # Bytes before a block, so that the three 8-byte words ending at a 19-digit
 # token in the block's first line stay inside the buffer.
@@ -69,13 +74,6 @@ _LABEL_HEADER_LINE = b"timestamp,label\n"
 # Longest label the block parser handles; longer ones are valid but go
 # through csv.
 _MAX_LABEL_BYTES = 64
-# Label blocks are parsed in pieces of at most about this many bytes, cut
-# after a newline: ``_fast_labels`` holds about nine int64-wide temporaries
-# per line. At 10^6 points that is ~1.5 MiB for a piece's ~21k lines, about
-# what a 1 MiB alert block's parse holds, against ~5.8 MiB for a whole block.
-_PIECE_BYTES = 1 << 18
-# The longest line of the label layout: '-', 19 digits, ',', a label, '\n'.
-_MAX_LABEL_LINE = 22 + _MAX_LABEL_BYTES
 # The bytes of a JSON number: a score token with any other byte goes to the
 # record route, so NaN, Infinity, literals and whitespace never reach the
 # json tier of ``_block_floats``.
@@ -170,8 +168,9 @@ def _check_range(timestamps: np.ndarray, path: Path | str, lines: Iterable[Seque
         )
 
 
-def _read_blocks(handle) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Read a binary file in blocks of whole lines; only the last may lack its newline.
+def _read_blocks(handle, size: int) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Read a binary file in blocks of whole lines of at most ``size`` bytes,
+    unless a line is longer; only the last block may lack its newline.
 
     Each block is ``buf[lo:hi]`` of one buffer, which the next block is
     read into, so a caller must be done with a block, and keep no view of
@@ -180,7 +179,6 @@ def _read_blocks(handle) -> Iterator[tuple[np.ndarray, int, int]]:
     block. The partial line after a block's last newline moves to the front
     for the next read, and a line longer than the buffer grows it.
     """
-    size = _BLOCK_BYTES
     raw = bytearray(_FRONT + size + _PAD)
     buf = np.frombuffer(raw, dtype=np.uint8)
     have = 0  # bytes held from _FRONT on: a carried partial line, then new reads
@@ -203,26 +201,6 @@ def _read_blocks(handle) -> Iterator[tuple[np.ndarray, int, int]]:
             grown = bytearray(_FRONT + size + _PAD)
             grown[:end] = raw[:end]
             raw, buf = grown, np.frombuffer(grown, dtype=np.uint8)
-
-
-def _pieces(buf: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """Cut block ``buf[lo:hi]`` after newlines into pieces of at most about ``_PIECE_BYTES``.
-
-    A cut is looked for only in the last ``_MAX_LABEL_LINE`` bytes before
-    the limit. Where none of them is a newline, the block is not in the
-    label layout, and the rest of it is one piece.
-    """
-    while hi - lo > _PIECE_BYTES:
-        limit = lo + _PIECE_BYTES
-        window = max(lo, limit - _MAX_LABEL_LINE)
-        newlines = np.flatnonzero(buf[window:limit] == ord("\n"))
-        if not len(newlines):
-            break
-        cut = window + int(newlines[-1]) + 1
-        yield lo, cut
-        lo = cut
-    if lo < hi:
-        yield lo, hi
 
 
 def _as_bytes(blocks: Iterable[tuple[np.ndarray, int, int]]) -> Iterator[bytes]:
@@ -455,12 +433,12 @@ def _json_string(token: bytes) -> str | None:
 def _fast_labels(
     buf: np.ndarray, lo: int, hi: int, index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Timestamps, then label codes run by run and rows per run, of a piece
+    """Timestamps, then label codes run by run and rows per run, of a block
     ``buf[lo:hi]`` of ``ts,label`` lines, or None.
 
     None means some byte leaves the layout ``save_labels`` writes for plain
     labels (no quotes, no control bytes, no surrounding whitespace); the
-    file from that piece on then goes through ``csv``. New attack types join
+    file from that block on then goes through ``csv``. New attack types join
     ``index`` in the order they first appear.
 
     Labels come in runs, so each row is keyed by its label's masked 8-byte
@@ -574,11 +552,11 @@ def _label_parts(
     """The parts of an open label file in order: timestamps, label codes run by
     run, rows per run, each record's line, and the bytes the part covers.
 
-    After the header, each piece of a block in the ``save_labels`` layout is
-    one part. From the first piece out of it, the rest of the file goes
-    through csv as one last part, whose byte count is None.
+    After the header, each block in the ``save_labels`` layout is one part.
+    From the first block out of it, the rest of the file goes through csv as
+    one last part, whose byte count is None.
     """
-    blocks = _read_blocks(handle)
+    blocks = _read_blocks(handle, _LABEL_BLOCK_BYTES)
     buf, lo, hi = next(blocks, (np.zeros(0, np.uint8), 0, 0))
     if buf[lo:hi][: len(_LABEL_HEADER_LINE)].tobytes() != _LABEL_HEADER_LINE:
         rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
@@ -587,16 +565,17 @@ def _label_parts(
     line = 2
     lo += len(_LABEL_HEADER_LINE)
     for buf, lo, hi in itertools.chain([(buf, lo, hi)], blocks):
-        for start, stop in _pieces(buf, lo, hi):
-            part = _fast_labels(buf, start, stop, index)
-            if part is None:
-                # csv quoting can span lines, so the rest of the file goes to csv.
-                rest = itertools.chain([buf[start:hi].tobytes()], _as_bytes(blocks))
-                rows = _text_lines(path, rest, line, "")
-                yield *_label_rows(path, rows, line, index, tick, header=False), None
-                return
-            yield *part, range(line, line + len(part[0])), stop - start
-            line += len(part[0])
+        if lo == hi:  # the header was the whole first block
+            continue
+        part = _fast_labels(buf, lo, hi, index)
+        if part is None:
+            # csv quoting can span lines, so the rest of the file goes to csv.
+            rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
+            rows = _text_lines(path, rest, line, "")
+            yield *_label_rows(path, rows, line, index, tick, header=False), None
+            return
+        yield *part, range(line, line + len(part[0])), hi - lo
+        line += len(part[0])
 
 
 def load_labels(
@@ -688,14 +667,17 @@ def save_labels(series: LabeledSeries, path: Path | str) -> None:
             handle.write(("%d,%s\n" * len(timestamps)) % tuple(fields))
 
 
-class _AlertColumns(NamedTuple):
-    """Alert records of one block."""
+class _AlertColumns(Record):
+    """Alert records of one block: timestamps, values, kind, the "detector"
+    field if any record had one, and the line of each record."""
 
-    timestamps: np.ndarray
-    values: np.ndarray
-    kind: AlertKind | None
-    detector: str | None  # the "detector" field, if any record had one
-    lines: Sequence[int]  # the line of each record
+    __slots__ = _fields = ("timestamps", "values", "kind", "detector", "lines")
+
+    def __init__(
+        self, timestamps: np.ndarray, values: np.ndarray, kind: AlertKind | None,
+        detector: str | None, lines: Sequence[int],
+    ) -> None:
+        self._set(timestamps, values, kind, detector, lines)
 
 
 def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertColumns | None:
@@ -853,7 +835,7 @@ def load_alerts(
     field_detector: str | None = None
     line = 1
     with open(path, "rb") as handle:
-        for buf, lo, hi in _read_blocks(handle):
+        for buf, lo, hi in _read_blocks(handle, _BLOCK_BYTES):
             part = _fast_alerts(buf, lo, hi, line)
             # A block-route part has one kind and one detector throughout: if
             # either differs from earlier blocks', its first record does, and
@@ -951,6 +933,15 @@ class ValidationReport(NamedTuple):
         return lines
 
 
+def alarm_warnings(alert_fraction: Fraction) -> list[str]:
+    """The warning for a boolean detector that alarms at no point or at every one."""
+    if alert_fraction == 0:
+        return ["detector never alarms; recall-style metrics will be 0"]
+    if alert_fraction == 1:
+        return ["detector always alarms; precision equals the attack fraction"]
+    return []
+
+
 def validate_pair(
     series: LabeledSeries,
     alerts: AlertSeries | None = None,
@@ -986,10 +977,7 @@ def validate_pair(
         alert_kind = alerts.kind
         if alerts.kind is AlertKind.BOOLEAN:
             alert_fraction = Fraction(int(np.count_nonzero(alerts.values)), n)
-            if alert_fraction == 0:
-                warnings.append("detector never alarms; recall-style metrics will be 0")
-            elif alert_fraction == 1:
-                warnings.append("detector always alarms; precision equals the attack fraction")
+            warnings.extend(alarm_warnings(alert_fraction))
         else:
             warnings.append(
                 "scored alerts need a threshold before point metrics apply; see the roc command"

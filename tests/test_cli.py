@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from idseval import cli
+from idseval.baselines import BaselineSpec, generate
 from idseval.cli import main, parse_min_width
-from idseval.report import TimelineRendering
+from idseval.evaluate import evaluate_detector
+from idseval.ingest import load_labels, save_alerts
+from idseval.report import TimelineRendering, build_table
 from idseval import ParameterError
 from support import fresh_python
 from fractions import Fraction
@@ -190,7 +193,8 @@ class TestEvaluate:
             "--alerts", workdir / "scores.jsonl", "--out", workdir / "run",
         )
         assert code == 1
-        assert "roc" in stderr.splitlines()[-1]
+        # The error is the only line: scored alerts get no never/always-alarms warning.
+        assert len(stderr.splitlines()) == 1 and "roc" in stderr
         assert not (workdir / "run").exists()
 
     def test_two_detectors_rejected(self, workdir, capsys):
@@ -305,6 +309,37 @@ class TestEvaluate:
         assert code == 0
         assert "warning: attacks cover under 1% of points" in stderr
         assert "warning" not in stdout
+
+    def test_detectors_that_never_or_always_alarm_warn(self, workdir, capsys):
+        sparse = workdir / "sparse.csv"
+        rows = ["timestamp,label"] + [f"{t},{'dos' if t == 0 else 'benign'}" for t in range(200)]
+        sparse.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        detectors = ["baseline:always", "baseline:random:p=0.5", "baseline:never"]
+        out = workdir / "run"
+        argv = ["--labels", sparse, "--metrics", "f1,accuracy", "--out", out]
+        code, stdout, stderr = run(
+            capsys, "compare", *(f"--detector={name}" for name in detectors), *argv
+        )
+        assert code == 0
+        # After the dataset's warnings, one line per such detector, in input order.
+        assert stderr.splitlines() == [
+            "warning: attacks cover under 1% of points; accuracy will reward detectors"
+            " that never alarm",
+            "warning: baseline:always: detector always alarms; precision equals the attack"
+            " fraction",
+            "warning: baseline:never: detector never alarms; recall-style metrics will be 0",
+        ]
+        # The warnings touch neither stdout nor an artifact.
+        series = load_labels(sparse)
+        alerts = [generate(BaselineSpec.parse(name).with_seed(0), series) for name in detectors]
+        reports = [evaluate_detector(series, alert, ["f1", "accuracy"]) for alert in alerts]
+        assert stdout == build_table(reports).render("md")
+        assert (out / "comparison.md").read_text(encoding="utf-8") == stdout
+        names = [cli._safe_filename(alert.detector, set()) + ".jsonl" for alert in alerts]
+        assert sorted(path.name for path in (out / "alerts").iterdir()) == sorted(names)
+        for alert, name in zip(alerts, names):
+            save_alerts(alert, series, workdir / "expected.jsonl")
+            assert (out / "alerts" / name).read_bytes() == (workdir / "expected.jsonl").read_bytes()
 
 
 class TestOutputDirectory:
@@ -619,7 +654,12 @@ class TestAtomicArtifacts:
         out = workdir / "run"
         code, stdout, stderr = run(capsys, *argv, "--labels", "labels.csv", "--out", out)
         assert code == 1
-        assert stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+        # evaluate and compare warn about baseline:never before they write.
+        warned = argv[0] != "baseline" and "baseline:never" in argv
+        never = "warning: baseline:never: detector never alarms; recall-style metrics will be 0"
+        assert stderr.splitlines() == [never] * warned + [
+            "error: [Errno 28] No space left on device"
+        ]
         files = sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
         assert files == left
 

@@ -31,7 +31,7 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 def block_ints(tokens: list[bytes]) -> list[int] | None:
     """``_block_ints`` over one block holding one token per line."""
     payload = b"".join(token + b"\n" for token in tokens)
-    buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload)))
+    buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload), ingest._BLOCK_BYTES))
     starts, ends = ingest._line_bounds(buf, lo, hi)
     values = ingest._block_ints(buf, starts, ends)
     return None if values is None else values.tolist()
@@ -86,7 +86,7 @@ class TestWordIntegers:
 def block_floats(tokens: list[bytes]) -> list[int] | None:
     """The bit patterns ``_block_floats`` reads from one block holding one token per line."""
     payload = b"".join(token + b"\n" for token in tokens)
-    buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload)))
+    buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload), ingest._BLOCK_BYTES))
     starts, ends = ingest._line_bounds(buf, lo, hi)
     values = ingest._block_floats(buf, starts, ends)
     return None if values is None else values.view(np.uint64).tolist()
@@ -213,6 +213,20 @@ def slow_routes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def label_blocks(monkeypatch):
+    """The bytes of every block that ``_fast_labels`` parses."""
+    parsed = []
+    fast = ingest._fast_labels
+
+    def spy(buf, lo, hi, index):
+        parsed.append(buf[lo:hi].tobytes())
+        return fast(buf, lo, hi, index)
+
+    monkeypatch.setattr(ingest, "_fast_labels", spy)
+    return parsed
+
+
 def assert_labels_match(path):
     fast = ingest.load_labels(path)
     slow = ingest_oracle.load_labels(path)
@@ -223,7 +237,7 @@ def assert_labels_match(path):
 class TestReadBuffer:
     @pytest.mark.parametrize("block", [16, 40, 64, 1000])
     def test_lines_straddle_every_refill(self, tmp_path, monkeypatch, slow_routes, block):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", block)
         rng = random.Random(block)
         t, rows = -(10**12), []
         for _ in range(300):
@@ -247,9 +261,9 @@ class TestReadBuffer:
 
     def test_a_line_straddling_a_default_size_refill(self, tmp_path, slow_routes):
         line = b"1234567,benign\n"
-        rows = ingest._BLOCK_BYTES // len(line) + 10
+        rows = ingest._LABEL_BLOCK_BYTES // len(line) + 10
         payload = b"timestamp,label\n" + b"".join(b"%d,benign\n" % (10**6 + i) for i in range(rows))
-        assert len(payload) > ingest._BLOCK_BYTES
+        assert len(payload) > ingest._LABEL_BLOCK_BYTES
         (tmp_path / "labels.csv").write_bytes(payload)
         series = assert_labels_match(tmp_path / "labels.csv")
         assert len(series) == rows
@@ -259,13 +273,14 @@ class TestReadBuffer:
         buffers = []
         read_blocks = ingest._read_blocks
 
-        def recording(handle):
-            for buf, lo, hi in read_blocks(handle):
+        def recording(handle, size):
+            for buf, lo, hi in read_blocks(handle, size):
                 buffers.append(buf)
                 yield buf, lo, hi
 
         monkeypatch.setattr(ingest, "_read_blocks", recording)
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", 64)
         first = LabeledSeries("a", np.arange(40) * 3, np.arange(40) % 3, ("x", "y"))
         second = LabeledSeries("b", np.arange(40) * 5 + 1, (np.arange(40) // 7) % 2, ("z",))
         save_labels(first, tmp_path / "a.csv")
@@ -288,7 +303,7 @@ class TestReadBuffer:
 class TestLabelRuns:
     @pytest.mark.parametrize("block", [16, 64, 1 << 20])
     def test_runs_changing_on_every_row(self, tmp_path, monkeypatch, slow_routes, block):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", block)
         names = ["benign", "dos", "0", "spoof", "dos2", "benign"]
         rows = [(i, names[i % len(names)]) for i in range(500)]
         (tmp_path / "labels.csv").write_bytes(label_file(rows))
@@ -297,7 +312,7 @@ class TestLabelRuns:
         assert slow_routes["labels"] == 0
 
     def test_runs_continue_across_a_refill(self, tmp_path, monkeypatch, slow_routes):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 48)
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", 48)
         rows = [(i, "benign" if i < 7 else "replay" if i < 30 else "scan") for i in range(60)]
         (tmp_path / "labels.csv").write_bytes(label_file(rows))
         series = assert_labels_match(tmp_path / "labels.csv")
@@ -321,12 +336,13 @@ class TestLabelRuns:
         assert_labels_match(tmp_path / "labels.csv")
         assert slow_routes["labels"] == 0
 
-    @pytest.mark.parametrize("piece", [8, 40, 100, 1000])
-    def test_pieces_cut_inside_a_block(self, tmp_path, monkeypatch, slow_routes, piece):
-        # A piece smaller than a line has no newline to cut at, so the rest
-        # of its block is one piece.
-        monkeypatch.setattr(ingest, "_PIECE_BYTES", piece)
-        rng = random.Random(piece)
+    @pytest.mark.parametrize("block", [8, 40, 100, 1000])
+    def test_label_blocks_of_any_size_stay_on_the_numpy_route(
+        self, tmp_path, monkeypatch, slow_routes, label_blocks, block
+    ):
+        # A block smaller than a line grows the buffer until the line fits.
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", block)
+        rng = random.Random(block)
         names = ["benign"] * 5 + ["dos", "a-much-longer-attack-name"]
         rows, t, label = [], 0, "benign"
         for _ in range(3000):
@@ -335,27 +351,47 @@ class TestLabelRuns:
                 label = rng.choice(names)
             rows.append((t, label))
         (tmp_path / "labels.csv").write_bytes(label_file(rows))
-        with open(tmp_path / "labels.csv", "rb") as handle:
-            buf, lo, hi = next(ingest._read_blocks(handle))
-            cuts = list(ingest._pieces(buf, lo, hi))
-        # The pieces tile the block, and each but the last is whole lines
-        # within the piece size.
-        assert [start for start, _ in cuts] == [lo] + [stop for _, stop in cuts[:-1]]
-        assert cuts[-1][1] == hi
-        for start, stop in cuts[:-1]:
-            assert stop - start <= piece and buf[stop - 1] == ord("\n")
-        assert len(cuts) > 1 if piece >= 40 else len(cuts) == 1
         assert_labels_match(tmp_path / "labels.csv")
         assert slow_routes["labels"] == 0
+        # The blocks tile the file after its header, each of whole lines.
+        assert b"".join(label_blocks) == label_file(rows)[len(b"timestamp,label\n") :]
+        assert len(label_blocks) > 10 and all(block.endswith(b"\n") for block in label_blocks)
+
+    def test_no_parse_takes_more_than_a_label_block(self, tmp_path, slow_routes, label_blocks):
+        # The bound on _fast_labels' temporaries: a file of several default
+        # label blocks (and more than one alert block) is parsed a label
+        # block at a time.
+        n = 100_000
+        series = LabeledSeries("plant", 7 * np.arange(n) + 10**12, np.arange(n) // 999 % 3,
+                               ("dos", "scan"))
+        save_labels(series, tmp_path / "labels.csv")
+        assert (tmp_path / "labels.csv").stat().st_size > ingest._BLOCK_BYTES
+        assert ingest.load_labels(tmp_path / "labels.csv", name="plant") == series
+        assert slow_routes["labels"] == 0
+        sizes = [len(block) for block in label_blocks]
+        assert len(sizes) > 4 and max(sizes) <= ingest._LABEL_BLOCK_BYTES
+
+    @pytest.mark.parametrize("second", ["", "1,benign", "1," + "x" * 100])
+    def test_a_header_only_first_block(self, tmp_path, monkeypatch, second):
+        # The header fills the first block: with no line after it the file
+        # has no data rows; a longer second line is the next block.
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", 20)
+        path = tmp_path / "labels.csv"
+        path.write_text("timestamp,label\n" + (second and second + "\n"), encoding="utf-8")
+        if not second:
+            with pytest.raises(IngestError, match="no data rows"):
+                ingest.load_labels(path)
+        else:
+            assert ingest.load_labels(path) == ingest_oracle.load_labels(path)
 
     @pytest.mark.parametrize("long_first", [True, False])
-    def test_the_column_fits_the_file_whatever_the_first_piece(
+    def test_the_column_fits_the_file_whatever_the_first_block(
         self, tmp_path, monkeypatch, slow_routes, long_first
     ):
-        # The column is sized from the first piece's bytes per line: long
+        # The column is sized from the first block's bytes per line: long
         # lines first make it too short, so it grows; short lines first make
         # it too long, so it is cut at the end.
-        monkeypatch.setattr(ingest, "_PIECE_BYTES", 256)
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", 256)
         labels = ["x" * 60] * 40 + ["dos"] * 2000
         rows = list(enumerate(labels if long_first else labels[::-1]))
         (tmp_path / "labels.csv").write_bytes(label_file(rows))
@@ -364,12 +400,12 @@ class TestLabelRuns:
         assert slow_routes["labels"] == 0
 
     @pytest.mark.parametrize("at", [0, 37, 150, 2999])
-    def test_a_piece_out_of_the_layout_sends_the_rest_of_its_block_to_csv(
+    def test_a_block_out_of_the_layout_sends_the_rest_of_the_file_to_csv(
         self, tmp_path, monkeypatch, slow_routes, at
     ):
-        # A quoted label holding a newline: the piece that holds its first
-        # line ends inside the quotes, so csv must read on past that piece.
-        monkeypatch.setattr(ingest, "_PIECE_BYTES", 64)
+        # A quoted label holding a newline: the block that holds its first
+        # line ends inside the quotes, so csv must read on past that block.
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", 64)
         rows = [(i, "dos" if i // 9 % 2 else "benign") for i in range(3000)]
         rows[at] = (at, '"multi\nline, quoted"')
         (tmp_path / "labels.csv").write_bytes(label_file(rows))
@@ -399,7 +435,7 @@ class TestLineNumbers:
             ingest.load_labels(path)
 
     def test_order_error_after_fast_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 32)
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", 32)
         lines = [f"{t},dos" for t in range(20)] + ["", "", "5,dos"]
         (tmp_path / "labels.csv").write_text(
             "timestamp,label\n" + "\n".join(lines) + "\n", encoding="utf-8"
@@ -634,7 +670,7 @@ class TestAlignmentWhileReading:
             path = tmp_path / f"{key}.jsonl"
             path.write_text("".join(alert_lines(key, canonical_rows(key))), encoding="utf-8")
             with open(path, "rb") as handle:
-                assert sum(1 for _ in ingest._read_blocks(handle)) >= 10
+                assert sum(1 for _ in ingest._read_blocks(handle, ingest._BLOCK_BYTES)) >= 10
             assert alert_outcome(ingest.load_alerts, path, plant) == (
                 alert_outcome(ingest_oracle.load_alerts, path, plant)
             )
@@ -705,8 +741,8 @@ class TestLoadMemory:
         path = tmp_path / "labels.csv"
         save_labels(series, path)
         if block:
-            monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
-        buffer = ingest._FRONT + ingest._BLOCK_BYTES + ingest._PAD
+            monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", block)
+        buffer = ingest._FRONT + ingest._LABEL_BLOCK_BYTES + ingest._PAD
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -733,6 +769,7 @@ class TestLoadMemory:
 
         monkeypatch.setattr(model, "_frozen_array", spy)
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", 64)
         rows = canonical_rows(key)
         label_rows = [(t, "dos" if i % 3 else "benign") for i, (t, _) in enumerate(rows)]
         if layout == "compact":  # quoted cells and compact records take csv and json

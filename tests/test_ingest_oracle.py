@@ -47,6 +47,7 @@ SETTINGS = settings(
 @pytest.fixture(params=[16, 200])
 def small_blocks(request, monkeypatch):
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", request.param)
+    monkeypatch.setattr(ingest, "_LABEL_BLOCK_BYTES", request.param)
 
 
 def series_summary(series: LabeledSeries):
