@@ -78,33 +78,48 @@ def _load_dataset(args: argparse.Namespace):
     return load_labels(args.labels, name=args.name, tick_seconds=tick), None
 
 
-def _alert_tokens(args: argparse.Namespace, manifest) -> list[str]:
-    tokens = list(args.alerts or []) + list(getattr(args, "detector", None) or [])
+def _inputs(
+    args: argparse.Namespace, metrics: list[str] | None = None, one: str | None = None
+) -> tuple[LabeledSeries, list[AlertSource]]:
+    """Check the verb's specs and flags, then load the dataset and its alert sources.
+
+    Every check that needs no file runs before any file is read, so a
+    rejected spec or flag costs no load; the verbs parse them again where
+    they use them, which costs microseconds. ``one`` is the usage error of a
+    verb that takes a single alert source.
+    """
+    for spec in metrics or ():
+        bind_metric(spec)
+    tokens = [*(args.alerts or ()), *(args.detector or ())]
+    for token in tokens:
+        if is_baseline_name(token):
+            BaselineSpec.parse(token).with_seed(args.seed)
+    if getattr(args, "gap_tolerance", 0) < 0:
+        raise ParameterError("gap_tolerance must be non-negative")
+    if args.command == "roc":
+        _roc_thresholds(args)
+    elif args.command == "timeline":
+        _width_match(args.min_width)
+    series, manifest = _load_dataset(args)
     if not tokens and manifest is not None:
         tokens = [str(path) for path in manifest.alert_paths]
     if not tokens:
-        raise ParameterError(
-            "no alert sources: pass --alerts FILE or --detector baseline:never"
-        )
-    return tokens
-
-
-def _resolve_alerts(
-    tokens: list[str], series: LabeledSeries, seed: int
-) -> list[AlertSource]:
-    resolved: list[AlertSource] = []
+        raise ParameterError("no alert sources: pass --alerts FILE or --detector baseline:never")
+    if one is not None and len(tokens) != 1:
+        raise ParameterError(one)
+    sources: list[AlertSource] = []
     for token in tokens:
         if is_baseline_name(token):
-            spec = BaselineSpec.parse(token).with_seed(seed)
-            resolved.append((generate(spec, series), None))
+            spec = BaselineSpec.parse(token).with_seed(args.seed)
+            sources.append((generate(spec, series), None))
         else:
             path = Path(token)
-            resolved.append((load_alerts(path, series), path))
-    names = [alert.detector for alert, _ in resolved]
+            sources.append((load_alerts(path, series), path))
+    names = [alert.detector for alert, _ in sources]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise EvaluationError(f"duplicate detector names: {', '.join(dupes)}")
-    return resolved
+    return series, sources
 
 
 def _safe_filename(name: str, used: set[str]) -> str:
@@ -140,8 +155,16 @@ def _write_atomic(target: Path, write: Callable[[Path], object]) -> None:
         raise
 
 
-def _copy_alerts(sources: list[AlertSource], series: LabeledSeries, outdir: Path) -> None:
-    """Keep a byte-faithful copy of every consumed alert stream in the run folder."""
+def _outputs(
+    args: argparse.Namespace,
+    series: LabeledSeries,
+    sources: list[AlertSource],
+    name: str,
+    write: Callable[[Path], object],
+) -> Path:
+    """Create the output directory, keep a byte-faithful copy of every consumed
+    alert stream in it, then write the artifact ``name``; return its path."""
+    outdir = _prepare_outdir(args)
     alert_dir = outdir / "alerts"
     alert_dir.mkdir(parents=True, exist_ok=True)
     used: set[str] = set()
@@ -151,84 +174,37 @@ def _copy_alerts(sources: list[AlertSource], series: LabeledSeries, outdir: Path
             _write_atomic(dest, lambda partial: save_alerts(alert, series, partial))
         else:
             _write_atomic(dest, lambda partial: shutil.copyfile(src, partial))
+    target = outdir / name
+    _write_atomic(target, write)
+    return target
 
 
-def _gather_metrics(raw: list[str] | None) -> list[str] | None:
-    if not raw:
-        return None
-    metrics: list[str] = []
-    for chunk in raw:
-        metrics.extend(part.strip() for part in chunk.split(",") if part.strip())
-    if not metrics:
+def cmd_score(args: argparse.Namespace) -> int:
+    """``evaluate`` (one detector, ``report.*``) and ``compare`` (``comparison.*``)."""
+    raw = args.metrics or ()
+    metrics = [part.strip() for chunk in raw for part in chunk.split(",") if part.strip()] or None
+    if raw and metrics is None:
         raise ParameterError("--metrics was given but names no metrics")
-    return metrics
-
-
-def _check_specs(args: argparse.Namespace, metrics: list[str] | None = None) -> None:
-    """Bind every metric spec and parse every baseline spec before any file is read.
-
-    The verbs bind and parse them again where they use them, which costs
-    microseconds; a rejected spec costs no load.
-    """
-    for spec in metrics or ():
-        bind_metric(spec)
-    for token in [*(args.alerts or ()), *(args.detector or ())]:
-        if is_baseline_name(token):
-            BaselineSpec.parse(token).with_seed(args.seed)
-
-
-def _print_warnings(series: LabeledSeries, sources: list[AlertSource], gap_tolerance: int) -> None:
-    """The dataset's warnings, then one per boolean detector that never or always alarms."""
-    for warning in validate_pair(series, gap_tolerance=gap_tolerance).warnings:
+    compare = args.command == "compare"
+    one = None if compare else "evaluate scores one detector; use compare for several"
+    series, sources = _inputs(args, metrics, one)
+    for warning in validate_pair(series, gap_tolerance=args.gap_tolerance).warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for alert, _ in sources:
         if alert.kind is AlertKind.BOOLEAN:
             fraction = Fraction(int(np.count_nonzero(alert.values)), len(alert))
             for warning in alarm_warnings(fraction):
                 print(f"warning: {alert.detector}: {warning}", file=sys.stderr)
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    metrics = _gather_metrics(args.metrics)
-    _check_specs(args, metrics)
-    series, manifest = _load_dataset(args)
-    tokens = _alert_tokens(args, manifest)
-    if len(tokens) != 1:
-        raise ParameterError("evaluate scores one detector; use compare for several")
-    sources = _resolve_alerts(tokens, series, args.seed)
-    _print_warnings(series, sources, args.gap_tolerance)
-    alert = sources[0][0]
-    report = evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
-    if args.format == "json":
-        text = report_to_json(report)
-    else:
-        text = build_table([report]).render(args.format)
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
-    _write_atomic(
-        outdir / f"report.{args.format}", lambda partial: partial.write_text(text, encoding="utf-8")
-    )
-    print(text, end="")
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    metrics = _gather_metrics(args.metrics)
-    _check_specs(args, metrics)
-    series, manifest = _load_dataset(args)
-    tokens = _alert_tokens(args, manifest)
-    sources = _resolve_alerts(tokens, series, args.seed)
-    _print_warnings(series, sources, args.gap_tolerance)
     reports = [
         evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
         for alert, _ in sources
     ]
-    table = build_table(reports, rank_by=args.rank_by)
-    text = table.render(args.format)
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
-    _write_atomic(
-        outdir / f"comparison.{args.format}",
+    if args.format == "json" and not compare:
+        text = report_to_json(reports[0])
+    else:
+        text = build_table(reports, rank_by=getattr(args, "rank_by", None)).render(args.format)
+    _outputs(
+        args, series, sources, f"{'comparison' if compare else 'report'}.{args.format}",
         lambda partial: partial.write_text(text, encoding="utf-8"),
     )
     print(text, end="")
@@ -239,15 +215,19 @@ _WIDTH_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)\s*(s|m|h)?\Z")
 _UNIT_SECONDS = {"s": 1, "m": 60, "h": 3600}
 
 
-def parse_min_width(text: str, tick_seconds: Fraction) -> float:
-    """Minimum drawn alarm width: plain ticks, or a duration like ``60s``."""
+def _width_match(text: str) -> re.Match[str]:
     match = _WIDTH_RE.match(text.strip())
     if not match:
         raise ParameterError(
             f"cannot parse --min-width {text!r}; use a tick count or a duration like 60s"
         )
-    value = Fraction(match.group(1))
-    unit = match.group(2)
+    return match
+
+
+def parse_min_width(text: str, tick_seconds: Fraction) -> float:
+    """Minimum drawn alarm width: plain ticks, or a duration like ``60s``."""
+    number, unit = _width_match(text).groups()
+    value = Fraction(number)
     if unit is not None:
         value = value * _UNIT_SECONDS[unit] / tick_seconds
     try:
@@ -259,69 +239,56 @@ def parse_min_width(text: str, tick_seconds: Fraction) -> float:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    _check_specs(args)
-    series, manifest = _load_dataset(args)
-    tokens = _alert_tokens(args, manifest)
-    sources = _resolve_alerts(tokens, series, args.seed)
+    series, sources = _inputs(args)
     rendering = render_timeline(
         series,
         [alert for alert, _ in sources],
         min_width_ticks=parse_min_width(args.min_width, series.tick_seconds),
         exempt=args.exempt or (),
     )
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
-    target = outdir / "timeline.svg"
-    _write_atomic(target, rendering.save)
+    target = _outputs(args, series, sources, "timeline.svg", rendering.save)
     widened = sum(np.count_nonzero(lane.widened) for lane in rendering.lanes)
     print(f"wrote {target} ({len(rendering.lanes)} lanes, {widened} alarms widened)")
     return 0
 
 
-def _roc_thresholds(args: argparse.Namespace, alert: AlertSeries) -> list[float] | np.ndarray:
+def _roc_thresholds(args: argparse.Namespace) -> list[float] | None:
+    """The ``--thresholds`` values, or None for ``--auto``."""
     if args.thresholds and args.auto:
         raise ParameterError("pass either --thresholds or --auto, not both")
-    if args.thresholds:
-        try:
-            return [float(part) for part in args.thresholds.split(",") if part.strip()]
-        except ValueError:
-            raise ParameterError(
-                f"--thresholds must be comma-separated numbers, got {args.thresholds!r}"
-            ) from None
-    if not args.auto:
+    if args.auto:
+        return None
+    if not args.thresholds:
         raise ParameterError("pass --thresholds LIST or --auto to choose operating points")
-    return np.unique(alert.values)
+    try:
+        return [float(part) for part in args.thresholds.split(",") if part.strip()]
+    except ValueError:
+        raise ParameterError(
+            f"--thresholds must be comma-separated numbers, got {args.thresholds!r}"
+        ) from None
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    _check_specs(args)
-    series, manifest = _load_dataset(args)
-    tokens = _alert_tokens(args, manifest)
-    if len(tokens) != 1:
-        raise ParameterError("roc sweeps one scored detector at a time")
-    sources = _resolve_alerts(tokens, series, args.seed)
+    series, sources = _inputs(args, one="roc sweeps one scored detector at a time")
     alert = sources[0][0]
     if alert.kind is not AlertKind.SCORED:
         raise EvaluationError(
             "roc requires scored alerts; boolean alerts already fix an operating "
             "point, score them with evaluate instead"
         )
-    curve = roc(series, alert, _roc_thresholds(args, alert))
+    thresholds = _roc_thresholds(args)
+    curve = roc(series, alert, np.unique(alert.values) if thresholds is None else thresholds)
     area = auc(curve)
-    outdir = _prepare_outdir(args)
-    _copy_alerts(sources, series, outdir)
     if args.format == "json":
         chunks = roc_json_chunks(curve, series.name, alert.detector, area.value)
-        target = outdir / "roc.json"
     else:
         chunks = roc_csv_chunks(curve)
-        target = outdir / "roc.csv"
 
     def stream(partial: Path) -> None:
         with open(partial, "wb") as handle:
             handle.writelines(chunks)
 
-    _write_atomic(target, stream)
+    target = _outputs(args, series, sources, f"roc.{args.format}", stream)
     print(f"auc: {area.value:.6f}")
     print(f"wrote {target}")
     return 0
@@ -402,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="score one detector and write its report",
     )
     p_eval.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_score)
 
     p_cmp = sub.add_parser(
         "compare", parents=[dataset, alerts, scoring, outputs],
@@ -413,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rank-by", metavar="METRIC",
         help="sort rows best-first by this metric column (undefined values last)",
     )
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_score)
 
     p_tl = sub.add_parser(
         "timeline", parents=[dataset, alerts, outputs],
@@ -462,22 +429,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(code: int, exc: BaseException, *more: str) -> int:
+    """Print ``error: exc`` and the ``more`` lines on stderr and return ``code``.
+
+    A stderr that cannot take them changes nothing: the exit code still tells.
+    """
+    with contextlib.suppress(OSError):
+        print(f"error: {exc}", *more, sep="\n", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except UnknownMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("metric catalog:", file=sys.stderr)
-        for line in catalog_lines():
-            print(line, file=sys.stderr)
-        return 2
+        return _error(2, exc, "metric catalog:", *catalog_lines())
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, exc)
     except (EvaluationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(1, exc)
 
 
 def run() -> None:
@@ -486,7 +457,9 @@ def run() -> None:
     Runs ``main``, flushes stdout and stderr, and skips the interpreter's
     finalization with ``os._exit``: ``main`` has closed every artifact, and
     idseval registers no ``atexit`` handler and starts no thread. A failed
-    flush is an I/O error: one ``error:`` line on stderr, exit code 1.
+    flush is an I/O error: one ``error:`` line on stderr, exit code 1. The
+    exception is stderr's after a failed run: what it held was that run's
+    ``error:`` line, and the run's exit code stands.
     """
     try:
         code = main()
@@ -499,9 +472,8 @@ def run() -> None:
             if stream is not None and not stream.closed:
                 stream.flush()
         except OSError as exc:  # not retried: a failed flush may have dropped its bytes
-            code = 1
-            with contextlib.suppress(OSError):
-                print(f"error: {exc}", file=sys.stderr)
+            if code == 0 or stream is sys.stdout:
+                code = _error(1, exc)
     os._exit(code)
 
 

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from idseval import cli
 from idseval.baselines import BaselineSpec, generate
 from idseval.cli import main, parse_min_width
 from idseval.evaluate import evaluate_detector
-from idseval.ingest import load_labels, save_alerts
-from idseval.report import TimelineRendering, build_table
+from idseval.ingest import load_alerts, load_labels, save_alerts
+from idseval.report import TimelineRendering, build_table, report_to_json
 from idseval import ParameterError
 from support import fresh_python
 from fractions import Fraction
@@ -421,6 +422,56 @@ class TestCompare:
         assert "duplicate detector names: det" in stderr
 
 
+class TestScoreOutputs:
+    """evaluate and compare share one body: stdout, the artifact and the API agree."""
+
+    def api_reports(self, workdir, detectors):
+        series = load_labels(workdir / "labels.csv")
+        alerts = [
+            load_alerts(workdir / token, series) if token.endswith(".jsonl")
+            else generate(BaselineSpec.parse(token).with_seed(0), series)
+            for token in detectors
+        ]
+        return [evaluate_detector(series, alert) for alert in alerts]
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_evaluate_prints_what_it_writes(self, workdir, capsys, fmt):
+        out = workdir / "run"
+        code, stdout, _ = run(
+            capsys, "evaluate", "--labels", workdir / "labels.csv",
+            "--alerts", workdir / "det.jsonl", "--format", fmt, "--out", out,
+        )
+        assert code == 0
+        [report] = self.api_reports(workdir, ["det.jsonl"])
+        expected = report_to_json(report) if fmt == "json" else build_table([report]).render(fmt)
+        assert stdout == (out / f"report.{fmt}").read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("rank_by", [None, "f1"])
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_compare_prints_what_it_writes(self, workdir, capsys, fmt, rank_by):
+        out = workdir / "run"
+        ranking = ["--rank-by", rank_by] if rank_by else []
+        code, stdout, _ = run(
+            capsys, "compare", "--labels", workdir / "labels.csv",
+            "--detector", "baseline:never", "--alerts", workdir / "det.jsonl",
+            "--format", fmt, *ranking, "--out", out,
+        )
+        assert code == 0
+        reports = self.api_reports(workdir, ["det.jsonl", "baseline:never"])
+        expected = build_table(reports, rank_by).render(fmt)
+        assert stdout == (out / f"comparison.{fmt}").read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_one_detector_compare_prints_the_evaluate_table(self, workdir, capsys, fmt):
+        printed = [
+            run(capsys, verb, "--labels", workdir / "labels.csv", "--alerts", workdir / "det.jsonl",
+                "--format", fmt, "--out", workdir / verb)
+            for verb in ("evaluate", "compare")
+        ]
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 0
+
+
 class TestTimeline:
     def test_writes_svg_and_summary(self, workdir, capsys):
         out = workdir / "run"
@@ -760,7 +811,7 @@ class TestUsage:
 
 
 class TestSpecsBeforeFiles:
-    """Metric and baseline specs are checked before any file is read."""
+    """Specs, and every flag that needs no file, are checked before any file is read."""
 
     @pytest.fixture(autouse=True)
     def no_reads(self, monkeypatch):
@@ -788,6 +839,68 @@ class TestSpecsBeforeFiles:
         assert code == 2
         assert len(stderr.splitlines()) == 1
         assert stderr.startswith("error: unknown baseline 'coin'")
+        assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["evaluate", "--gap-tolerance", "-1"], "gap_tolerance must be non-negative"),
+            (["compare", "--gap-tolerance", "-1"], "gap_tolerance must be non-negative"),
+            (
+                ["roc", "--thresholds", "a,b"],
+                "--thresholds must be comma-separated numbers, got 'a,b'",
+            ),
+            (
+                ["roc", "--thresholds", "0.5", "--auto"],
+                "pass either --thresholds or --auto, not both",
+            ),
+            (["roc"], "pass --thresholds LIST or --auto to choose operating points"),
+            (
+                ["timeline", "--min-width", "5x"],
+                "cannot parse --min-width '5x'; use a tick count or a duration like 60s",
+            ),
+        ],
+        ids=["evaluate-gap", "compare-gap", "roc-thresholds", "roc-both", "roc-neither",
+             "timeline-min-width"],
+    )
+    def test_bad_verb_flag(self, workdir, capsys, argv, message):
+        code, _, stderr = run(
+            capsys, *argv, "--labels", workdir / "nope.csv",
+            "--alerts", workdir / "scores.jsonl", "--out", workdir / "run",
+        )
+        assert (code, stderr.splitlines()) == (2, [f"error: {message}"])
+        assert not (workdir / "run").exists()
+
+
+class FullStream:
+    """A text stream whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+class TestUnwritableStderr:
+    """An ``error:`` line that cannot be written leaves main's exit code as it is."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["evaluate", "--labels", "labels.csv", "--alerts", "det.jsonl",
+              "--metrics", "nope"], 2),
+            (["evaluate", "--labels", "labels.csv", "--alerts", "det.jsonl",
+              "--metrics", "fbeta:beta=0"], 2),
+            (["roc", "--config", "data.json", "--auto"], 1),
+            (["evaluate", "--bogus"], 1),
+        ],
+        ids=["unknown-metric", "parameter-error", "data-error", "usage-error"],
+    )
+    def test_main_returns_its_code(self, workdir, monkeypatch, argv, expected):
+        monkeypatch.chdir(workdir)
+        monkeypatch.setattr(sys, "stderr", FullStream())
+        assert main([*argv, "--out", "run"]) == expected
         assert not (workdir / "run").exists()
 
 

@@ -142,6 +142,16 @@ def test_unwritable_stdout_keeps_its_error_and_exit_code(kind, reason, tmp_path)
     assert sorted(artifacts(tmp_path / "out")) == ["alerts/scored.jsonl", "roc.csv"]
 
 
+@pytest.mark.skipif(not HAS_DEV_FULL, reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["unknown-metric", "data-error"])
+def test_unwritable_stderr_keeps_the_exit_code(name, tmp_path):
+    """The ``error:`` line is lost, not the run's exit code, and stdout stays empty."""
+    with sink("dev-full", tmp_path / "stderr") as stderr:
+        done = fresh_cli(RUNS[name], tmp_path, stdout=subprocess.PIPE, stderr=stderr)
+    assert (done.returncode, done.stdout) == (EXIT_CODES[name], b"")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("verb", ["evaluate", "compare"])
 def test_closed_stdout_still_writes_the_report_and_exits_0(verb, tmp_path):
     done = fresh_cli(

@@ -52,3 +52,20 @@ def test_startup_prints_verb_medians_and_the_import_split():
     assert abs(total - parts["import_ms"]) < 0.5
     assert set(teardown) == {"teardown_ms", "runs"}
     assert isinstance(teardown["teardown_ms"], float) and teardown["runs"] == 1
+
+
+def test_cli_digest_prints_one_line_per_run():
+    done = run_script("cli_digest.py", "--", "evaluate", "--config", "demo/manifest.json",
+                      "--metrics", "f1", "--format", "csv", "--out", "out")
+    assert done.returncode == 0, done.stderr
+    lines = {line.split()[0]: line.split()[1:] for line in done.stdout.splitlines()}
+    assert {"evaluate-md", "compare-rank-by", "roc-json", "help", "extra"} <= set(lines)
+    codes = {name: fields[0] for name, fields in lines.items()}
+    assert codes["usage-error"] == codes["unknown-metric"] == "exit=2"
+    assert codes["data-error"] == "exit=1"
+    assert all(code == "exit=0" for name, code in codes.items()
+               if name not in ("usage-error", "unknown-metric", "data-error"))
+    extra = dict(field.split("=") for field in lines["extra"][1:])
+    assert set(extra) == {"stdout", "stderr", "alerts/lagged.jsonl", "report.csv"}
+    assert all(len(value) == 64 for value in extra.values())
+    assert extra["stdout"] == extra["report.csv"]
