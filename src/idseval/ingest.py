@@ -13,10 +13,12 @@ Files are read in blocks of whole lines, each read into one reused buffer
 (about 1 MiB for alerts, 256 KiB for labels, to bound the label parse's
 temporaries). A block in the exact layout that ``save_labels`` or
 ``save_alerts`` writes is parsed with numpy, every byte checked against that
-layout: integers are read eight digits at a time from 64-bit words, and
-labels are decoded once per run of equal labels. Any other block goes
-through ``csv`` or ``json`` record by record. Both routes accept and reject
-the same files with the same messages, so the layout only decides the speed.
+layout: numbers are read eight digits at a time from 64-bit words (``swar``),
+each alert line through two fixed-width records, one gathered at its start
+and one at its end, and labels are decoded once per run of equal labels.
+Any other block goes through ``csv`` or ``json`` record by record. Both
+routes accept and reject the same files with the same messages, so the
+layout only decides the speed.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import swar
 from .jsonl import ALERT_FALSE, ALERT_PREFIX, ALERT_TRUE, DETECTOR_KEY, SCORE_KEY
 from .jsonl import write_flags, write_scores
 from .model import (
@@ -53,10 +56,11 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Alert files are read through one buffer of this many bytes, reused for
-# every block. Each block an alert parse takes costs ~25 numpy calls whatever
-# its size, so large blocks spread that cost over many lines. The buffer is
-# reused, not allocated per block, so that a load leaves no freed 1 MiB
-# blocks in glibc's heap to raise the peak RSS of the stages after it.
+# every block. An alert parse costs a fixed number of numpy operations per
+# block (about ninety on a boolean block) whatever its size, so large blocks
+# spread that cost over many lines. The buffer is reused, not allocated per
+# block, so that a load leaves no freed 1 MiB blocks in glibc's heap to raise
+# the peak RSS of the stages after it.
 _BLOCK_BYTES = 1 << 20
 # Label files are read in smaller blocks: ``_fast_labels`` holds about nine
 # int64-wide temporaries per line. At 10^6 points that is ~1.5 MiB for a
@@ -64,8 +68,9 @@ _BLOCK_BYTES = 1 << 20
 # ~5.8 MiB for a 1 MiB label block.
 _LABEL_BLOCK_BYTES = 1 << 18
 _WRITE_ROWS = 1 << 14
-# Bytes before a block, so that the three 8-byte words ending at a 19-digit
-# token in the block's first line stay inside the buffer.
+# Bytes before a block, so that what is read before its first line stays
+# inside the buffer: the three 8-byte words ending at a 19-digit token, and
+# an alert line's head record, which starts two bytes before the line.
 _FRONT = 24
 # Bytes after a block, so that words and fixed-width gathers reaching past
 # its last line stay inside the buffer; their values are masked.
@@ -74,12 +79,6 @@ _LABEL_HEADER_LINE = b"timestamp,label\n"
 # Longest label the block parser handles; longer ones are valid but go
 # through csv.
 _MAX_LABEL_BYTES = 64
-# The bytes of a JSON number: a score token with any other byte goes to the
-# record route, so NaN, Infinity, literals and whitespace never reach the
-# json tier of ``_block_floats``.
-_NUMBER_BYTES = np.zeros(256, dtype=bool)
-_NUMBER_BYTES[list(b"0123456789.eE+-")] = True
-
 
 class IngestError(EvaluationError):
     """A file could not be parsed or failed validation."""
@@ -244,181 +243,6 @@ def _line_bounds(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     return starts, ends
 
 
-def _words(arr: np.ndarray) -> np.ndarray:
-    """The eight bytes at every offset of ``arr``, each read as one little-endian uint64."""
-    return np.ndarray((len(arr) - 7,), dtype="<u8", buffer=arr, strides=(1,))
-
-
-def _has(words: np.ndarray, at: np.ndarray, text: bytes) -> np.ndarray:
-    """Whether ``text`` (eight bytes or more) starts at each offset in ``at``."""
-    found = np.ones(len(at), dtype=bool)
-    for offset in (*range(0, len(text) - 8, 8), len(text) - 8):
-        found &= words[at + offset] == int.from_bytes(text[offset : offset + 8], "little")
-    return found
-
-
-def _byte_masks(high: bool) -> np.ndarray:
-    """``masks[k]`` keeps the ``k`` highest (or lowest) bytes of a uint64, k = 0..8."""
-    ones = [(1 << (8 * k)) - 1 for k in range(9)]
-    return np.array([m << (64 - 8 * k) if high else m for k, m in enumerate(ones)], np.uint64)
-
-
-# Word-at-a-time (SWAR) decimal parsing. A little-endian word holds eight
-# ASCII digits, the most significant in its lowest byte; XOR with '0' * 8
-# turns each into its value, and each step below joins neighbouring lanes.
-_HIGH_BYTES, _LOW_BYTES = _byte_masks(True), _byte_masks(False)
-_ASCII_ZEROS = np.uint64(0x3030303030303030)
-_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
-_SIXES = np.uint64(0x0606060606060606)
-_SWAR_STEPS = tuple(
-    (np.uint64(mask), np.uint64(factor), np.uint64(shift))
-    for mask, factor, shift in (
-        (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),  # two digits per 16-bit lane
-        (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),  # four digits per 32-bit lane
-        (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32),  # all eight digits
-    )
-)
-_POW8 = tuple(np.uint64(10 ** (8 * k)) for k in range(3))
-_DOTS = np.uint64(0x2E2E2E2E2E2E2E2E)
-_ONES = np.uint64(0x0101010101010101)
-_HIGH_BITS = np.uint64(0x8080808080808080)
-_POW10_INTS = np.array([10**k for k in range(17)], dtype=np.uint64)
-_POW10_FLOATS = _POW10_INTS.astype(np.float64)
-
-
-def _digit_runs(
-    buf: np.ndarray, end: np.ndarray, width: np.ndarray, longest: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``width`` (0-19, at most ``longest``) bytes before each ``end`` read as
-    decimal digits: their value, and whether any of them is not a digit.
-
-    Each run is read as up to three little-endian words ending at its end,
-    least significant first; they reach at most 24 bytes before it, into
-    ``_FRONT``. In each word the bytes left of the run are masked off after
-    the XOR with '0' * 8, so they read as zero digits. A byte is a digit when
-    its high nibble and that of byte + 6 are both zero, and three
-    multiply-and-shift steps sum the eight digits.
-    """
-    words = _words(buf)
-    value = np.zeros(len(end), dtype=np.uint64)
-    nibbles = np.zeros(len(end), dtype=np.uint64)
-    for k in range((longest + 7) // 8):
-        # How many of the word's bytes belong to each run.
-        digits = np.clip(width - 8 * k, 0, 8) if longest > 8 else width
-        word = words[end - 8 * (k + 1)]
-        word ^= _ASCII_ZEROS
-        word &= _HIGH_BYTES[digits]
-        nibbles |= word
-        nibbles |= word + _SIXES
-        for mask, factor, shift in _SWAR_STEPS:
-            word &= mask
-            word *= factor
-            word >>= shift
-        if k:
-            word *= _POW8[k]
-        value += word
-    return value, (nibbles & _HIGH_NIBBLES) != 0
-
-
-def _block_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The integers ``buf[start:end]``, or None unless each is an optional '-' then
-    1-19 digits without a leading zero, within int64."""
-    negative = buf[start] == ord("-")
-    first = start + negative if negative.any() else start
-    width = end - first
-    if not ((width - 1).view(np.uint64) < 19).all():
-        return None
-    zero_first = buf[first] == ord("0")
-    if zero_first.any() and (width[zero_first] != 1).any():
-        return None
-    longest = int(width.max())
-    value, bad = _digit_runs(buf, end, width, longest)
-    if bad.any():
-        return None
-    if longest == 19 and (value > np.where(negative, np.uint64(2**63), np.uint64(_INT64_MAX))).any():
-        return None
-    result = value.astype(np.int64)  # 2**63 wraps to -2**63, which negation keeps
-    np.negative(result, out=result, where=negative)
-    return result
-
-
-def _block_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The JSON numbers ``buf[start:end]`` as float64, or None unless every token
-    matches the JSON number grammar and is finite.
-
-    A token ``-?(0|[1-9][0-9]*)(.[0-9]+)?`` whose digits, read without the
-    point, are an integer ``D < 2**53`` is ``D / 10.0**k`` for its ``k``
-    fraction digits: ``D`` and ``10**k`` (``k <= 16``) are exact doubles, so
-    the one division rounds the token's value correctly, as ``float`` does.
-    The digit runs on both sides of the point are read by ``_digit_runs``.
-    Every other token (an exponent, more than 16 digits) is read by ``json``
-    in ``_json_floats``, so a score means what ``json`` reads on either route.
-    """
-    negative = buf[start] == ord("-")
-    first = start + negative
-    # The first '.' in the eight bytes from the first digit: the lowest zero
-    # byte of the word XOR '.' * 8, found exactly by the borrow trick.
-    word = _words(buf)[first] ^ _DOTS
-    zeros = (word - _ONES) & ~word & _HIGH_BITS
-    lowest = zeros & (~zeros + np.uint64(1))
-    offset = (np.frexp(lowest.astype(np.float64))[1] - 1) >> 3
-    point = np.where(zeros != 0, first + offset, end)
-    np.minimum(point, end, out=point)
-    whole = point - first
-    fraction = np.maximum(end - point - 1, 0)
-    fast = (whole >= 1) & (whole + fraction <= 16) & ((point == end) | (fraction >= 1))
-    fast &= (whole == 1) | (buf[first] != ord("0"))
-    whole *= fast
-    fraction *= fast
-    high, high_bad = _digit_runs(buf, point, whole, int(whole.max(initial=0)))
-    low, low_bad = _digit_runs(buf, end, fraction, int(fraction.max(initial=0)))
-    high *= _POW10_INTS[fraction]
-    high += low
-    fast &= ~high_bad & ~low_bad & (high < np.uint64(2**53))
-    values = high.astype(np.float64)
-    values /= _POW10_FLOATS[fraction]
-    np.negative(values, out=values, where=negative)
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        rest = _json_floats(buf, start[slow], end[slow])
-        if rest is None:
-            return None
-        values[slow] = rest
-    # json reads the token -0 as the integer 0, hence +0.0, and -0.0 as -0.0.
-    # -0 is the only zero among two-byte tokens; adding 0.0 moves no other value.
-    values[end - start == 2] += 0.0
-    return values
-
-
-def _json_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The JSON numbers ``buf[start:end]`` as float64, read by ``json``, or None
-    unless every token is a JSON number within the float range.
-
-    The tokens are copied out in order, in one gather, as the text of one
-    JSON array. Every token byte must be a digit or one of ``.eE+-``; on
-    those bytes json's grammar is the JSON number grammar, so a token that
-    fails it raises ``ValueError``, as do integers past json's digit limit.
-    """
-    stops = np.cumsum(end - start + 1)  # one past each token's ',' in the copy
-    # The offset in ``buf`` of every copied byte, built in place as a running
-    # sum: a step of 1 inside a token and onto the byte after it (the ','
-    # slot), and a jump from there to the next token's start.
-    index = np.ones(stops[-1], dtype=np.intp)
-    index[0] = start[0]
-    index[stops[:-1]] = start[1:] - end[:-1]
-    np.cumsum(index, out=index)
-    text = buf[index]
-    text[stops - 1] = ord(",")
-    text[-1] = ord("]")
-    if np.count_nonzero(_NUMBER_BYTES[text]) != len(text) - len(start):
-        return None
-    try:
-        values = np.array(json.loads(b"[" + text.tobytes()), dtype=np.float64)
-    except (ValueError, OverflowError):  # OverflowError: an integer past the float range
-        return None
-    return values if len(values) == len(start) and np.isfinite(values).all() else None
-
-
 def _json_string(token: bytes) -> str | None:
     """The non-empty string a JSON string literal spells, else None."""
     if len(token) < 2 or token[:1] != b'"' or token[-1:] != b'"':
@@ -461,17 +285,17 @@ def _fast_labels(
     width = ends - commas - 1
     if not ((commas >= starts) & (width >= 1) & (width <= _MAX_LABEL_BYTES)).all():
         return None
-    timestamps = _block_ints(buf, starts, commas)
+    timestamps = swar.block_ints(buf, starts, commas)
     if timestamps is None:
         return None
     # No label byte is zero, so a label's words with the bytes past its end
     # masked to zero tell it apart from every other label.
-    words = _words(buf)
+    words = swar.words(buf)
     keys = []
     changed = np.zeros(len(width), dtype=bool)
     changed[0] = True
     for k in range((int(width.max()) + 7) // 8):
-        word = words[commas + 1 + 8 * k] & _LOW_BYTES[np.clip(width - 8 * k, 0, 8)]
+        word = words[commas + 1 + 8 * k] & swar.LOW_BYTES[np.clip(width - 8 * k, 0, 8)]
         changed[1:] |= word[1:] != word[:-1]
         keys.append(word)
     heads = np.flatnonzero(changed)
@@ -680,17 +504,21 @@ class _AlertColumns(Record):
         self._set(timestamps, values, kind, detector, lines)
 
 
-def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertColumns | None:
-    """The records of block ``buf[lo:hi]`` in the layout ``save_alerts`` writes, or None.
+# ALERT_PREFIX and SCORE_KEY as ``swar.pattern``s, each ending 16 bytes into
+# its record (a line's head record starts two bytes before the line), and a
+# comma in every byte, for ``swar.byte_offsets``.
+_HEAD, _SCORE_KEY = swar.pattern(ALERT_PREFIX, 16), swar.pattern(SCORE_KEY, 16)
+_COMMAS = np.uint64(0x2C2C2C2C2C2C2C2C)
 
-    Every line must read ``{"timestamp": N, "alert": true|false, "detector":
-    "D"}`` or ``{"timestamp": N, "score": X, "detector": "D"}``, with one kind
-    and one detector name throughout the block.
+
+def _alert_layout(first: bytes) -> tuple | None:
+    """The kind, detector, suffix length, tail record size and tail patterns that
+    a block's first line fixes for every line, or None if it is out of the layout.
+
+    A tail record is the least multiple of 8 bytes that holds a line's fixed
+    end: the suffix ``, "detector": "D"}`` after, on a boolean line, its value.
+    A scored block has one pattern; a boolean block one for false, then true.
     """
-    if hi - lo < 8 or buf[hi - 1] != ord("\n"):
-        return None
-    starts, ends = _line_bounds(buf, lo, hi)
-    first = buf[lo : ends[0]].tobytes()
     at = first.find(DETECTOR_KEY)
     if at < 0 or not first.endswith(b"}"):
         return None
@@ -698,41 +526,74 @@ def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertCo
     detector = _json_string(suffix[len(DETECTOR_KEY) : -1])
     if detector is None:
         return None
-    head = first[:at]
-    if head.endswith((ALERT_TRUE, ALERT_FALSE)):
-        kind, key = AlertKind.BOOLEAN, ALERT_TRUE
-    elif SCORE_KEY in head:
-        kind, key = AlertKind.SCORED, SCORE_KEY + b"0"
+    if first[:at].endswith((ALERT_TRUE, ALERT_FALSE)):
+        kind, ends = AlertKind.BOOLEAN, (ALERT_FALSE + suffix, ALERT_TRUE + suffix)
+    elif SCORE_KEY in first[:at]:
+        kind, ends = AlertKind.SCORED, (suffix,)
     else:
         return None
-    if (ends - starts < len(ALERT_PREFIX) + 1 + len(key) + len(suffix)).any():
+    size = -(-len(ends[0]) // 8) * 8
+    return kind, detector, len(suffix), size, [swar.pattern(end, size) for end in ends]
+
+
+def _fast_alerts(buf: np.ndarray, lo: int, hi: int, first_line: int) -> _AlertColumns | None:
+    """The records of block ``buf[lo:hi]`` in the layout ``save_alerts`` writes, or None.
+
+    Every line must read ``{"timestamp": N, "alert": true|false, "detector":
+    "D"}`` or ``{"timestamp": N, "score": X, "detector": "D"}``, with the kind
+    and detector of the first line. Each line is read through two records: a
+    head record of ALERT_PREFIX and the timestamp's first eight bytes, and a
+    tail record ending at its newline. A boolean line's value is the tail
+    pattern it matches, and its timestamp fills the bytes between. A scored
+    line's timestamp ends at its first comma, where SCORE_KEY must start, and
+    its score fills the bytes up to the suffix. So the pieces tile each line
+    and every byte is checked: the numbers by ``swar.block_ints`` and
+    ``swar.block_floats``, the rest against the patterns.
+    """
+    if hi - lo < 8 or buf[hi - 1] != ord("\n"):
         return None
-    words = _words(buf)
-    tail = ends - len(suffix)
-    found = _has(words, starts, ALERT_PREFIX) & _has(words, tail, suffix)
+    starts, ends = _line_bounds(buf, lo, hi)
+    layout = _alert_layout(buf[lo : ends[0]].tobytes())
+    if layout is None:
+        return None
+    kind, detector, suffix, size, patterns = layout
+    # A line in the layout is longer than ALERT_PREFIX and its tail pattern,
+    # so no line's records are much larger than the line: the block's
+    # records then hold about as many bytes as the block, however long the
+    # detector name and however many blank lines follow.
+    if (ends - starts < len(ALERT_PREFIX) + size - 8).any():
+        return None
+    records = swar.records(buf, ends - size, size)  # each line's tail record
+    matches = [swar.match(records, *pattern) for pattern in patterns]
+    del records  # each record array is freed once read, to bound the block's temporaries
+    head = swar.records(buf, starts + len(ALERT_PREFIX) - 16, 24)
+    found = swar.match(head, *_HEAD)
+    word = head[:, 2].copy()  # the first eight bytes of each timestamp
+    del head
+    token = np.add(starts, len(ALERT_PREFIX), out=starts)  # where each timestamp starts
+    tail = np.subtract(ends, suffix, out=ends)  # where each suffix starts
     if kind is AlertKind.BOOLEAN:
-        # ALERT_TRUE is 15 bytes and ALERT_FALSE 16; two overlapping
-        # 8-byte words cover either.
-        falses = buf[tail - len(ALERT_FALSE)] == ord(",")
-        comma = tail - len(ALERT_TRUE) - falses
-        found &= words[comma] == int.from_bytes(ALERT_FALSE[:8], "little")
-        found &= words[tail - 8] == np.where(
-            falses,
-            int.from_bytes(ALERT_FALSE[-8:], "little"),
-            int.from_bytes(ALERT_TRUE[-8:], "little"),
-        )
-        values = ~falses
+        falses, values = matches
+        found &= falses | values
+        stop = tail - len(ALERT_FALSE) + values  # each timestamp's end
     else:
-        commas = np.flatnonzero(buf[lo:hi] == ord(","))  # each line's: timestamp's, suffix's
-        if len(commas) != len(starts) * (1 + suffix.count(b",")):
-            return None
-        comma, last = commas.reshape(len(starts), -1)[:, [0, -1]].T + lo  # row i: line i's
-        found &= (comma >= starts) & (last < ends) & _has(words, comma, SCORE_KEY)
-        # Only lines in the layout have a token between the two keys.
-        values = _block_floats(buf, comma + len(SCORE_KEY), tail) if found.all() else None
+        found &= matches[0]
+        at = swar.byte_offsets(word, _COMMAS)
+        for k in (1, 2):  # a 20-byte timestamp's comma is in its third word
+            if (at >= 0).all():
+                break
+            later = swar.byte_offsets(swar.words(buf)[token + 8 * k], _COMMAS)
+            at = np.where((at < 0) & (later >= 0), later + 8 * k, at)
+        stop = token + at
+        key = swar.records(buf, stop + len(SCORE_KEY) - 16, 24)  # then the score's first word
+        found &= swar.match(key, *_SCORE_KEY)
+        score = key[:, 2].copy()
+        del key
+        # Only lines in the layout have a token, maybe empty, between the keys.
+        values = swar.block_floats(buf, stop + len(SCORE_KEY), tail, score) if found.all() else None
     if not found.all() or values is None:
         return None
-    timestamps = _block_ints(buf, starts + len(ALERT_PREFIX), comma)
+    timestamps = swar.block_ints(buf, token, stop, word)
     if timestamps is None:
         return None
     lines = range(first_line, first_line + len(timestamps))

@@ -1,4 +1,5 @@
-"""The read buffer, word-at-a-time integers and scores, and run-coded labels of ``ingest``.
+"""The read buffer, alert records and run-coded labels of ``ingest``, and the
+word-at-a-time integers and scores of ``swar``.
 
 Blocks come from one reused buffer, so these tests check what crosses a
 refill: lines split between two reads, lines longer than the whole buffer,
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idseval import AlertKind, AlertSeries, IngestError, LabeledSeries, ingest, model
+from idseval import AlertKind, AlertSeries, IngestError, LabeledSeries, ingest, model, swar
 from idseval import save_alerts, save_labels
 from oracles import ingest_oracle
 
@@ -29,11 +30,11 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def block_ints(tokens: list[bytes]) -> list[int] | None:
-    """``_block_ints`` over one block holding one token per line."""
+    """``swar.block_ints`` over one block holding one token per line."""
     payload = b"".join(token + b"\n" for token in tokens)
     buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload), ingest._BLOCK_BYTES))
     starts, ends = ingest._line_bounds(buf, lo, hi)
-    values = ingest._block_ints(buf, starts, ends)
+    values = swar.block_ints(buf, starts, ends)
     return None if values is None else values.tolist()
 
 
@@ -52,6 +53,16 @@ class TestWordIntegers:
 
     def test_mixed_widths_in_one_block(self):
         tokens = [b"5", b"-12345678", b"123456789", b"0", b"-0", b"1234567890123456789"]
+        assert block_ints(tokens) == [int(t) for t in tokens]
+
+    def test_short_signed_tokens_in_one_word(self):
+        tokens = [b"5", b"-1234567", b"-0", b"0", b"12345678", b"-9", b"-10", b"7"]
+        assert block_ints(tokens) == [int(t) for t in tokens]
+
+    @pytest.mark.parametrize("width", range(1, 20))
+    def test_one_width_throughout(self, width):
+        rng = random.Random(100 + width)
+        tokens = [b"1" + digits(rng, width)[1:] for _ in range(50)]
         assert block_ints(tokens) == [int(t) for t in tokens]
 
     def test_int64_extremes(self):
@@ -84,11 +95,11 @@ class TestWordIntegers:
 
 
 def block_floats(tokens: list[bytes]) -> list[int] | None:
-    """The bit patterns ``_block_floats`` reads from one block holding one token per line."""
+    """The bit patterns ``swar.block_floats`` reads from one block holding one token per line."""
     payload = b"".join(token + b"\n" for token in tokens)
     buf, lo, hi = next(ingest._read_blocks(io.BytesIO(payload), ingest._BLOCK_BYTES))
     starts, ends = ingest._line_bounds(buf, lo, hi)
-    values = ingest._block_floats(buf, starts, ends)
+    values = swar.block_floats(buf, starts, ends)
     return None if values is None else values.view(np.uint64).tolist()
 
 
@@ -132,7 +143,9 @@ class TestWordScores:
         tokens = [b"0.5", token.encode(), b"2"]
         assert block_floats(tokens) == json_bits(tokens)
 
-    @pytest.mark.parametrize("token", ["1.", ".5", "01.5", "-", "1.2.3", "0x1", "1,5", "- 1", "1e"])
+    @pytest.mark.parametrize(
+        "token", ["1.", ".5", "01.5", "-", "1.2.3", "0x1", "1,5", "- 1", "1e", ""]
+    )
     def test_malformed_tokens_are_refused(self, token):
         assert block_floats([b"0.5", token.encode()]) is None
 
@@ -733,6 +746,27 @@ class TestLoadMemory:
         # Beyond its result, the load never holds an int64 column of the file.
         assert peak - before - alerts.values.nbytes < 8 * n
 
+    def test_blank_lines_after_a_long_detector_name(self, tmp_path, slow_routes):
+        # A tail record as long as the first line's fixed end, gathered at
+        # every blank line, would take 280 bytes per line; blank lines are not
+        # in the layout, so the block takes the record route first.
+        blank = 100_000
+        first, last = alert_lines("alert", [(0, True), (1, False)], detector="x" * 256)
+        path = tmp_path / "det.jsonl"
+        path.write_text(first + "\n" * blank + last, encoding="utf-8")
+        series = LabeledSeries("plant", np.arange(2), np.zeros(2, np.int32), ())
+        buffer = ingest._FRONT + ingest._BLOCK_BYTES + ingest._PAD
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            alerts = ingest.load_alerts(path, series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alerts == ingest_oracle.load_alerts(path, series)
+        assert slow_routes["alerts"] == 1
+        assert peak - before - buffer < 48 * blank
+
     @pytest.mark.parametrize("block", [1 << 14, None], ids=["small blocks", "default blocks"])
     def test_label_load_holds_half_a_timestamp_column_at_most(self, tmp_path, monkeypatch, block):
         n = 200_000
@@ -821,3 +855,133 @@ class TestBlockRouteConflicts:
         assert str(caught.value) == str(expected.value)
         assert f"{path}: line 4: " in str(caught.value)
         assert len(parts) == 2 and None not in parts  # both blocks in the save_alerts layout
+
+
+def alert_values(key, n):
+    """Values that alternate on every line (booleans) or vary in width (scores)."""
+    return [i % 2 == 0 if key == "alert" else i / 7 for i in range(n)]
+
+
+class TestAlertRecords:
+    """Each line of a block is read through a head record (ALERT_PREFIX and
+    the timestamp's first word) and a tail record (its fixed end); these are
+    the edges of that route, against the reference loader. Valid files must
+    stay on the numpy route."""
+
+    @pytest.fixture(params=[None, 200], ids=["one block", "small blocks"])
+    def blocks(self, request, monkeypatch):
+        # Small blocks put a first line, whose head record starts in _FRONT,
+        # at every few lines.
+        if request.param:
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", request.param)
+
+    def load_both(self, tmp_path, lines, stamps):
+        series = LabeledSeries("plant", stamps, np.zeros(len(stamps), np.int32), ())
+        path = tmp_path / "det.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        fast = alert_outcome(ingest.load_alerts, path, series)
+        assert fast == alert_outcome(ingest_oracle.load_alerts, path, series)
+        return fast
+
+    @pytest.mark.parametrize("key", ["alert", "score"])
+    @pytest.mark.parametrize(
+        "origin", [0, 95, -20, 10**7 - 20, 10**8 - 20, 10**15 - 20, 10**18 - 20, -(10**8) - 20]
+    )
+    def test_timestamp_widths_that_change_inside_a_block(
+        self, tmp_path, blocks, slow_routes, key, origin
+    ):
+        stamps = origin + np.arange(40)
+        lines = alert_lines(key, zip(stamps.tolist(), alert_values(key, 40)))
+        assert self.load_both(tmp_path, lines, stamps)[0] == "ok"
+        assert slow_routes["alerts"] == 0
+
+    @pytest.mark.parametrize("key", ["alert", "score"])
+    def test_negative_19_digit_and_extreme_timestamps(self, tmp_path, blocks, slow_routes, key):
+        stamps = np.array([INT64_MIN, INT64_MIN + 1, -(10**18), -12345678, -1, 0, 9,
+                           12345678, 10**18, INT64_MAX - 1, INT64_MAX])
+        lines = alert_lines(key, zip(stamps.tolist(), alert_values(key, len(stamps))))
+        assert self.load_both(tmp_path, lines, stamps)[0] == "ok"
+        assert slow_routes["alerts"] == 0
+
+    @pytest.mark.parametrize("key", ["alert", "score"])
+    @pytest.mark.parametrize(
+        "detector", ["x" * 40, 'a "quoted" \\ name', "é" * 7, "☃ é \"s\" \t é"]
+    )
+    def test_detector_names_that_widen_the_tail_record(
+        self, tmp_path, blocks, slow_routes, key, detector
+    ):
+        stamps = np.arange(30) * 3
+        lines = alert_lines(key, zip(stamps.tolist(), alert_values(key, 30)), detector=detector)
+        assert len(json.dumps(detector)) + len(', "alert": false, "detector": }') > 40
+        outcome = self.load_both(tmp_path, lines, stamps)
+        assert outcome[:2] == ("ok", detector)
+        assert slow_routes["alerts"] == 0
+
+    def test_short_scores_are_read_by_word(self, tmp_path, blocks, monkeypatch, slow_routes):
+        # Scores of six decimals, negative ones too, never reach json.
+        calls = []
+        json_floats = swar.json_floats
+        monkeypatch.setattr(
+            swar, "json_floats", lambda *args: calls.append(args) or json_floats(*args)
+        )
+        stamps = np.arange(200) * 3
+        scores = np.round(np.random.default_rng(3).uniform(-5, 5, 200), 6).tolist()
+        assert not any("e" in repr(score) for score in scores)
+        lines = alert_lines("score", zip(stamps.tolist(), scores))
+        assert self.load_both(tmp_path, lines, stamps)[0] == "ok"
+        assert slow_routes["alerts"] == 0 and not calls
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"timestamp": , "alert": false, "detector": "d"}\n',
+            '{"timestamp": , "alert": true, "detector": "d"}\n',
+            '{"timestamp": -, "alert": false, "detector": "d"}\n',
+            '{"timestamp": 7, "alert": falsy, "detector": "d"}\n',
+            '{"timestamp": 7, "alert": tru, "detector": "d"}\n',
+            '{"timestamp": 7, "alert": fals, "detector": "d"}\n',
+            '{"timestamp": 07, "alert": true, "detector": "d"}\n',
+            '{"timestamp": 7, "alert": true, "detector": "e"}\n',
+            '{"timestamp": 7 "alert": true, "detector": "d"}\n',
+            '{"timestamp": 7, "score": 0.5, "detector": "d"}\n',
+        ],
+    )
+    @pytest.mark.parametrize("at", [0, 1, 14, 29])
+    def test_broken_boolean_lines(self, tmp_path, blocks, line, at):
+        stamps = np.arange(30) * 10
+        lines = alert_lines("alert", zip(stamps.tolist(), alert_values("alert", 30)))
+        lines[at] = line.replace("7", str(stamps[at]), 1) if "07" not in line else line
+        assert self.load_both(tmp_path, lines, stamps)[0] == "error"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"timestamp": 7 "score": 0.5, "detector": "d"}\n',
+            '{"timestamp": 1234567890123 "score": 0.5, "detector": "d"}\n',
+            '{"timestamp": 7, "score": 0.5, "detector": "d"}}\n',
+            '{"timestamp": 7, "score": , "detector": "d"}\n',
+            '{"timestamp": 7,, "detector": "d"}\n',
+            '{"timestamp": , "score": 0.5, "detector": "d"}\n',
+            '{"timestamp": 7, "score": 0.5 "detector": "d"}\n',
+            '{"timestamp": 7, "alert": true, "detector": "d"}\n',
+        ],
+    )
+    @pytest.mark.parametrize("at", [0, 1, 14, 29])
+    def test_broken_scored_lines(self, tmp_path, blocks, line, at):
+        stamps = np.arange(30) * 10
+        lines = alert_lines("score", zip(stamps.tolist(), alert_values("score", 30)))
+        lines[at] = line.replace("7", str(stamps[at]), 1)
+        assert self.load_both(tmp_path, lines, stamps)[0] == "error"
+
+    @pytest.mark.parametrize("key", ["alert", "score"])
+    def test_every_byte_of_a_line_is_checked(self, tmp_path, key):
+        # Each byte of one line in turn becomes another byte: the numpy route
+        # must give the reference's outcome, valid or not.
+        stamps = np.arange(12) * 10 + 10**5
+        lines = alert_lines(key, zip(stamps.tolist(), alert_values(key, 12)))
+        line = lines[5].encode()
+        for i in range(len(line) - 1):
+            for byte in {b"x", b"0", b" ", b",", b'"', bytes([line[i] ^ 1])}:
+                broken = line[:i] + byte + line[i + 1 :]
+                lines[5] = broken.decode("utf-8", "replace")
+                self.load_both(tmp_path, lines, stamps)

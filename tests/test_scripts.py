@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -54,11 +56,24 @@ def test_startup_prints_verb_medians_and_the_import_split():
     assert isinstance(teardown["teardown_ms"], float) and teardown["runs"] == 1
 
 
-def test_cli_digest_prints_one_line_per_run():
+GOLDEN_DIGEST = Path(__file__).resolve().parent / "golden" / "cli_digest.txt"
+# argparse's help and usage text changes between Python versions, so these
+# runs are pinned by their exit code alone.
+VERSION_DEPENDENT = {"help", "usage-error", *(f"{verb}-help" for verb in
+                     ("evaluate", "compare", "timeline", "roc", "baseline"))}
+
+
+@pytest.fixture(scope="module")
+def digest_lines() -> dict[str, list[str]]:
+    """One run of ``cli_digest.py`` with an extra run, shared by the tests below."""
     done = run_script("cli_digest.py", "--", "evaluate", "--config", "demo/manifest.json",
                       "--metrics", "f1", "--format", "csv", "--out", "out")
     assert done.returncode == 0, done.stderr
-    lines = {line.split()[0]: line.split()[1:] for line in done.stdout.splitlines()}
+    return {line.split()[0]: line.split()[1:] for line in done.stdout.splitlines()}
+
+
+def test_cli_digest_prints_one_line_per_run(digest_lines):
+    lines = digest_lines
     assert {"evaluate-md", "compare-rank-by", "roc-json", "help", "extra"} <= set(lines)
     codes = {name: fields[0] for name, fields in lines.items()}
     assert codes["usage-error"] == codes["unknown-metric"] == "exit=2"
@@ -69,3 +84,30 @@ def test_cli_digest_prints_one_line_per_run():
     assert set(extra) == {"stdout", "stderr", "alerts/lagged.jsonl", "report.csv"}
     assert all(len(value) == 64 for value in extra.values())
     assert extra["stdout"] == extra["report.csv"]
+
+
+def test_cli_digest_matches_the_golden_file(digest_lines):
+    # The golden digest is the CLI's bytes as they stand; a run that differs
+    # is a change to an artifact, never a reason to rewrite the golden line.
+    golden = {line.split()[0]: line.split()[1:]
+              for line in GOLDEN_DIGEST.read_text(encoding="utf-8").splitlines()}
+    assert set(golden) == set(digest_lines) - {"extra"}
+    for name, fields in golden.items():
+        if name in VERSION_DEPENDENT:
+            assert digest_lines[name][0] == fields[0], name
+        else:
+            assert digest_lines[name] == fields, name
+
+
+def test_ingest_blocks_prints_every_measure():
+    done = run_script("ingest_blocks.py", "--points", "2000", "--runs", "1")
+    assert done.returncode == 0, done.stderr
+    rows = {row["measure"]: row for row in map(json.loads, done.stdout.splitlines())}
+    assert list(rows) == ["fast_alerts.boolean", "fast_alerts.scored", "fast_labels",
+                          "load_alerts.boolean", "load_alerts.scored", "load_labels"]
+    for name in ("fast_alerts.boolean", "fast_alerts.scored", "fast_labels"):
+        assert rows[name]["ms_per_block"] > 0 and rows[name]["lines_per_block"] > 0
+    for name in ("load_alerts.boolean", "load_alerts.scored", "load_labels"):
+        assert rows[name]["ms"] > 0 and rows[name]["read_ms"] > 0
+        assert rows[name]["parse_ms"] == pytest.approx(rows[name]["ms"] - rows[name]["read_ms"],
+                                                       abs=0.002)
