@@ -7,10 +7,13 @@
 
 Runs a fixed matrix of ``python -m idseval.cli`` commands on ``data/demo`` in
 fresh processes: every verb in every output format, ``--rank-by``,
-``--help`` and each verb's ``--help``, a usage error, an unknown metric and a
-data error; the CLI arguments after ``--`` are one more run, named ``extra``.
-Each run starts in a new temporary directory that holds a copy of
-``data/demo`` as ``demo/`` and writes to ``--out out``, so every path the CLI
+``--help`` and each verb's ``--help``, a usage error, an unknown metric, two
+out-of-range metric parameters and a data error, and ``evaluate`` on other
+spellings of the demo files: labels with CRLF line ends, ISO-8601 labels and
+alerts, and compact alerts with no ``"detector"`` field. The CLI arguments
+after ``--`` are one more run, named ``extra``. Each run starts in a new
+temporary directory that holds a copy of ``data/demo`` as ``demo/``, with
+those spellings beside it, and writes to ``--out out``, so every path the CLI
 prints is the same from any checkout. ``--src`` picks the package that runs
 (default: ``src/`` of this checkout).
 
@@ -23,11 +26,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +58,35 @@ MATRIX: dict[str, list[str]] = {
     "usage-error": ["evaluate", "--bogus"],
     "unknown-metric": ["evaluate", *DEMO, "--metrics", "nope", *OUT],
     "data-error": ["roc", *DEMO, "--auto", *OUT],
+    "bad-beta": ["evaluate", *DEMO, "--metrics", "fbeta:beta=0", *OUT],
+    "bad-theta": ["evaluate", *DEMO, "--metrics", "etapr:theta_p=2", *OUT],
+    "evaluate-crlf": ["evaluate", "--labels", "demo/crlf.csv", "--alerts", "demo/lagged.jsonl",
+                      *OUT],
+    "evaluate-iso": ["evaluate", "--labels", "demo/iso.csv", "--alerts", "demo/iso.jsonl",
+                     "--format", "json", *OUT],
+    "evaluate-compact": ["evaluate", *DEMO, "--alerts", "demo/compact.jsonl", *OUT],
 }
+
+
+def iso(seconds: int | str) -> str:
+    return datetime.fromtimestamp(int(seconds), timezone.utc).isoformat()
+
+
+def write_spellings(demo: Path) -> None:
+    """Write the demo labels and alerts, spelled otherwise, into ``demo``."""
+    labels = (demo / "labels.csv").read_bytes()
+    (demo / "crlf.csv").write_bytes(labels.replace(b"\n", b"\r\n"))
+    header, *rows = labels.decode("utf-8").splitlines()
+    iso_rows = [f"{iso(t)},{label}" for t, label in (row.split(",") for row in rows)]
+    (demo / "iso.csv").write_text("\n".join([header, *iso_rows, ""]), encoding="utf-8")
+    records = [json.loads(line) for line in (demo / "lagged.jsonl").read_text().splitlines()]
+    with open(demo / "iso.jsonl", "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps({**record, "timestamp": iso(record["timestamp"])}) + "\n")
+    with open(demo / "compact.jsonl", "w", encoding="utf-8") as handle:
+        for record in records:
+            compact = {"timestamp": record["timestamp"], "alert": record["alert"]}
+            handle.write(json.dumps(compact, separators=(",", ":")) + "\n")
 
 
 def sha(data: bytes) -> str:
@@ -66,6 +99,7 @@ def digest(name: str, cli_args: list[str], src: Path) -> str:
     env.pop("IDSEVAL_OUT", None)
     with tempfile.TemporaryDirectory(prefix="idseval-digest-") as work:
         shutil.copytree(ROOT / "data" / "demo", Path(work) / "demo")
+        write_spellings(Path(work) / "demo")
         done = subprocess.run(
             [sys.executable, "-m", "idseval.cli", *cli_args], cwd=work, env=env, capture_output=True
         )

@@ -44,6 +44,7 @@ from .model import (
     LabeledSeries,
     ParameterError,
     collapse_multiclass,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
+    exact_param,
 )
 from .pointwise import auc, roc
 from .report import (
@@ -69,52 +70,38 @@ def _load_dataset(args: argparse.Namespace):
         return manifest.load(), manifest
     if not args.labels:
         raise ParameterError("a dataset is required: pass --labels FILE or --config MANIFEST")
-    try:
-        tick = Fraction(str(args.tick_seconds))
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"--tick-seconds is not a duration: {args.tick_seconds!r}") from None
-    if tick <= 0:
-        raise ParameterError(f"--tick-seconds must be positive, got {args.tick_seconds!r}")
-    return load_labels(args.labels, name=args.name, tick_seconds=tick), None
+    return load_labels(args.labels, name=args.name, tick_seconds=args.tick_seconds), None
+
+
+def _alert_specs(args: argparse.Namespace) -> list[BaselineSpec | Path]:
+    """The ``--alerts`` and ``--detector`` sources: baseline specs parsed, files as paths."""
+    return [
+        BaselineSpec.parse(token).with_seed(args.seed) if is_baseline_name(token) else Path(token)
+        for token in [*(args.alerts or ()), *(args.detector or ())]
+    ]
 
 
 def _inputs(
-    args: argparse.Namespace, metrics: list[str] | None = None, one: str | None = None
+    args: argparse.Namespace, specs: list[BaselineSpec | Path], one: str | None = None
 ) -> tuple[LabeledSeries, list[AlertSource]]:
-    """Check the verb's specs and flags, then load the dataset and its alert sources.
+    """Load the dataset, then its alert sources: ``specs``, or else the manifest's files.
 
-    Every check that needs no file runs before any file is read, so a
-    rejected spec or flag costs no load; the verbs parse them again where
-    they use them, which costs microseconds. ``one`` is the usage error of a
-    verb that takes a single alert source.
+    The verbs read their specs and flags before they call this, so a rejected
+    one costs no load. ``one`` is the usage error of a verb that takes a
+    single alert source.
     """
-    for spec in metrics or ():
-        bind_metric(spec)
-    tokens = [*(args.alerts or ()), *(args.detector or ())]
-    for token in tokens:
-        if is_baseline_name(token):
-            BaselineSpec.parse(token).with_seed(args.seed)
-    if getattr(args, "gap_tolerance", 0) < 0:
-        raise ParameterError("gap_tolerance must be non-negative")
-    if args.command == "roc":
-        _roc_thresholds(args)
-    elif args.command == "timeline":
-        _width_match(args.min_width)
     series, manifest = _load_dataset(args)
-    if not tokens and manifest is not None:
-        tokens = [str(path) for path in manifest.alert_paths]
-    if not tokens:
+    if not specs and manifest is not None:
+        specs = list(manifest.alert_paths)
+    if not specs:
         raise ParameterError("no alert sources: pass --alerts FILE or --detector baseline:never")
-    if one is not None and len(tokens) != 1:
+    if one is not None and len(specs) != 1:
         raise ParameterError(one)
-    sources: list[AlertSource] = []
-    for token in tokens:
-        if is_baseline_name(token):
-            spec = BaselineSpec.parse(token).with_seed(args.seed)
-            sources.append((generate(spec, series), None))
-        else:
-            path = Path(token)
-            sources.append((load_alerts(path, series), path))
+    sources: list[AlertSource] = [
+        (load_alerts(spec, series), spec) if isinstance(spec, Path)
+        else (generate(spec, series), None)
+        for spec in specs
+    ]
     names = [alert.detector for alert, _ in sources]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -185,9 +172,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     metrics = [part.strip() for chunk in raw for part in chunk.split(",") if part.strip()] or None
     if raw and metrics is None:
         raise ParameterError("--metrics was given but names no metrics")
+    for metric in metrics or ():
+        bind_metric(metric)
+    specs = _alert_specs(args)
+    if args.gap_tolerance < 0:
+        raise ParameterError("gap_tolerance must be non-negative")
     compare = args.command == "compare"
     one = None if compare else "evaluate scores one detector; use compare for several"
-    series, sources = _inputs(args, metrics, one)
+    series, sources = _inputs(args, specs, one)
     for warning in validate_pair(series, gap_tolerance=args.gap_tolerance).warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for alert, _ in sources:
@@ -211,12 +203,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-_WIDTH_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)\s*(s|m|h)?\Z")
+_WIDTH_RE = re.compile(r"\s*([0-9]+(?:\.[0-9]+)?)\s*(s|m|h)?\s*")
 _UNIT_SECONDS = {"s": 1, "m": 60, "h": 3600}
 
 
 def _width_match(text: str) -> re.Match[str]:
-    match = _WIDTH_RE.match(text.strip())
+    match = _WIDTH_RE.fullmatch(text)
     if not match:
         raise ParameterError(
             f"cannot parse --min-width {text!r}; use a tick count or a duration like 60s"
@@ -224,26 +216,33 @@ def _width_match(text: str) -> re.Match[str]:
     return match
 
 
-def parse_min_width(text: str, tick_seconds: Fraction) -> float:
-    """Minimum drawn alarm width: plain ticks, or a duration like ``60s``."""
-    number, unit = _width_match(text).groups()
-    value = Fraction(number)
+def _width_ticks(match: re.Match[str], tick_seconds: Fraction) -> float:
+    number, unit = match.groups()
+    value = exact_param("--min-width", number, within=None)
     if unit is not None:
         value = value * _UNIT_SECONDS[unit] / tick_seconds
     try:
         return float(value)
     except OverflowError:
         raise ParameterError(
-            f"--min-width {text!r} is too large: the width in ticks overflows a 64-bit float"
+            f"--min-width {match.string!r} is too large:"
+            " the width in ticks overflows a 64-bit float"
         ) from None
 
 
+def parse_min_width(text: str, tick_seconds: Fraction) -> float:
+    """Minimum drawn alarm width: plain ticks, or a duration like ``60s``."""
+    return _width_ticks(_width_match(text), tick_seconds)
+
+
 def cmd_timeline(args: argparse.Namespace) -> int:
-    series, sources = _inputs(args)
+    specs = _alert_specs(args)
+    width = _width_match(args.min_width)
+    series, sources = _inputs(args, specs)
     rendering = render_timeline(
         series,
         [alert for alert, _ in sources],
-        min_width_ticks=parse_min_width(args.min_width, series.tick_seconds),
+        min_width_ticks=_width_ticks(width, series.tick_seconds),
         exempt=args.exempt or (),
     )
     target = _outputs(args, series, sources, "timeline.svg", rendering.save)
@@ -261,22 +260,28 @@ def _roc_thresholds(args: argparse.Namespace) -> list[float] | None:
     if not args.thresholds:
         raise ParameterError("pass --thresholds LIST or --auto to choose operating points")
     try:
-        return [float(part) for part in args.thresholds.split(",") if part.strip()]
+        thresholds = [float(part) for part in args.thresholds.split(",") if part.strip()]
     except ValueError:
         raise ParameterError(
             f"--thresholds must be comma-separated numbers, got {args.thresholds!r}"
         ) from None
+    if not thresholds:
+        raise ParameterError("at least one threshold is required")
+    if not np.all(np.isfinite(thresholds)):
+        raise ParameterError("thresholds must be finite")
+    return thresholds
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    series, sources = _inputs(args, one="roc sweeps one scored detector at a time")
+    specs = _alert_specs(args)
+    thresholds = _roc_thresholds(args)
+    series, sources = _inputs(args, specs, one="roc sweeps one scored detector at a time")
     alert = sources[0][0]
     if alert.kind is not AlertKind.SCORED:
         raise EvaluationError(
             "roc requires scored alerts; boolean alerts already fix an operating "
             "point, score them with evaluate instead"
         )
-    thresholds = _roc_thresholds(args)
     curve = roc(series, alert, np.unique(alert.values) if thresholds is None else thresholds)
     area = auc(curve)
     if args.format == "json":
@@ -295,8 +300,8 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    series, _ = _load_dataset(args)
     specs = [BaselineSpec.parse(token).with_seed(args.seed) for token in args.detector]
+    series, _ = _load_dataset(args)
     outdir = _prepare_outdir(args)
     used: set[str] = set()
     for spec in specs:

@@ -27,6 +27,7 @@ from .model import (
     alerts_to_intervals,
     bind_params,
     collapse_multiclass,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
+    exact_param,
     extract_scenarios,
     format_fraction,
     parse_spec,
@@ -35,7 +36,6 @@ from .model import (
 from .timeaware import (
     EtaParams,
     ScenarioDetection,
-    as_unit_fraction,
     detected_scenarios,
     detection_delay,
     etapr,
@@ -181,7 +181,7 @@ CATALOG: tuple[MetricDefinition, ...] = (
                      _cm_metric(pointwise.f1)),
     MetricDefinition("fbeta", "F-score weighting recall by beta",
                      _compute_fbeta, params_help="beta=<positive number> (required)",
-                     params=(Param("beta", pointwise.as_beta, required=True),)),
+                     params=(Param("beta", partial(exact_param, "beta"), required=True),)),
     MetricDefinition("auc-single", "area under the one-point ROC: 1 - (FPR + FNR)/2",
                      _cm_metric(pointwise.auc_single)),
     MetricDefinition("scenario-recall", "mean per-scenario fraction of alerted points",
@@ -194,7 +194,7 @@ CATALOG: tuple[MetricDefinition, ...] = (
     MetricDefinition("etapr", "enhanced time-aware precision/recall (etap, etar, etaf1)",
                      _compute_etapr,
                      params_help="theta_p=, theta_r=, weight= (defaults 0.5, 0.1, 0.5)",
-                     params=tuple(Param(key, partial(as_unit_fraction, key))
+                     params=tuple(Param(key, partial(exact_param, key, within="unit"))
                                   for key in ("theta_p", "theta_r", "weight"))),
     MetricDefinition("affiliation", "zone-based affiliation precision/recall/F1",
                      _compute_affiliation),

@@ -46,6 +46,7 @@ from .model import (
     LabeledSeries,
     ParameterError,
     Record,
+    exact_param,
     extract_scenarios,
     format_fraction,
     require_alignment,
@@ -405,7 +406,7 @@ def _label_parts(
 def load_labels(
     path: Path | str,
     name: str | None = None,
-    tick_seconds: Fraction | int | str = 1,
+    tick_seconds: Fraction | int | float | str = 1,
 ) -> LabeledSeries:
     """Read a ``timestamp,label`` CSV into a LabeledSeries.
 
@@ -413,8 +414,8 @@ def load_labels(
     string names an attack type. Timestamps must be strictly increasing.
     ISO-8601 timestamps are epoch seconds, so they require ``tick_seconds`` 1.
     """
+    tick = exact_param("tick_seconds", tick_seconds)
     path = Path(path)
-    tick = Fraction(tick_seconds)
     index: dict[str, int] = {}  # attack type -> code, in order of first appearance
     # Each part's timestamps are written into one column, sized for the
     # file's size at the bytes per line so far. Its unwritten tail never
@@ -774,25 +775,6 @@ class ValidationReport(NamedTuple):
     alert_fraction: Fraction | None = None
     warnings: tuple[str, ...] = ()
 
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"dataset: {self.dataset}",
-            f"points: {self.n_points}",
-            f"attack fraction: {float(self.attack_fraction):.6g}"
-            f" ({self.attack_fraction.numerator}/{self.attack_fraction.denominator})",
-            f"scenarios: {self.n_scenarios}",
-        ]
-        for attack_type, count in sorted(self.scenarios_by_type.items()):
-            lines.append(f"  {attack_type}: {count}")
-        lines.append(f"duration: {float(self.duration_seconds):.6g} s")
-        if self.alert_kind is not None:
-            lines.append(f"alerts: {self.alert_kind.value}")
-        if self.alert_fraction is not None:
-            lines.append(f"alert fraction: {float(self.alert_fraction):.6g}")
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        return lines
-
 
 def alarm_warnings(alert_fraction: Fraction) -> list[str]:
     """The warning for a boolean detector that alarms at no point or at every one."""
@@ -896,11 +878,9 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     if isinstance(tick_raw, bool) or not isinstance(tick_raw, (int, float, str)):
         raise _fail(path, None, f"tick_seconds must be a number or string, got {tick_raw!r}")
     try:
-        tick = Fraction(str(tick_raw))
-    except (ValueError, ZeroDivisionError):
-        raise _fail(path, None, f"tick_seconds is not a valid duration: {tick_raw!r}") from None
-    if tick <= 0:
-        raise _fail(path, None, f"tick_seconds must be positive, got {tick_raw!r}")
+        tick = exact_param("tick_seconds", tick_raw)
+    except ParameterError as exc:
+        raise _fail(path, None, str(exc)) from None
     description = data.get("description", "")
     if not isinstance(description, str):
         raise _fail(path, None, "description must be a string")

@@ -31,7 +31,26 @@ class AlignmentError(EvaluationError):
 
 
 class ParameterError(EvaluationError):
-    """A metric parameter is outside its admissible range."""
+    """A parameter or flag is malformed or outside its admissible range."""
+
+
+def exact_param(name: str, raw: object, within: str | None = "positive") -> Fraction:
+    """Parameter ``name`` as an exact Fraction: ``raw`` is a Fraction, an int, a
+    decimal or ``num/den`` string, or a float read through its repr (0.1 is 1/10).
+
+    ``within`` is its range: "positive", "unit" for [0, 1], or None for any.
+    A malformed or out-of-range value raises ParameterError.
+    """
+    read = str(raw) if isinstance(raw, float) else raw
+    try:
+        value = Fraction(read)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParameterError(f"malformed parameter: {name} is not a number: {read!r}") from None
+    if within == "positive" and value <= 0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    if within == "unit" and not 0 <= value <= 1:
+        raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+    return value
 
 
 def parse_spec(text: str, noun: str = "metric") -> tuple[str, dict[str, str | bool]]:
@@ -174,11 +193,12 @@ class LabeledSeries(Record):
         timestamps: np.ndarray,
         label_codes: np.ndarray,
         attack_types: tuple[str, ...],
-        tick_seconds: Fraction = Fraction(1),
+        tick_seconds: Fraction | int | float | str = Fraction(1),
     ) -> None:
         timestamps = _frozen_array(timestamps, np.int64)
         label_codes = _frozen_array(label_codes, np.int32)
-        self._set(name, timestamps, label_codes, attack_types, Fraction(tick_seconds))
+        tick_seconds = exact_param("tick_seconds", tick_seconds)
+        self._set(name, timestamps, label_codes, attack_types, tick_seconds)
         if self.timestamps.ndim != 1 or self.label_codes.ndim != 1:
             raise ValueError("timestamps and labels must be one-dimensional")
         if len(self.timestamps) != len(self.label_codes):
@@ -187,8 +207,6 @@ class LabeledSeries(Record):
             raise ValueError("series must contain at least one point")
         if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
         try:
             # Every duration reported in seconds (delays, the span) is at most this.
             float(self.span_seconds)
@@ -214,7 +232,7 @@ class LabeledSeries(Record):
         name: str,
         timestamps: Sequence[int],
         labels: Sequence[str],
-        tick_seconds: Fraction | int | str = 1,
+        tick_seconds: Fraction | int | float | str = 1,
     ) -> "LabeledSeries":
         """Build a series from label strings; ``benign``/``0`` mean benign."""
         types: list[str] = []
@@ -234,7 +252,7 @@ class LabeledSeries(Record):
             timestamps=np.asarray(timestamps, dtype=np.int64),
             label_codes=codes,
             attack_types=tuple(types),
-            tick_seconds=Fraction(tick_seconds),
+            tick_seconds=tick_seconds,
         )
 
     def __len__(self) -> int:
@@ -254,14 +272,6 @@ class LabeledSeries(Record):
     @property
     def is_binary(self) -> bool:
         return len(self.attack_types) <= 1
-
-    def label_of(self, i: int) -> str | None:
-        """Attack type at point ``i`` or None for benign."""
-        code = int(self.label_codes[i])
-        return None if code == 0 else self.attack_types[code - 1]
-
-    def labels_as_strings(self) -> list[str]:
-        return ["benign" if c == 0 else self.attack_types[c - 1] for c in self.label_codes]
 
 
 class AlertKind(str, Enum):

@@ -24,6 +24,7 @@ from .model import (
     Scenarios,
     ScenariosLike,
     _frozen_array,
+    exact_param,
     extract_scenarios,
     format_fraction,
     mask_to_intervals,
@@ -98,23 +99,13 @@ def accuracy(cm: ConfusionMatrix) -> MetricValue:
     return _ratio("accuracy", cm.tp + cm.tn, cm.n)
 
 
-def as_beta(beta: Fraction | int | float | str) -> Fraction:
-    """Normalize a beta parameter to an exact Fraction (floats via str repr)."""
-    if isinstance(beta, float):
-        beta = str(beta)
-    value = Fraction(beta)
-    if value <= 0:
-        raise ParameterError(f"beta must be positive, got {value}")
-    return value
-
-
 class FBetaParams(Record):
     """Weight of recall relative to precision; beta=1 recovers F1."""
 
     __slots__ = _fields = ("beta",)
 
-    def __init__(self, beta: Fraction = Fraction(1)) -> None:
-        self._set(as_beta(beta))
+    def __init__(self, beta: Fraction | int | float | str = Fraction(1)) -> None:
+        self._set(exact_param("beta", beta))
 
 
 def f_beta(cm: ConfusionMatrix, params: FBetaParams | Fraction | int | float | str = 1) -> MetricValue:

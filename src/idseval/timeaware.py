@@ -17,11 +17,11 @@ from .model import (
     IntervalsLike,
     LabeledSeries,
     MetricValue,
-    ParameterError,
     Record,
     Scenarios,
     ScenariosLike,
     as_intervals,
+    exact_param,
 )
 
 
@@ -132,15 +132,6 @@ def detection_delay(
     return details, metrics
 
 
-def as_unit_fraction(name: str, value: Fraction | int | float | str) -> Fraction:
-    if isinstance(value, float):
-        value = str(value)
-    result = Fraction(value)
-    if not 0 <= result <= 1:
-        raise ParameterError(f"{name} must lie in [0, 1], got {result}")
-    return result
-
-
 class EtaParams(Record):
     """Parameters of the enhanced time-aware precision/recall family.
 
@@ -160,7 +151,8 @@ class EtaParams(Record):
         theta_r: Fraction = Fraction(1, 10),
         detection_weight: Fraction = Fraction(1, 2),
     ) -> None:
-        self._set(*map(as_unit_fraction, self._fields, (theta_p, theta_r, detection_weight)))
+        values = (theta_p, theta_r, detection_weight)
+        self._set(*(exact_param(key, raw, within="unit") for key, raw in zip(self._fields, values)))
 
 
 class TimeAwareScores(Record):

@@ -24,6 +24,12 @@ def make_series(
     return LabeledSeries.from_labels(name, timestamps, list(labels), tick_seconds)
 
 
+def label_strings(series: LabeledSeries) -> list[str]:
+    """Each point's label: ``benign`` or its attack type."""
+    names = ("benign", *series.attack_types)
+    return [names[code] for code in series.label_codes]
+
+
 def make_alerts(values, detector: str = "det", aligned_to: str = "series") -> AlertSeries:
     return AlertSeries.from_bool(detector, list(values), aligned_to)
 

@@ -519,6 +519,17 @@ class TestTimeline:
         assert stderr.count("\n") == 1 and "overflows a 64-bit float" in stderr
         assert not (workdir / "run").exists()
 
+    def test_min_width_past_python_digit_limit_exits_2(self, workdir, capsys):
+        # int() refuses strings of more than 4300 digits; that is a bad flag, not a crash.
+        code, _, stderr = run(
+            capsys, "timeline", "--labels", workdir / "labels.csv",
+            "--detector", "baseline:never", "--min-width", "9" * 5000, "--out", workdir / "run",
+        )
+        assert code == 2
+        assert stderr.startswith("error: malformed parameter: --min-width is not a number: '999")
+        assert stderr.count("\n") == 1
+        assert not (workdir / "run").exists()
+
     def test_timeline_has_no_format_option(self, workdir, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["timeline", "--labels", str(workdir / "labels.csv"),
@@ -859,9 +870,12 @@ class TestSpecsBeforeFiles:
                 ["timeline", "--min-width", "5x"],
                 "cannot parse --min-width '5x'; use a tick count or a duration like 60s",
             ),
+            (["roc", "--thresholds", "nan"], "thresholds must be finite"),
+            (["roc", "--thresholds", "0.5,inf"], "thresholds must be finite"),
+            (["roc", "--thresholds", ","], "at least one threshold is required"),
         ],
         ids=["evaluate-gap", "compare-gap", "roc-thresholds", "roc-both", "roc-neither",
-             "timeline-min-width"],
+             "timeline-min-width", "roc-nan", "roc-inf", "roc-empty"],
     )
     def test_bad_verb_flag(self, workdir, capsys, argv, message):
         code, _, stderr = run(
@@ -870,6 +884,42 @@ class TestSpecsBeforeFiles:
         )
         assert (code, stderr.splitlines()) == (2, [f"error: {message}"])
         assert not (workdir / "run").exists()
+
+
+class TestFlagsReadOnce:
+    """Each verb reads its baseline specs and its own flags once, before any file."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"parse": 0, "_roc_thresholds": 0, "_width_match": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(BaselineSpec, "parse", counted("parse", BaselineSpec.parse))
+        for name in ("_roc_thresholds", "_width_match"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["evaluate", "--detector", "baseline:random:p=0.5"], (1, 0, 0)),
+            (["compare", "--alerts", "det.jsonl", "--detector", "baseline:never"], (1, 0, 0)),
+            (["roc", "--alerts", "scores.jsonl", "--thresholds", "0.5"], (0, 1, 0)),
+            (["timeline", "--detector", "baseline:always", "--min-width", "2s"], (1, 0, 1)),
+            (["baseline", "--detector", "baseline:never"], (1, 0, 0)),
+        ],
+        ids=["evaluate", "compare", "roc", "timeline", "baseline"],
+    )
+    def test_each_flag_is_read_once(self, workdir, capsys, monkeypatch, calls, argv, expected):
+        monkeypatch.chdir(workdir)
+        code, _, stderr = run(capsys, *argv, "--labels", "labels.csv", "--out", "run")
+        assert code == 0, stderr
+        assert tuple(calls.values()) == expected
 
 
 class FullStream:

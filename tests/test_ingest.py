@@ -24,7 +24,7 @@ from idseval import (
     validate_pair,
 )
 from idseval.model import format_fraction
-from support import make_alerts, make_series, random_binary_instance
+from support import label_strings, make_alerts, make_series, random_binary_instance
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
@@ -48,7 +48,7 @@ class TestLoadLabels:
         series = load_labels(path)
         assert series.name == "demo"
         assert list(series.timestamps) == [0, 1, 2]
-        assert series.labels_as_strings() == ["benign", "dos", "dos"]
+        assert label_strings(series) == ["benign", "dos", "dos"]
         assert series.tick_seconds == 1
 
     def test_name_and_tick_override(self, tmp_path):
@@ -134,7 +134,7 @@ class TestLoadLabels:
         save_labels(series, out)
         loaded = load_labels(out, name="rt")
         assert list(loaded.timestamps) == list(series.timestamps)
-        assert loaded.labels_as_strings() == series.labels_as_strings()
+        assert label_strings(loaded) == label_strings(series)
 
 
 class TestLoadAlerts:
@@ -367,15 +367,6 @@ class TestValidatePair:
         assert validate_pair(make_series(labels)).n_scenarios == 2
         assert validate_pair(make_series(labels), gap_tolerance=1).n_scenarios == 1
 
-    def test_summary_lines_mention_everything(self):
-        series = make_series(["dos"] * 2 + ["benign"] * 8)
-        report = validate_pair(series, make_alerts([True] + [False] * 9))
-        text = "\n".join(report.summary_lines())
-        assert "attack fraction: 0.2 (1/5)" in text
-        assert "dos: 1" in text
-        assert "alerts: boolean" in text
-        assert "alert fraction: 0.1" in text
-
     def test_report_is_well_typed(self):
         report = validate_pair(make_series(["dos", "benign"]))
         assert isinstance(report, ValidationReport)
@@ -436,7 +427,8 @@ class TestManifest:
             (json.dumps({"labels": "x.csv"}), "non-empty string 'name'"),
             (json.dumps({"name": "x"}), "non-empty string 'labels'"),
             (json.dumps({"name": "x", "labels": "", "extra": 1}), "unknown manifest keys: extra"),
-            (json.dumps({"name": "x", "labels": "l", "tick_seconds": "fast"}), "not a valid duration"),
+            (json.dumps({"name": "x", "labels": "l", "tick_seconds": "fast"}),
+             "malformed parameter: tick_seconds is not a number: 'fast'"),
             (json.dumps({"name": "x", "labels": "l", "tick_seconds": 0}), "must be positive"),
             (json.dumps({"name": "x", "labels": "l", "tick_seconds": True}), "number or string"),
             (json.dumps({"name": "x", "labels": "l", "alerts": "det.jsonl"}), "list of paths"),

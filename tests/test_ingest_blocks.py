@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from idseval import AlertKind, AlertSeries, IngestError, LabeledSeries, ingest, model, swar
 from idseval import save_alerts, save_labels
 from oracles import ingest_oracle
+from support import label_strings
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -472,7 +473,7 @@ def csv_writer_bytes(series: LabeledSeries) -> bytes:
     out = io.StringIO(newline="")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("timestamp", "label"))
-    for ts, label in zip(series.timestamps, series.labels_as_strings()):
+    for ts, label in zip(series.timestamps, label_strings(series)):
         writer.writerow((int(ts), label))
     return out.getvalue().encode("utf-8")
 

@@ -76,10 +76,10 @@ def test_cli_digest_prints_one_line_per_run(digest_lines):
     lines = digest_lines
     assert {"evaluate-md", "compare-rank-by", "roc-json", "help", "extra"} <= set(lines)
     codes = {name: fields[0] for name, fields in lines.items()}
-    assert codes["usage-error"] == codes["unknown-metric"] == "exit=2"
-    assert codes["data-error"] == "exit=1"
-    assert all(code == "exit=0" for name, code in codes.items()
-               if name not in ("usage-error", "unknown-metric", "data-error"))
+    failing = {"usage-error": "exit=2", "unknown-metric": "exit=2", "bad-beta": "exit=2",
+               "bad-theta": "exit=2", "data-error": "exit=1"}
+    assert {name: codes[name] for name in failing} == failing
+    assert all(code == "exit=0" for name, code in codes.items() if name not in failing)
     extra = dict(field.split("=") for field in lines["extra"][1:])
     assert set(extra) == {"stdout", "stderr", "alerts/lagged.jsonl", "report.csv"}
     assert all(len(value) == 64 for value in extra.values())

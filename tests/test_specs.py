@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idseval import CATALOG, BaselineSpec, ParameterError, catalog_lines, evaluate_detector
-from idseval import evaluate
+from idseval import EtaParams, FBetaParams, IngestError, LabeledSeries, load_labels, load_manifest
+from idseval import cli, evaluate
+from idseval.evaluate import bind_metric
 from support import make_alerts, make_series
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -95,3 +100,79 @@ def test_metric_parameters_are_checked_when_bound(spec, match):
 def test_baseline_specs_use_the_metric_grammar(text, match):
     with pytest.raises(ParameterError, match=match):
         BaselineSpec.parse(text)
+
+
+def _labels(tmp_path: Path) -> Path:
+    path = tmp_path / "labels.csv"
+    path.write_text("timestamp,label\n0,benign\n1,dos\n", encoding="utf-8")
+    return path
+
+
+def _manifest_tick(tmp_path: Path, raw) -> Fraction:
+    _labels(tmp_path)
+    value = str(raw) if isinstance(raw, Fraction) else raw  # JSON holds no Fraction
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "m", "labels": "labels.csv", "tick_seconds": value}))
+    return load_manifest(path).tick_seconds
+
+
+def _cli_tick(tmp_path: Path, raw) -> Fraction:
+    argv = ["baseline", "--labels", str(_labels(tmp_path)), f"--tick-seconds={raw}",
+            "--detector", "baseline:never"]
+    series, _ = cli._load_dataset(cli.build_parser().parse_args(argv))
+    return series.tick_seconds
+
+
+# Every entry that reads an exact parameter: (the name it reports, its range, the reading).
+ENTRIES = {
+    "fbeta-spec": ("beta", "positive",
+                   lambda tmp_path, raw: bind_metric(f"fbeta:beta={raw}")[1]["beta"]),
+    "etapr-spec": ("theta_p", "unit",
+                   lambda tmp_path, raw: bind_metric(f"etapr:theta_p={raw}")[1]["theta_p"]),
+    "FBetaParams": ("beta", "positive", lambda tmp_path, raw: FBetaParams(raw).beta),
+    "EtaParams": ("theta_p", "unit", lambda tmp_path, raw: EtaParams(theta_p=raw).theta_p),
+    "LabeledSeries": ("tick_seconds", "positive", lambda tmp_path, raw: LabeledSeries(
+        "x", np.array([0]), np.array([0]), (), raw).tick_seconds),
+    "load_labels": ("tick_seconds", "positive", lambda tmp_path, raw: load_labels(
+        _labels(tmp_path), tick_seconds=raw).tick_seconds),
+    "manifest": ("tick_seconds", "positive", _manifest_tick),
+    "--tick-seconds": ("tick_seconds", "positive", _cli_tick),
+}
+
+TENTH = Fraction(1, 10)
+MALFORMED = "malformed parameter: {name} is not a number: "
+# Each raw value and what it reads as: a Fraction, or the error text, in a
+# positive range and in the unit interval.
+RAW_VALUES = [
+    (0.1, TENTH, TENTH),
+    ("0.1", TENTH, TENTH),
+    ("1/10", TENTH, TENTH),
+    (TENTH, TENTH, TENTH),
+    ("0", "{name} must be positive, got 0", Fraction(0)),
+    ("-1", "{name} must be positive, got -1", "{name} must lie in [0, 1], got -1"),
+    ("fast", MALFORMED + "'fast'", MALFORMED + "'fast'"),
+    ("nan", MALFORMED + "'nan'", MALFORMED + "'nan'"),
+    (float("inf"), MALFORMED + "'inf'", MALFORMED + "'inf'"),
+    ("1/0", MALFORMED + "'1/0'", MALFORMED + "'1/0'"),
+]
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("raw,positive,unit", RAW_VALUES, ids=[repr(v[0]) for v in RAW_VALUES])
+def test_every_entry_reads_a_parameter_by_one_rule(tmp_path, entry, raw, positive, unit):
+    name, within, read = ENTRIES[entry]
+    expected = positive if within == "positive" else unit
+    if isinstance(expected, Fraction):
+        value = read(tmp_path, raw)
+        assert type(value) is Fraction and value == expected
+        return
+    error = IngestError if entry == "manifest" else ParameterError
+    with pytest.raises(error) as caught:
+        read(tmp_path, raw)
+    prefix = f"{tmp_path / 'm.json'}: " if entry == "manifest" else ""
+    assert str(caught.value) == prefix + expected.format(name=name)
+
+
+def test_load_labels_reads_its_tick_before_the_file(tmp_path):
+    with pytest.raises(ParameterError, match="tick_seconds must be positive, got 0"):
+        load_labels(tmp_path / "missing.csv", tick_seconds=0)
