@@ -10,7 +10,9 @@ fresh processes: every verb in every output format, ``--rank-by``,
 ``--help`` and each verb's ``--help``, a usage error, an unknown metric, two
 out-of-range metric parameters and a data error, and ``evaluate`` on other
 spellings of the demo files: labels with CRLF line ends, ISO-8601 labels and
-alerts, and compact alerts with no ``"detector"`` field. The CLI arguments
+alerts, and compact alerts with no ``"detector"`` field; and ``roc --auto``
+on the demo scores respelled as ``mixed.jsonl``, with ``-0.0`` before ``0.0``,
+tied values, 8- and 9-byte decimals and ``1e-05``-form exponents. The CLI arguments
 after ``--`` are one more run, named ``extra``. Each run starts in a new
 temporary directory that holds a copy of ``data/demo`` as ``demo/``, with
 those spellings beside it, and writes to ``--out out``, so every path the CLI
@@ -65,6 +67,8 @@ MATRIX: dict[str, list[str]] = {
     "evaluate-iso": ["evaluate", "--labels", "demo/iso.csv", "--alerts", "demo/iso.jsonl",
                      "--format", "json", *OUT],
     "evaluate-compact": ["evaluate", *DEMO, "--alerts", "demo/compact.jsonl", *OUT],
+    **{f"roc-mixed-{fmt}": ["roc", "--labels", "demo/labels.csv", "--alerts", "demo/mixed.jsonl",
+                            "--auto", "--format", fmt, *OUT] for fmt in ("csv", "json")},
 }
 
 
@@ -87,6 +91,13 @@ def write_spellings(demo: Path) -> None:
         for record in records:
             compact = {"timestamp": record["timestamp"], "alert": record["alert"]}
             handle.write(json.dumps(compact, separators=(",", ":")) + "\n")
+    with open(demo / "mixed.jsonl", "w", encoding="utf-8") as handle:
+        for line in (demo / "scored.jsonl").read_text().splitlines():
+            t, score = (record := json.loads(line))["timestamp"], record["score"]
+            # Equal values spelled four ways tie; 0.196700 is 8 bytes, 0.1967000 is 9.
+            token = ("-0.0" if t == 0 else [repr(score), f"{score:.6f}", f"{score:.7f}",
+                                             f"{score / 1e4:.3g}"][t % 4])
+            handle.write(f'{{"timestamp": {t}, "score": {token}, "detector": "scored"}}\n')
 
 
 def sha(data: bytes) -> str:

@@ -93,7 +93,7 @@ def _recall_sums(lo, hi, start, stop, a, b, z0, z1) -> np.ndarray:
     pair = k[:-1] == k[1:]
     rows_lo, rows_hi, rows_zone = cuts[:-1][pair], cuts[1:][pair], k[:-1][pair]
     # Blocks of whole zones bound the temporaries; each zone is summed in one.
-    starts = np.unique(np.searchsorted(rows_zone, rows_zone[::_BLOCK])).tolist()
+    starts = list(dict.fromkeys(np.searchsorted(rows_zone, rows_zone[::_BLOCK]).tolist()))
     sums = np.zeros(len(a))
     for s, e in zip(starts, starts[1:] + [len(rows_zone)]):
         p, q, k = rows_lo[s:e], rows_hi[s:e], rows_zone[s:e]

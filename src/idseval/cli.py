@@ -282,7 +282,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
             "roc requires scored alerts; boolean alerts already fix an operating "
             "point, score them with evaluate instead"
         )
-    curve = roc(series, alert, np.unique(alert.values) if thresholds is None else thresholds)
+    curve = roc(series, alert, alert.values if thresholds is None else thresholds)
     area = auc(curve)
     if args.format == "json":
         chunks = roc_json_chunks(curve, series.name, alert.detector, area.value)

@@ -34,6 +34,10 @@ class ParameterError(EvaluationError):
     """A parameter or flag is malformed or outside its admissible range."""
 
 
+# Fraction expands 10**exponent before any check; str() writes no int from _STR_LIMIT on.
+_STR_LIMIT = 10**4300
+
+
 def exact_param(name: str, raw: object, within: str | None = "positive") -> Fraction:
     """Parameter ``name`` as an exact Fraction: ``raw`` is a Fraction, an int, a
     decimal or ``num/den`` string, or a float read through its repr (0.1 is 1/10).
@@ -42,10 +46,14 @@ def exact_param(name: str, raw: object, within: str | None = "positive") -> Frac
     A malformed or out-of-range value raises ParameterError.
     """
     read = str(raw) if isinstance(raw, float) else raw
-    try:
-        value = Fraction(read)
+    head, _, exponent = (read.lower() if isinstance(read, str) else "").rpartition("e")
+    try:  # int() reads any Unicode digits; a huge exponent is read as 0 to check the rest
+        huge = bool(head) and abs(int(exponent)) >= 10**4
+        value = Fraction(head + "e0" if huge else read)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ParameterError(f"malformed parameter: {name} is not a number: {read!r}") from None
+    if huge or max(abs(value.numerator), value.denominator) >= _STR_LIMIT:
+        raise ParameterError(f"{name} needs more than 4300 digits")
     if within == "positive" and value <= 0:
         raise ParameterError(f"{name} must be positive, got {value}")
     if within == "unit" and not 0 <= value <= 1:
@@ -653,22 +661,17 @@ def format_fraction(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    rest = den
-    twos = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    fives = 0
+    twos = (den & -den).bit_length() - 1  # den's trailing zero bits
+    rest, fives = den >> twos, 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    if rest != 1:
-        return f"{num}/{den}"
     places = max(twos, fives)
     scaled = abs(num) * 10**places // den
+    if rest != 1 or scaled >= _STR_LIMIT:  # no decimal form, or one too long for str()
+        return f"{num}/{den}"
     digits = str(scaled).rjust(places + 1, "0")
-    sign = "-" if num < 0 else ""
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return f"{'-' if num < 0 else ''}{digits[:-places]}.{digits[-places:]}"
 
 
 COLLAPSED_ATTACK_TYPE = "attack"

@@ -168,29 +168,30 @@ class RocCurve(Record):
 
 
 def roc(
-    series: LabeledSeries, alerts: AlertSeries, thresholds: Sequence[float] | np.ndarray
+    series: LabeledSeries, alerts: AlertSeries, thresholds: Sequence[float] | None = None
 ) -> RocCurve:
     """Sweep alert thresholds over scored output; the alert rule is score >= threshold.
 
     Any attack type counts as positive. Requires at least one attack and
     one benign point (otherwise TPR or FPR has a zero denominator at every
-    threshold).
-    Duplicate thresholds are dropped; of ``0.0`` and ``-0.0`` the first
-    listed is kept. Both classes are sorted once and every threshold is
-    counted with one ``searchsorted`` per class (Fawcett 2006, Algorithm 1).
-    Thresholds that already increase strictly (``--auto`` passes the
-    distinct scores) skip the deduplicating sort and its index arrays.
+    threshold). Without ``thresholds``, or given ``alerts.values`` itself,
+    every distinct score is swept, as ``np.unique`` lists them. Listed
+    thresholds are deduplicated; of ``0.0`` and ``-0.0`` the first listed is
+    kept. All counts come from one sort of all scores and one of the attack
+    scores (Fawcett 2006, Algorithm 1).
     """
     if alerts.kind is not AlertKind.SCORED:
         raise EvaluationError("roc requires scored alerts")
     require_alignment(series, alerts)
-    requested = np.asarray(thresholds, dtype=np.float64)
-    if requested.ndim != 1:
-        raise ParameterError("thresholds must be a flat sequence of numbers")
-    if len(requested) == 0:
-        raise ParameterError("at least one threshold is required")
-    if not np.all(np.isfinite(requested)):
-        raise ParameterError("thresholds must be finite")
+    every = thresholds is None or thresholds is alerts.values
+    if not every:
+        requested = np.asarray(thresholds, dtype=np.float64)
+        if requested.ndim != 1:
+            raise ParameterError("thresholds must be a flat sequence of numbers")
+        if len(requested) == 0:
+            raise ParameterError("at least one threshold is required")
+        if not np.all(np.isfinite(requested)):
+            raise ParameterError("thresholds must be finite")
 
     attack = series.attack_mask
     n_attack = int(attack.sum())
@@ -198,25 +199,27 @@ def roc(
     if n_attack == 0 or n_benign == 0:
         raise EvaluationError("roc requires both attack and benign points in the labels")
 
-    if np.all(requested[1:] > requested[:-1]):
-        swept = requested[::-1]
+    # Sorted as np.unique sorts its copy: a run of equal scores starts with the one it keeps.
+    scores = np.sort(alerts.values)
+    if every:
+        below = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+        swept = scores[below]  # a distinct score's first index counts the scores below it
     else:
-        # np.unique sorts stably, so return_index points at each value's first
-        # occurrence: the first listed of 0.0 and -0.0 survives, as with set().
-        swept = requested[np.unique(requested, return_index=True)[1]][::-1]
-    # The curve is written in place, into arrays that RocCurve then shares.
+        # return_index sorts stably (and, unlike a plain call, skips numpy.ma).
+        swept = (requested if np.all(requested[1:] > requested[:-1])
+                 else requested[np.unique(requested, return_index=True)[1]])
+        below = np.searchsorted(scores, swept, side="left")
+    del scores
+    # The curve is written in place, descending, into arrays that RocCurve then shares.
     thresholds = np.empty(len(swept) + 2)
-    thresholds[0], thresholds[1:-1], thresholds[-1] = np.inf, swept, -np.inf
+    thresholds[0], thresholds[-2:0:-1], thresholds[-1] = np.inf, swept, -np.inf
+    hits = np.searchsorted(np.sort(alerts.values[attack]), swept, side="left")
     del swept
+    np.subtract(below, hits, out=below)  # the benign scores below each threshold
     fpr, tpr = np.empty_like(thresholds), np.empty_like(thresholds)
-    for coords, mask, total in ((fpr, ~attack, n_benign), (tpr, attack, n_attack)):
-        scores = alerts.values[mask]
-        scores.sort()
-        counts = np.searchsorted(scores, thresholds[1:-1], side="left")
-        del scores
-        # int64 / int is correctly rounded below 2**53, like Python's int / int.
-        np.divide(np.subtract(total, counts, out=counts), total, out=coords[1:-1])
-        del counts
+    for coords, counts, total in ((fpr, below, n_benign), (tpr, hits, n_attack)):
+        np.subtract(total, counts, out=coords[-2:0:-1])  # exact below 2**53: rounds as int / int
+        coords[1:-1] /= total
         coords[0], coords[-1] = 0.0, 1.0
     for array in (thresholds, fpr, tpr):
         array.setflags(write=False)
@@ -230,9 +233,10 @@ def auc(curve: RocCurve) -> MetricValue:
     ``np.trapezoid`` sums pairwise and would change the last bits.
     """
     x, y = curve.fpr, curve.tpr
-    terms = (x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0
-    area = np.concatenate(([0.0], terms)).cumsum()[-1]
-    return MetricValue(name="auc", value=float(area))
+    terms = np.zeros(len(x))
+    np.subtract(x[1:], x[:-1], out=terms[1:])
+    terms[1:] *= y[:-1] + y[1:]  # halved once at the end: exact, as no partial sum is subnormal
+    return MetricValue(name="auc", value=float(np.cumsum(terms, out=terms)[-1] / 2.0))
 
 
 def auc_single(cm: ConfusionMatrix) -> MetricValue:

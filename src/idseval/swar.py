@@ -87,6 +87,14 @@ _POW10_INTS = np.array([10**k for k in range(17)], dtype=np.uint64)
 _POW10_FLOATS = _POW10_INTS.astype(np.float64)
 
 
+def _join_lanes(digits: np.ndarray) -> None:
+    """Join in place each word's eight digit values, most significant lowest, into one number."""
+    for mask, factor, shift in _SWAR_STEPS:
+        digits &= mask
+        digits *= factor
+        digits >>= shift
+
+
 def digit_runs(
     buf: np.ndarray, end: np.ndarray, width: np.ndarray, longest: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +119,7 @@ def digit_runs(
         word &= _HIGH_BYTES[digits]
         nibbles |= word
         nibbles |= word + _SIXES
-        for mask, factor, shift in _SWAR_STEPS:
-            word &= mask
-            word *= factor
-            word >>= shift
+        _join_lanes(word)
         if k:
             word *= _POW8[k]
         value += word
@@ -138,10 +143,7 @@ def word_ints(word: np.ndarray, width: np.ndarray | int) -> np.ndarray | None:
     digits <<= np.asarray(64 - 8 * width, dtype=np.uint64)
     if ((digits | (digits + _SIXES)) & _HIGH_NIBBLES).any():
         return None
-    for mask, factor, shift in _SWAR_STEPS:
-        digits &= mask
-        digits *= factor
-        digits >>= shift
+    _join_lanes(digits)
     values = digits.view(np.int64)
     np.negative(values, out=values, where=negative)
     return values
@@ -187,6 +189,29 @@ def byte_offsets(word: np.ndarray, byte: np.uint64) -> np.ndarray:
     return (np.frexp(lowest.astype(np.float64))[1] - 1) >> 3
 
 
+def word_floats(word: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON numbers in the low ``size`` (0-8) bytes of each word, and which were
+    read: '-'?, '0' or digits without a leading zero, then maybe '.' and digits.
+    Byte shifts drop the '-' and the point; the digits are read as in ``word_ints``."""
+    digits = word ^ _ASCII_ZEROS
+    negative = (digits & _LOW_BYTE) == _MINUS
+    digits >>= negative * np.uint64(8)
+    width = size - negative
+    point = byte_offsets(digits, _DOTS ^ _ASCII_ZEROS)
+    dotted = (point >= 0) & (point < width)
+    whole = np.where(dotted, point, width)  # the digits before the point
+    count = width - dotted  # all digits, 0-8
+    keep = LOW_BYTES[whole]
+    digits = (digits & keep) | ((digits >> np.uint64(8)) & ~keep)
+    read = (whole >= 1) & (count - whole >= dotted) & ((whole == 1) | ((digits & _LOW_BYTE) != 0))
+    digits <<= (64 - 8 * count).astype(np.uint64)
+    read &= ((digits | (digits + _SIXES)) & _HIGH_NIBBLES) == 0
+    _join_lanes(digits)
+    values = digits / _POW10_FLOATS[count - whole]
+    np.negative(values, out=values, where=negative & (dotted | (digits != 0)))  # json: -0 is 0
+    return values, read
+
+
 def block_floats(
     buf: np.ndarray, start: np.ndarray, end: np.ndarray, word: np.ndarray | None = None
 ) -> np.ndarray | None:
@@ -197,13 +222,24 @@ def block_floats(
     point, are an integer ``D < 2**53`` is ``D / 10.0**k`` for its ``k``
     fraction digits: ``D`` and ``10**k`` (``k <= 16``) are exact doubles, so
     the one division rounds the token's value correctly, as ``float`` does.
-    The digit runs on both sides of the point are read by ``digit_runs``,
-    and the point is found in the word at the first digit (``word`` is the
-    word at each start, if the caller holds it). Every other token (an
-    exponent, more than 16 digits) is read by ``json`` in ``json_floats``, so
-    a score means what ``json`` reads on either route.
+    Tokens of up to eight bytes are read so by ``word_floats`` from the word at
+    their start (``word``, if the caller holds it); of the others, the digits on
+    each side of the point by ``digit_runs``. Any token left (an exponent, more
+    than 16 digits) is read by ``json`` in ``json_floats``, as ``json`` reads it.
     """
     word = words(buf)[start] if word is None else word
+    size = end - start
+    read = size <= 8
+    if read.all():
+        values, read = word_floats(word, size)
+    else:  # only the short tokens, if any, are read from their word
+        values, short = np.empty(len(size)), np.flatnonzero(read)
+        if len(short):
+            values[short], read[short] = word_floats(word[short], size[short])
+    if read.all():
+        return values
+    rest = np.flatnonzero(~read) if read.any() else slice(None)
+    start, end, word = start[rest], end[rest], word[rest]
     negative = (word & _LOW_BYTE) == ord("-")
     first = start + negative
     if negative.any():
@@ -222,18 +258,15 @@ def block_floats(
     high *= _POW10_INTS[fraction]
     high += low
     fast &= ~high_bad & ~low_bad & (high < np.uint64(2**53))
-    values = high.astype(np.float64)
-    values /= _POW10_FLOATS[fraction]
-    np.negative(values, out=values, where=negative)
+    more = high / _POW10_FLOATS[fraction]
+    np.negative(more, out=more, where=negative)
     slow = np.flatnonzero(~fast)
     if len(slow):
-        rest = json_floats(buf, start[slow], end[slow])
-        if rest is None:
+        tail = json_floats(buf, start[slow], end[slow])
+        if tail is None:
             return None
-        values[slow] = rest
-    # json reads the token -0 as the integer 0, hence +0.0, and -0.0 as -0.0.
-    # -0 is the only zero among two-byte tokens; adding 0.0 moves no other value.
-    values[end - start == 2] += 0.0
+        more[slow] = tail
+    values[rest] = more
     return values
 
 

@@ -84,7 +84,7 @@ def detected_scenarios(
     if not len(table):
         return MetricValue.undefined(name, **params), []
     if group_by_type:
-        ratio = Fraction(len(np.unique(table.codes[hit])), len(np.unique(table.codes)))
+        ratio = Fraction(len(set(table.codes[hit].tolist())), len(set(table.codes.tolist())))
     else:
         ratio = Fraction(int(np.count_nonzero(hit)), len(table))
     return MetricValue.from_fraction(name, ratio, **params), hit.tolist()

@@ -1024,6 +1024,31 @@ def test_evaluate_and_compare_leave_out_floattext():
     assert fresh_python("-c", code).splitlines()[-1] == "[False, False, False, True]"
 
 
+def test_roc_evaluate_and_compare_leave_out_numpy_ma():
+    """A plain ``np.unique`` imports ``numpy.ma`` (to ask ``np.ma.is_masked``);
+    no verb calls one, so ``roc --auto`` and the metrics that counted distinct
+    values never load it."""
+    demo = Path(__file__).resolve().parents[1] / "data" / "demo"
+    metrics = "f1,affiliation,detected-scenarios:by-type"
+    runs = [
+        ["roc", "--labels", str(demo / "labels.csv"), "--alerts", str(demo / "scored.jsonl"),
+         "--auto"],
+        ["evaluate", "--config", str(demo / "manifest.json"), "--metrics", metrics],
+        ["compare", "--config", str(demo / "manifest.json"),
+         "--detector", "baseline:random:p=0.5", "--metrics", metrics],
+    ]
+    code = (
+        "import sys, tempfile, idseval.cli\n"
+        "loaded = ['numpy.ma' in sys.modules]\n"
+        f"for args in {runs!r}:\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        assert idseval.cli.main([*args, '--out', out]) == 0\n"
+        "    loaded.append('numpy.ma' in sys.modules)\n"
+        "print(loaded)"
+    )
+    assert fresh_python("-c", code).splitlines()[-1] == "[False, False, False, False]"
+
+
 def test_cli_import_leaves_out_dataclasses_csv_and_floattext(tmp_path):
     """Records generate no code at import and ``csv`` is imported on use: a
     label file out of the ``save_labels`` layout still loads through it."""

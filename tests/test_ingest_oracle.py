@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from idseval import AlertSeries, IngestError, LabeledSeries, ingest, save_alerts, save_labels
+from idseval import swar
 from idseval.model import AlertKind
 from oracles import ingest_oracle
 
@@ -327,6 +328,75 @@ def test_commas_in_scored_blocks(tmp_path, small_blocks, monkeypatch, detector, 
     )
     assert_same(tmp_path, "".join(lines).encode(), "det.jsonl", (series,))
     assert bool(records) == (line != "layout")
+
+
+# Score tokens of at most eight bytes, read from one word or sent on, and
+# tokens of nine bytes or more, which never are.
+SHORT_TOKENS = ("0", "-0", "-0.0", "0.5", "12345678", "-1234567", "1.", ".5", "01", "00.5",
+                "-", "--1", "1-2", "+1", "1e5", "9e-05", "0.123456", "-0.12345", "1.0", "10")
+LONG_TOKENS = ("0.1234567", "-0.123456", "123456789", "0.12345678901", "1.5e-05", "-12345.678",
+               "0.100000000000000005551")
+
+
+def scored_layout(tokens) -> bytes:
+    return "".join(f'{{"timestamp": {t}, "score": {token}, "detector": "det"}}\n'
+                   for t, token in enumerate(tokens)).encode()
+
+
+@pytest.mark.parametrize("token", SHORT_TOKENS)
+def test_short_score_tokens(tmp_path, token):
+    """Each token alone, and among nine-byte and longer ones, in one block."""
+    for tokens in ([token, "0.5"], [*LONG_TOKENS[:3], token, *LONG_TOKENS[3:], token]):
+        series = LabeledSeries("plant", list(range(len(tokens))), [0] * len(tokens), ())
+        assert_same(tmp_path, scored_layout(tokens), "det.jsonl", (series,))
+
+
+@SETTINGS
+@given(tokens=st.lists(st.sampled_from(SHORT_TOKENS + LONG_TOKENS), min_size=1, max_size=40))
+def test_mixed_score_tokens(tmp_path, tokens):
+    series = LabeledSeries("plant", list(range(len(tokens))), [0] * len(tokens), ())
+    assert_same(tmp_path, scored_layout(tokens), "det.jsonl", (series,))
+
+
+def test_six_decimal_scores_are_read_from_their_first_word(tmp_path, monkeypatch):
+    """Blocks of ``0.xxxxxx`` scores never reach the digit-run or json tiers."""
+    reached = []
+    for name in ("digit_runs", "json_floats"):
+        spied = getattr(swar, name)
+        monkeypatch.setattr(swar, name, lambda *a, f=spied, n=name: reached.append(n) or f(*a))
+    rng = np.random.default_rng(5)
+    n = 50_000
+    tokens = [f"{value:.6f}" for value in rng.random(n)] + ["-0.5", "1", "0", "-3.25"]
+    series = LabeledSeries("plant", list(range(len(tokens))), [0] * len(tokens), ())
+    path = tmp_path / "det.jsonl"
+    path.write_bytes(scored_layout(tokens))
+    assert path.stat().st_size > ingest._BLOCK_BYTES
+    values = ingest.load_alerts(path, series).values
+    assert reached == []
+    assert values.tolist() == [float(token) for token in tokens]
+    assert_same(tmp_path, path.read_bytes(), "det.jsonl", (series,))
+    path.write_bytes(scored_layout(LONG_TOKENS))  # the spies do see the other tiers
+    ingest.load_alerts(path, LabeledSeries("plant", list(range(7)), [0] * 7, ()))
+    assert reached == ["digit_runs", "digit_runs", "json_floats"]
+
+
+def test_only_short_score_tokens_reach_the_word_reader(tmp_path, monkeypatch):
+    """A block of full-precision scores skips ``swar.word_floats``; a mixed
+    block hands it its tokens of at most eight bytes and no others."""
+    sizes = []
+    spied = swar.word_floats
+    monkeypatch.setattr(swar, "word_floats",
+                        lambda word, size: sizes.append(size.tolist()) or spied(word, size))
+    full = [repr(value) for value in np.random.default_rng(6).random(6).tolist()]
+    mixed = [*full[:3], "0.5", *full[3:], "-0.25", "1"]
+    for tokens, seen in ((full, []), (mixed, [[3, 5, 1]])):
+        sizes.clear()
+        series = LabeledSeries("plant", list(range(len(tokens))), [0] * len(tokens), ())
+        path = tmp_path / "det.jsonl"
+        path.write_bytes(scored_layout(tokens))
+        values = ingest.load_alerts(path, series).values
+        assert sizes == seen
+        assert values.tolist() == [float(token) for token in tokens]
 
 
 @pytest.mark.parametrize("kind", ["bool", "score"])

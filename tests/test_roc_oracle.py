@@ -176,6 +176,80 @@ def test_sweep_peak_memory_is_bounded_by_the_curve():
     assert peak < 2 * curve_bytes
 
 
+def assert_same_auto_sweep(attack: list[bool], scores: list[float]) -> None:
+    """``roc`` without thresholds, or given the alerts' own scores, sweeps what
+    ``np.unique`` gives: the same curve, bit for bit, as ``roc`` over those
+    values, and the reference's."""
+    series = make_series(["attack" if a else "benign" for a in attack])
+    alerts = AlertSeries.from_scores("d", scores, "series")
+    distinct = np.unique(alerts.values)
+    listed = roc(series, alerts, distinct)
+    for curve in (roc(series, alerts), roc(series, alerts, alerts.values)):
+        for name in ("thresholds", "fpr", "tpr"):
+            assert bits(getattr(curve, name)) == bits(getattr(listed, name)), name
+    assert bits(curve.thresholds[-2:0:-1]) == bits(distinct)
+    assert_same_sweep(attack, scores, distinct)
+
+
+@st.composite
+def auto_instances(draw):
+    n = draw(st.integers(2, 80))
+    attack = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    positive, negative = draw(st.permutations(range(n)))[:2]
+    attack[positive], attack[negative] = True, False
+    values = st.sampled_from(POOL) if draw(st.booleans()) else st.sampled_from(POOL) | finite
+    return attack, draw(st.lists(values, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(auto_instances())
+def test_auto_sweep_matches_reference_and_np_unique(instance):
+    assert_same_auto_sweep(*instance)
+
+
+@pytest.mark.parametrize(
+    "attack,scores",
+    [
+        ([False, True, True, False], [0.5, 0.5, 0.1, 0.1]),  # ties
+        ([False, True, True, False], [0.3, 0.3, 0.3, 0.3]),  # all equal
+        ([True, False, False, False], [0.2, 0.9, 0.2, -1.0]),  # one attack point
+        ([True, True, True, False], [0.2, 0.9, 0.2, -1.0]),  # one benign point
+        ([True, False], [0.7, 0.7]),
+        ([False, True, True, False], [-0.0, 0.0, 0.0, -0.0]),
+        ([False, True, True, False], [0.0, -0.0, -0.0, 0.0]),
+        ([False, True] * 12, [-0.0] + [0.0] * 22 + [1.0]),  # past insertion-sort sizes
+        ([False, True] * 12, [0.0] + [-0.0] * 22 + [1.0]),
+    ],
+)
+def test_auto_sweep_named_cases(attack, scores):
+    assert_same_auto_sweep(attack, scores)
+
+
+@pytest.mark.parametrize("scores", [[-0.0, 0.0], [0.0, -0.0]])
+def test_auto_sweep_keeps_the_signed_zero_np_unique_keeps(scores):
+    # Of two values np.unique keeps the first in file order; repr writes the sign.
+    curve = roc(make_series(["benign", "attack"]), AlertSeries.from_scores("d", scores, "series"))
+    assert bits(curve.thresholds[1:2]) == bits(scores[:1]) == bits(np.unique(scores))
+    assert repr(curve.points[1].threshold) == repr(scores[0])
+
+
+def test_auto_sweep_peak_memory_is_bounded_by_the_curve():
+    # As above, with the distinct scores found by the sweep's own sort.
+    n = 220_000
+    rng = np.random.default_rng(3)
+    series = LabeledSeries("s", np.arange(n), (rng.random(n) < 0.1).astype(np.int32), ("attack",))
+    alerts = AlertSeries.from_scores("d", np.round(rng.random(n), 6), "s")
+    tracemalloc.start()
+    try:
+        curve = roc(series, alerts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve.thresholds) > 190_000
+    curve_bytes = curve.thresholds.nbytes + curve.fpr.nbytes + curve.tpr.nbytes
+    assert peak < 2 * curve_bytes
+
+
 class TestRocCurve:
     def test_holds_read_only_float64_arrays(self):
         curve = RocCurve(thresholds=[np.inf, 1, -np.inf], fpr=[0, 0.5, 1], tpr=[0, 1, 1])

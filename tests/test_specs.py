@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from idseval import CATALOG, BaselineSpec, ParameterError, catalog_lines, evalua
 from idseval import EtaParams, FBetaParams, IngestError, LabeledSeries, load_labels, load_manifest
 from idseval import cli, evaluate
 from idseval.evaluate import bind_metric
+from idseval.model import exact_param, format_fraction
 from support import make_alerts, make_series
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -141,6 +143,7 @@ ENTRIES = {
 
 TENTH = Fraction(1, 10)
 MALFORMED = "malformed parameter: {name} is not a number: "
+TOO_LONG = "{name} needs more than 4300 digits"
 # Each raw value and what it reads as: a Fraction, or the error text, in a
 # positive range and in the unit interval.
 RAW_VALUES = [
@@ -154,6 +157,9 @@ RAW_VALUES = [
     ("nan", MALFORMED + "'nan'", MALFORMED + "'nan'"),
     (float("inf"), MALFORMED + "'inf'", MALFORMED + "'inf'"),
     ("1/0", MALFORMED + "'1/0'", MALFORMED + "'1/0'"),
+    ("1e5000", TOO_LONG, TOO_LONG),
+    ("-1e5000", TOO_LONG, TOO_LONG),
+    ("1e-5000", TOO_LONG, TOO_LONG),
 ]
 
 
@@ -176,3 +182,60 @@ def test_every_entry_reads_a_parameter_by_one_rule(tmp_path, entry, raw, positiv
 def test_load_labels_reads_its_tick_before_the_file(tmp_path):
     with pytest.raises(ParameterError, match="tick_seconds must be positive, got 0"):
         load_labels(tmp_path / "missing.csv", tick_seconds=0)
+
+
+HUGE = ["1e5000", "-1e5000", "1e-5000", "1e3000000", "1e10000000", "1E+4_301 ", "1e4300",
+        "0.5e4301", 10**4300, Fraction(1, 10**4300),
+        # Exponents in Arabic-Indic and fullwidth digits, which Fraction reads too.
+        "1e\u0661" + "\u0660" * 7, "1e" + "\uff11" + "\uff10" * 6]
+
+
+@pytest.mark.parametrize("raw", HUGE, ids=[str(k) for k in range(len(HUGE))])
+def test_parameters_past_the_digit_limit_are_refused_at_once(raw):
+    # Fraction would write the exponent out first: 1e10000000 took ~10 s.
+    began = time.perf_counter()
+    with pytest.raises(ParameterError) as caught:
+        exact_param("beta", raw, None)
+    assert time.perf_counter() - began < 0.1
+    assert str(caught.value) == TOO_LONG.format(name="beta")
+
+
+# The last two have decimal forms past str()'s limit, so they print as num/den.
+WITHIN = ["1e4299", "-1e-4299", "9" * 4300, "0.1e4300", "1e0000004", "1e\u0660" * 1 + "\u0664",
+          f"1/{2**14000}", f"{10**4300 - 1}/2"]
+
+
+@pytest.mark.parametrize("raw", WITHIN, ids=[str(k) for k in range(len(WITHIN))])
+def test_parameters_within_the_digit_limit_are_read_and_printable(raw):
+    value = exact_param("beta", raw, None)
+    assert value == Fraction(raw)
+    assert Fraction(format_fraction(value)) == value
+
+
+def test_a_huge_exponent_in_malformed_text_is_reported_as_malformed():
+    with pytest.raises(ParameterError, match="^" + MALFORMED.format(name="beta")):
+        exact_param("beta", "x1e99999", None)
+
+
+def test_cli_prints_a_value_whose_decimal_form_passes_the_digit_limit(tmp_path, capsys):
+    # 1/2**14000 reads as a 9785-digit decimal; the metric is named with num/den instead.
+    demo = Path(__file__).resolve().parents[1] / "data" / "demo" / "manifest.json"
+    spec = f"fbeta:beta=1/{2**14000}"
+    code = cli.main(["evaluate", "--config", str(demo), "--metrics", spec, "--format", "csv",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert f"beta=1/{2**14000}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["fbeta:beta=1e5000", "fbeta:beta=-1e5000",
+                                  "fbeta:beta=1e3000000", "etapr:theta_p=1e-5000"])
+def test_cli_refuses_a_huge_exponent_with_one_error_line(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.delenv("IDSEVAL_OUT", raising=False)
+    demo = Path(__file__).resolve().parents[1] / "data" / "demo" / "manifest.json"
+    began = time.perf_counter()
+    code = cli.main(["evaluate", "--config", str(demo), "--metrics", spec,
+                     "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - began < 1.0
+    assert code == 2
+    name = spec.split(":")[1].split("=")[0]
+    assert capsys.readouterr().err == f"error: {TOO_LONG.format(name=name)}\n"
