@@ -12,12 +12,15 @@ out-of-range metric parameters and a data error, and ``evaluate`` on other
 spellings of the demo files: labels with CRLF line ends, ISO-8601 labels and
 alerts, and compact alerts with no ``"detector"`` field; and ``roc --auto``
 on the demo scores respelled as ``mixed.jsonl``, with ``-0.0`` before ``0.0``,
-tied values, 8- and 9-byte decimals and ``1e-05``-form exponents. The CLI arguments
-after ``--`` are one more run, named ``extra``. Each run starts in a new
-temporary directory that holds a copy of ``data/demo`` as ``demo/``, with
-those spellings beside it, and writes to ``--out out``, so every path the CLI
-prints is the same from any checkout. ``--src`` picks the package that runs
-(default: ``src/`` of this checkout).
+tied values, 8- and 9-byte decimals and ``1e-05``-form exponents; and the
+time-aware metrics on ``dense/``, the densest trace ``make_demo.py`` accepts
+(5000 points, 62 scenarios), as is and with ``--gap-tolerance 3``. The CLI
+arguments after ``--`` are one more run, named ``extra``. The inputs are made
+once; each run starts in a new temporary directory that holds a copy of them,
+``data/demo`` as ``demo/`` with those spellings beside it, and writes to
+``--out out``, so every path the CLI prints is the same from any checkout.
+``--src`` picks the package that runs (default: ``src/`` of this checkout);
+``dense/`` is written by this checkout's ``make_demo.py``.
 
 Prints one line per run: its name, exit code, and the sha256 of stdout,
 stderr and each file under ``out/``. Two checkouts agree byte for byte when
@@ -42,6 +45,8 @@ DEMO = ["--config", "demo/manifest.json"]
 OUT = ["--out", "out"]
 SCORED = ["--labels", "demo/labels.csv", "--alerts", "demo/scored.jsonl"]
 SEVERAL = [*DEMO, "--detector", "baseline:never", "--detector", "baseline:random:p=0.5"]
+DENSE = ["evaluate", "--config", "dense/manifest.json", "--metrics",
+         "etapr,affiliation,scenario-recall,detection-delay", "--format", "json", *OUT]
 
 MATRIX: dict[str, list[str]] = {
     **{f"evaluate-{fmt}": ["evaluate", *DEMO, "--format", fmt, *OUT]
@@ -69,6 +74,8 @@ MATRIX: dict[str, list[str]] = {
     "evaluate-compact": ["evaluate", *DEMO, "--alerts", "demo/compact.jsonl", *OUT],
     **{f"roc-mixed-{fmt}": ["roc", "--labels", "demo/labels.csv", "--alerts", "demo/mixed.jsonl",
                             "--auto", "--format", fmt, *OUT] for fmt in ("csv", "json")},
+    "dense": DENSE,
+    "dense-gap-3": [*DENSE, "--gap-tolerance", "3"],
 }
 
 
@@ -100,17 +107,25 @@ def write_spellings(demo: Path) -> None:
             handle.write(f'{{"timestamp": {t}, "score": {token}, "detector": "scored"}}\n')
 
 
+def write_inputs(inputs: Path) -> None:
+    """Write every run's inputs into ``inputs``: ``demo/`` with its spellings, and ``dense/``."""
+    shutil.copytree(ROOT / "data" / "demo", inputs / "demo")
+    write_spellings(inputs / "demo")
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo.py"), "--points", "5000",
+                    "--scenarios", "62", "--out", str(inputs / "dense")],
+                   check=True, capture_output=True)
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(name: str, cli_args: list[str], src: Path) -> str:
-    """Run ``cli_args`` in a fresh directory and return its digest line."""
+def digest(name: str, cli_args: list[str], src: Path, inputs: Path) -> str:
+    """Run ``cli_args`` in a fresh copy of ``inputs`` and return its digest line."""
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     env.pop("IDSEVAL_OUT", None)
     with tempfile.TemporaryDirectory(prefix="idseval-digest-") as work:
-        shutil.copytree(ROOT / "data" / "demo", Path(work) / "demo")
-        write_spellings(Path(work) / "demo")
+        shutil.copytree(inputs, work, dirs_exist_ok=True)
         done = subprocess.run(
             [sys.executable, "-m", "idseval.cli", *cli_args], cwd=work, env=env, capture_output=True
         )
@@ -132,8 +147,10 @@ def main() -> None:
     if not (args.src / "idseval" / "cli.py").is_file():
         parser.error(f"--src {args.src} holds no idseval package")
     runs = {**MATRIX, "extra": extra} if extra else MATRIX
-    for name, cli_args in runs.items():
-        print(digest(name, cli_args, args.src.resolve()), flush=True)
+    with tempfile.TemporaryDirectory(prefix="idseval-digest-inputs-") as inputs:
+        write_inputs(Path(inputs))
+        for name, cli_args in runs.items():
+            print(digest(name, cli_args, args.src.resolve(), Path(inputs)), flush=True)
 
 
 if __name__ == "__main__":

@@ -66,11 +66,15 @@ def _load_dataset(args: argparse.Namespace):
     if args.config and args.labels:
         raise ParameterError("pass either --labels or --config, not both")
     if args.config:
+        for flag, value in (("--name", args.name), ("--tick-seconds", args.tick_seconds)):
+            if value is not None:
+                raise ParameterError(f"{flag} goes with --labels; a manifest sets its own")
         manifest = load_manifest(args.config)
         return manifest.load(), manifest
     if not args.labels:
         raise ParameterError("a dataset is required: pass --labels FILE or --config MANIFEST")
-    return load_labels(args.labels, name=args.name, tick_seconds=args.tick_seconds), None
+    tick = 1 if args.tick_seconds is None else args.tick_seconds
+    return load_labels(args.labels, name=args.name, tick_seconds=tick), None
 
 
 def _alert_specs(args: argparse.Namespace) -> list[BaselineSpec | Path]:
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--config", metavar="JSON", help="dataset manifest")
     dataset.add_argument("--name", help="dataset display name (with --labels)")
     dataset.add_argument(
-        "--tick-seconds", default="1", metavar="SECONDS",
+        "--tick-seconds", metavar="SECONDS",
         help="tick duration in seconds, e.g. 1 or 0.1 (with --labels; default 1)",
     )
 

@@ -66,9 +66,7 @@ class EvalContext:
 
     @cached_property
     def cm(self) -> ConfusionMatrix:
-        # Point metrics count any attack type as positive, so the attack mask
-        # of the multi-class series is that of its binary collapse.
-        return pointwise.count_confusion(self.series.attack_mask, self.alerts.values)
+        return pointwise.confusion(self.series, self.alerts)
 
     @cached_property
     def scenarios(self) -> Scenarios:

@@ -674,19 +674,14 @@ def _alert_records(
     return columns, line - first_line + 1
 
 
-def load_alerts(
-    path: Path | str,
-    series: LabeledSeries,
-    detector: str | None = None,
-) -> AlertSeries:
+def load_alerts(path: Path | str, series: LabeledSeries) -> AlertSeries:
     """Read an alert JSONL file and align it against one labeled series.
 
     Every record needs ``timestamp`` plus exactly one of ``alert`` (bool) or
     ``score`` (number); a file may not mix the two. The timestamps must match
     the dataset's exactly, in order; misalignment errors quote up to ten
-    missing and ten unexpected timestamps. The detector name comes from the
-    ``detector`` argument, else a consistent ``"detector"`` field, else the
-    file stem.
+    missing and ten unexpected timestamps. The detector name comes from a
+    consistent ``"detector"`` field, else the file stem.
     """
     path = Path(path)
     want = series.timestamps
@@ -740,7 +735,7 @@ def load_alerts(
             parts_text.append(f"{len(extra)} unexpected timestamps (first: {shown})")
         raise _fail(path, None, "; ".join(parts_text))
 
-    name = detector or field_detector or path.stem
+    name = field_detector or path.stem
     values.setflags(write=False)  # so that AlertSeries shares it
     if kind is AlertKind.BOOLEAN:
         return AlertSeries.from_bool(detector=name, values=values, aligned_to=series.name)
@@ -763,7 +758,7 @@ def save_alerts(alerts: AlertSeries, series: LabeledSeries, path: Path | str) ->
 
 
 class ValidationReport(NamedTuple):
-    """Structural facts about a dataset (and optionally one alert series)."""
+    """Structural facts about a dataset."""
 
     dataset: str
     n_points: int
@@ -771,8 +766,6 @@ class ValidationReport(NamedTuple):
     n_scenarios: int
     scenarios_by_type: dict[str, int]
     duration_seconds: Fraction
-    alert_kind: AlertKind | None = None
-    alert_fraction: Fraction | None = None
     warnings: tuple[str, ...] = ()
 
 
@@ -785,12 +778,8 @@ def alarm_warnings(alert_fraction: Fraction) -> list[str]:
     return []
 
 
-def validate_pair(
-    series: LabeledSeries,
-    alerts: AlertSeries | None = None,
-    gap_tolerance: int = 0,
-) -> ValidationReport:
-    """Check a dataset (and optionally an aligned alert series) for pitfalls.
+def validate_pair(series: LabeledSeries, gap_tolerance: int = 0) -> ValidationReport:
+    """Check a dataset for pitfalls; ``alarm_warnings`` checks each detector.
 
     The attack fraction is exact (a ratio of point counts). Warnings flag
     conditions that make headline metrics misleading or undefined rather
@@ -813,19 +802,6 @@ def validate_pair(
             "attacks cover under 1% of points; accuracy will reward detectors that never alarm"
         )
 
-    alert_kind = None
-    alert_fraction = None
-    if alerts is not None:
-        require_alignment(series, alerts)
-        alert_kind = alerts.kind
-        if alerts.kind is AlertKind.BOOLEAN:
-            alert_fraction = Fraction(int(np.count_nonzero(alerts.values)), n)
-            warnings.extend(alarm_warnings(alert_fraction))
-        else:
-            warnings.append(
-                "scored alerts need a threshold before point metrics apply; see the roc command"
-            )
-
     return ValidationReport(
         dataset=series.name,
         n_points=n,
@@ -833,8 +809,6 @@ def validate_pair(
         n_scenarios=len(scenarios),
         scenarios_by_type=by_type,
         duration_seconds=series.span_seconds,
-        alert_kind=alert_kind,
-        alert_fraction=alert_fraction,
         warnings=tuple(warnings),
     )
 

@@ -36,6 +36,9 @@ class ParameterError(EvaluationError):
 
 # Fraction expands 10**exponent before any check; str() writes no int from _STR_LIMIT on.
 _STR_LIMIT = 10**4300
+# An exact parameter stays below half as many digits, so that every exact value
+# derived from it, such as F-beta's, which carries beta squared, is one str() writes.
+_PARAM_LIMIT = 10**2100
 
 
 def exact_param(name: str, raw: object, within: str | None = "positive") -> Fraction:
@@ -52,8 +55,8 @@ def exact_param(name: str, raw: object, within: str | None = "positive") -> Frac
         value = Fraction(head + "e0" if huge else read)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ParameterError(f"malformed parameter: {name} is not a number: {read!r}") from None
-    if huge or max(abs(value.numerator), value.denominator) >= _STR_LIMIT:
-        raise ParameterError(f"{name} needs more than 4300 digits")
+    if huge or max(abs(value.numerator), value.denominator) >= _PARAM_LIMIT:
+        raise ParameterError(f"{name} needs more than 2100 digits")
     if within == "positive" and value <= 0:
         raise ParameterError(f"{name} must be positive, got {value}")
     if within == "unit" and not 0 <= value <= 1:
@@ -677,39 +680,18 @@ def format_fraction(value: Fraction) -> str:
 COLLAPSED_ATTACK_TYPE = "attack"
 
 
-def collapse_multiclass(
-    series: LabeledSeries,
-    positive_classes: Iterable[str] | None = None,
-    collapsed_type: str = COLLAPSED_ATTACK_TYPE,
-) -> LabeledSeries:
+def collapse_multiclass(series: LabeledSeries) -> LabeledSeries:
     """Map a multi-class series to its binary equivalent.
 
-    Points labeled with any of ``positive_classes`` (default: all attack
-    types) become one synthetic attack type; everything else becomes benign.
+    Every attack type becomes one synthetic attack type; benign stays benign.
     """
-    if positive_classes is None:
-        positive = set(series.attack_types)
-    else:
-        positive = set(positive_classes)
-        unknown = positive - set(series.attack_types)
-        if unknown:
-            raise EvaluationError(
-                f"unknown attack classes: {', '.join(sorted(unknown))}"
-            )
-    positive_codes = {
-        code for code, name in enumerate(series.attack_types, start=1) if name in positive
-    }
-    if positive_codes:
-        is_positive = np.isin(series.label_codes, sorted(positive_codes))
-    else:
-        is_positive = np.zeros(len(series), dtype=bool)
-    codes = is_positive.astype(np.int32)
+    codes = series.attack_mask.astype(np.int32)
     codes.setflags(write=False)
     # Read-only arrays are shared by the new series, not copied.
     return LabeledSeries(
         name=series.name,
         timestamps=series.timestamps,
         label_codes=codes,
-        attack_types=(collapsed_type,) if is_positive.any() else (),
+        attack_types=(COLLAPSED_ATTACK_TYPE,) if codes.any() else (),
         tick_seconds=series.tick_seconds,
     )

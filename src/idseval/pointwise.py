@@ -37,19 +37,13 @@ def confusion(series: LabeledSeries, alerts: AlertSeries) -> ConfusionMatrix:
     """Count TP/TN/FP/FN by comparing labels and boolean alerts point-to-point.
 
     Any attack type counts as positive, as in the binary collapse of the series.
+    TP, the attack points and the alerted points are counted, with one boolean
+    temporary; FN, FP and TN follow from them.
     """
     if alerts.kind is not AlertKind.BOOLEAN:
         raise EvaluationError("confusion requires boolean alerts, not scores")
     require_alignment(series, alerts)
-    return count_confusion(series.attack_mask, alerts.values)
-
-
-def count_confusion(attack: np.ndarray, alert: np.ndarray) -> ConfusionMatrix:
-    """TP/TN/FP/FN of two aligned boolean columns, with one boolean temporary.
-
-    TP, the attack points and the alerted points are counted; FN, FP and TN
-    follow from them.
-    """
+    attack, alert = series.attack_mask, alerts.values
     attacks = int(np.count_nonzero(attack))
     alarms = int(np.count_nonzero(alert))
     tp = int(np.count_nonzero(attack & alert))
@@ -269,5 +263,6 @@ def scenario_normalized_recall(
     runs = (extract_scenarios(series) if scenarios is None else Scenarios.of(scenarios)).runs
     if not len(runs):
         return MetricValue.undefined("scenario-recall")
-    total = _portions(_covered(runs, mask_to_intervals(alerts.values)), runs.lengths)
+    covered = _covered(runs, mask_to_intervals(alerts.values))
+    total = _portions(covered, *np.unique(runs.lengths, return_inverse=True))
     return MetricValue.from_fraction("scenario-recall", total / len(runs))

@@ -50,13 +50,13 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def format_cell(value: MetricValue | None, decimals: int = 3) -> str:
-    """Display form of one table cell: dash, integer count or fixed decimals."""
+def format_cell(value: MetricValue | None) -> str:
+    """Display form of one table cell: dash, integer count or three decimals."""
     if value is None or value.value is None:
         return UNDEFINED_CELL
     if value.exact is not None and value.exact.denominator == 1:
         return str(value.exact.numerator)
-    return f"{value.value:.{decimals}f}"
+    return f"{value.value:.3f}"
 
 
 class ComparisonTable(NamedTuple):
@@ -68,14 +68,14 @@ class ComparisonTable(NamedTuple):
     cells: tuple[tuple[MetricValue | None, ...], ...]
     rank_by: str | None = None
 
-    def to_markdown(self, decimals: int = 3) -> str:
+    def to_markdown(self) -> str:
         header = ["detector", *self.columns]
         lines = [
             "| " + " | ".join(header) + " |",
             "| " + " | ".join("---" for _ in header) + " |",
         ]
         for detector, row in zip(self.detectors, self.cells):
-            rendered = [detector, *(format_cell(value, decimals) for value in row)]
+            rendered = [detector, *map(format_cell, row)]
             lines.append("| " + " | ".join(rendered) + " |")
         return "\n".join(lines) + "\n"
 
@@ -112,9 +112,9 @@ class ComparisonTable(NamedTuple):
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
-    def render(self, fmt: str, decimals: int = 3) -> str:
+    def render(self, fmt: str) -> str:
         if fmt == "md":
-            return self.to_markdown(decimals)
+            return self.to_markdown()
         if fmt == "csv":
             return self.to_csv()
         if fmt == "json":

@@ -175,9 +175,11 @@ def harmonic_f1(precision: float | None, recall: float | None) -> float | None:
     return 2 * precision * recall / (precision + recall)
 
 
-def _portions(covered: np.ndarray, lengths: np.ndarray) -> Fraction:
-    """Exact sum of ``covered / lengths``, one Fraction per distinct length."""
-    distinct, group = np.unique(lengths, return_inverse=True)
+def _portions(covered: np.ndarray, distinct: np.ndarray, group: np.ndarray) -> Fraction:
+    """Exact sum of ``covered / lengths``, one Fraction per distinct length.
+
+    ``distinct`` and ``group`` are ``np.unique(lengths, return_inverse=True)``.
+    """
     covered_by_length = np.zeros(len(distinct), dtype=np.int64)
     np.add.at(covered_by_length, group, covered)
     return sum(
@@ -197,9 +199,8 @@ def _mean_score(
     """
     if len(lengths) == 0:
         return None, np.zeros(0, dtype=bool)
-    # Summed first, so that its grouping is freed before this one is made.
-    portions = _portions(covered, lengths)
     distinct, group = np.unique(lengths, return_inverse=True)
+    portions = _portions(covered, distinct, group)
     p, q = theta.numerator, theta.denominator
     needed = np.array([max(1, -(-p * n // q)) for n in distinct.tolist()], dtype=np.int64)
     hit = covered >= needed[group]

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from idseval import cli
+from idseval import cli, pointwise
 from idseval.baselines import BaselineSpec, generate
 from idseval.cli import main, parse_min_width
 from idseval.evaluate import evaluate_detector
 from idseval.ingest import load_alerts, load_labels, save_alerts
+from idseval.pointwise import confusion
 from idseval.report import TimelineRendering, build_table, report_to_json
 from idseval import ParameterError
 from support import fresh_python
@@ -420,6 +421,23 @@ class TestCompare:
         )
         assert code == 1
         assert "duplicate detector names: det" in stderr
+
+    def test_confusion_is_counted_once_per_detector(self, tmp_path, capsys, monkeypatch):
+        counted = []
+
+        def spy(series, alerts):
+            counted.append(alerts.detector)
+            return confusion(series, alerts)
+
+        monkeypatch.setattr(pointwise, "confusion", spy)
+        demo = Path(__file__).resolve().parents[1] / "data" / "demo"
+        code, stdout, _ = run(
+            capsys, "compare", "--config", demo / "manifest.json", "--detector", "baseline:never",
+            "--detector", "baseline:random:p=0.5", "--out", tmp_path / "run",
+        )
+        assert code == 0
+        assert counted == [line.split("|")[1].strip() for line in stdout.splitlines()[2:]]
+        assert len(counted) == 2
 
 
 class TestScoreOutputs:
@@ -883,6 +901,25 @@ class TestSpecsBeforeFiles:
             "--alerts", workdir / "scores.jsonl", "--out", workdir / "run",
         )
         assert (code, stderr.splitlines()) == (2, [f"error: {message}"])
+        assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--name", "--tick-seconds"])
+    @pytest.mark.parametrize("verb", ["evaluate", "compare", "timeline", "roc", "baseline"])
+    def test_labels_flag_with_a_manifest(self, workdir, capsys, monkeypatch, verb, flag):
+        # The manifest names the dataset and sets its tick; a flag that would
+        # not be used is refused rather than dropped.
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_manifest was called")
+
+        monkeypatch.setattr(cli, "load_manifest", refuse)
+        auto = ["--auto"] if verb == "roc" else []
+        code, _, stderr = run(
+            capsys, verb, "--config", workdir / "data.json", flag, "0.1", *auto,
+            "--detector", "baseline:never", "--out", workdir / "run",
+        )
+        assert (code, stderr.splitlines()) == (
+            2, [f"error: {flag} goes with --labels; a manifest sets its own"]
+        )
         assert not (workdir / "run").exists()
 
 

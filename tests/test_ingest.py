@@ -161,7 +161,6 @@ class TestLoadAlerts:
         records = [{"timestamp": 0, "alert": True, "detector": "from-field"}]
         path = write(tmp_path / "stem.jsonl", alert_jsonl(records))
         assert load_alerts(path, series).detector == "from-field"
-        assert load_alerts(path, series, detector="arg").detector == "arg"
         bare = write(
             tmp_path / "bare.jsonl", alert_jsonl([{"timestamp": 0, "alert": True}])
         )
@@ -342,25 +341,6 @@ class TestValidatePair:
         labels = ["dos"] + ["benign"] * 199
         report = validate_pair(make_series(labels))
         assert any("under 1%" in w for w in report.warnings)
-
-    def test_warning_never_and_always_alarms(self):
-        series = make_series(["dos"] * 2 + ["benign"] * 2)
-        never = validate_pair(series, make_alerts([False] * 4))
-        assert any("never alarms" in w for w in never.warnings)
-        assert never.alert_fraction == 0
-        always = validate_pair(series, make_alerts([True] * 4))
-        assert any("always alarms" in w for w in always.warnings)
-        assert always.alert_fraction == 1
-
-    def test_warning_scored_alerts(self):
-        from idseval import AlertSeries
-
-        series = make_series(["dos", "benign"])
-        scored = AlertSeries.from_scores("det", [0.5, 0.1], "series")
-        report = validate_pair(series, scored)
-        assert report.alert_kind is AlertKind.SCORED
-        assert report.alert_fraction is None
-        assert any("threshold" in w for w in report.warnings)
 
     def test_gap_tolerance_merges_scenarios(self):
         labels = ["dos", "benign", "dos"]

@@ -234,20 +234,6 @@ class TestCollapse:
         assert collapsed.attack_types == ("attack",)
         assert list(collapsed.label_codes) == [0, 1, 1]
 
-    def test_subset_of_positive_classes(self):
-        series = make_series(["benign", "a", "b"])
-        collapsed = collapse_multiclass(series, positive_classes=["b"])
-        assert list(collapsed.label_codes) == [0, 0, 1]
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(EvaluationError, match="unknown attack classes: c"):
-            collapse_multiclass(make_series(["a"]), positive_classes=["c"])
-
-    def test_empty_positive_set_yields_all_benign(self):
-        collapsed = collapse_multiclass(make_series(["a"]), positive_classes=[])
-        assert collapsed.attack_types == ()
-        assert not collapsed.attack_mask.any()
-
     def test_shares_the_frozen_timestamps(self):
         series = make_series(["benign", "a", "b"], timestamps=[3, 5, 9])
         collapsed = collapse_multiclass(series)

@@ -56,8 +56,7 @@ CASES = [
                          kind=AlertKind.BOOLEAN, detector="d", lines=range(3, 5)), "unhashable"),
     (ValidationReport, dict(dataset="s", n_points=10, attack_fraction=Fraction(1, 5),
                             n_scenarios=1, scenarios_by_type={"dos": 1},
-                            duration_seconds=Fraction(10), alert_kind=AlertKind.BOOLEAN,
-                            alert_fraction=Fraction(1, 10), warnings=("w",)), "unhashable"),
+                            duration_seconds=Fraction(10), warnings=("w",)), "unhashable"),
     (DatasetManifest, dict(name="s", labels_path=Path("l.csv"), tick_seconds=Fraction(1, 10),
                            description="demo", alert_paths=(Path("a.jsonl"),)), "value"),
     (FBetaParams, dict(beta=Fraction(1, 2)), "value"),

@@ -56,7 +56,6 @@ class TestFormatCell:
 
     def test_ratios_render_three_decimals(self):
         assert format_cell(mv("tpr", 2, 3)) == "0.667"
-        assert format_cell(mv("tpr", 1, 8), decimals=4) == "0.1250"
 
 
 class TestBuildTable:

@@ -12,7 +12,7 @@ import pytest
 
 from idseval import CATALOG, BaselineSpec, ParameterError, catalog_lines, evaluate_detector
 from idseval import EtaParams, FBetaParams, IngestError, LabeledSeries, load_labels, load_manifest
-from idseval import cli, evaluate
+from idseval import cli, confusion, evaluate, f_beta, load_alerts
 from idseval.evaluate import bind_metric
 from idseval.model import exact_param, format_fraction
 from support import make_alerts, make_series
@@ -143,7 +143,7 @@ ENTRIES = {
 
 TENTH = Fraction(1, 10)
 MALFORMED = "malformed parameter: {name} is not a number: "
-TOO_LONG = "{name} needs more than 4300 digits"
+TOO_LONG = "{name} needs more than 2100 digits"
 # Each raw value and what it reads as: a Fraction, or the error text, in a
 # positive range and in the unit interval.
 RAW_VALUES = [
@@ -184,8 +184,8 @@ def test_load_labels_reads_its_tick_before_the_file(tmp_path):
         load_labels(tmp_path / "missing.csv", tick_seconds=0)
 
 
-HUGE = ["1e5000", "-1e5000", "1e-5000", "1e3000000", "1e10000000", "1E+4_301 ", "1e4300",
-        "0.5e4301", 10**4300, Fraction(1, 10**4300),
+HUGE = ["1e5000", "-1e5000", "1e-5000", "1e3000000", "1e10000000", "1E+2_101 ", "1e2100",
+        "0.5e2101", 10**2100, Fraction(1, 10**2100),
         # Exponents in Arabic-Indic and fullwidth digits, which Fraction reads too.
         "1e\u0661" + "\u0660" * 7, "1e" + "\uff11" + "\uff10" * 6]
 
@@ -201,8 +201,8 @@ def test_parameters_past_the_digit_limit_are_refused_at_once(raw):
 
 
 # The last two have decimal forms past str()'s limit, so they print as num/den.
-WITHIN = ["1e4299", "-1e-4299", "9" * 4300, "0.1e4300", "1e0000004", "1e\u0660" * 1 + "\u0664",
-          f"1/{2**14000}", f"{10**4300 - 1}/2"]
+WITHIN = ["1e2099", "-1e-2099", "9" * 2100, "0.1e2100", "1e0000004", "1e\u0660" * 1 + "\u0664",
+          f"1/{2**6900}", f"{10**2100 - 1}/{2**6900}"]
 
 
 @pytest.mark.parametrize("raw", WITHIN, ids=[str(k) for k in range(len(WITHIN))])
@@ -218,16 +218,34 @@ def test_a_huge_exponent_in_malformed_text_is_reported_as_malformed():
 
 
 def test_cli_prints_a_value_whose_decimal_form_passes_the_digit_limit(tmp_path, capsys):
-    # 1/2**14000 reads as a 9785-digit decimal; the metric is named with num/den instead.
+    # 1/2**6900 reads as a 4823-digit decimal; the metric is named with num/den instead.
     demo = Path(__file__).resolve().parents[1] / "data" / "demo" / "manifest.json"
-    spec = f"fbeta:beta=1/{2**14000}"
+    spec = f"fbeta:beta=1/{2**6900}"
     code = cli.main(["evaluate", "--config", str(demo), "--metrics", spec, "--format", "csv",
                      "--out", str(tmp_path / "out")])
     assert code == 0
-    assert f"beta=1/{2**14000}" in capsys.readouterr().out
+    assert f"beta=1/{2**6900}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("spec", ["fbeta:beta=1e5000", "fbeta:beta=-1e5000",
+@pytest.mark.parametrize("verb", ["evaluate", "compare"])
+def test_cli_writes_out_every_exact_value_at_the_largest_beta(tmp_path, capsys, verb):
+    # F-beta's exact value carries beta squared, so it has about twice beta's digits.
+    beta = Fraction(10**2100 - 1, 10**2100 - 2)
+    demo = Path(__file__).resolve().parents[1] / "data" / "demo"
+    code = cli.main([verb, "--config", str(demo / "manifest.json"), "--metrics",
+                     f"fbeta:beta={beta}", "--format", "json", "--out", str(tmp_path / "out")])
+    assert code == 0
+    written = json.loads(capsys.readouterr().out)
+    series = load_manifest(demo / "manifest.json").load()
+    expected = f_beta(confusion(series, load_alerts(demo / "lagged.jsonl", series)), beta)
+    if verb == "evaluate":
+        exact = written["metrics"][0]["exact"]
+    else:
+        exact = written["rows"][0]["exact"][expected.display_name]
+    assert Fraction(exact) == expected.exact
+
+
+@pytest.mark.parametrize("spec", ["fbeta:beta=1e5000", "fbeta:beta=-1e5000", "fbeta:beta=1e2200",
                                   "fbeta:beta=1e3000000", "etapr:theta_p=1e-5000"])
 def test_cli_refuses_a_huge_exponent_with_one_error_line(tmp_path, capsys, monkeypatch, spec):
     monkeypatch.delenv("IDSEVAL_OUT", raising=False)
