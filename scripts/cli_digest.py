@@ -14,13 +14,17 @@ alerts, and compact alerts with no ``"detector"`` field; and ``roc --auto``
 on the demo scores respelled as ``mixed.jsonl``, with ``-0.0`` before ``0.0``,
 tied values, 8- and 9-byte decimals and ``1e-05``-form exponents; and the
 time-aware metrics on ``dense/``, the densest trace ``make_demo.py`` accepts
-(5000 points, 62 scenarios), as is and with ``--gap-tolerance 3``. The CLI
-arguments after ``--`` are one more run, named ``extra``. The inputs are made
-once; each run starts in a new temporary directory that holds a copy of them,
-``data/demo`` as ``demo/`` with those spellings beside it, and writes to
-``--out out``, so every path the CLI prints is the same from any checkout.
-``--src`` picks the package that runs (default: ``src/`` of this checkout);
-``dense/`` is written by this checkout's ``make_demo.py``.
+(5000 points, 62 scenarios), as is and with ``--gap-tolerance 3``; the same
+metrics on ``near/``, whose same-type scenarios sit 1-3 benign points apart,
+as is and with ``--gap-tolerance 3``; and ``timeline`` on ``long/``, a
+70000-point ``make_demo.py`` trace, with a ``baseline:random:p=0.5`` lane
+of more than one 16384-row chunk of ``<rect>``s. The CLI arguments after
+``--`` are one more run, named ``extra``. The inputs are made once; each run
+starts in a new temporary directory that holds a copy of them, ``data/demo``
+as ``demo/`` with those spellings beside it, and writes to ``--out out``, so
+every path the CLI prints is the same from any checkout. ``--src`` picks the
+package that runs (default: ``src/`` of this checkout); ``dense/`` and
+``long/`` are written by this checkout's ``make_demo.py``.
 
 Prints one line per run: its name, exit code, and the sha256 of stdout,
 stderr and each file under ``out/``. Two checkouts agree byte for byte when
@@ -47,6 +51,11 @@ SCORED = ["--labels", "demo/labels.csv", "--alerts", "demo/scored.jsonl"]
 SEVERAL = [*DEMO, "--detector", "baseline:never", "--detector", "baseline:random:p=0.5"]
 DENSE = ["evaluate", "--config", "dense/manifest.json", "--metrics",
          "etapr,affiliation,scenario-recall,detection-delay", "--format", "json", *OUT]
+NEAR = ["evaluate", "--labels", "near/labels.csv", "--alerts", "near/alerts.jsonl", "--metrics",
+        "etapr,scenario-recall,detection-delay", "--format", "json", *OUT]
+# Labels (d, s, r: an attack type; '.': benign) and alarms ('x') of near/, point by point.
+NEAR_LABELS = "....ddddd..dddd.......ssss.ssss...sss.....rrr.rrr....."
+NEAR_ALARMS = "...........xxxxx.............xx.....xxx.........xx...."
 
 MATRIX: dict[str, list[str]] = {
     **{f"evaluate-{fmt}": ["evaluate", *DEMO, "--format", fmt, *OUT]
@@ -76,6 +85,10 @@ MATRIX: dict[str, list[str]] = {
                             "--auto", "--format", fmt, *OUT] for fmt in ("csv", "json")},
     "dense": DENSE,
     "dense-gap-3": [*DENSE, "--gap-tolerance", "3"],
+    "near": NEAR,
+    "near-gap-3": [*NEAR, "--gap-tolerance", "3"],
+    "timeline-long": ["timeline", "--config", "long/manifest.json",
+                      "--detector", "baseline:random:p=0.5", "--min-width", "60s", *OUT],
 }
 
 
@@ -107,13 +120,33 @@ def write_spellings(demo: Path) -> None:
             handle.write(f'{{"timestamp": {t}, "score": {token}, "detector": "scored"}}\n')
 
 
+def write_near(near: Path) -> None:
+    """Write ``NEAR_LABELS`` and ``NEAR_ALARMS`` as a label file and an alert file in ``near``."""
+    near.mkdir()
+    kinds = {"d": "dos", "s": "spoof", "r": "replay", ".": "benign"}
+    rows = [f"{t},{kinds[mark]}" for t, mark in enumerate(NEAR_LABELS)]
+    (near / "labels.csv").write_text("\n".join(["timestamp,label", *rows, ""]), encoding="utf-8")
+    with open(near / "alerts.jsonl", "w", encoding="utf-8") as handle:
+        for t, mark in enumerate(NEAR_ALARMS):
+            handle.write(json.dumps({"timestamp": t, "alert": mark == "x", "detector": "near"}))
+            handle.write("\n")
+
+
+def make_demo(out: Path, points: int, scenarios: int) -> None:
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo.py"), "--points",
+                    str(points), "--scenarios", str(scenarios), "--out", str(out)],
+                   check=True, capture_output=True)
+
+
 def write_inputs(inputs: Path) -> None:
-    """Write every run's inputs into ``inputs``: ``demo/`` with its spellings, and ``dense/``."""
+    """Write every run's inputs into ``inputs``: ``demo/`` with its spellings, ``dense/``,
+    ``near/`` and ``long/``."""
     shutil.copytree(ROOT / "data" / "demo", inputs / "demo")
     write_spellings(inputs / "demo")
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo.py"), "--points", "5000",
-                    "--scenarios", "62", "--out", str(inputs / "dense")],
-                   check=True, capture_output=True)
+    make_demo(inputs / "dense", 5000, 62)
+    write_near(inputs / "near")
+    make_demo(inputs / "long", 70000, 10)
+    (inputs / "long" / "scored.jsonl").unlink()  # unused; every run copies the inputs
 
 
 def sha(data: bytes) -> str:

@@ -6,7 +6,9 @@ reads or generates alerts copies the raw alert streams into the output
 directory, so a results folder is always reproducible on its own. The output
 directory is created only after a run's checks and computation succeed, so a
 rejected run writes nothing, and each artifact is written to a temporary file
-and renamed once whole, so a failed write leaves no partial one.
+and renamed once whole, so a failed write leaves no partial one. Artifact text
+that grows with the input, such as ROC rows and timeline ``<rect>`` rows, is
+formatted as it is written, so it is never held whole.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .jsonl import without_nuls
 from .pointwise import RocCurve
 
 UNDEFINED_CELL = "—"
-# Rows per chunk of the ROC writers and of render_timeline's <rect> rows;
+# Rows per chunk of the ROC writers and of a timeline's <rect> rows;
 # bounds the transient arrays.
 _ROWS = 1 << 14
 
@@ -226,13 +226,40 @@ class TimelineLane(Record):
 
 
 class TimelineRendering(Record):
-    __slots__ = _fields = ("svg", "lanes", "min_width_ticks")
+    """An SVG timeline, held as what its text is made from.
 
-    def __init__(self, svg: str, lanes: tuple[TimelineLane, ...], min_width_ticks: float) -> None:
-        self._set(svg, lanes, min_width_ticks)
+    ``frame`` is the UTF-8 text before, between and after the ``<rect>`` rows
+    of ``lanes``; the rows are formatted from each lane's ``drawn_spans`` and
+    ``widened`` as they are written, a tick ``t`` at x ``_MARGIN_LEFT + (t -
+    t0) * scale``. Given ``svg`` text, the whole text is the frame and no rows
+    are drawn. ``svg`` is derived: the decoded join of ``chunks()``.
+    """
+
+    __slots__ = _fields = ("frame", "lanes", "min_width_ticks", "t0", "scale")
+
+    def __init__(
+        self, svg: str | tuple[bytes, ...], lanes: tuple[TimelineLane, ...],
+        min_width_ticks: float, t0: float = 0.0, scale: float = 0.0,
+    ) -> None:
+        frame = (svg.encode("utf-8"),) if isinstance(svg, str) else svg
+        self._set(frame, lanes, min_width_ticks, t0, scale)
+
+    @property
+    def svg(self) -> str:
+        return b"".join(self.chunks()).decode("utf-8")
+
+    def chunks(self) -> Iterator[bytes]:
+        """The SVG's UTF-8 bytes in pieces; each chunk of rows is made as it is consumed."""
+        yield self.frame[0]
+        for row, (lane, text) in enumerate(zip(self.lanes, self.frame[1:])):
+            for start in range(0, len(lane.widened), _ROWS):
+                rows = slice(start, start + _ROWS)
+                yield from without_nuls(_rect_rows(lane, row, rows, self.t0, self.scale))
+            yield text
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(self.svg, encoding="utf-8")
+        with open(path, "wb") as handle:
+            handle.writelines(self.chunks())
 
 
 def _ascii(text: str) -> np.ndarray:
@@ -242,6 +269,31 @@ def _ascii(text: str) -> np.ndarray:
 _GT_COLOR = "#c0392b"
 _ALERT_COLOR = "#2e6da4"
 _WIDENED_COLOR = "#7aa6d2"
+_MARGIN_LEFT, _MARGIN_RIGHT, _PLOT_WIDTH = 160.0, 20.0, 720.0
+_TOP, _BOTTOM, _LANE_HEIGHT, _LANE_GAP = 42.0, 28.0, 26.0, 8.0
+
+
+def _rect_rows(lane: TimelineLane, row: int, rows: slice, t0: float, scale: float) -> np.ndarray:
+    """The ``rows`` of the ``row``-th lane's ``<rect>`` rows as one uint8 matrix:
+    the template's pieces broadcast, the ``'%.2f'`` fields of x and width
+    (``floattext.fixed2_fields``) and the fill colour between them; dropping
+    the NULs leaves the text."""
+    # Imported on use, so that verbs without a timeline never compile it.
+    from .floattext import fixed2_fields
+
+    lo, hi = lane.drawn_spans[rows].T
+    lane_top = _TOP + row * (_LANE_HEIGHT + _LANE_GAP)
+    palette = _ascii((_GT_COLOR if lane.kind == "labels" else _ALERT_COLOR) + _WIDENED_COLOR)
+    columns = (
+        _ascii('<rect x="'), fixed2_fields(_MARGIN_LEFT + (lo - t0) * scale),
+        _ascii(f'" y="{lane_top + 4:.2f}" width="'),
+        fixed2_fields(np.maximum(0.01, (hi - lo) * scale)),
+        _ascii(f'" height="{_LANE_HEIGHT - 8:.1f}" fill="'),
+        palette.reshape(2, -1)[lane.widened[rows].view(np.uint8)], _ascii('"/>\n'),
+    )
+    return np.concatenate(
+        [np.broadcast_to(column, (len(lo), column.shape[-1])) for column in columns], axis=1
+    )
 
 
 def render_timeline(
@@ -256,14 +308,9 @@ def render_timeline(
     minimum width (clipped to the series span); the ground-truth lane and
     detectors named in ``exempt`` always show true widths. The output string
     depends only on the inputs, so identical calls produce identical bytes.
-    Spans are widened in numpy. Each chunk of a lane's ``<rect>`` rows is
-    one uint8 matrix: the template's pieces broadcast, the ``'%.2f'`` fields
-    of x and width (``floattext.fixed2_fields``) and the fill colour between
-    them; dropping the NULs leaves the text.
+    Spans are widened in numpy; the lanes' ``<rect>`` rows are formatted
+    only as the rendering is written or read (``TimelineRendering.chunks``).
     """
-    # Imported on use, so that verbs without a timeline never compile it.
-    from .floattext import fixed2_fields
-
     try:
         min_width = float(min_width_ticks)
     except OverflowError:  # an int or Fraction past the float range
@@ -315,18 +362,15 @@ def render_timeline(
     lanes = (lane("ground truth", "labels", extract_scenarios(series).runs),)
     lanes += tuple(lane(a.detector, "alerts", alerts_to_intervals(a, series)) for a in alerts)
 
-    margin_left, margin_right = 160.0, 20.0
-    lane_height, lane_gap = 26.0, 8.0
-    top, bottom = 42.0, 28.0
-    plot_width = 720.0
-    width = margin_left + plot_width + margin_right
-    height = top + len(lanes) * (lane_height + lane_gap) + bottom
-    scale = plot_width / (t1 - t0)
+    width = _MARGIN_LEFT + _PLOT_WIDTH + _MARGIN_RIGHT
+    height = _TOP + len(lanes) * (_LANE_HEIGHT + _LANE_GAP) + _BOTTOM
+    scale = _PLOT_WIDTH / (t1 - t0)
 
     def x(t: float) -> float:
-        return margin_left + (t - t0) * scale
+        return _MARGIN_LEFT + (t - t0) * scale
 
-    # Every part is one line of the SVG, newline included.
+    # Every part is one line of the SVG, newline included; each lane's rect rows
+    # go after its label.
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -337,8 +381,8 @@ def render_timeline(
     )
     parts.append(f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n')
     title = f"{series.name} (1 tick = {series.tick_seconds}s)"
-    parts.append(f'<text x="{margin_left:.1f}" y="20">{_escape(title)}</text>\n')
-    axis_y = top - 6.0
+    parts.append(f'<text x="{_MARGIN_LEFT:.1f}" y="20">{_escape(title)}</text>\n')
+    axis_y = _TOP - 6.0
     parts.append(
         f'<line x1="{x(t0):.2f}" y1="{axis_y:.2f}" x2="{x(t1):.2f}" y2="{axis_y:.2f}" '
         'stroke="#999" stroke-width="1"/>\n'
@@ -349,42 +393,19 @@ def render_timeline(
         f'<text x="{x(t1):.2f}" y="{axis_y - 4:.2f}" text-anchor="end">{end_label}</text>\n'
     )
 
+    frame: list[bytes] = []
     for row, lane in enumerate(lanes):
-        lane_top = top + row * (lane_height + lane_gap)
-        label_y = lane_top + lane_height / 2.0 + 4.0
+        lane_top = _TOP + row * (_LANE_HEIGHT + _LANE_GAP)
+        label_y = lane_top + _LANE_HEIGHT / 2.0 + 4.0
         parts.append(
-            f'<rect x="{margin_left:.1f}" y="{lane_top:.2f}" width="{plot_width:.1f}" '
-            f'height="{lane_height:.1f}" fill="#f4f4f4"/>\n'
+            f'<rect x="{_MARGIN_LEFT:.1f}" y="{lane_top:.2f}" width="{_PLOT_WIDTH:.1f}" '
+            f'height="{_LANE_HEIGHT:.1f}" fill="#f4f4f4"/>\n'
         )
         parts.append(f'<text x="8" y="{label_y:.2f}">{_escape(lane.name)}</text>\n')
-        base_color = _GT_COLOR if lane.kind == "labels" else _ALERT_COLOR
-        palette = _ascii(base_color + _WIDENED_COLOR).reshape(2, -1)
-        open_x = _ascii('<rect x="')
-        x_to_width = _ascii(f'" y="{lane_top + 4:.2f}" width="')
-        width_to_fill = _ascii(f'" height="{lane_height - 8:.1f}" fill="')
-        close = _ascii('"/>\n')
-        lo, hi = lane.drawn_spans.T
-        rect_x = margin_left + (lo - t0) * scale
-        rect_w = np.maximum(0.01, (hi - lo) * scale)
-        for start in range(0, len(lo), _ROWS):
-            rows = slice(start, start + _ROWS)
-            xs = fixed2_fields(rect_x[rows])
-            columns = (
-                open_x, xs, x_to_width, fixed2_fields(rect_w[rows]),
-                width_to_fill, palette[lane.widened[rows].view(np.uint8)], close,
-            )
-            matrix = np.concatenate(
-                [np.broadcast_to(column, (len(xs), column.shape[-1])) for column in columns],
-                axis=1,
-            )
-            parts.extend(piece.decode("ascii") for piece in without_nuls(matrix))
-
-    parts.append("</svg>\n")
-    return TimelineRendering(
-        svg="".join(parts),
-        lanes=lanes,
-        min_width_ticks=min_width,
-    )
+        frame.append("".join(parts).encode("utf-8"))
+        parts = []
+    frame.append(b"</svg>\n")
+    return TimelineRendering(tuple(frame), lanes, min_width, t0, scale)
 
 
 def _roc_rows(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import errno
+import io
 import json
 import os
 import shutil
@@ -742,6 +744,36 @@ class TestAtomicArtifacts:
         ]
         files = sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
         assert files == left
+
+    def test_timeline_write_failing_midway_leaves_nothing_behind(
+        self, workdir, capsys, monkeypatch
+    ):
+        # save streams the SVG in pieces; the disk fills after the first one.
+        real_open, writes = builtins.open, []
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        def open_(file, mode="r", *args, **kwargs):
+            if Path(file).name.startswith(".timeline.svg.") and mode == "wb":
+                return FullDisk(file, "w")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_)
+        monkeypatch.chdir(workdir)
+        out = workdir / "run"
+        code, stdout, stderr = run(
+            capsys, "timeline", "--labels", "labels.csv", "--alerts", "det.jsonl", "--out", out
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert len(writes) == 2 and writes[0] > 0
+        files = sorted(str(path.relative_to(out)) for path in out.rglob("*"))
+        assert files == ["alerts", "alerts/det.jsonl"]
 
 
 class TestBaselineVerb:

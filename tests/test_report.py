@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from idseval import (
     report_to_json,
     roc_to_csv,
 )
+from idseval.report import _ROWS, TimelineRendering
 from idseval.timeaware import ScenarioDetection
 from support import lane_bits, make_alerts, make_series
 
@@ -301,6 +303,68 @@ class TestTimelineSvg:
         target = tmp_path / "timeline.svg"
         rendering.save(target)
         assert target.read_text(encoding="utf-8") == rendering.svg
+
+
+class TestTimelineSave:
+    """``save`` writes the bytes of ``svg``, streamed from the lanes a chunk of rows at a time."""
+
+    def rendering(self, rects, detectors=("dét & ✓",)):
+        # Runs of one point (widened) and of two (not), one benign point apart.
+        values = []
+        for i in range(rects):
+            values += [True] * (1 + i % 2) + [False]
+        values += [False] * 4
+        series = make_series(["dos"] * 3 + ["benign"] * (len(values) - 3), name="Anlage ü & <co>")
+        alerts = [make_alerts(values, detector=name, aligned_to=series.name) for name in detectors]
+        return render_timeline(series, alerts, min_width_ticks=2)
+
+    @pytest.mark.parametrize("rects", [0, 1, _ROWS, _ROWS + 1])
+    def test_save_writes_the_svg_text(self, tmp_path, rects):
+        rendering = self.rendering(rects)
+        assert len(rendering.lanes[1].widened) == rects
+        rendering.save(tmp_path / "timeline.svg")
+        svg = rendering.svg
+        assert (tmp_path / "timeline.svg").read_bytes() == svg.encode("utf-8")
+        assert ">dét &amp; ✓</text>" in svg and "Anlage ü &amp; &lt;co&gt;" in svg
+        # The page, two lane backgrounds, the scenario and the alarms.
+        assert svg.count("<rect") == 4 + rects
+
+    def test_save_without_detectors(self, tmp_path):
+        rendering = self.rendering(3, detectors=())
+        rendering.save(tmp_path / "timeline.svg")
+        assert (tmp_path / "timeline.svg").read_bytes() == rendering.svg.encode("utf-8")
+        assert rendering.svg.count("<rect") == 3
+
+    def test_rendering_from_svg_text(self, tmp_path):
+        drawn = self.rendering(5)
+        text = TimelineRendering(svg=drawn.svg, lanes=drawn.lanes, min_width_ticks=2.0)
+        assert text.svg == drawn.svg and text.lanes == drawn.lanes
+        # Records compare their fields: one frame is the whole text, the other
+        # the text around the rect rows.
+        assert text != drawn
+        text.save(tmp_path / "timeline.svg")
+        assert (tmp_path / "timeline.svg").read_bytes() == drawn.svg.encode("utf-8")
+
+    def test_the_whole_text_is_never_held(self, tmp_path):
+        n = 2 * 10**5  # 10**5 one-point alarms
+        series = make_series(["benign"] * n, name="plant")
+        alerts = make_alerts(np.arange(n) % 2 == 0, aligned_to="plant")
+        target = tmp_path / "timeline.svg"
+        tracemalloc.start()
+        try:
+            rendering = render_timeline(series, [alerts])
+            held, render_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            rendering.save(target)
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert target.read_text(encoding="utf-8").count("<rect") == 3 + 10**5
+        # Holding the text once would take its size; the lanes' interval
+        # arrays peak at about 0.8 of it, and writing adds one chunk of rows.
+        assert max(render_peak, save_peak) < size
+        assert save_peak - held < size / 2
 
 
 class TestTimelineLaneArrays:

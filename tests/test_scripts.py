@@ -99,6 +99,18 @@ def test_cli_digest_matches_the_golden_file(digest_lines):
             assert digest_lines[name] == fields, name
 
 
+def test_cli_digest_pins_the_gap_tolerance(digest_lines):
+    # near/'s same-type scenarios sit 1-3 points apart, so a gap tolerance of 3
+    # merges them and changes the report; on dense/ it merges nothing.
+    def fields(name):
+        return dict(field.split("=") for field in digest_lines[name][1:])
+
+    near, merged = fields("near"), fields("near-gap-3")
+    assert near["alerts/near.jsonl"] == merged["alerts/near.jsonl"]
+    assert near["report.json"] != merged["report.json"]
+    assert fields("dense")["report.json"] == fields("dense-gap-3")["report.json"]
+
+
 def test_ingest_blocks_prints_every_measure():
     done = run_script("ingest_blocks.py", "--points", "2000", "--runs", "1")
     assert done.returncode == 0, done.stderr
