@@ -30,7 +30,7 @@ _EXPORTS = {
             ConfusionMatrix EvaluationError Intervals LabeledSeries MetricReport
             MetricValue ParameterError Scenarios alerts_to_intervals collapse_multiclass
             extract_scenarios format_fraction intervals_to_mask mask_to_intervals""",
-        "pointwise": """FBetaParams RocCurve RocPoint accuracy auc auc_single
+        "pointwise": """RocCurve RocPoint accuracy auc auc_single
             confusion f1 f_beta fnr fpr npv ppv roc scenario_normalized_recall
             tnr tpr""",
         "report": """UNDEFINED_CELL ComparisonTable TimelineLane TimelineRendering

@@ -133,16 +133,21 @@ def affiliation(
         return TimeAwareScores(None, None, None), []
 
     ts = series.timestamps
-    a, b = scenario_runs.spans(ts)
-    t0, t_last = float_ticks(ts, [0, -1])
-    bounds = np.concatenate(([t0], (b[:-1] + a[1:]) / 2.0, [t_last + 1.0]))
+    # Spans count from the first tick, exactly in uint64 at any origin, so the
+    # scores depend only on differences of ticks; the zones returned count
+    # ticks as float_ticks does.
+    def ticks(index) -> np.ndarray:
+        return (ts[index].view(np.uint64) - ts[:1].view(np.uint64)).astype(np.float64)
+
+    a, b = ticks(scenario_runs.starts), ticks(scenario_runs.ends) + 1.0
+    bounds = np.concatenate(([0.0], (b[:-1] + a[1:]) / 2.0, ticks([-1]) + 1.0))
     z0, z1 = bounds[:-1], bounds[1:]
     # Alert spans cut at the zone bounds inside them are the alerts clipped
     # to their zones: one sorted, disjoint array of pieces, zone k's pieces
     # being lo[start[k]:stop[k]]. Each zone's terms are summed left to right
     # from 0.0, as bincount adds. All terms are >= 0, so the zero-width
     # pieces that a zone-by-zone evaluation makes would add nothing.
-    lo, hi = alerts.spans(ts)
+    lo, hi = ticks(alerts.starts), ticks(alerts.ends) + 1.0
     j = np.searchsorted(hi, bounds[1:-1], side="right")
     lo, hi, _ = _split(lo, hi, bounds[1:-1][j < len(hi)], j[j < len(hi)])
     stop = np.searchsorted(lo, z1, side="left")
@@ -177,5 +182,5 @@ def affiliation(
     precision = sum(opinions) / len(opinions) if opinions else None
     recall = sum(recalls) / len(recalls)
     scores = TimeAwareScores(precision, recall, harmonic_f1(precision, recall))
-    return scores, list(map(AffiliationZone, z0.tolist(), z1.tolist(), a.tolist(), b.tolist(),
-                            precisions, recalls))
+    zones = (np.stack((z0, z1, a, b)) + float_ticks(ts, [0])).tolist()
+    return scores, list(map(AffiliationZone, *zones, precisions, recalls))

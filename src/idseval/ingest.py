@@ -127,10 +127,9 @@ def _line_of(lines: Iterable[Sequence[int]], i: int) -> int:
     raise IndexError(i)
 
 
-def _check_increasing(
-    timestamps: np.ndarray, path: Path | str, lines: Iterable[Sequence[int]]
-) -> None:
-    """Raise at the first record whose timestamp does not exceed its predecessor's.
+def _check_ticks(timestamps: np.ndarray, path: Path | str, lines: Iterable[Sequence[int]]) -> None:
+    """Raise at the first record whose timestamp does not exceed its predecessor's,
+    else at the first timestamp outside int64, so an order error wins.
 
     ``lines`` holds the line of every record, part by part (see ``_line_of``).
     """
@@ -139,33 +138,23 @@ def _check_increasing(
         i = int(bad[0]) + 1
         current, previous = int(timestamps[i]), int(timestamps[i - 1])
         kind = "duplicate" if current == previous else "non-increasing"
-        raise _fail(
-            path, _line_of(lines, i), f"{kind} timestamp {current} (previous was {previous})"
-        )
+        message = f"{kind} timestamp {current} (previous was {previous})"
+    elif timestamps.dtype == object:
+        inside = (timestamps >= _INT64_MIN) & (timestamps <= _INT64_MAX)
+        i = int(np.flatnonzero(~inside.astype(bool))[0])
+        message = f"timestamp {timestamps[i]} is outside the 64-bit integer range"
+    else:
+        return
+    raise _fail(path, _line_of(lines, i), message)
 
 
 def _int_column(timestamps: list[int]) -> np.ndarray:
-    """int64, or an object array if some value lies outside int64.
-
-    ``_check_range`` rejects such values only after ``_check_increasing``
-    has run, so an order error keeps precedence over a range error.
-    """
+    """int64, or an object array if some value lies outside int64, which
+    ``_check_ticks`` rejects after its order check."""
     try:
         return np.array(timestamps, dtype=np.int64)
     except OverflowError:
         return np.array(timestamps, dtype=object)
-
-
-def _check_range(timestamps: np.ndarray, path: Path | str, lines: Iterable[Sequence[int]]) -> None:
-    """Raise at the first timestamp outside int64, finding its line as ``_check_increasing``."""
-    if timestamps.dtype == object:
-        inside = (timestamps >= _INT64_MIN) & (timestamps <= _INT64_MAX)
-        i = int(np.flatnonzero(~inside.astype(bool))[0])
-        raise _fail(
-            path,
-            _line_of(lines, i),
-            f"timestamp {timestamps[i]} is outside the 64-bit integer range",
-        )
 
 
 def _read_blocks(handle, size: int) -> Iterator[tuple[np.ndarray, int, int]]:
@@ -201,12 +190,6 @@ def _read_blocks(handle, size: int) -> Iterator[tuple[np.ndarray, int, int]]:
             grown = bytearray(_FRONT + size + _PAD)
             grown[:end] = raw[:end]
             raw, buf = grown, np.frombuffer(grown, dtype=np.uint8)
-
-
-def _as_bytes(blocks: Iterable[tuple[np.ndarray, int, int]]) -> Iterator[bytes]:
-    """Copies of the blocks ``_read_blocks`` yields, for the csv/json routes."""
-    for buf, lo, hi in blocks:
-        yield buf[lo:hi].tobytes()
 
 
 def _text_lines(
@@ -378,29 +361,29 @@ def _label_parts(
     run, rows per run, each record's line, and the bytes the part covers.
 
     After the header, each block in the ``save_labels`` layout is one part.
-    From the first block out of it, the rest of the file goes through csv as
-    one last part, whose byte count is None.
+    From the first block out of it, or the first line if the header is not
+    canonical, the rest of the file goes through csv as one last part, whose
+    byte count is None.
     """
+    line = 1  # the next part's first line; 1 until the canonical header is read
     blocks = _read_blocks(handle, _LABEL_BLOCK_BYTES)
-    buf, lo, hi = next(blocks, (np.zeros(0, np.uint8), 0, 0))
-    if buf[lo:hi][: len(_LABEL_HEADER_LINE)].tobytes() != _LABEL_HEADER_LINE:
-        rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
-        yield *_label_rows(path, _text_lines(path, rest, 1, ""), 1, index, tick, True), None
-        return
-    line = 2
-    lo += len(_LABEL_HEADER_LINE)
-    for buf, lo, hi in itertools.chain([(buf, lo, hi)], blocks):
-        if lo == hi:  # the header was the whole first block
-            continue
-        part = _fast_labels(buf, lo, hi, index)
+    for buf, lo, hi in blocks:
+        if line == 1 and buf[lo:hi][: len(_LABEL_HEADER_LINE)].tobytes() == _LABEL_HEADER_LINE:
+            lo, line = lo + len(_LABEL_HEADER_LINE), 2
+            if lo == hi:  # the header was the whole block
+                continue
+        part = _fast_labels(buf, lo, hi, index) if line > 1 else None
         if part is None:
-            # csv quoting can span lines, so the rest of the file goes to csv.
-            rest = itertools.chain([buf[lo:hi].tobytes()], _as_bytes(blocks))
-            rows = _text_lines(path, rest, line, "")
-            yield *_label_rows(path, rows, line, index, tick, header=False), None
-            return
+            blocks = itertools.chain([(buf, lo, hi)], blocks)
+            break
         yield *part, range(line, line + len(part[0])), hi - lo
         line += len(part[0])
+    else:
+        if line > 1:  # every block was in the layout; an empty file goes on to csv
+            return
+    # csv quoting can span lines, so the rest of the file goes to csv.
+    rest = (buf[lo:hi].tobytes() for buf, lo, hi in blocks)
+    yield *_label_rows(path, _text_lines(path, rest, line, ""), line, index, tick, line == 1), None
 
 
 def load_labels(
@@ -453,8 +436,7 @@ def load_labels(
         raise _fail(path, None, "no data rows")
     if len(column) > count:
         column.resize(count, refcheck=False)  # no view of it is alive
-    _check_increasing(column, path, lines)
-    _check_range(column, path, lines)
+    _check_ticks(column, path, lines)
     label_codes = np.repeat(np.concatenate(codes), np.concatenate(runs))
     for array in (column, label_codes):
         array.setflags(write=False)  # so that LabeledSeries shares it
@@ -722,17 +704,13 @@ def load_alerts(path: Path | str, series: LabeledSeries) -> AlertSeries:
             raise _fail(path, None, "no alert records")
         # want[:at] is increasing and in int64: no check stops in it or needs its lines.
         record_lines = [range(at), *(part.lines for part in tail)]
-        _check_increasing(got, path, record_lines)
-        _check_range(got, path, record_lines)
-        missing = np.setdiff1d(want, got)
-        extra = np.setdiff1d(got, want)
+        _check_ticks(got, path, record_lines)
         parts_text = [f"alerts do not align with dataset '{series.name}'"]
-        if len(missing):
-            shown = ", ".join(str(t) for t in missing[:10])
-            parts_text.append(f"{len(missing)} dataset timestamps missing (first: {shown})")
-        if len(extra):
-            shown = ", ".join(str(t) for t in extra[:10])
-            parts_text.append(f"{len(extra)} unexpected timestamps (first: {shown})")
+        for ticks, what in ((np.setdiff1d(want, got), "dataset timestamps missing"),
+                            (np.setdiff1d(got, want), "unexpected timestamps")):
+            if len(ticks):
+                shown = ", ".join(str(t) for t in ticks[:10])
+                parts_text.append(f"{len(ticks)} {what} (first: {shown})")
         raise _fail(path, None, "; ".join(parts_text))
 
     name = field_detector or path.stem

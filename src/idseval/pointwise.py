@@ -93,29 +93,19 @@ def accuracy(cm: ConfusionMatrix) -> MetricValue:
     return _ratio("accuracy", cm.tp + cm.tn, cm.n)
 
 
-class FBetaParams(Record):
-    """Weight of recall relative to precision; beta=1 recovers F1."""
-
-    __slots__ = _fields = ("beta",)
-
-    def __init__(self, beta: Fraction | int | float | str = Fraction(1)) -> None:
-        self._set(exact_param("beta", beta))
-
-
-def f_beta(cm: ConfusionMatrix, params: FBetaParams | Fraction | int | float | str = 1) -> MetricValue:
+def f_beta(cm: ConfusionMatrix, beta: Fraction | int | float | str = 1) -> MetricValue:
     """F-score from counts: (1+b^2)*TP / ((1+b^2)*TP + b^2*FN + FP).
 
     Computed in counts form to avoid compounding division error. Undefined
     only on an all-TN series (zero denominator). beta < 1 weights precision
     higher than recall; beta=0.1 weights precision ten times more.
     """
-    if not isinstance(params, FBetaParams):
-        params = FBetaParams(beta=params)
-    beta_sq = params.beta * params.beta
+    beta = exact_param("beta", beta)
+    beta_sq = beta * beta
     numerator = (1 + beta_sq) * cm.tp
     denominator = (1 + beta_sq) * cm.tp + beta_sq * cm.fn + cm.fp
-    name = "f1" if params.beta == 1 else "fbeta"
-    metric_params = {} if params.beta == 1 else {"beta": format_fraction(params.beta)}
+    name = "f1" if beta == 1 else "fbeta"
+    metric_params = {} if beta == 1 else {"beta": format_fraction(beta)}
     if denominator == 0:
         return MetricValue.undefined(name, **metric_params)
     return MetricValue.from_fraction(name, numerator / denominator, **metric_params)

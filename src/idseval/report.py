@@ -273,9 +273,15 @@ _MARGIN_LEFT, _MARGIN_RIGHT, _PLOT_WIDTH = 160.0, 20.0, 720.0
 _TOP, _BOTTOM, _LANE_HEIGHT, _LANE_GAP = 42.0, 28.0, 26.0, 8.0
 
 
+def _rows(n: int, columns: Iterable[np.ndarray]) -> np.ndarray:
+    """``n`` rows of uint8 text, the ``columns`` side by side: a 1-D column is
+    a piece repeated on every row, a 2-D one holds a field per row."""
+    return np.concatenate([np.broadcast_to(column, (n, column.shape[-1])) for column in columns], 1)
+
+
 def _rect_rows(lane: TimelineLane, row: int, rows: slice, t0: float, scale: float) -> np.ndarray:
-    """The ``rows`` of the ``row``-th lane's ``<rect>`` rows as one uint8 matrix:
-    the template's pieces broadcast, the ``'%.2f'`` fields of x and width
+    """The ``rows`` of the ``row``-th lane's ``<rect>`` rows as one uint8 matrix
+    (``_rows``): the template's pieces, the ``'%.2f'`` fields of x and width
     (``floattext.fixed2_fields``) and the fill colour between them; dropping
     the NULs leaves the text."""
     # Imported on use, so that verbs without a timeline never compile it.
@@ -284,16 +290,13 @@ def _rect_rows(lane: TimelineLane, row: int, rows: slice, t0: float, scale: floa
     lo, hi = lane.drawn_spans[rows].T
     lane_top = _TOP + row * (_LANE_HEIGHT + _LANE_GAP)
     palette = _ascii((_GT_COLOR if lane.kind == "labels" else _ALERT_COLOR) + _WIDENED_COLOR)
-    columns = (
+    return _rows(len(lo), (
         _ascii('<rect x="'), fixed2_fields(_MARGIN_LEFT + (lo - t0) * scale),
         _ascii(f'" y="{lane_top + 4:.2f}" width="'),
         fixed2_fields(np.maximum(0.01, (hi - lo) * scale)),
         _ascii(f'" height="{_LANE_HEIGHT - 8:.1f}" fill="'),
         palette.reshape(2, -1)[lane.widened[rows].view(np.uint8)], _ascii('"/>\n'),
-    )
-    return np.concatenate(
-        [np.broadcast_to(column, (len(lo), column.shape[-1])) for column in columns], axis=1
-    )
+    ))
 
 
 def render_timeline(
@@ -413,31 +416,29 @@ def _roc_rows(
 ) -> Iterator[bytes]:
     """Per point, ``pieces`` interleaved with the reprs of threshold, fpr and tpr.
 
-    Each yielded chunk covers up to ``_ROWS`` points. A chunk is a uint8 row
-    per point: the pieces, broadcast, with each column's NUL-padded field
-    (``floattext.repr_fields``) copied in between; dropping the NULs leaves
-    the text. ``ends`` replaces the first and last thresholds.
+    Each yielded chunk covers up to ``_ROWS`` points. A chunk is ``_rows`` of
+    the pieces and each column's NUL-padded field (``floattext.repr_fields``);
+    dropping the NULs leaves the text. ``ends`` replaces the first and last
+    thresholds.
     """
     # Imported on use, so that verbs without a ROC never compile it.
     from .floattext import WIDTH, repr_fields
 
-    template = np.frombuffer((b"\0" * WIDTH).join(pieces), dtype=np.uint8)
-    offsets = (np.cumsum([len(piece) + WIDTH for piece in pieces[:-1]]) - WIDTH).tolist()
-    threshold = slice(offsets[0], offsets[0] + WIDTH)
+    fixed = [np.frombuffer(piece, dtype=np.uint8) for piece in pieces]
     if ends is not None:
         first, last = (np.frombuffer(end.ljust(WIDTH, b"\0"), dtype=np.uint8) for end in ends)
     n = len(curve.thresholds)
     for start in range(0, n, _ROWS):
         stop = min(start + _ROWS, n)
-        rows = np.empty((stop - start, len(template)), dtype=np.uint8)
-        rows[:] = template
-        for at, column in zip(offsets, (curve.thresholds, curve.fpr, curve.tpr)):
-            rows[:, at : at + WIDTH] = repr_fields(column[start:stop])
+        columns = [fixed[0]]  # then each field, the piece after it
+        for column, piece in zip((curve.thresholds, curve.fpr, curve.tpr), fixed[1:]):
+            columns += (repr_fields(column[start:stop]), piece)
         if ends is not None:
             if start == 0:
-                rows[0, threshold] = first
+                columns[1][0] = first
             if stop == n:
-                rows[-1, threshold] = last
+                columns[1][-1] = last
+        rows = _rows(stop - start, columns)
         yield rows[rows != 0].tobytes()
 
 

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from idseval import AlertSeries, LabeledSeries
+from idseval import AlertSeries, LabeledSeries, save_alerts, save_labels
 
 
 def make_series(
@@ -97,6 +99,59 @@ def alerts_from_intervals(n: int, intervals: list[tuple[int, int]]) -> list[bool
         for i in range(start, end + 1):
             values[i] = True
     return values
+
+
+class Trace(NamedTuple):
+    """A labeled trace with boolean detectors by name and one scored detector."""
+
+    timestamps: list[int]
+    labels: list[str]
+    detectors: dict[str, list[bool]]
+    scores: list[float]
+
+
+def random_trace(rng: random.Random, start: int = 0) -> Trace:
+    """200-400 points from tick ``start`` on, some ticks apart, with 1-10 attack
+    scenarios of three types, 1-3 lagged and noisy boolean detectors and one
+    scored detector with ties and integral scores. Equal ``rng`` states give
+    equal traces for every ``start``, so two starts give a trace and its shift.
+    """
+    n = rng.randint(200, 400)
+    gaps = [rng.choice((1, 1, 1, 2, 7)) for _ in range(n - 1)]
+    timestamps = list(itertools.accumulate(gaps, initial=start))
+    labels = ["benign"] * n
+    count = rng.randint(1, 10)
+    slot = n // count  # one scenario per slot, with benign points after it
+    for k in range(count):
+        first = k * slot + rng.randint(0, slot // 2)
+        kind = rng.choice(("dos", "scan", "spoof"))
+        length = rng.randint(1, slot // 2 - 1)
+        labels[first : first + length] = [kind] * length
+    attack = [label != "benign" for label in labels]
+    detectors = {}
+    for k in range(rng.randint(1, 3)):
+        lag, noise = rng.randint(0, 6), rng.choice((0.0, 0.01, 0.05, 0.3))
+        detectors[f"det-{k}"] = [
+            (i >= lag and attack[i - lag]) != (rng.random() < noise) for i in range(n)
+        ]
+    scores = [
+        float(rng.randint(0, 3)) if rng.random() < 0.2 else round(rng.random() + hit, 3)
+        for hit in attack
+    ]
+    return Trace(timestamps, labels, detectors, scores)
+
+
+def write_trace(trace: Trace, folder: Path) -> None:
+    """The trace in the layouts idseval writes: ``labels.csv``, one
+    ``NAME.jsonl`` per detector, and ``scored.jsonl``."""
+    folder.mkdir(parents=True, exist_ok=True)
+    series = make_series(trace.labels, "labels", timestamps=trace.timestamps)
+    save_labels(series, folder / "labels.csv")
+    for name, values in trace.detectors.items():
+        alerts = AlertSeries.from_bool(name, values, series.name)
+        save_alerts(alerts, series, folder / f"{name}.jsonl")
+    scored = AlertSeries.from_scores("scored", trace.scores, series.name)
+    save_alerts(scored, series, folder / "scored.jsonl")
 
 
 def fresh_env(**env_updates) -> dict[str, str]:

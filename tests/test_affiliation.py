@@ -156,8 +156,9 @@ class TestTicksPastFloatPrecision:
         assert (scores.precision_like, scores.recall_like) == (1.0, 1.0)
         assert (zones[0].event_start, zones[0].event_end) == (5.0, 10.0)
 
-    @pytest.mark.parametrize("origin", [10**18, -(2**63), 2**63 - 100, 2**53])
-    def test_bit_equal_to_ticks_from_zero(self, origin):
+    @staticmethod
+    def pairs(origin):
+        """Affiliation of 30 random instances, from tick 0 and from ``origin``."""
         rng = random.Random(origin % 997)
         for _ in range(30):
             n = rng.randint(1, 60)
@@ -165,4 +166,17 @@ class TestTicksPastFloatPrecision:
             alerts = random_intervals(rng, n, 6)
             small, _ = build(n, attacks, alerts)
             big, _ = build(n, attacks, alerts, timestamps=[origin + i for i in range(n)])
+            yield small, big
+
+    @pytest.mark.parametrize("origin", [10**18, -(2**63), 2**63 - 100, 2**53])
+    def test_bit_equal_to_ticks_from_zero(self, origin):
+        for small, big in self.pairs(origin):
+            assert repr(big) == repr(small)
+
+    # Zones keep the ticks' origin below 2**53, but the scores count from the
+    # first tick at any origin: float64 holds no half tick past 2**52, and a
+    # series across 2**53 ends past it.
+    @pytest.mark.parametrize("origin", [2**53 - 30, 2**52 + 1, 10**9 + 7, -(2**53) + 1])
+    def test_scores_bit_equal_to_ticks_from_zero(self, origin):
+        for (small, _), (big, _) in self.pairs(origin):
             assert repr(big) == repr(small)

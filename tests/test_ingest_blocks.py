@@ -707,7 +707,7 @@ class TestAlignmentWhileReading:
     @pytest.mark.parametrize("shift", [False, True])
     def test_timestamp_past_int64_after_a_matched_prefix(self, tmp_path, plant, key, shift):
         # The reference loader raises OverflowError here; the message is the
-        # range error of _check_range at the first such record.
+        # range error of _check_ticks at the first such record.
         rows = canonical_rows(key)
         if shift:  # a block that differs, and so is kept, before the range error
             rows = retimed(rows, 2, rows[2][0] + 5)

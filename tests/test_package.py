@@ -17,7 +17,7 @@ ROOT_NAMES = [
     "AffiliationZone", "AlertKind", "AlertSeries", "AlignmentError", "AttackScenario",
     "BaselineKind", "BaselineSpec", "CATALOG", "ComparisonTable", "ConfusionMatrix",
     "DEFAULT_METRICS", "DatasetManifest", "EtaParams", "EvalContext", "EvaluationError",
-    "FBetaParams", "IngestError", "Intervals", "LabeledSeries", "MetricDefinition",
+    "IngestError", "Intervals", "LabeledSeries", "MetricDefinition",
     "MetricReport", "MetricValue", "ParameterError", "RocCurve", "RocPoint",
     "ScenarioDetection", "Scenarios", "TimeAwareScores", "TimelineLane", "TimelineRendering",
     "UNDEFINED_CELL", "UnknownMetricError", "ValidationReport", "accuracy", "affiliation",

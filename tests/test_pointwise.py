@@ -14,7 +14,6 @@ from idseval import (
     AlertSeries,
     ConfusionMatrix,
     EvaluationError,
-    FBetaParams,
     ParameterError,
     RocCurve,
     accuracy,
@@ -154,7 +153,9 @@ class TestFBeta:
         assert f_beta(cm, 1).exact == f1(cm).exact
 
     def test_float_beta_normalized_via_repr(self):
-        assert FBetaParams(0.1).beta == Fraction(1, 10)
+        cm = ConfusionMatrix(tp=3, tn=1, fp=2, fn=4)
+        assert f_beta(cm, 0.1) == f_beta(cm, Fraction(1, 10))
+        assert f_beta(cm, 0.1).params == {"beta": "0.1"}
 
     def test_matches_precision_recall_composition(self):
         rng = random.Random(5150)

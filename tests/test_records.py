@@ -27,7 +27,7 @@ from idseval.model import (
     Record,
     Scenarios,
 )
-from idseval.pointwise import FBetaParams, RocCurve, RocPoint, f1
+from idseval.pointwise import RocCurve, RocPoint, f1
 from idseval.report import ComparisonTable, TimelineLane, TimelineRendering
 from idseval.timeaware import EtaParams, TimeAwareScores
 
@@ -59,7 +59,6 @@ CASES = [
                             duration_seconds=Fraction(10), warnings=("w",)), "unhashable"),
     (DatasetManifest, dict(name="s", labels_path=Path("l.csv"), tick_seconds=Fraction(1, 10),
                            description="demo", alert_paths=(Path("a.jsonl"),)), "value"),
-    (FBetaParams, dict(beta=Fraction(1, 2)), "value"),
     (RocPoint, dict(threshold=0.5, fpr=0.25, tpr=0.75), "value"),
     (RocCurve, dict(thresholds=np.array([np.inf, 0.5, -np.inf]), fpr=np.array([0.0, 0.5, 1.0]),
                     tpr=np.array([0.0, 0.25, 1.0])), "unhashable"),
@@ -115,12 +114,12 @@ def test_record_behaviour(cls, fields, hashing):
 
 
 def test_every_record_class_is_covered():
-    assert len(CASES) == len({cls for cls, _, _ in CASES}) == 22
+    assert len(CASES) == len({cls for cls, _, _ in CASES}) == 21
 
 
 def test_records_of_another_class_are_not_equal():
     assert ConfusionMatrix(1, 2, 3, 4) != (1, 2, 3, 4)
-    assert FBetaParams(1) != EtaParams(1, 1, 1)
+    assert EtaParams(1, 1, 1) != TimeAwareScores(1, 1, 1)
     assert MetricValue("f1", 0.5).params == {}
     assert MetricValue("f1", 0.5).params is not MetricValue("f1", 0.5).params
     assert MetricValue("f1", None, Fraction(1, 4)).value == 0.25

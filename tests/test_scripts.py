@@ -89,8 +89,9 @@ def test_cli_digest_prints_one_line_per_run(digest_lines):
 def test_cli_digest_matches_the_golden_file(digest_lines):
     # The golden digest is the CLI's bytes as they stand; a run that differs
     # is a change to an artifact, never a reason to rewrite the golden line.
-    golden = {line.split()[0]: line.split()[1:]
-              for line in GOLDEN_DIGEST.read_text(encoding="utf-8").splitlines()}
+    lines = GOLDEN_DIGEST.read_text(encoding="utf-8").splitlines()
+    golden = {line.split()[0]: line.split()[1:] for line in lines}
+    assert len(golden) == len(lines), "a run is named on more than one golden line"
     assert set(golden) == set(digest_lines) - {"extra"}
     for name, fields in golden.items():
         if name in VERSION_DEPENDENT:

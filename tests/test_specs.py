@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from idseval import CATALOG, BaselineSpec, ParameterError, catalog_lines, evaluate_detector
-from idseval import EtaParams, FBetaParams, IngestError, LabeledSeries, load_labels, load_manifest
+from idseval import ConfusionMatrix, EtaParams, IngestError, LabeledSeries, load_labels
+from idseval import load_manifest
 from idseval import cli, confusion, evaluate, f_beta, load_alerts
 from idseval.evaluate import bind_metric
 from idseval.model import exact_param, format_fraction
@@ -131,7 +132,8 @@ ENTRIES = {
                    lambda tmp_path, raw: bind_metric(f"fbeta:beta={raw}")[1]["beta"]),
     "etapr-spec": ("theta_p", "unit",
                    lambda tmp_path, raw: bind_metric(f"etapr:theta_p={raw}")[1]["theta_p"]),
-    "FBetaParams": ("beta", "positive", lambda tmp_path, raw: FBetaParams(raw).beta),
+    "f_beta": ("beta", "positive", lambda tmp_path, raw: Fraction(
+        f_beta(ConfusionMatrix(1, 1, 1, 1), raw).params["beta"])),
     "EtaParams": ("theta_p", "unit", lambda tmp_path, raw: EtaParams(theta_p=raw).theta_p),
     "LabeledSeries": ("tick_seconds", "positive", lambda tmp_path, raw: LabeledSeries(
         "x", np.array([0]), np.array([0]), (), raw).tick_seconds),
