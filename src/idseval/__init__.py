@@ -31,13 +31,13 @@ _EXPORTS = {
             MetricValue ParameterError Scenarios alerts_to_intervals collapse_multiclass
             extract_scenarios format_fraction intervals_to_mask mask_to_intervals""",
         "pointwise": """RocCurve RocPoint accuracy auc auc_single
-            confusion f1 f_beta fnr fpr npv ppv roc scenario_normalized_recall
-            tnr tpr""",
+            confusion f1 f_beta fnr fpr npv ppv roc tnr tpr""",
         "report": """UNDEFINED_CELL ComparisonTable TimelineLane TimelineRendering
             build_table format_cell render_timeline report_to_dict report_to_json
             roc_to_csv""",
         "timeaware": """EtaParams ScenarioDetection TimeAwareScores
-            detected_scenarios detection_delay etapr harmonic_f1""",
+            detected_scenarios detection_delay etapr harmonic_f1
+            scenario_normalized_recall""",
     }.items()
     for name in names.split()
 }

@@ -40,7 +40,6 @@ from .evaluate import (
 from .ingest import alarm_warnings, load_alerts, load_labels, load_manifest
 from .ingest import save_alerts, validate_pair
 from .model import (
-    AlertKind,
     AlertSeries,
     EvaluationError,
     LabeledSeries,
@@ -189,10 +188,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     for warning in validate_pair(series, gap_tolerance=args.gap_tolerance).warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for alert, _ in sources:
-        if alert.kind is AlertKind.BOOLEAN:
-            fraction = Fraction(int(np.count_nonzero(alert.values)), len(alert))
-            for warning in alarm_warnings(fraction):
-                print(f"warning: {alert.detector}: {warning}", file=sys.stderr)
+        for warning in alarm_warnings(alert):
+            print(f"warning: {alert.detector}: {warning}", file=sys.stderr)
     reports = [
         evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
         for alert, _ in sources
@@ -283,11 +280,6 @@ def cmd_roc(args: argparse.Namespace) -> int:
     thresholds = _roc_thresholds(args)
     series, sources = _inputs(args, specs, one="roc sweeps one scored detector at a time")
     alert = sources[0][0]
-    if alert.kind is not AlertKind.SCORED:
-        raise EvaluationError(
-            "roc requires scored alerts; boolean alerts already fix an operating "
-            "point, score them with evaluate instead"
-        )
     curve = roc(series, alert, alert.values if thresholds is None else thresholds)
     area = auc(curve)
     if args.format == "json":

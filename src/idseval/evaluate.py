@@ -36,9 +36,11 @@ from .model import (
 from .timeaware import (
     EtaParams,
     ScenarioDetection,
+    TimeAwareScores,
     detected_scenarios,
     detection_delay,
     etapr,
+    scenario_normalized_recall,
 )
 
 
@@ -130,33 +132,29 @@ def _compute_delay(ctx: EvalContext, params: dict[str, object]) -> list[MetricVa
     return out
 
 
+def _triple(
+    names: tuple[str, str, str], scores: TimeAwareScores, params: dict[str, str]
+) -> list[MetricValue]:
+    """A time-aware score's three values, each with its own copy of ``params``."""
+    values = (scores.precision_like, scores.recall_like, scores.f1_like)
+    return [MetricValue(name, value, params=dict(params)) for name, value in zip(names, values)]
+
+
 def _compute_etapr(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
     fields = {("detection_weight" if key == "weight" else key): value
               for key, value in params.items()}
     scores = etapr(ctx.scenarios, ctx.alert_intervals, EtaParams(**fields))
     display = {key: format_fraction(value) for key, value in params.items()}
-    pairs = (
-        ("etap", scores.precision_like),
-        ("etar", scores.recall_like),
-        ("etaf1", scores.f1_like),
-    )
-    return [
-        MetricValue(name=name, value=value, params=dict(display)) for name, value in pairs
-    ]
+    return _triple(("etap", "etar", "etaf1"), scores, display)
 
 
 def _compute_affiliation(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
     scores, _ = affiliation(ctx.scenarios, ctx.alert_intervals, ctx.series)
-    pairs = (
-        ("affiliation-precision", scores.precision_like),
-        ("affiliation-recall", scores.recall_like),
-        ("affiliation-f1", scores.f1_like),
-    )
-    return [MetricValue(name=name, value=value) for name, value in pairs]
+    return _triple(("affiliation-precision", "affiliation-recall", "affiliation-f1"), scores, {})
 
 
 def _compute_scenario_recall(ctx: EvalContext, params: dict[str, object]) -> list[MetricValue]:
-    return [pointwise.scenario_normalized_recall(ctx.series, ctx.alerts, ctx.scenarios)]
+    return [scenario_normalized_recall(ctx.scenarios, ctx.alert_intervals)]
 
 
 CATALOG: tuple[MetricDefinition, ...] = (

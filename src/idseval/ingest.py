@@ -747,11 +747,14 @@ class ValidationReport(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def alarm_warnings(alert_fraction: Fraction) -> list[str]:
+def alarm_warnings(alerts: AlertSeries) -> list[str]:
     """The warning for a boolean detector that alarms at no point or at every one."""
-    if alert_fraction == 0:
+    if alerts.kind is not AlertKind.BOOLEAN:
+        return []
+    alarms = int(np.count_nonzero(alerts.values))
+    if alarms == 0:
         return ["detector never alarms; recall-style metrics will be 0"]
-    if alert_fraction == 1:
+    if alarms == len(alerts):
         return ["detector always alarms; precision equals the attack fraction"]
     return []
 

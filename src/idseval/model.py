@@ -640,9 +640,10 @@ def alerts_to_intervals(alerts: AlertSeries, series: LabeledSeries) -> Intervals
 def mask_to_intervals(mask: np.ndarray) -> Intervals:
     """Inclusive index intervals of the true runs of a boolean mask."""
     mask = np.asarray(mask, dtype=bool)
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return Intervals(edges[0::2], edges[1::2] - 1)
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    ends = edges[1::2] - 1
+    ends.setflags(write=False)  # owned and read-only, so Intervals shares it
+    return Intervals(edges[0::2], ends)
 
 
 def intervals_to_mask(intervals: Iterable[tuple[int, int]], n: int) -> np.ndarray:

@@ -21,16 +21,11 @@ from .model import (
     MetricValue,
     ParameterError,
     Record,
-    Scenarios,
-    ScenariosLike,
     _frozen_array,
     exact_param,
-    extract_scenarios,
     format_fraction,
-    mask_to_intervals,
     require_alignment,
 )
-from .timeaware import _covered, _portions
 
 
 def confusion(series: LabeledSeries, alerts: AlertSeries) -> ConfusionMatrix:
@@ -165,7 +160,10 @@ def roc(
     scores (Fawcett 2006, Algorithm 1).
     """
     if alerts.kind is not AlertKind.SCORED:
-        raise EvaluationError("roc requires scored alerts")
+        raise EvaluationError(
+            "roc requires scored alerts; boolean alerts already fix an operating "
+            "point, score them with evaluate instead"
+        )
     require_alignment(series, alerts)
     every = thresholds is None or thresholds is alerts.values
     if not every:
@@ -234,25 +232,3 @@ def auc_single(cm: ConfusionMatrix) -> MetricValue:
     if fpr_value.exact is None or fnr_value.exact is None:
         return MetricValue.undefined("auc-single")
     return MetricValue.from_fraction("auc-single", 1 - (fpr_value.exact + fnr_value.exact) / 2)
-
-
-def scenario_normalized_recall(
-    series: LabeledSeries,
-    alerts: AlertSeries,
-    scenarios: ScenariosLike | None = None,
-) -> MetricValue:
-    """Recall normalized by scenario length: mean per-scenario alerted fraction.
-
-    Every scenario contributes equally regardless of how long it lasts, so a
-    single long attack cannot dominate the score. Undefined when the series
-    has no attack scenarios.
-    """
-    if alerts.kind is not AlertKind.BOOLEAN:
-        raise EvaluationError("scenario-normalized recall requires boolean alerts")
-    require_alignment(series, alerts)
-    runs = (extract_scenarios(series) if scenarios is None else Scenarios.of(scenarios)).runs
-    if not len(runs):
-        return MetricValue.undefined("scenario-recall")
-    covered = _covered(runs, mask_to_intervals(alerts.values))
-    total = _portions(covered, *np.unique(runs.lengths, return_inverse=True))
-    return MetricValue.from_fraction("scenario-recall", total / len(runs))

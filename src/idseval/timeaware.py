@@ -1,4 +1,4 @@
-"""Time-series-aware metrics: detected scenarios, detection delay, eTaP/eTaR.
+"""Time-series-aware metrics: detected scenarios, delay, scenario recall, eTaP/eTaR.
 
 Attacks and alarms are treated as inclusive index intervals. Overlap is
 inclusive on both endpoints, consistent with scenario indices. Delays
@@ -186,6 +186,22 @@ def _portions(covered: np.ndarray, distinct: np.ndarray, group: np.ndarray) -> F
         (Fraction(c, n) for c, n in zip(covered_by_length.tolist(), distinct.tolist())),
         Fraction(0),
     )
+
+
+def scenario_normalized_recall(
+    scenarios: ScenariosLike, alert_intervals: IntervalsLike
+) -> MetricValue:
+    """Recall normalized by scenario length: mean per-scenario alerted fraction.
+
+    Every scenario contributes equally regardless of how long it lasts, so a
+    single long attack cannot dominate the score. Undefined without scenarios.
+    """
+    runs = Scenarios.of(scenarios).runs
+    covered = _covered(runs, as_intervals(alert_intervals, "alert"))
+    if not len(runs):
+        return MetricValue.undefined("scenario-recall")
+    total = _portions(covered, *np.unique(runs.lengths, return_inverse=True))
+    return MetricValue.from_fraction("scenario-recall", total / len(runs))
 
 
 def _mean_score(

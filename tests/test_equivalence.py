@@ -13,6 +13,7 @@ import io
 import json
 import random
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -148,6 +149,36 @@ def test_every_spelling_and_block_size_gives_the_same_artifacts(seed, spelling, 
             for module, name, size in zip((ingest, ingest, report), names, blocks or ()):
                 patches.enter_context(mock.patch.object(module, name, size))
             assert _artifacts(spelled, trace) == expected
+
+
+# Offsets an ISO-8601 timestamp may carry; a non-zero one moves the wall clock to match.
+ZONES = {"Z": timezone.utc, "+00:00": timezone.utc, "+02:00": timezone(timedelta(hours=2)),
+         "-05:30": timezone(-timedelta(hours=5, minutes=30))}
+
+
+def _iso(tick: int, zone: str) -> str:
+    """Epoch second ``tick`` as an ISO-8601 instant at offset ``zone``."""
+    text = datetime.fromtimestamp(tick, ZONES[zone]).isoformat()
+    return text.replace("+00:00", "Z") if zone == "Z" else text
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    seed=SEEDS,
+    start=st.integers(1_500_000_000, 1_700_000_000),
+    zones=st.lists(st.sampled_from(sorted(ZONES)), min_size=1, max_size=4, unique=True),
+)
+@example(seed=0, start=1_600_000_000, zones=["+02:00"])
+def test_iso_timestamps_give_the_artifacts_of_their_epoch_seconds(seed, start, zones):
+    # Each point's timestamp is written at one of ``zones``, the same in every file.
+    rng = random.Random(seed)
+    trace = random_trace(rng, start)
+    stamps = [_iso(tick, rng.choice(zones)) for tick in trace.timestamps]
+    with tempfile.TemporaryDirectory() as tmp:
+        integral, iso = Path(tmp) / "integral", Path(tmp) / "iso"
+        write_trace(trace, integral)
+        _write_spelled(trace._replace(timestamps=stamps), iso, frozenset(), 0, rng)
+        assert _artifacts(iso, trace) == _artifacts(integral, trace)
 
 
 def _json(verb: str, folder: Path, names, gap: int) -> dict:

@@ -23,6 +23,7 @@ from idseval import (
     save_labels,
     validate_pair,
 )
+from idseval.ingest import alarm_warnings
 from idseval.model import format_fraction
 from support import label_strings, make_alerts, make_series, random_binary_instance
 
@@ -351,6 +352,17 @@ class TestValidatePair:
         report = validate_pair(make_series(["dos", "benign"]))
         assert isinstance(report, ValidationReport)
         assert isinstance(report.attack_fraction, Fraction)
+
+
+class TestAlarmWarnings:
+    def test_never_always_mixed_and_scored(self):
+        never = ["detector never alarms; recall-style metrics will be 0"]
+        always = ["detector always alarms; precision equals the attack fraction"]
+        assert alarm_warnings(make_alerts([False] * 4)) == never
+        assert alarm_warnings(make_alerts([True] * 4)) == always
+        assert alarm_warnings(make_alerts([True, False, False, True])) == []
+        for scores in ([0.0, 0.0], [0.5, 2.0]):
+            assert alarm_warnings(AlertSeries.from_scores("d", scores, "series")) == []
 
 
 class TestManifest:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,21 @@ class TestIntervalHelpers:
         assert list(intervals_to_mask(intervals, len(mask))) == mask
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert s1 <= e1 and e1 + 1 < s2
+
+    def test_mask_to_intervals_copies_no_run_ends(self):
+        n_runs = 100_000
+        mask = np.zeros(2 * n_runs, dtype=bool)
+        mask[::2] = True  # one-point runs, the most a mask can hold
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runs = mask_to_intervals(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == n_runs
+        # The runs hold 16 B each and the edges 16 more; a copy of the ends adds 8.
+        assert peak - before < 40 * n_runs
 
     def test_alerts_to_intervals(self):
         series = make_series(["benign"] * 6)

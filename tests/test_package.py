@@ -65,6 +65,16 @@ def test_affiliation_stays_the_function_once_its_module_loads():
     assert fresh_python("-c", code) == "True\n"
 
 
+def test_pointwise_loads_neither_timeaware_nor_evaluate():
+    """The point metrics sit below the scenario metrics and the metric catalog:
+    importing them (``roc`` and ``confusion`` among them) loads neither."""
+    code = (
+        "import sys, idseval.pointwise\n"
+        "print([name in sys.modules for name in ('idseval.timeaware', 'idseval.evaluate')])"
+    )
+    assert fresh_python("-c", code).splitlines()[-1] == "[False, False]"
+
+
 def test_every_name_the_benchmark_patches_resolves(monkeypatch):
     """``benchmarks/spans.py`` times layers by patching names on idseval's
     modules, so a name it patches must stay where it looks for it."""

@@ -21,7 +21,6 @@ from idseval import (
     auc_single,
     collapse_multiclass,
     confusion,
-    extract_scenarios,
     f1,
     f_beta,
     fnr,
@@ -29,7 +28,6 @@ from idseval import (
     npv,
     ppv,
     roc,
-    scenario_normalized_recall,
     tnr,
     tpr,
 )
@@ -37,11 +35,8 @@ from oracles.brute import (
     brute_auc_single,
     brute_confusion,
     brute_fbeta_from_pr,
-    brute_merge_runs,
     brute_ratios,
     brute_roc_points,
-    brute_runs,
-    brute_scenario_recall,
 )
 from support import make_alerts, make_series, random_binary_instance
 
@@ -196,7 +191,7 @@ class TestRoc:
     def test_errors(self):
         series = make_series(["benign", "attack"])
         scores = AlertSeries.from_scores("d", [0.1, 0.9], "series")
-        with pytest.raises(EvaluationError, match="scored"):
+        with pytest.raises(EvaluationError, match="scored alerts; .* score them with evaluate"):
             roc(series, make_alerts([True, False]), [0.5])
         with pytest.raises(ParameterError, match="threshold"):
             roc(series, scores, [])
@@ -284,34 +279,6 @@ class TestAuc:
     def test_auc_single_undefined_without_both_classes(self):
         assert not auc_single(ConfusionMatrix(tp=3, tn=0, fp=0, fn=1)).defined
         assert not auc_single(ConfusionMatrix(tp=0, tn=3, fp=1, fn=0)).defined
-
-
-class TestScenarioRecall:
-    def test_hand_case(self):
-        series = make_series(["A", "A", "A", "A", "benign", "B"])
-        alerts = make_alerts([True, False, False, False, True, True])
-        value = scenario_normalized_recall(series, alerts)
-        assert value.exact == (Fraction(1, 4) + Fraction(1)) / 2
-
-    def test_undefined_without_scenarios(self):
-        series = make_series(["benign", "benign"])
-        assert not scenario_normalized_recall(series, make_alerts([True, True])).defined
-
-    def test_matches_brute_on_random_instances(self):
-        rng = random.Random(6061)
-        for i in range(200):
-            # Every fourth instance is long, so many scenarios share a length.
-            labels, alert_values = random_binary_instance(rng, max_len=400 if i % 4 else 50)
-            gap = rng.randint(0, 2)
-            series = make_series(labels)
-            scenarios = extract_scenarios(series, gap_tolerance=gap)
-            got = scenario_normalized_recall(series, make_alerts(alert_values), scenarios)
-            runs = brute_merge_runs(brute_runs(labels), gap)
-            expected = brute_scenario_recall(runs, alert_values)
-            if expected is None:
-                assert not got.defined
-            else:
-                assert got.exact == expected
 
 
 @given(

@@ -24,10 +24,11 @@ from idseval import (
     extract_scenarios,
     harmonic_f1,
     report_to_json,
+    scenario_normalized_recall,
 )
-from oracles.brute import brute_merge_runs, brute_runs
+from oracles.brute import brute_merge_runs, brute_runs, brute_scenario_recall
 from oracles.eta_oracle import eta_oracle
-from support import make_alerts, make_series, random_intervals
+from support import make_alerts, make_series, random_binary_instance, random_intervals
 
 
 def scenario(start: int, end: int, attack_type: str = "attack") -> AttackScenario:
@@ -139,6 +140,66 @@ class TestDetectedScenarios:
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError, match="start > end"):
             detected_scenarios([scenario(0, 1)], [(6, 5)])
+
+
+class TestScenarioRecall:
+    def test_hand_case(self):
+        series = make_series(["A", "A", "A", "A", "benign", "B"])
+        alerts = make_alerts([True, False, False, False, True, True])
+        value = scenario_normalized_recall(
+            extract_scenarios(series), alerts_to_intervals(alerts, series)
+        )
+        assert value.exact == (Fraction(1, 4) + Fraction(1)) / 2
+
+    def test_takes_alert_runs_as_plain_pairs(self):
+        scenarios = [scenario(0, 3, "A"), scenario(5, 5, "B")]
+        value = scenario_normalized_recall(scenarios, [(0, 0), (4, 5)])
+        assert value.exact == (Fraction(1, 4) + Fraction(1)) / 2
+
+    def test_undefined_without_scenarios(self):
+        series = make_series(["benign", "benign"])
+        alerts = make_alerts([True, True])
+        value = scenario_normalized_recall(
+            extract_scenarios(series), alerts_to_intervals(alerts, series)
+        )
+        assert not value.defined
+
+    def test_alert_pairs_checked_without_scenarios(self):
+        with pytest.raises(ValueError, match="sorted and disjoint"):
+            scenario_normalized_recall([], [(5, 6), (2, 3)])
+
+    def test_matches_brute_on_random_instances(self):
+        rng = random.Random(6061)
+        for i in range(200):
+            # Every fourth instance is long, so many scenarios share a length.
+            labels, alert_values = random_binary_instance(rng, max_len=400 if i % 4 else 50)
+            gap = rng.randint(0, 2)
+            series = make_series(labels)
+            got = scenario_normalized_recall(
+                extract_scenarios(series, gap_tolerance=gap),
+                alerts_to_intervals(make_alerts(alert_values), series),
+            )
+            runs = brute_merge_runs(brute_runs(labels), gap)
+            expected = brute_scenario_recall(runs, alert_values)
+            if expected is None:
+                assert not got.defined
+            else:
+                assert got.exact == expected
+
+    def test_evaluate_scores_the_scenarios_of_its_gap_tolerance(self):
+        series = make_series(["A", "A", "benign", "A", "benign", "benign", "B"])
+        alerts = make_alerts([True, True, False, False, False, False, True])
+        values = []
+        for gap in (0, 1, 3):
+            report = evaluate_detector(
+                series, alerts, metrics=["scenario-recall"], gap_tolerance=gap
+            )
+            expected = scenario_normalized_recall(
+                extract_scenarios(series, gap), alerts_to_intervals(alerts, series)
+            )
+            assert report.metrics == (expected,)
+            values.append(expected.exact)
+        assert values == [Fraction(2, 3), Fraction(3, 4), Fraction(3, 4)]
 
 
 class TestDetectionDelay:
