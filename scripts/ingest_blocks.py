@@ -13,7 +13,7 @@ times. Prints one JSON line per measure, all medians in milliseconds:
 
 - ``fast_alerts.boolean`` and ``fast_alerts.scored``: ``_fast_alerts`` on one
   1 MiB alert block, with the block's lines;
-- ``fast_labels``: ``_fast_labels`` on one 256 KiB label block;
+- ``fast_labels``: ``_fast_labels`` on one 128 KiB label block;
 - ``load_alerts.boolean``, ``load_alerts.scored`` and ``load_labels``: the
   whole load, then ``read_ms``, the time to read the file's blocks without
   parsing them, and ``parse_ms``, the difference.

@@ -10,7 +10,7 @@ ticks count epoch seconds too. All malformed-input errors carry the file
 path and 1-based line number.
 
 Files are read in blocks of whole lines, each read into one reused buffer
-(about 1 MiB for alerts, 256 KiB for labels, to bound the label parse's
+(about 1 MiB for alerts, 128 KiB for labels, to bound the label parse's
 temporaries). A block in the exact layout that ``save_labels`` or
 ``save_alerts`` writes is parsed with numpy, every byte checked against that
 layout: numbers are read eight digits at a time from 64-bit words (``swar``),
@@ -46,6 +46,7 @@ from .model import (
     LabeledSeries,
     ParameterError,
     Record,
+    _run_heads,
     exact_param,
     extract_scenarios,
     format_fraction,
@@ -63,11 +64,12 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # block, so that a load leaves no freed 1 MiB blocks in glibc's heap to raise
 # the peak RSS of the stages after it.
 _BLOCK_BYTES = 1 << 20
-# Label files are read in smaller blocks: ``_fast_labels`` holds about nine
-# int64-wide temporaries per line. At 10^6 points that is ~1.5 MiB for a
-# block's ~21k lines, about what a 1 MiB alert block's parse holds, against
-# ~5.8 MiB for a 1 MiB label block.
-_LABEL_BLOCK_BYTES = 1 << 18
+# Label files are read in smaller blocks: ``_fast_labels`` holds about 100
+# bytes of temporaries per line, and a label load holds nothing else per
+# point but its timestamps. At 2*10^5 points with 13-digit ticks, the load's
+# peak beyond its timestamps and buffer is ~0.75 MB, against ~1.43 MB with
+# 256 KiB blocks, for ~9% more label-load CPU.
+_LABEL_BLOCK_BYTES = 1 << 17
 _WRITE_ROWS = 1 << 14
 # Bytes before a block, so that what is read before its first line stays
 # inside the buffer: the three 8-byte words ending at a 19-digit token, and
@@ -241,8 +243,8 @@ def _json_string(token: bytes) -> str | None:
 def _fast_labels(
     buf: np.ndarray, lo: int, hi: int, index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Timestamps, then label codes run by run and rows per run, of a block
-    ``buf[lo:hi]`` of ``ts,label`` lines, or None.
+    """Timestamps, then label codes run by run and the first row of each run,
+    of a block ``buf[lo:hi]`` of ``ts,label`` lines, or None.
 
     None means some byte leaves the layout ``save_labels`` writes for plain
     labels (no quotes, no control bytes, no surrounding whitespace); the
@@ -251,8 +253,7 @@ def _fast_labels(
 
     Labels come in runs, so each row is keyed by its label's masked 8-byte
     words and compared with the row before it; only the first row of each
-    run is decoded. ``load_labels`` repeats each code over its run once the
-    whole file is read.
+    run is decoded.
     """
     block = buf[lo:hi]
     if block[-1] != ord("\n"):
@@ -307,14 +308,14 @@ def _fast_labels(
         if label not in BENIGN_LABELS:
             lookup[k] = index.get(label) or added.setdefault(label, len(index) + len(added) + 1)
     index.update(added)
-    return timestamps, lookup[group], np.diff(heads, append=len(width))
+    return timestamps, lookup[group], heads
 
 
 def _label_rows(
     path: Path, lines: Iterable[str], first: int, index: dict[str, int], tick: Fraction, header: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """CSV rows parsed and checked row by row, as ``_fast_labels`` returns them
-    (each row a run of one), then the line of each row.
+    (each row a run of its own), then the line of each row.
 
     With ``header``, the first row must be the ``timestamp,label`` header.
     """
@@ -350,15 +351,15 @@ def _label_rows(
             record_lines.append(line)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise _fail(path, first - 1 + reader.line_num, f"malformed CSV: {exc}") from None
-    runs = np.ones(len(codes), dtype=np.int64)
-    return _int_column(timestamps), np.array(codes, dtype=np.int32), runs, record_lines
+    heads = np.arange(len(codes))
+    return _int_column(timestamps), np.array(codes, dtype=np.int32), heads, record_lines
 
 
 def _label_parts(
     path: Path, handle, index: dict[str, int], tick: Fraction
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int], int | None]]:
     """The parts of an open label file in order: timestamps, label codes run by
-    run, rows per run, each record's line, and the bytes the part covers.
+    run, the first row of each run, each record's line, and the bytes the part covers.
 
     After the header, each block in the ``save_labels`` layout is one part.
     From the first block out of it, or the first line if the header is not
@@ -409,11 +410,11 @@ def load_labels(
     count = 0  # timestamps in the column
     done = 0  # bytes of the file the block-route parts cover
     codes: list[np.ndarray] = []
-    runs: list[np.ndarray] = []
+    starts: list[np.ndarray] = []
     lines: list[Sequence[int]] = []
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        for stamps, part_codes, part_runs, part_lines, part_bytes in _label_parts(
+        for stamps, part_codes, part_heads, part_lines, part_bytes in _label_parts(
             path, handle, index, tick
         ):
             end = count + len(stamps)
@@ -428,25 +429,23 @@ def load_labels(
                     else:
                         column = np.empty(length, np.int64)
                 column[count:end] = stamps
-            count = end
             codes.append(part_codes)
-            runs.append(part_runs)
+            starts.append(part_heads + count)
+            count = end
             lines.append(part_lines)
     if not count:
         raise _fail(path, None, "no data rows")
     if len(column) > count:
         column.resize(count, refcheck=False)  # no view of it is alive
     _check_ticks(column, path, lines)
-    label_codes = np.repeat(np.concatenate(codes), np.concatenate(runs))
-    for array in (column, label_codes):
+    # Runs of one code meet across parts, and "benign" and "0" runs meet anywhere.
+    run_codes = np.concatenate(codes)
+    heads = _run_heads(run_codes)
+    run_starts, run_codes = np.concatenate(starts)[heads], run_codes[heads]
+    for array in (column, run_starts, run_codes):
         array.setflags(write=False)  # so that LabeledSeries shares it
-    return LabeledSeries(
-        name=name or path.stem,
-        timestamps=column,
-        label_codes=label_codes,
-        attack_types=tuple(index),
-        tick_seconds=tick,
-    )
+    return LabeledSeries.from_runs(name or path.stem, column, run_starts, run_codes,
+                                   tuple(index), tick)
 
 
 def save_labels(series: LabeledSeries, path: Path | str) -> None:
@@ -464,13 +463,14 @@ def save_labels(series: LabeledSeries, path: Path | str) -> None:
         csv.writer(row, lineterminator="\n").writerow((0, label))
         cells.append(row.getvalue()[2:-1])  # the label as quoted after "0,"
     names = np.array(cells, dtype=object)
+    codes = series.per_point(series.run_codes)  # not kept on the series, as label_codes is
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(_LABEL_HEADER_LINE.decode())
         for start in range(0, len(series), _WRITE_ROWS):
             timestamps = series.timestamps[start : start + _WRITE_ROWS].tolist()
             fields: list[object] = [None] * (2 * len(timestamps))
             fields[0::2] = timestamps
-            fields[1::2] = names[series.label_codes[start : start + _WRITE_ROWS]].tolist()
+            fields[1::2] = names[codes[start : start + _WRITE_ROWS]].tolist()
             handle.write(("%d,%s\n" * len(timestamps)) % tuple(fields))
 
 
@@ -767,7 +767,7 @@ def validate_pair(series: LabeledSeries, gap_tolerance: int = 0) -> ValidationRe
     than wrong: missing scenarios, single-class data, heavy imbalance.
     """
     n = len(series)
-    attack_points = int(series.attack_mask.sum())
+    attack_points = series.attack_points
     attack_fraction = Fraction(attack_points, n)
     scenarios = extract_scenarios(series, gap_tolerance=gap_tolerance)
     counts = np.bincount(scenarios.codes, minlength=len(scenarios.attack_types) + 1)

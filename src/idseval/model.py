@@ -188,15 +188,26 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """True where an entry differs from the one before it, and at the first entry."""
+    heads = np.empty(len(values), dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
 class LabeledSeries(Record):
     """Ground-truth stream: per-point benign/attack-type labels over integer ticks.
 
-    Labels are stored as integer codes: 0 is benign, code k (k >= 1) is
+    Labels are held as their maximal runs: run k covers the points from
+    ``run_starts[k]`` up to the next run's start, each labelled ``run_codes[k]``,
+    and neighbouring runs differ in code. Code 0 is benign, code k (k >= 1) is
     ``attack_types[k - 1]``. Timestamps are strictly increasing ticks;
-    ``tick_seconds`` converts ticks to wall-clock seconds.
+    ``tick_seconds`` converts ticks to wall-clock seconds. The per-point
+    ``label_codes`` and ``attack_mask`` are built from the runs on first access.
     """
 
-    _fields = ("name", "timestamps", "label_codes", "attack_types", "tick_seconds")
+    _fields = ("name", "timestamps", "run_starts", "run_codes", "attack_types", "tick_seconds")
 
     def __init__(
         self,
@@ -207,16 +218,42 @@ class LabeledSeries(Record):
         tick_seconds: Fraction | int | float | str = Fraction(1),
     ) -> None:
         timestamps = _frozen_array(timestamps, np.int64)
-        label_codes = _frozen_array(label_codes, np.int32)
-        tick_seconds = exact_param("tick_seconds", tick_seconds)
-        self._set(name, timestamps, label_codes, attack_types, tick_seconds)
-        if self.timestamps.ndim != 1 or self.label_codes.ndim != 1:
+        codes = np.asarray(label_codes, dtype=np.int32)
+        if timestamps.ndim != 1 or codes.ndim != 1:
             raise ValueError("timestamps and labels must be one-dimensional")
-        if len(self.timestamps) != len(self.label_codes):
+        if len(timestamps) != len(codes):
             raise ValueError("timestamps and labels must have equal length")
-        if len(self.timestamps) == 0:
+        heads = _run_heads(codes)
+        starts = np.flatnonzero(heads)
+        self._set_runs(name, timestamps, starts, codes[heads], attack_types, tick_seconds)
+
+    @classmethod
+    def from_runs(
+        cls,
+        name: str,
+        timestamps: np.ndarray,
+        run_starts: np.ndarray,
+        run_codes: np.ndarray,
+        attack_types: tuple[str, ...],
+        tick_seconds: Fraction | int | float | str = Fraction(1),
+    ) -> "LabeledSeries":
+        """Build a series from its maximal label runs: the first point of each,
+        ``run_starts``, and its code, ``run_codes``."""
+        series = cls.__new__(cls)
+        series._set_runs(name, timestamps, run_starts, run_codes, attack_types, tick_seconds)
+        return series
+
+    def _set_runs(self, name, timestamps, run_starts, run_codes, attack_types, tick_seconds):
+        timestamps = _frozen_array(timestamps, np.int64)
+        starts = _frozen_array(run_starts, np.int64)
+        codes = _frozen_array(run_codes, np.int32)
+        tick_seconds = exact_param("tick_seconds", tick_seconds)
+        self._set(name, timestamps, starts, codes, attack_types, tick_seconds)
+        if timestamps.ndim != 1 or starts.ndim != 1 or starts.shape != codes.shape:
+            raise ValueError("timestamps and label runs must be one-dimensional, a code per run")
+        if len(timestamps) == 0:
             raise ValueError("series must contain at least one point")
-        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
+        if not np.all(timestamps[1:] > timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         try:
             # Every duration reported in seconds (delays, the span) is at most this.
@@ -232,10 +269,15 @@ class LabeledSeries(Record):
                 raise ValueError("attack type ids must be non-empty")
         if len(set(self.attack_types)) != len(self.attack_types):
             raise ValueError("attack type ids must be unique")
-        if len(self.label_codes) and (
-            self.label_codes.min() < 0 or self.label_codes.max() > len(self.attack_types)
-        ):
+        if not len(starts) or starts[0] != 0 or starts[-1] >= len(timestamps):
+            raise ValueError("label runs must start at point 0 and end within the series")
+        if not np.all(starts[1:] > starts[:-1]) or np.any(codes[1:] == codes[:-1]):
+            raise ValueError("label runs must be maximal: rising starts, a new code each")
+        if codes.min() < 0 or codes.max() > len(self.attack_types):
             raise ValueError("label codes must reference attack_types")
+
+    def __reduce__(self):
+        return type(self).from_runs, self._values()
 
     @classmethod
     def from_labels(
@@ -274,9 +316,31 @@ class LabeledSeries(Record):
         """From the first tick to the end of the last, in seconds."""
         return (int(self.timestamps[-1]) - int(self.timestamps[0]) + 1) * self.tick_seconds
 
+    @property
+    def run_lengths(self) -> np.ndarray:
+        """Points per label run."""
+        return np.diff(self.run_starts, append=len(self))
+
+    @property
+    def attack_points(self) -> int:
+        """Points of any attack type."""
+        return int(self.run_lengths[self.run_codes > 0].sum())
+
+    def per_point(self, run_values: np.ndarray) -> np.ndarray:
+        """A new array of each run's entry of ``run_values``, repeated over its points."""
+        return np.repeat(run_values, self.run_lengths)
+
+    @cached_property
+    def label_codes(self) -> np.ndarray:
+        """The code of each point."""
+        codes = self.per_point(self.run_codes)
+        codes.setflags(write=False)
+        return codes
+
     @cached_property
     def attack_mask(self) -> np.ndarray:
-        mask = self.label_codes > 0
+        """Whether each point is of an attack type."""
+        mask = self.per_point(self.run_codes > 0)
         mask.setflags(write=False)
         return mask
 
@@ -442,13 +506,10 @@ def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> "Scenari
     """
     if gap_tolerance < 0:
         raise ParameterError("gap_tolerance must be non-negative")
-    codes = series.label_codes
-    boundaries = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries - 1, [len(codes) - 1]))
-    attack = codes[starts] > 0
-    starts, ends = starts[attack], ends[attack]
-    run_codes = codes[starts]
+    starts, codes = series.run_starts, series.run_codes
+    ends = starts + series.run_lengths - 1
+    attack = codes > 0
+    starts, ends, run_codes = starts[attack], ends[attack], codes[attack]
     # A run opens a scenario unless the one before has its type and a short gap;
     # it closes one when the next run opens (rolled, the last run's next is the first).
     opens = np.ones(len(starts), dtype=bool)
@@ -686,13 +747,14 @@ def collapse_multiclass(series: LabeledSeries) -> LabeledSeries:
 
     Every attack type becomes one synthetic attack type; benign stays benign.
     """
-    codes = series.attack_mask.astype(np.int32)
-    codes.setflags(write=False)
-    # Read-only arrays are shared by the new series, not copied.
-    return LabeledSeries(
-        name=series.name,
-        timestamps=series.timestamps,
-        label_codes=codes,
-        attack_types=(COLLAPSED_ATTACK_TYPE,) if codes.any() else (),
-        tick_seconds=series.tick_seconds,
+    attack = (series.run_codes > 0).astype(np.int32)
+    heads = _run_heads(attack)
+    codes = attack[heads]
+    return LabeledSeries.from_runs(
+        series.name,
+        series.timestamps,  # read-only, so shared rather than copied
+        series.run_starts[heads],
+        codes,
+        (COLLAPSED_ATTACK_TYPE,) if codes.any() else (),
+        series.tick_seconds,
     )

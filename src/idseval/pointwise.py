@@ -32,18 +32,17 @@ def confusion(series: LabeledSeries, alerts: AlertSeries) -> ConfusionMatrix:
     """Count TP/TN/FP/FN by comparing labels and boolean alerts point-to-point.
 
     Any attack type counts as positive, as in the binary collapse of the series.
-    TP, the attack points and the alerted points are counted, with one boolean
-    temporary; FN, FP and TN follow from them.
+    TP is counted on one boolean temporary, the attack points expanded from
+    the label runs and then and-ed with the alerts; FN, FP and TN follow.
     """
     if alerts.kind is not AlertKind.BOOLEAN:
         raise EvaluationError("confusion requires boolean alerts, not scores")
     require_alignment(series, alerts)
-    attack, alert = series.attack_mask, alerts.values
-    attacks = int(np.count_nonzero(attack))
-    alarms = int(np.count_nonzero(alert))
-    tp = int(np.count_nonzero(attack & alert))
+    hits = series.per_point(series.run_codes > 0)
+    tp = int(np.count_nonzero(np.logical_and(hits, alerts.values, out=hits)))
+    attacks, alarms = series.attack_points, int(np.count_nonzero(alerts.values))
     return ConfusionMatrix(
-        tp=tp, tn=len(attack) - attacks - alarms + tp, fp=alarms - tp, fn=attacks - tp
+        tp=tp, tn=len(series) - attacks - alarms + tp, fp=alarms - tp, fn=attacks - tp
     )
 
 
@@ -175,8 +174,7 @@ def roc(
         if not np.all(np.isfinite(requested)):
             raise ParameterError("thresholds must be finite")
 
-    attack = series.attack_mask
-    n_attack = int(attack.sum())
+    n_attack = series.attack_points
     n_benign = len(series) - n_attack
     if n_attack == 0 or n_benign == 0:
         raise EvaluationError("roc requires both attack and benign points in the labels")
@@ -195,8 +193,10 @@ def roc(
     # The curve is written in place, descending, into arrays that RocCurve then shares.
     thresholds = np.empty(len(swept) + 2)
     thresholds[0], thresholds[-2:0:-1], thresholds[-1] = np.inf, swept, -np.inf
-    hits = np.searchsorted(np.sort(alerts.values[attack]), swept, side="left")
-    del swept
+    attack_scores = alerts.values[series.per_point(series.run_codes > 0)]
+    attack_scores.sort()  # the gathered copy, in place
+    hits = np.searchsorted(attack_scores, swept, side="left")
+    del attack_scores, swept
     np.subtract(below, hits, out=below)  # the benign scores below each threshold
     fpr, tpr = np.empty_like(thresholds), np.empty_like(thresholds)
     for coords, counts, total in ((fpr, below, n_benign), (tpr, hits, n_attack)):

@@ -9,9 +9,11 @@ small random ones from ``support.random_trace``.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import random
+import shutil
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -243,3 +245,26 @@ def test_compare_rows_are_each_detectors_evaluate_report_in_detector_order(seed,
             "exact": {metric["display_name"]: metric["exact"] for metric in metrics
                       if "exact" in metric},
         }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# One run of each verb that writes an artifact, as the golden digest names it.
+ENVIRONMENT_RUNS = ("evaluate-json", "compare-json", "roc-csv", "timeline")
+
+
+def test_the_environment_reaches_no_artifact(tmp_path, monkeypatch):
+    # String hashing and BLAS threads must not reach the output: under each
+    # setting, each run's digest line (exit code, stdout, stderr, every file)
+    # is the golden one.
+    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "scripts" / "cli_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    golden = {line.split()[0]: line for line in
+              (ROOT / "tests" / "golden" / "cli_digest.txt").read_text().splitlines()}
+    shutil.copytree(ROOT / "data" / "demo", tmp_path / "demo")
+    for hash_seed, threads in (("0", "1"), ("1", "2")):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        for name in ENVIRONMENT_RUNS:
+            line = digest.digest(name, digest.MATRIX[name], ROOT / "src", tmp_path)
+            assert line == golden[name], (hash_seed, threads)

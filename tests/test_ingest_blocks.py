@@ -786,10 +786,10 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert loaded == series
-        # Beyond its result and the read buffer, the load holds neither the
-        # timestamps twice nor a whole block's parse temporaries.
-        result = loaded.timestamps.nbytes + loaded.label_codes.nbytes
-        assert peak - before - result - buffer < 8 * n / 2
+        # Beyond its timestamps and the read buffer, the load holds neither the
+        # timestamps twice, nor a whole block's parse temporaries, nor a code
+        # per point: the labels are held as their 200 runs.
+        assert peak - before - loaded.timestamps.nbytes - buffer < 8 * n / 2
 
     @pytest.mark.parametrize("layout", ["save_*", "compact"])
     @pytest.mark.parametrize("key", ["alert", "score"])
@@ -817,9 +817,9 @@ class TestLoadMemory:
             lines.insert(0, "\n" * 100)
         path.write_text("".join(lines), encoding="utf-8")
         series = ingest.load_labels(labels)
-        assert shared == [True, True]  # timestamps and label codes
+        assert shared == [True, True, True]  # timestamps, run starts and run codes
         ingest.load_alerts(path, series)
-        assert shared == [True, True, True]
+        assert shared == [True, True, True, True]
 
 
 class TestBlockRouteConflicts:
