@@ -8,7 +8,8 @@
 Runs a fixed matrix of ``python -m idseval.cli`` commands on ``data/demo`` in
 fresh processes: every verb in every output format, ``--rank-by``,
 ``--help`` and each verb's ``--help``, a usage error, an unknown metric, two
-out-of-range metric parameters and a data error, and ``evaluate`` on other
+out-of-range metric parameters, a repeated detector, a non-finite threshold, a
+negative gap tolerance and a data error, and ``evaluate`` on other
 spellings of the demo files: labels with CRLF line ends, ISO-8601 labels and
 alerts, and compact alerts with no ``"detector"`` field; and ``roc --auto``
 on the demo scores respelled as ``mixed.jsonl``, with ``-0.0`` before ``0.0``,
@@ -76,6 +77,10 @@ MATRIX: dict[str, list[str]] = {
     "data-error": ["roc", *DEMO, "--auto", *OUT],
     "bad-beta": ["evaluate", *DEMO, "--metrics", "fbeta:beta=0", *OUT],
     "bad-theta": ["evaluate", *DEMO, "--metrics", "etapr:theta_p=2", *OUT],
+    "duplicate-detector": ["compare", *DEMO, "--detector", "baseline:never",
+                           "--detector", "baseline:never", *OUT],
+    "bad-thresholds": ["roc", *SCORED, "--thresholds=0.5,nan", *OUT],
+    "bad-gap": ["evaluate", *DEMO, "--gap-tolerance", "-1", *OUT],
     "evaluate-crlf": ["evaluate", "--labels", "demo/crlf.csv", "--alerts", "demo/lagged.jsonl",
                       *OUT],
     "evaluate-iso": ["evaluate", "--labels", "demo/iso.csv", "--alerts", "demo/iso.jsonl",

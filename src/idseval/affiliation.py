@@ -26,6 +26,7 @@ from .model import (
     ScenariosLike,
     as_intervals,
     float_ticks,
+    tick_offsets,
 )
 from .timeaware import TimeAwareScores, harmonic_f1
 
@@ -133,21 +134,17 @@ def affiliation(
         return TimeAwareScores(None, None, None), []
 
     ts = series.timestamps
-    # Spans count from the first tick, exactly in uint64 at any origin, so the
-    # scores depend only on differences of ticks; the zones returned count
-    # ticks as float_ticks does.
-    def ticks(index) -> np.ndarray:
-        return (ts[index].view(np.uint64) - ts[:1].view(np.uint64)).astype(np.float64)
-
-    a, b = ticks(scenario_runs.starts), ticks(scenario_runs.ends) + 1.0
-    bounds = np.concatenate(([0.0], (b[:-1] + a[1:]) / 2.0, ticks([-1]) + 1.0))
+    # Spans count from the first tick, so the scores depend only on differences
+    # of ticks; the zones returned count ticks as float_ticks does.
+    a, b = tick_offsets(ts, scenario_runs.starts), tick_offsets(ts, scenario_runs.ends) + 1.0
+    bounds = np.concatenate(([0.0], (b[:-1] + a[1:]) / 2.0, tick_offsets(ts, [-1]) + 1.0))
     z0, z1 = bounds[:-1], bounds[1:]
     # Alert spans cut at the zone bounds inside them are the alerts clipped
     # to their zones: one sorted, disjoint array of pieces, zone k's pieces
     # being lo[start[k]:stop[k]]. Each zone's terms are summed left to right
     # from 0.0, as bincount adds. All terms are >= 0, so the zero-width
     # pieces that a zone-by-zone evaluation makes would add nothing.
-    lo, hi = ticks(alerts.starts), ticks(alerts.ends) + 1.0
+    lo, hi = tick_offsets(ts, alerts.starts), tick_offsets(ts, alerts.ends) + 1.0
     j = np.searchsorted(hi, bounds[1:-1], side="right")
     lo, hi, _ = _split(lo, hi, bounds[1:-1][j < len(hi)], j[j < len(hi)])
     stop = np.searchsorted(lo, z1, side="left")

@@ -46,8 +46,10 @@ from .model import (
     ParameterError,
     collapse_multiclass,  # noqa: F401  (not called here; benchmarks/spans.py patches this name)
     exact_param,
+    read_gap_tolerance,
+    require_distinct_detectors,
 )
-from .pointwise import auc, roc
+from .pointwise import auc, listed_thresholds, roc
 from .report import (
     build_table,
     render_timeline,
@@ -107,10 +109,7 @@ def _inputs(
         else (generate(spec, series), None)
         for spec in specs
     ]
-    names = [alert.detector for alert, _ in sources]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise EvaluationError(f"duplicate detector names: {', '.join(dupes)}")
+    require_distinct_detectors(alert.detector for alert, _ in sources)
     return series, sources
 
 
@@ -180,18 +179,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     for metric in metrics or ():
         bind_metric(metric)
     specs = _alert_specs(args)
-    if args.gap_tolerance < 0:
-        raise ParameterError("gap_tolerance must be non-negative")
+    gap_tolerance = read_gap_tolerance(args.gap_tolerance)
     compare = args.command == "compare"
     one = None if compare else "evaluate scores one detector; use compare for several"
     series, sources = _inputs(args, specs, one)
-    for warning in validate_pair(series, gap_tolerance=args.gap_tolerance).warnings:
+    for warning in validate_pair(series, gap_tolerance=gap_tolerance).warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for alert, _ in sources:
         for warning in alarm_warnings(alert):
             print(f"warning: {alert.detector}: {warning}", file=sys.stderr)
     reports = [
-        evaluate_detector(series, alert, metrics=metrics, gap_tolerance=args.gap_tolerance)
+        evaluate_detector(series, alert, metrics=metrics, gap_tolerance=gap_tolerance)
         for alert, _ in sources
     ]
     if args.format == "json" and not compare:
@@ -254,7 +252,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _roc_thresholds(args: argparse.Namespace) -> list[float] | None:
+def _roc_thresholds(args: argparse.Namespace) -> np.ndarray | None:
     """The ``--thresholds`` values, or None for ``--auto``."""
     if args.thresholds and args.auto:
         raise ParameterError("pass either --thresholds or --auto, not both")
@@ -268,11 +266,7 @@ def _roc_thresholds(args: argparse.Namespace) -> list[float] | None:
         raise ParameterError(
             f"--thresholds must be comma-separated numbers, got {args.thresholds!r}"
         ) from None
-    if not thresholds:
-        raise ParameterError("at least one threshold is required")
-    if not np.all(np.isfinite(thresholds)):
-        raise ParameterError("thresholds must be finite")
-    return thresholds
+    return listed_thresholds(thresholds)
 
 
 def cmd_roc(args: argparse.Namespace) -> int:

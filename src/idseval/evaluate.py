@@ -31,6 +31,7 @@ from .model import (
     extract_scenarios,
     format_fraction,
     parse_spec,
+    read_gap_tolerance,
     require_alignment,
 )
 from .timeaware import (
@@ -64,7 +65,7 @@ class EvalContext:
         require_alignment(series, alerts)
         self.series = series
         self.alerts = alerts
-        self.gap_tolerance = gap_tolerance
+        self.gap_tolerance = read_gap_tolerance(gap_tolerance)
 
     @cached_property
     def cm(self) -> ConfusionMatrix:

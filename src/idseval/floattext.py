@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _run_heads
+
 # The longest repr, '-1.2345678901234567e-308', fills a field exactly.
 WIDTH = 24
 # Values per pass through the arithmetic; bounds the temporaries. A pass
@@ -155,11 +157,7 @@ def repr_fields(values: np.ndarray) -> np.ndarray:
     stay apart.
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
-    bits = x.view(np.uint64)
-    head = np.empty(len(x), dtype=bool)
-    head[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    heads = np.flatnonzero(head)
+    heads = np.flatnonzero(_run_heads(x.view(np.uint64)))
     distinct = x[heads]
     words = np.empty((len(distinct), 3), dtype=np.uint64)
     for start in range(0, len(distinct), _BLOCK):

@@ -715,9 +715,7 @@ def load_alerts(path: Path | str, series: LabeledSeries) -> AlertSeries:
 
     name = field_detector or path.stem
     values.setflags(write=False)  # so that AlertSeries shares it
-    if kind is AlertKind.BOOLEAN:
-        return AlertSeries.from_bool(detector=name, values=values, aligned_to=series.name)
-    return AlertSeries.from_scores(detector=name, values=values, aligned_to=series.name)
+    return AlertSeries(name, kind, values, series.name)
 
 
 def save_alerts(alerts: AlertSeries, series: LabeledSeries, path: Path | str) -> None:

@@ -9,6 +9,7 @@ checked once when built; all their endpoints are inclusive.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -288,23 +289,14 @@ class LabeledSeries(Record):
         tick_seconds: Fraction | int | float | str = 1,
     ) -> "LabeledSeries":
         """Build a series from label strings; ``benign``/``0`` mean benign."""
-        types: list[str] = []
-        index: dict[str, int] = {}
-        codes = np.zeros(len(labels), dtype=np.int32)
-        for i, raw in enumerate(labels):
-            if raw in BENIGN_LABELS:
-                continue
-            code = index.get(raw)
-            if code is None:
-                types.append(raw)
-                code = len(types)
-                index[raw] = code
-            codes[i] = code
+        index: dict[str, int] = {}  # attack type -> code, in order of first appearance
+        codes = [0 if raw in BENIGN_LABELS else index.setdefault(raw, len(index) + 1)
+                 for raw in labels]
         return cls(
             name=name,
             timestamps=np.asarray(timestamps, dtype=np.int64),
             label_codes=codes,
-            attack_types=tuple(types),
+            attack_types=tuple(index),
             tick_seconds=tick_seconds,
         )
 
@@ -504,8 +496,7 @@ def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> "Scenari
     part of its span). Gaps are counted in points, not ticks. Adjacent runs of
     different attack types always stay distinct scenarios.
     """
-    if gap_tolerance < 0:
-        raise ParameterError("gap_tolerance must be non-negative")
+    gap_tolerance = read_gap_tolerance(gap_tolerance)
     starts, codes = series.run_starts, series.run_codes
     ends = starts + series.run_lengths - 1
     attack = codes > 0
@@ -518,6 +509,22 @@ def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> "Scenari
     times = np.column_stack((series.timestamps[starts], series.timestamps[ends]))
     runs = Intervals(starts, ends, "scenario")
     return Scenarios(runs, run_codes[opens], times, series.attack_types)
+
+
+def read_gap_tolerance(raw: object) -> int:
+    """``raw`` as a gap tolerance: a non-negative int or numpy integer, never a bool."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+        raise ParameterError(f"gap_tolerance must be an integer, got {raw!r}")
+    if raw < 0:
+        raise ParameterError("gap_tolerance must be non-negative")
+    return int(raw)
+
+
+def require_distinct_detectors(names: Iterable[str]) -> None:
+    """Raise EvaluationError naming each detector name given more than once."""
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise EvaluationError(f"duplicate detector names: {', '.join(repeated)}")
 
 
 def require_alignment(series: LabeledSeries, alerts: AlertSeries) -> None:
@@ -664,18 +671,20 @@ def float_ticks(timestamps: np.ndarray, index) -> np.ndarray:
     """``timestamps[index]`` as float64, for span arithmetic.
 
     ``timestamps`` is a whole series' strictly increasing ticks. When one of
-    them is too large for float64 to hold exactly, every tick is counted
-    from the first one, subtracted in 64-bit integers before the cast; the
-    metrics and drawings built on spans only use differences of ticks, so
-    this keeps neighbouring ticks apart. Otherwise the ticks are cast as
-    they are.
+    them is too large for float64 to hold exactly, they are ``tick_offsets``:
+    the metrics and drawings built on spans only use differences of ticks, so
+    this keeps neighbouring ticks apart. Otherwise they are cast as they are.
     """
-    ticks = timestamps[index]
     if -_EXACT_FLOAT_TICKS < timestamps[0] and timestamps[-1] < _EXACT_FLOAT_TICKS:
-        return ticks.astype(np.float64)
-    # A tick minus the first is in [0, 2**64), so uint64 arithmetic is exact.
-    origin = np.int64(timestamps[0]).view(np.uint64)
-    return (ticks.view(np.uint64) - origin).astype(np.float64)
+        return timestamps[index].astype(np.float64)
+    return tick_offsets(timestamps, index)
+
+
+def tick_offsets(timestamps: np.ndarray, index) -> np.ndarray:
+    """``timestamps[index]`` in ticks from the first, as float64. A tick minus
+    the first is in [0, 2**64), so it is subtracted exactly in uint64."""
+    origin = timestamps[0].view(np.uint64)  # a scalar, so a scalar index keeps its shape
+    return np.subtract(timestamps[index].view(np.uint64), origin).astype(np.float64)
 
 
 def as_intervals(runs: IntervalsLike, what: str) -> Intervals:

@@ -22,6 +22,7 @@ from .model import (
     ParameterError,
     Record,
     _frozen_array,
+    _run_heads,
     exact_param,
     format_fraction,
     require_alignment,
@@ -145,6 +146,21 @@ class RocCurve(Record):
         )
 
 
+def listed_thresholds(thresholds: Sequence[float]) -> np.ndarray:
+    """``thresholds`` checked flat, non-empty and finite, ascending with repeats
+    dropped; of ``0.0`` and ``-0.0`` the first listed is kept."""
+    requested = np.asarray(thresholds, dtype=np.float64)
+    if requested.ndim != 1:
+        raise ParameterError("thresholds must be a flat sequence of numbers")
+    if len(requested) == 0:
+        raise ParameterError("at least one threshold is required")
+    if not np.all(np.isfinite(requested)):
+        raise ParameterError("thresholds must be finite")
+    # return_index sorts stably (and, unlike a plain call, skips numpy.ma).
+    return (requested if np.all(requested[1:] > requested[:-1])
+            else requested[np.unique(requested, return_index=True)[1]])
+
+
 def roc(
     series: LabeledSeries, alerts: AlertSeries, thresholds: Sequence[float] | None = None
 ) -> RocCurve:
@@ -153,10 +169,9 @@ def roc(
     Any attack type counts as positive. Requires at least one attack and
     one benign point (otherwise TPR or FPR has a zero denominator at every
     threshold). Without ``thresholds``, or given ``alerts.values`` itself,
-    every distinct score is swept, as ``np.unique`` lists them. Listed
-    thresholds are deduplicated; of ``0.0`` and ``-0.0`` the first listed is
-    kept. All counts come from one sort of all scores and one of the attack
-    scores (Fawcett 2006, Algorithm 1).
+    every distinct score is swept, as ``np.unique`` lists them; listed ones
+    are read by ``listed_thresholds``. All counts come from one sort of all
+    scores and one of the attack scores (Fawcett 2006, Algorithm 1).
     """
     if alerts.kind is not AlertKind.SCORED:
         raise EvaluationError(
@@ -165,14 +180,7 @@ def roc(
         )
     require_alignment(series, alerts)
     every = thresholds is None or thresholds is alerts.values
-    if not every:
-        requested = np.asarray(thresholds, dtype=np.float64)
-        if requested.ndim != 1:
-            raise ParameterError("thresholds must be a flat sequence of numbers")
-        if len(requested) == 0:
-            raise ParameterError("at least one threshold is required")
-        if not np.all(np.isfinite(requested)):
-            raise ParameterError("thresholds must be finite")
+    swept = None if every else listed_thresholds(thresholds)
 
     n_attack = series.attack_points
     n_benign = len(series) - n_attack
@@ -182,12 +190,9 @@ def roc(
     # Sorted as np.unique sorts its copy: a run of equal scores starts with the one it keeps.
     scores = np.sort(alerts.values)
     if every:
-        below = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+        below = np.flatnonzero(_run_heads(scores))
         swept = scores[below]  # a distinct score's first index counts the scores below it
     else:
-        # return_index sorts stably (and, unlike a plain call, skips numpy.ma).
-        swept = (requested if np.all(requested[1:] > requested[:-1])
-                 else requested[np.unique(requested, return_index=True)[1]])
         below = np.searchsorted(scores, swept, side="left")
     del scores
     # The curve is written in place, descending, into arrays that RocCurve then shares.

@@ -31,6 +31,7 @@ from .model import (
     alerts_to_intervals,
     extract_scenarios,
     float_ticks,
+    require_distinct_detectors,
 )
 from .jsonl import without_nuls
 from .pointwise import RocCurve
@@ -137,10 +138,7 @@ def build_table(reports: Iterable[MetricReport], rank_by: str | None = None) -> 
         raise EvaluationError(
             "cannot compare across datasets: " + ", ".join(sorted(datasets))
         )
-    detectors = [report.detector for report in reports]
-    if len(set(detectors)) != len(detectors):
-        dupes = sorted({d for d in detectors if detectors.count(d) > 1})
-        raise EvaluationError(f"duplicate detector names: {', '.join(dupes)}")
+    require_distinct_detectors(report.detector for report in reports)
 
     columns: list[str] = []
     for report in reports:
@@ -328,8 +326,7 @@ def render_timeline(
                 f"'{alert_series.detector}' produced scores"
             )
     names = [a.detector for a in alerts]
-    if len(set(names)) != len(names):
-        raise EvaluationError("duplicate detector names in timeline")
+    require_distinct_detectors(names)
     unknown_exempt = exempt_names - set(names)
     if unknown_exempt:
         raise ParameterError(

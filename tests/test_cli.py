@@ -11,6 +11,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idseval import cli, pointwise
@@ -19,7 +20,7 @@ from idseval.cli import main, parse_min_width
 from idseval.evaluate import evaluate_detector
 from idseval.ingest import load_alerts, load_labels, save_alerts
 from idseval.pointwise import confusion
-from idseval.report import TimelineRendering, build_table, report_to_json
+from idseval.report import TimelineRendering, build_table, report_to_json, roc_csv_chunks
 from idseval import ParameterError
 from support import fresh_python
 from fractions import Fraction
@@ -656,6 +657,21 @@ class TestRoc:
         assert code == 0
         rows = (out / "roc.csv").read_text().splitlines()
         assert rows[2:4] == ["0.1,1.0,1.0", "-0.5,1.0,1.0"]
+
+    def test_listed_thresholds_give_the_api_curve(self, workdir, capsys):
+        # Repeats go, and of the signed zeros the first listed (-0.0) is kept.
+        listed = [0.5, -0.0, 0.0, 0.5]
+        out = workdir / "run"
+        code, _, stderr = run(
+            capsys, "roc", "--labels", workdir / "labels.csv", "--alerts",
+            workdir / "scores.jsonl", "--thresholds=0.5,-0.0,0.0,0.5", "--out", out,
+        )
+        assert code == 0, stderr
+        series = load_labels(workdir / "labels.csv")
+        curve = pointwise.roc(series, load_alerts(workdir / "scores.jsonl", series), listed)
+        assert (out / "roc.csv").read_bytes() == b"".join(roc_csv_chunks(curve))
+        assert curve.thresholds[1:-1].tolist() == [0.5, 0.0]
+        assert np.signbit(curve.thresholds[2])
 
     def test_multiclass_labels_are_collapsed(self, workdir, capsys):
         multi = workdir / "multi.csv"

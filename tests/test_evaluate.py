@@ -260,6 +260,21 @@ class TestEvaluateDetector:
         )
         assert merged.metrics[0].exact == 1
 
+    @pytest.mark.parametrize(
+        "gap,message",
+        [
+            (-1, "gap_tolerance must be non-negative"),
+            (2.5, "gap_tolerance must be an integer, got 2.5"),
+            ("1", "gap_tolerance must be an integer, got '1'"),
+            (True, "gap_tolerance must be an integer, got True"),
+        ],
+    )
+    @pytest.mark.parametrize("metrics", [["f1"], ["detected-scenarios"]])
+    def test_gap_tolerance_checked_whatever_metrics_run(self, gap, message, metrics):
+        series, alerts = make_series(["dos", "benign", "dos"]), make_alerts([True, False, False])
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            evaluate_detector(series, alerts, metrics=metrics, gap_tolerance=gap)
+
     def test_unknown_metric_raises_before_partial_output(self):
         with pytest.raises(UnknownMetricError):
             evaluate_detector(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idseval import (
@@ -29,7 +29,7 @@ from idseval import (
     intervals_to_mask,
     mask_to_intervals,
 )
-from idseval.model import require_alignment
+from idseval.model import float_ticks, require_alignment, tick_offsets
 from oracles.brute import brute_merge_runs, brute_runs
 from support import label_strings, make_alerts, make_series
 
@@ -40,6 +40,15 @@ class TestLabeledSeries:
         assert series.attack_types == ("dos", "spoof")
         assert list(series.label_codes) == [0, 1, 0, 2, 1]
         assert label_strings(series) == ["benign", "dos", "benign", "spoof", "dos"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["benign", "0", "dos", "scan", "spoof"]), min_size=1,
+                    max_size=30))
+    def test_from_labels_equals_the_per_point_constructor(self, labels):
+        types = tuple(dict.fromkeys(label for label in labels if label not in ("benign", "0")))
+        codes = [types.index(label) + 1 if label in types else 0 for label in labels]
+        expected = LabeledSeries("series", np.arange(len(labels)), np.array(codes), types)
+        assert LabeledSeries.from_labels("series", range(len(labels)), labels) == expected
 
     def test_zero_string_counts_as_benign(self):
         series = make_series(["0", "x", "0"])
@@ -176,6 +185,15 @@ class TestExtractScenarios:
         with pytest.raises(ParameterError):
             extract_scenarios(make_series(["A"]), gap_tolerance=-1)
 
+    @pytest.mark.parametrize("gap", [2.5, "1", True, np.bool_(True), None])
+    def test_gap_that_is_no_integer_rejected(self, gap):
+        with pytest.raises(ParameterError, match=f"^gap_tolerance must be an integer, got {gap!r}$"):
+            extract_scenarios(make_series(["A", "benign", "A"]), gap_tolerance=gap)
+
+    def test_numpy_integer_gap_accepted(self):
+        merged = extract_scenarios(make_series(["A", "benign", "A"]), gap_tolerance=np.int32(1))
+        assert [(s.start_index, s.end_index) for s in merged] == [(0, 2)]
+
     def test_matches_brute_runs_on_random_instances(self):
         rng = random.Random(402)
         alphabet = ["benign", "A", "B"]
@@ -202,6 +220,32 @@ class TestExtractScenarios:
             Scenarios(runs, [1], [[0, 1], [4, 6]], ("a", "b"))
         with pytest.raises(ValueError, match="one entry per run"):
             Scenarios(runs, [1, 2], [[0, 1]], ("a", "b"))
+
+
+# Ticks on either side of the int64 bounds and of +-2**53, past which float64
+# no longer holds every integer.
+EDGE_TICKS = (-2**63, -2**63 + 1, -2**53 - 1, -2**53, -2**53 + 1, -1, 0, 1,
+              2**53 - 1, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1)
+ticks = st.lists(
+    st.sampled_from(EDGE_TICKS) | st.integers(-2**63, 2**63 - 1)
+    | st.integers(2**53 - 8, 2**53 + 8) | st.integers(-2**53 - 8, -2**53 + 8),
+    min_size=1, max_size=12, unique=True,
+).map(sorted)
+
+
+class TestTickOffsets:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ticks, st.data())
+    def test_offsets_match_python_int_arithmetic(self, values, data):
+        timestamps = np.array(values, dtype=np.int64)
+        offsets = [float(t - values[0]) for t in values]
+        assert tick_offsets(timestamps, np.arange(len(values))).tolist() == offsets
+        i = data.draw(st.integers(-len(values), len(values) - 1))
+        assert np.shape(tick_offsets(timestamps, i)) == ()
+        assert float(tick_offsets(timestamps, i)) == offsets[i]
+        exact = -2**53 < values[0] and values[-1] < 2**53
+        cast = float_ticks(timestamps, np.arange(len(values))).tolist()
+        assert cast == ([float(t) for t in values] if exact else offsets)
 
 
 class TestIntervalHelpers:

@@ -275,8 +275,18 @@ class TestTimelineSvg:
 
     def test_duplicate_detectors_rejected(self):
         alerts = make_alerts([True] * 4, detector="det", aligned_to="demo & co")
-        with pytest.raises(EvaluationError, match="duplicate detector names"):
+        with pytest.raises(EvaluationError, match="^duplicate detector names: det$"):
             render_timeline(self.series(), [alerts, alerts])
+
+    def test_duplicates_named_once_each_in_sorted_order(self):
+        # The timeline, the table and the CLI share one check and its message.
+        lanes = [make_alerts([True] * 4, detector=name, aligned_to="demo & co")
+                 for name in ("b", "a", "c", "b", "a", "a")]
+        message = "^duplicate detector names: a, b$"
+        with pytest.raises(EvaluationError, match=message):
+            render_timeline(self.series(), lanes)
+        with pytest.raises(EvaluationError, match=message):
+            build_table([report(name, f1=(1, 2)) for name in ("b", "a", "c", "b", "a", "a")])
 
     def test_unknown_exempt_rejected(self):
         with pytest.raises(ParameterError, match="exempt names not among"):

@@ -77,7 +77,8 @@ def test_cli_digest_prints_one_line_per_run(digest_lines):
     assert {"evaluate-md", "compare-rank-by", "roc-json", "help", "extra"} <= set(lines)
     codes = {name: fields[0] for name, fields in lines.items()}
     failing = {"usage-error": "exit=2", "unknown-metric": "exit=2", "bad-beta": "exit=2",
-               "bad-theta": "exit=2", "data-error": "exit=1"}
+               "bad-theta": "exit=2", "data-error": "exit=1", "duplicate-detector": "exit=1",
+               "bad-thresholds": "exit=2", "bad-gap": "exit=2"}
     assert {name: codes[name] for name in failing} == failing
     assert all(code == "exit=0" for name, code in codes.items() if name not in failing)
     extra = dict(field.split("=") for field in lines["extra"][1:])
