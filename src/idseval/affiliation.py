@@ -133,18 +133,18 @@ def affiliation(
     if not len(scenario_runs):
         return TimeAwareScores(None, None, None), []
 
-    ts = series.timestamps
     # Spans count from the first tick, so the scores depend only on differences
     # of ticks; the zones returned count ticks as float_ticks does.
-    a, b = tick_offsets(ts, scenario_runs.starts), tick_offsets(ts, scenario_runs.ends) + 1.0
-    bounds = np.concatenate(([0.0], (b[:-1] + a[1:]) / 2.0, tick_offsets(ts, [-1]) + 1.0))
+    a = tick_offsets(series, scenario_runs.starts)
+    b = tick_offsets(series, scenario_runs.ends) + 1.0
+    bounds = np.concatenate(([0.0], (b[:-1] + a[1:]) / 2.0, tick_offsets(series, [-1]) + 1.0))
     z0, z1 = bounds[:-1], bounds[1:]
     # Alert spans cut at the zone bounds inside them are the alerts clipped
     # to their zones: one sorted, disjoint array of pieces, zone k's pieces
     # being lo[start[k]:stop[k]]. Each zone's terms are summed left to right
     # from 0.0, as bincount adds. All terms are >= 0, so the zero-width
     # pieces that a zone-by-zone evaluation makes would add nothing.
-    lo, hi = tick_offsets(ts, alerts.starts), tick_offsets(ts, alerts.ends) + 1.0
+    lo, hi = tick_offsets(series, alerts.starts), tick_offsets(series, alerts.ends) + 1.0
     j = np.searchsorted(hi, bounds[1:-1], side="right")
     lo, hi, _ = _split(lo, hi, bounds[1:-1][j < len(hi)], j[j < len(hi)])
     stop = np.searchsorted(lo, z1, side="left")
@@ -179,5 +179,5 @@ def affiliation(
     precision = sum(opinions) / len(opinions) if opinions else None
     recall = sum(recalls) / len(recalls)
     scores = TimeAwareScores(precision, recall, harmonic_f1(precision, recall))
-    zones = (np.stack((z0, z1, a, b)) + float_ticks(ts, [0])).tolist()
+    zones = (np.stack((z0, z1, a, b)) + float_ticks(series, [0])).tolist()
     return scores, list(map(AffiliationZone, *zones, precisions, recalls))

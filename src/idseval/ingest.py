@@ -46,16 +46,19 @@ from .model import (
     LabeledSeries,
     ParameterError,
     Record,
+    _INT64_MAX,
+    _INT64_MIN,
     _run_heads,
+    _uint64,
     exact_param,
     extract_scenarios,
     format_fraction,
+    offset_dtype,
     require_alignment,
 )
 
 LABEL_HEADER = ("timestamp", "label")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Alert files are read through one buffer of this many bytes, reused for
 # every block. An alert parse costs a fixed number of numpy operations per
@@ -71,6 +74,9 @@ _BLOCK_BYTES = 1 << 20
 # 256 KiB blocks, for ~9% more label-load CPU.
 _LABEL_BLOCK_BYTES = 1 << 17
 _WRITE_ROWS = 1 << 14
+# Bytes read from the end of a label file for its last line: enough for a
+# 20-digit tick, or an ISO-8601 one, and a label that the block parser takes.
+_TAIL_BYTES = 1 << 8
 # Bytes before a block, so that what is read before its first line stays
 # inside the buffer: the three 8-byte words ending at a 19-digit token, and
 # an alert line's head record, which starts two bytes before the line.
@@ -120,39 +126,57 @@ def _parse_timestamp(raw: object, path: Path | str, line: int) -> int:
     raise _fail(path, line, f"timestamp must be an integer or ISO-8601 string, got {raw!r}")
 
 
-def _line_of(lines: Iterable[Sequence[int]], i: int) -> int:
-    """The line of record ``i``, given the lines of each part's records in file order."""
-    for part in lines:
-        if i < len(part):
-            return part[i]
-        i -= len(part)
-    raise IndexError(i)
+class _TickOrder:
+    """The first fault of ticks checked part by part, in file order.
 
-
-def _check_ticks(timestamps: np.ndarray, path: Path | str, lines: Iterable[Sequence[int]]) -> None:
-    """Raise at the first record whose timestamp does not exceed its predecessor's,
-    else at the first timestamp outside int64, so an order error wins.
-
-    ``lines`` holds the line of every record, part by part (see ``_line_of``).
+    It keeps the first record whose tick does not exceed its predecessor's
+    and, until one is found, the first tick outside int64; ``raise_fault``
+    raises the first, else the second, so an order error wins. Parts are
+    checked as they are parsed, and the fault raised once every part is,
+    so a parse error anywhere wins over both.
     """
-    bad = np.flatnonzero(timestamps[1:] <= timestamps[:-1])
-    if len(bad):
-        i = int(bad[0]) + 1
-        current, previous = int(timestamps[i]), int(timestamps[i - 1])
-        kind = "duplicate" if current == previous else "non-increasing"
-        message = f"{kind} timestamp {current} (previous was {previous})"
-    elif timestamps.dtype == object:
-        inside = (timestamps >= _INT64_MIN) & (timestamps <= _INT64_MAX)
-        i = int(np.flatnonzero(~inside.astype(bool))[0])
-        message = f"timestamp {timestamps[i]} is outside the 64-bit integer range"
-    else:
-        return
-    raise _fail(path, _line_of(lines, i), message)
+
+    def __init__(self, path: Path | str, last: int | None = None) -> None:
+        self.path = path
+        self.last = last  # the last tick checked
+        self.order: IngestError | None = None
+        self.outside: IngestError | None = None
+
+    @property
+    def clean(self) -> bool:
+        return not (self.order or self.outside)
+
+    def check(self, ticks: np.ndarray, lines: Sequence[int]) -> None:
+        """Check one part's ticks (int64, or objects if some lie outside), one line each."""
+        if self.order or not len(ticks):
+            return
+        if self.last is not None and int(ticks[0]) <= self.last:
+            i = 0
+        else:
+            bad = np.flatnonzero(ticks[1:] <= ticks[:-1])
+            i = int(bad[0]) + 1 if len(bad) else None
+        if i is not None:
+            current = int(ticks[i])
+            previous = int(ticks[i - 1]) if i else self.last
+            kind = "duplicate" if current == previous else "non-increasing"
+            message = f"{kind} timestamp {current} (previous was {previous})"
+            self.order = _fail(self.path, lines[i], message)
+            return
+        if self.outside is None and ticks.dtype == object:
+            inside = (ticks >= _INT64_MIN) & (ticks <= _INT64_MAX)
+            i = int(np.flatnonzero(~inside.astype(bool))[0])
+            message = f"timestamp {ticks[i]} is outside the 64-bit integer range"
+            self.outside = _fail(self.path, lines[i], message)
+        self.last = int(ticks[-1])
+
+    def raise_fault(self) -> None:
+        if not self.clean:
+            raise self.order or self.outside
 
 
 def _int_column(timestamps: list[int]) -> np.ndarray:
     """int64, or an object array if some value lies outside int64, which
-    ``_check_ticks`` rejects after its order check."""
+    ``_TickOrder`` rejects unless it finds an order error."""
     try:
         return np.array(timestamps, dtype=np.int64)
     except OverflowError:
@@ -387,6 +411,40 @@ def _label_parts(
     yield *_label_rows(path, _text_lines(path, rest, line, ""), line, index, tick, line == 1), None
 
 
+def _last_tick(handle, path: Path) -> int | None:
+    """The int64 tick of the last line of an open label file, read from its end,
+    or None if that line is not a ``timestamp,label`` row with an int64 tick.
+
+    Blank lines at the end are skipped, as csv skips them, and the line is
+    read with csv's and ``_parse_timestamp``'s rules. In a valid file it is
+    the last record's tick, unless a quoted field spans that record's lines.
+    """
+    end = handle.seek(0, os.SEEK_END)
+    handle.seek(max(0, end - _TAIL_BYTES))
+    tail = handle.read(_TAIL_BYTES).rstrip(b"\r\n")
+    handle.seek(0)
+    cut = max(tail.rfind(b"\n"), tail.rfind(b"\r"))
+    if cut < 0 and end > _TAIL_BYTES:  # the line may begin before the tail
+        return None
+    text = tail[cut + 1 :].decode("utf-8", "replace")  # a bad byte fails the parse
+    if '"' in text:
+        import csv  # imported on use, as in _label_rows
+
+        try:
+            fields = next(csv.reader([text]), [])
+        except csv.Error:
+            return None
+    else:
+        fields = text.split(",")
+    if len(fields) != 2:
+        return None
+    try:
+        tick = _parse_timestamp(fields[0], path, 0)
+    except IngestError:
+        return None
+    return tick if _INT64_MIN <= tick <= _INT64_MAX else None
+
+
 def load_labels(
     path: Path | str,
     name: str | None = None,
@@ -401,51 +459,63 @@ def load_labels(
     tick = exact_param("tick_seconds", tick_seconds)
     path = Path(path)
     index: dict[str, int] = {}  # attack type -> code, in order of first appearance
-    # Each part's timestamps are written into one column, sized for the
-    # file's size at the bytes per line so far. Its unwritten tail never
-    # becomes resident, and the column is cut to its length at the end. A
-    # column that proves too short grows by ``resize``, which zero-fills,
-    # so it is first allocated with ``np.empty``.
-    column = np.empty(0, np.int64)
-    count = 0  # timestamps in the column
+    # Each part's ticks are written into one column as offsets from the first
+    # tick, in the type that holds the offset of the file's last line, which is
+    # read first; uint64 holds any. The column is sized for the file's size at
+    # the bytes per line so far. Its unwritten tail never becomes resident, and
+    # the column is cut to its length at the end. A column that proves too
+    # short grows by ``resize``, which zero-fills, so it is first allocated
+    # with ``np.empty``. Once a fault is found, ticks are checked but not kept.
+    column = np.empty(0, np.uint64)
+    origin = 0
+    count = 0  # ticks in the column
     done = 0  # bytes of the file the block-route parts cover
     codes: list[np.ndarray] = []
     starts: list[np.ndarray] = []
-    lines: list[Sequence[int]] = []
+    order = _TickOrder(path)
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
+        last = _last_tick(handle, path)
         for stamps, part_codes, part_heads, part_lines, part_bytes in _label_parts(
             path, handle, index, tick
         ):
+            order.check(stamps, part_lines)
+            done += part_bytes or 0
+            if not (order.clean and len(stamps)):
+                continue
+            if not count:
+                origin = int(stamps[0])
+                wide = last is None or last < origin
+                column = np.empty(0, np.uint64 if wide else offset_dtype(last - origin))
             end = count + len(stamps)
-            if part_bytes is None:  # the csv part, the last
-                column = stamps if not count else np.concatenate((column[:count], stamps))
-            else:
-                done += part_bytes
-                if end > len(column):
-                    length = max(end, end * size // done, len(column) * 9 // 8)
-                    if count:
-                        column.resize(length, refcheck=False)  # no view of it is alive
-                    else:
-                        column = np.empty(length, np.int64)
-                column[count:end] = stamps
+            top = int(stamps[-1]) - origin  # the part's last offset: ticks increase
+            if top > np.iinfo(column.dtype).max:  # the last line was not the last record's
+                column = column[:count].astype(np.uint64)
+            if end > len(column):
+                length = max(end, end * size // done if done else 0, len(column) * 9 // 8)
+                if count:
+                    column.resize(length, refcheck=False)  # no view of it is alive
+                else:
+                    column = np.empty(length, column.dtype)
+            # A tick minus the first is exact in uint64, and fits the column.
+            np.subtract(stamps.view(np.uint64), _uint64(origin), out=column[count:end],
+                        casting="unsafe")
             codes.append(part_codes)
             starts.append(part_heads + count)
             count = end
-            lines.append(part_lines)
+    order.raise_fault()
     if not count:
         raise _fail(path, None, "no data rows")
     if len(column) > count:
         column.resize(count, refcheck=False)  # no view of it is alive
-    _check_ticks(column, path, lines)
     # Runs of one code meet across parts, and "benign" and "0" runs meet anywhere.
     run_codes = np.concatenate(codes)
     heads = _run_heads(run_codes)
     run_starts, run_codes = np.concatenate(starts)[heads], run_codes[heads]
     for array in (column, run_starts, run_codes):
         array.setflags(write=False)  # so that LabeledSeries shares it
-    return LabeledSeries.from_runs(name or path.stem, column, run_starts, run_codes,
-                                   tuple(index), tick)
+    return LabeledSeries.from_offsets(name or path.stem, origin, column, run_starts, run_codes,
+                                      tuple(index), tick)
 
 
 def save_labels(series: LabeledSeries, path: Path | str) -> None:
@@ -467,7 +537,7 @@ def save_labels(series: LabeledSeries, path: Path | str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(_LABEL_HEADER_LINE.decode())
         for start in range(0, len(series), _WRITE_ROWS):
-            timestamps = series.timestamps[start : start + _WRITE_ROWS].tolist()
+            timestamps = series.ticks(slice(start, start + _WRITE_ROWS)).tolist()
             fields: list[object] = [None] * (2 * len(timestamps))
             fields[0::2] = timestamps
             fields[1::2] = names[codes[start : start + _WRITE_ROWS]].tolist()
@@ -606,6 +676,8 @@ def _alert_records(
             raise _fail(path, line, f"invalid JSON: {exc.msg}") from None
         except ValueError:  # an integer past the interpreter's digit limit
             raise _fail(path, line, "invalid JSON: number has too many digits") from None
+        except RecursionError:
+            raise _fail(path, line, "invalid JSON: nested too deeply") from None
         if not isinstance(record, dict):
             raise _fail(path, line, "expected a JSON object")
         unknown = set(record) - {"timestamp", "alert", "score", "detector"}
@@ -666,9 +738,8 @@ def load_alerts(path: Path | str, series: LabeledSeries) -> AlertSeries:
     consistent ``"detector"`` field, else the file stem.
     """
     path = Path(path)
-    want = series.timestamps
-    values: np.ndarray | None = None  # of the blocks that match ``want``, in order
-    at = 0  # records matched: the timestamps ``want[:at]``, not kept
+    values: np.ndarray | None = None  # of the blocks that match the series' ticks, in order
+    at = 0  # records matched: the series' first ``at`` ticks
     tail: list[_AlertColumns] = []  # every part from the first block that differs on
     kind: AlertKind | None = None
     field_detector: str | None = None
@@ -692,19 +763,22 @@ def load_alerts(path: Path | str, series: LabeledSeries) -> AlertSeries:
             field_detector = part.detector or field_detector
             line += lines
             n = len(part.timestamps)
-            if tail or not np.array_equal(part.timestamps, want[at : at + n]):
+            if tail or not np.array_equal(part.timestamps, series.ticks(slice(at, at + n))):
                 tail.append(part)
             elif n:  # an empty part may not know the kind yet
-                values = np.empty(len(want), part.values.dtype) if values is None else values
+                values = np.empty(len(series), part.values.dtype) if values is None else values
                 values[at : at + n] = part.values
                 at += n
-    if tail or at < len(want):
-        got = np.concatenate([want[:at], *(part.timestamps for part in tail)])
-        if not len(got):
+    if tail or at < len(series):
+        if not at and not any(len(part.timestamps) for part in tail):
             raise _fail(path, None, "no alert records")
-        # want[:at] is increasing and in int64: no check stops in it or needs its lines.
-        record_lines = [range(at), *(part.lines for part in tail)]
-        _check_ticks(got, path, record_lines)
+        # The first ``at`` ticks are the series': no check stops in them.
+        order = _TickOrder(path, int(series.ticks(at - 1)) if at else None)
+        for part in tail:
+            order.check(part.timestamps, part.lines)
+        order.raise_fault()
+        want = series.ticks()
+        got = np.concatenate([want[:at], *(part.timestamps for part in tail)])
         parts_text = [f"alerts do not align with dataset '{series.name}'"]
         for ticks, what in ((np.setdiff1d(want, got), "dataset timestamps missing"),
                             (np.setdiff1d(got, want), "unexpected timestamps")):
@@ -730,7 +804,7 @@ def save_alerts(alerts: AlertSeries, series: LabeledSeries, path: Path | str) ->
     require_alignment(series, alerts)
     write = write_flags if alerts.kind is AlertKind.BOOLEAN else write_scores
     with open(path, "wb") as handle:
-        write(handle, series.timestamps, alerts.values, json.dumps(alerts.detector), _WRITE_ROWS)
+        write(handle, series, alerts.values, json.dumps(alerts.detector), _WRITE_ROWS)
 
 
 class ValidationReport(NamedTuple):
@@ -819,6 +893,10 @@ def load_manifest(path: Path | str) -> DatasetManifest:
         raise _fail(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     except UnicodeDecodeError:
         raise _fail(path, None, "not valid UTF-8") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise _fail(path, None, "invalid JSON: number has too many digits") from None
+    except RecursionError:
+        raise _fail(path, None, "invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise _fail(path, None, "manifest must be a JSON object")
     unknown = set(data) - {"name", "labels", "tick_seconds", "description", "alerts"}

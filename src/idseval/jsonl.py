@@ -11,9 +11,12 @@ bytecode is not cached, grows with the other's code.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .model import LabeledSeries
 
 ALERT_PREFIX = b'{"timestamp": '
 ALERT_TRUE, ALERT_FALSE = b', "alert": true', b', "alert": false'
@@ -40,11 +43,12 @@ def without_nuls(data: np.ndarray) -> Iterator[bytes]:
 
 
 def write_flags(
-    handle, timestamps: np.ndarray, flags: np.ndarray, detector: str, rows: int
+    handle, series: LabeledSeries, flags: np.ndarray, detector: str, rows: int
 ) -> None:
-    """Write boolean records to a binary ``handle``, ``rows`` at a time, built as uint8 rows.
+    """Write boolean records over ``series``' ticks to a binary ``handle``,
+    ``rows`` at a time, built as uint8 rows.
 
-    ``detector`` is the name as ``json.dumps`` writes it. Timestamps
+    ``detector`` is the name as ``json.dumps`` writes it. Ticks
     increase, so a chunk splits into a few runs of equal text width
     (``_WIDTH_STARTS``). Each run is one 2-D block: the row template with
     ``ALERT_FALSE`` (``ALERT_TRUE`` if the whole chunk is true) is broadcast,
@@ -56,14 +60,14 @@ def write_flags(
     """
     name = detector.encode()
     true_key = np.frombuffer(ALERT_TRUE + b"\0", dtype=np.uint8)
-    widest = max(len(str(int(timestamps[0]))), len(str(int(timestamps[-1]))))
-    size = min(len(timestamps), rows)
+    widest = max(len(str(series.origin)), len(str(series.last_tick)))
+    size = min(len(series), rows)
     longest = len(ALERT_PREFIX + ALERT_FALSE + DETECTOR_KEY + name + b"}\n") + widest
     buf = np.empty(size * longest, dtype=np.uint8)
     mag, rest, low = (np.empty(size, dtype=np.uint64) for _ in range(3))
     digit = np.empty(size, dtype=np.uint8)
-    for start in range(0, len(timestamps), rows):
-        stamps = timestamps[start : start + rows]
+    for start in range(0, len(series), rows):
+        stamps = series.ticks(slice(start, start + rows))
         chunk = flags[start : start + rows]
         trues = int(np.count_nonzero(chunk))
         mixed = 0 < trues < len(chunk)
@@ -101,9 +105,9 @@ def write_flags(
 
 
 def write_scores(
-    handle, timestamps: np.ndarray, scores: np.ndarray, detector: str, rows: int
+    handle, series: LabeledSeries, scores: np.ndarray, detector: str, rows: int
 ) -> None:
-    """Write scored records to a binary ``handle``, ``rows`` at a time.
+    """Write scored records over ``series``' ticks to a binary ``handle``, ``rows`` at a time.
 
     Rows fill a string template from ``tolist()`` chunks: ``%d`` formats
     ints and ``%r`` floats exactly as ``json`` does, and numpy has no
@@ -111,8 +115,8 @@ def write_scores(
     """
     line = (ALERT_PREFIX + b"%d" + SCORE_KEY + b"%r" + DETECTOR_KEY).decode()
     line += detector.replace("%", "%%") + "}\n"
-    for start in range(0, len(timestamps), rows):
-        stamps = timestamps[start : start + rows].tolist()
+    for start in range(0, len(series), rows):
+        stamps = series.ticks(slice(start, start + rows)).tolist()
         fields: list[object] = [None] * (2 * len(stamps))
         fields[0::2] = stamps
         fields[1::2] = scores[start : start + rows].tolist()

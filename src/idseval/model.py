@@ -9,6 +9,7 @@ checked once when built; all their endpoints are inclusive.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
@@ -189,6 +190,38 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_OFFSET_TYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
+
+
+def offset_dtype(last: int) -> np.dtype:
+    """The narrowest unsigned type that holds every offset from 0 to ``last``."""
+    return next(dtype for dtype in _OFFSET_TYPES if last <= np.iinfo(dtype).max)
+
+
+def _uint64(tick: int) -> np.uint64:
+    """An int64 tick's bits as uint64, in which ticks are offset modulo 2**64."""
+    return np.uint64(tick % 2**64)
+
+
+def narrow_ticks(timestamps) -> tuple[int, np.ndarray]:
+    """The first of strictly increasing int64 ``timestamps`` and the read-only
+    offsets of every tick from it, in the type ``offset_dtype`` gives."""
+    ticks = np.asarray(timestamps, dtype=np.int64)
+    if ticks.ndim != 1:
+        raise ValueError("timestamps must be one-dimensional")
+    if not len(ticks):
+        raise ValueError("series must contain at least one point")
+    if not np.all(ticks[1:] > ticks[:-1]):
+        raise ValueError("timestamps must be strictly increasing")
+    origin = int(ticks[0])
+    # A tick minus the first is in [0, 2**64), so it is exact in uint64.
+    offsets = np.empty(len(ticks), offset_dtype(int(ticks[-1]) - origin))
+    np.subtract(ticks.view(np.uint64), _uint64(origin), out=offsets, casting="unsafe")
+    offsets.setflags(write=False)
+    return origin, offsets
+
+
 def _run_heads(values: np.ndarray) -> np.ndarray:
     """True where an entry differs from the one before it, and at the first entry."""
     heads = np.empty(len(values), dtype=bool)
@@ -200,15 +233,19 @@ def _run_heads(values: np.ndarray) -> np.ndarray:
 class LabeledSeries(Record):
     """Ground-truth stream: per-point benign/attack-type labels over integer ticks.
 
-    Labels are held as their maximal runs: run k covers the points from
-    ``run_starts[k]`` up to the next run's start, each labelled ``run_codes[k]``,
-    and neighbouring runs differ in code. Code 0 is benign, code k (k >= 1) is
-    ``attack_types[k - 1]``. Timestamps are strictly increasing ticks;
-    ``tick_seconds`` converts ticks to wall-clock seconds. The per-point
-    ``label_codes`` and ``attack_mask`` are built from the runs on first access.
+    Ticks are strictly increasing and held as ``origin``, the first tick, plus
+    each point's ``offsets`` from it, in the narrowest unsigned type that holds
+    the last offset (``offset_dtype``); the int64 ``timestamps`` are built from
+    them on first access. Labels are held as their maximal runs: run k covers
+    the points from ``run_starts[k]`` up to the next run's start, each labelled
+    ``run_codes[k]``, and neighbouring runs differ in code. Code 0 is benign,
+    code k (k >= 1) is ``attack_types[k - 1]``. ``tick_seconds`` converts ticks
+    to wall-clock seconds. The per-point ``label_codes`` and ``attack_mask``
+    are built from the runs on first access.
     """
 
-    _fields = ("name", "timestamps", "run_starts", "run_codes", "attack_types", "tick_seconds")
+    _fields = ("name", "origin", "offsets", "run_starts", "run_codes", "attack_types",
+               "tick_seconds")
 
     def __init__(
         self,
@@ -218,15 +255,15 @@ class LabeledSeries(Record):
         attack_types: tuple[str, ...],
         tick_seconds: Fraction | int | float | str = Fraction(1),
     ) -> None:
-        timestamps = _frozen_array(timestamps, np.int64)
         codes = np.asarray(label_codes, dtype=np.int32)
-        if timestamps.ndim != 1 or codes.ndim != 1:
+        if codes.ndim != 1:
             raise ValueError("timestamps and labels must be one-dimensional")
-        if len(timestamps) != len(codes):
+        origin, offsets = narrow_ticks(timestamps)
+        if len(offsets) != len(codes):
             raise ValueError("timestamps and labels must have equal length")
         heads = _run_heads(codes)
         starts = np.flatnonzero(heads)
-        self._set_runs(name, timestamps, starts, codes[heads], attack_types, tick_seconds)
+        self._set_runs(name, origin, offsets, starts, codes[heads], attack_types, tick_seconds)
 
     @classmethod
     def from_runs(
@@ -241,21 +278,47 @@ class LabeledSeries(Record):
         """Build a series from its maximal label runs: the first point of each,
         ``run_starts``, and its code, ``run_codes``."""
         series = cls.__new__(cls)
-        series._set_runs(name, timestamps, run_starts, run_codes, attack_types, tick_seconds)
+        series._set_runs(name, *narrow_ticks(timestamps), run_starts, run_codes, attack_types,
+                         tick_seconds)
         return series
 
-    def _set_runs(self, name, timestamps, run_starts, run_codes, attack_types, tick_seconds):
-        timestamps = _frozen_array(timestamps, np.int64)
+    @classmethod
+    def from_offsets(
+        cls,
+        name: str,
+        origin: int,
+        offsets: np.ndarray,
+        run_starts: np.ndarray,
+        run_codes: np.ndarray,
+        attack_types: tuple[str, ...],
+        tick_seconds: Fraction | int | float | str = Fraction(1),
+    ) -> "LabeledSeries":
+        """Build a series from its first tick, ``origin``, the unsigned ``offsets``
+        of every tick from it (rising strictly from 0), and its label runs."""
+        offsets = np.asarray(offsets)
+        if offsets.ndim != 1 or offsets.dtype.kind != "u":
+            raise ValueError("tick offsets must be a one-dimensional unsigned array")
+        if not len(offsets):
+            raise ValueError("series must contain at least one point")
+        if offsets[0] != 0 or not np.all(offsets[1:] > offsets[:-1]):
+            raise ValueError("tick offsets must rise strictly from 0")
+        series = cls.__new__(cls)
+        series._set_runs(name, origin, offsets, run_starts, run_codes, attack_types, tick_seconds)
+        return series
+
+    def _set_runs(self, name, origin, offsets, run_starts, run_codes, attack_types, tick_seconds):
+        """Set the fields from offsets that rise strictly from 0."""
+        origin = operator.index(origin)
+        last = int(offsets[-1])
+        if not _INT64_MIN <= origin <= _INT64_MAX - last:
+            raise ValueError("ticks must lie in the 64-bit integer range")
+        offsets = _frozen_array(offsets, offset_dtype(last))
         starts = _frozen_array(run_starts, np.int64)
         codes = _frozen_array(run_codes, np.int32)
         tick_seconds = exact_param("tick_seconds", tick_seconds)
-        self._set(name, timestamps, starts, codes, attack_types, tick_seconds)
-        if timestamps.ndim != 1 or starts.ndim != 1 or starts.shape != codes.shape:
-            raise ValueError("timestamps and label runs must be one-dimensional, a code per run")
-        if len(timestamps) == 0:
-            raise ValueError("series must contain at least one point")
-        if not np.all(timestamps[1:] > timestamps[:-1]):
-            raise ValueError("timestamps must be strictly increasing")
+        self._set(name, origin, offsets, starts, codes, attack_types, tick_seconds)
+        if starts.ndim != 1 or starts.shape != codes.shape:
+            raise ValueError("label runs must be one-dimensional, a code per run")
         try:
             # Every duration reported in seconds (delays, the span) is at most this.
             float(self.span_seconds)
@@ -270,7 +333,7 @@ class LabeledSeries(Record):
                 raise ValueError("attack type ids must be non-empty")
         if len(set(self.attack_types)) != len(self.attack_types):
             raise ValueError("attack type ids must be unique")
-        if not len(starts) or starts[0] != 0 or starts[-1] >= len(timestamps):
+        if not len(starts) or starts[0] != 0 or starts[-1] >= len(offsets):
             raise ValueError("label runs must start at point 0 and end within the series")
         if not np.all(starts[1:] > starts[:-1]) or np.any(codes[1:] == codes[:-1]):
             raise ValueError("label runs must be maximal: rising starts, a new code each")
@@ -278,7 +341,7 @@ class LabeledSeries(Record):
             raise ValueError("label codes must reference attack_types")
 
     def __reduce__(self):
-        return type(self).from_runs, self._values()
+        return type(self).from_offsets, self._values()
 
     @classmethod
     def from_labels(
@@ -301,12 +364,28 @@ class LabeledSeries(Record):
         )
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.offsets)
 
     @property
     def span_seconds(self) -> Fraction:
         """From the first tick to the end of the last, in seconds."""
-        return (int(self.timestamps[-1]) - int(self.timestamps[0]) + 1) * self.tick_seconds
+        return (int(self.offsets[-1]) + 1) * self.tick_seconds
+
+    @property
+    def last_tick(self) -> int:
+        """The tick of the last point."""
+        return self.origin + int(self.offsets[-1])
+
+    def ticks(self, index=slice(None)) -> np.ndarray:
+        """The ticks at ``index`` as a new int64 array (a scalar for a scalar index)."""
+        return np.add(self.offsets[index], _uint64(self.origin), dtype=np.uint64).view(np.int64)
+
+    @cached_property
+    def timestamps(self) -> np.ndarray:
+        """Each point's tick as int64; no verb reads it."""
+        ticks = self.ticks()
+        ticks.setflags(write=False)
+        return ticks
 
     @property
     def run_lengths(self) -> np.ndarray:
@@ -506,7 +585,7 @@ def extract_scenarios(series: LabeledSeries, gap_tolerance: int = 0) -> "Scenari
     opens = np.ones(len(starts), dtype=bool)
     opens[1:] = (run_codes[1:] != run_codes[:-1]) | (starts[1:] - ends[:-1] - 1 > gap_tolerance)
     starts, ends = starts[opens], ends[np.roll(opens, -1)]
-    times = np.column_stack((series.timestamps[starts], series.timestamps[ends]))
+    times = np.column_stack((series.ticks(starts), series.ticks(ends)))
     runs = Intervals(starts, ends, "scenario")
     return Scenarios(runs, run_codes[opens], times, series.attack_types)
 
@@ -578,15 +657,13 @@ class Intervals(Record):
         """Points per run."""
         return self.ends - self.starts + 1
 
-    def spans(self, timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def spans(self, ticks: LabeledSeries | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Half-open float tick spans: run ``(i, j)`` occupies ``[ts[i], ts[j] + 1)``.
 
-        Ticks are counted as ``float_ticks`` counts them.
+        Ticks are those of a series, or its ``timestamps``, counted as
+        ``float_ticks`` counts them.
         """
-        return (
-            float_ticks(timestamps, self.starts),
-            float_ticks(timestamps, self.ends) + 1.0,
-        )
+        return float_ticks(ticks, self.starts), float_ticks(ticks, self.ends) + 1.0
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -667,24 +744,31 @@ ScenariosLike = Scenarios | Sequence[AttackScenario]
 _EXACT_FLOAT_TICKS = 2**53
 
 
-def float_ticks(timestamps: np.ndarray, index) -> np.ndarray:
-    """``timestamps[index]`` as float64, for span arithmetic.
+def float_ticks(ticks: LabeledSeries | np.ndarray, index) -> np.ndarray:
+    """The ticks at ``index`` of a series, or of its ``timestamps``, as float64,
+    for span arithmetic.
 
-    ``timestamps`` is a whole series' strictly increasing ticks. When one of
-    them is too large for float64 to hold exactly, they are ``tick_offsets``:
-    the metrics and drawings built on spans only use differences of ticks, so
-    this keeps neighbouring ticks apart. Otherwise they are cast as they are.
+    When some tick is too large for float64 to hold exactly, they are
+    ``tick_offsets``: the metrics and drawings built on spans only use
+    differences of ticks, so this keeps neighbouring ticks apart. Otherwise
+    they are the ticks themselves.
     """
-    if -_EXACT_FLOAT_TICKS < timestamps[0] and timestamps[-1] < _EXACT_FLOAT_TICKS:
-        return timestamps[index].astype(np.float64)
-    return tick_offsets(timestamps, index)
+    origin, offsets = _origin_offsets(ticks)
+    if -_EXACT_FLOAT_TICKS < origin and origin + int(offsets[-1]) < _EXACT_FLOAT_TICKS:
+        return (offsets[index].astype(np.int64) + origin).astype(np.float64)
+    return offsets[index].astype(np.float64)
 
 
-def tick_offsets(timestamps: np.ndarray, index) -> np.ndarray:
-    """``timestamps[index]`` in ticks from the first, as float64. A tick minus
-    the first is in [0, 2**64), so it is subtracted exactly in uint64."""
-    origin = timestamps[0].view(np.uint64)  # a scalar, so a scalar index keeps its shape
-    return np.subtract(timestamps[index].view(np.uint64), origin).astype(np.float64)
+def tick_offsets(ticks: LabeledSeries | np.ndarray, index) -> np.ndarray:
+    """The ticks at ``index`` of a series, or of its ``timestamps``, counted
+    from the first, as float64."""
+    return _origin_offsets(ticks)[1][index].astype(np.float64)
+
+
+def _origin_offsets(ticks: LabeledSeries | np.ndarray) -> tuple[int, np.ndarray]:
+    if isinstance(ticks, LabeledSeries):
+        return ticks.origin, ticks.offsets
+    return narrow_ticks(ticks)
 
 
 def as_intervals(runs: IntervalsLike, what: str) -> Intervals:
@@ -759,9 +843,10 @@ def collapse_multiclass(series: LabeledSeries) -> LabeledSeries:
     attack = (series.run_codes > 0).astype(np.int32)
     heads = _run_heads(attack)
     codes = attack[heads]
-    return LabeledSeries.from_runs(
+    return LabeledSeries.from_offsets(
         series.name,
-        series.timestamps,  # read-only, so shared rather than copied
+        series.origin,
+        series.offsets,  # read-only, so shared rather than copied
         series.run_starts[heads],
         codes,
         (COLLAPSED_ATTACK_TYPE,) if codes.any() else (),

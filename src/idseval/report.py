@@ -333,7 +333,7 @@ def render_timeline(
             "exempt names not among the detectors: " + ", ".join(sorted(unknown_exempt))
         )
 
-    t0, last = float_ticks(series.timestamps, [0, -1]).tolist()
+    t0, last = float_ticks(series, [0, -1]).tolist()
     t1 = last + 1.0
 
     def frozen(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -342,7 +342,7 @@ def render_timeline(
         return spans
 
     def lane(name: str, kind: str, runs: Intervals) -> TimelineLane:
-        lo, hi = runs.spans(series.timestamps)
+        lo, hi = runs.spans(series)
         true_spans = drawn_spans = frozen(lo, hi)
         widened = np.zeros(len(lo), dtype=bool)
         if kind != "labels" and name not in exempt_names:
@@ -387,8 +387,8 @@ def render_timeline(
         f'<line x1="{x(t0):.2f}" y1="{axis_y:.2f}" x2="{x(t1):.2f}" y2="{axis_y:.2f}" '
         'stroke="#999" stroke-width="1"/>\n'
     )
-    parts.append(f'<text x="{x(t0):.2f}" y="{axis_y - 4:.2f}">{series.timestamps[0]}</text>\n')
-    end_label = str(int(series.timestamps[-1]) + 1)
+    parts.append(f'<text x="{x(t0):.2f}" y="{axis_y - 4:.2f}">{series.origin}</text>\n')
+    end_label = str(series.last_tick + 1)
     parts.append(
         f'<text x="{x(t1):.2f}" y="{axis_y - 4:.2f}" text-anchor="end">{end_label}</text>\n'
     )

@@ -105,11 +105,10 @@ def detection_delay(
     table = Scenarios.of(scenarios)
     alerts = as_intervals(alert_intervals, "alert")
     first, hit = _first_overlaps(table.runs, alerts)
-    alert_start = alerts.starts[first[hit]]
-    alert_time = series.timestamps[np.maximum(alert_start, table.runs.starts[hit])]
-    # A later tick minus an earlier one lies in [0, 2**64): exact in uint64.
-    alarm, start = series.timestamps[alert_start], table.times[hit, 0]
-    delay = np.where(alarm > start, alarm.view(np.uint64) - start.view(np.uint64), 0)
+    alert_start, scenario_start = alerts.starts[first[hit]], table.runs.starts[hit]
+    alert_time = series.ticks(np.maximum(alert_start, scenario_start))
+    alarm, start = series.offsets[alert_start], series.offsets[scenario_start]
+    delay = np.where(alarm > start, alarm - start, 0)
     # Undetected scenarios carry None for both; the rest exact Python ints.
     times, delays = np.full((2, len(table)), None, dtype=object)
     times[hit], delays[hit] = alert_time.tolist(), delay.tolist()

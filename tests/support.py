@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
 import os
 import random
@@ -13,6 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from idseval import AlertSeries, LabeledSeries, save_alerts, save_labels
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "data" / "demo"
+GOLDEN_DIGEST = ROOT / "tests" / "golden" / "cli_digest.txt"
 
 
 def make_series(
@@ -180,3 +187,39 @@ def fresh_python(*args, **env_updates):
     )
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def golden_files() -> dict[str, dict[str, str]]:
+    """The golden digest's artifact hashes, run by run."""
+    runs = {}
+    for line in GOLDEN_DIGEST.read_text(encoding="utf-8").splitlines():
+        name, _, *fields = line.split()
+        runs[name] = dict(field.split("=", 1) for field in fields)
+    return {name: {key: value for key, value in fields.items() if key not in ("stdout", "stderr")}
+            for name, fields in runs.items()}
+
+
+def assert_verbs_write_the_golden_files(tmp_path: Path) -> None:
+    """Run evaluate, compare (writing baseline copies), roc and timeline on the
+    demo data in-process, and require every artifact's hash to be the golden one."""
+    from idseval import cli
+
+    manifest = ["--config", str(DEMO / "manifest.json")]
+    scored = ["--labels", str(DEMO / "labels.csv"), "--alerts", str(DEMO / "scored.jsonl")]
+    runs = {
+        "evaluate-json": ["evaluate", *manifest, "--format", "json"],
+        "compare-json": ["compare", *manifest, "--detector", "baseline:never",
+                         "--detector", "baseline:random:p=0.5", "--format", "json"],
+        "roc-csv": ["roc", *scored, "--auto", "--format", "csv"],
+        "timeline": ["timeline", *manifest, "--detector", "baseline:random:p=0.1",
+                     "--min-width", "60s"],
+    }
+    golden = golden_files()
+    for name, argv in runs.items():
+        out = tmp_path / name
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert cli.main([*argv, "--out", str(out)]) == 0, stderr.getvalue()
+        files = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in out.rglob("*") if path.is_file()}
+        assert files == golden[name], name

@@ -1069,6 +1069,36 @@ class TestInputErrorsAreOneLine:
             f"{labels}: line 3: not valid UTF-8 (byte 0xe9)",
         )
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"name": "plant", "labels": "labels.csv", "tick_seconds": ' + "9" * 5000 + "}",
+             "invalid JSON: number has too many digits"),
+            ("[" * 200_000, "invalid JSON: nested too deeply"),
+        ],
+        ids=["5000-digit-tick", "deep-nesting"],
+    )
+    def test_manifest_past_the_json_limits(self, workdir, capsys, text, message):
+        manifest = workdir / "limits.json"
+        manifest.write_text(text, encoding="utf-8")
+        self.assert_one_error(
+            capsys,
+            ["evaluate", "--config", manifest, "--out", workdir / "run"],
+            f"{manifest}: {message}",
+        )
+
+    def test_deeply_nested_alert_value(self, workdir, capsys):
+        alerts = workdir / "nested.jsonl"
+        lines = (workdir / "det.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[3] = '{"timestamp": 3, "alert": ' + "[" * 200_000 + "]" * 200_000 + "}"
+        alerts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.assert_one_error(
+            capsys,
+            ["evaluate", "--labels", workdir / "labels.csv", "--alerts", alerts,
+             "--out", workdir / "run"],
+            f"{alerts}: line 4: invalid JSON: nested too deeply",
+        )
+
     def test_timestamp_beyond_int64(self, workdir, capsys):
         labels = workdir / "far.csv"
         labels.write_text(f"timestamp,label\n0,benign\n{2**70},dos\n", encoding="utf-8")

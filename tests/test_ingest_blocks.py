@@ -410,7 +410,7 @@ class TestLabelRuns:
         rows = list(enumerate(labels if long_first else labels[::-1]))
         (tmp_path / "labels.csv").write_bytes(label_file(rows))
         series = assert_labels_match(tmp_path / "labels.csv")
-        assert series.timestamps.flags.owndata
+        assert series.offsets.flags.owndata
         assert slow_routes["labels"] == 0
 
     @pytest.mark.parametrize("at", [0, 37, 150, 2999])
@@ -786,10 +786,12 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert loaded == series
-        # Beyond its timestamps and the read buffer, the load holds neither the
-        # timestamps twice, nor a whole block's parse temporaries, nor a code
+        # A span below 2**32 holds at most 4 bytes per point.
+        assert loaded.offsets.nbytes <= 4 * n
+        # Beyond its offsets and the read buffer, the load holds neither the
+        # offsets twice, nor a whole block's parse temporaries, nor a code
         # per point: the labels are held as their 200 runs.
-        assert peak - before - loaded.timestamps.nbytes - buffer < 8 * n / 2
+        assert peak - before - loaded.offsets.nbytes - buffer < 8 * n / 2
 
     @pytest.mark.parametrize("layout", ["save_*", "compact"])
     @pytest.mark.parametrize("key", ["alert", "score"])

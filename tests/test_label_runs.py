@@ -9,9 +9,6 @@ counts and ROC curves. The verbs never ask a series for per-point codes.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,17 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idseval import AlertSeries, LabeledSeries, cli, extract_scenarios, ingest, validate_pair
+from idseval import AlertSeries, LabeledSeries, extract_scenarios, ingest, validate_pair
 from idseval.pointwise import confusion, roc
 from oracles import ingest_oracle
 from oracles.brute import brute_confusion, brute_merge_runs, brute_runs
-from support import make_series
+from support import assert_verbs_write_the_golden_files, make_series
 
 LABELS = ("benign", "0", "dos", "spoof", "replay")
 BENIGN = ("benign", "0")
-ROOT = Path(__file__).resolve().parents[1]
-DEMO = ROOT / "data" / "demo"
-GOLDEN_DIGEST = ROOT / "tests" / "golden" / "cli_digest.txt"
 
 
 @st.composite
@@ -149,39 +143,10 @@ def test_per_point_arrays_are_built_once_and_only_when_asked(tmp_path):
     assert series.run_lengths.tolist() == [1, 2, 1, 1]
 
 
-def _digest_files() -> dict[str, dict[str, str]]:
-    """The golden digest's artifact hashes, run by run."""
-    runs = {}
-    for line in GOLDEN_DIGEST.read_text(encoding="utf-8").splitlines():
-        name, _, *fields = line.split()
-        runs[name] = dict(field.split("=", 1) for field in fields)
-    return runs
-
-
 def test_no_verb_reads_per_point_labels(tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError("a verb read per-point labels")
 
     monkeypatch.setattr(LabeledSeries, "label_codes", property(refuse))
     monkeypatch.setattr(LabeledSeries, "attack_mask", property(refuse))
-    manifest = ["--config", str(DEMO / "manifest.json")]
-    scored = ["--labels", str(DEMO / "labels.csv"), "--alerts", str(DEMO / "scored.jsonl")]
-    runs = {
-        "evaluate-json": ["evaluate", *manifest, "--format", "json"],
-        "compare-json": ["compare", *manifest, "--detector", "baseline:never",
-                         "--detector", "baseline:random:p=0.5", "--format", "json"],
-        "roc-csv": ["roc", *scored, "--auto", "--format", "csv"],
-        "timeline": ["timeline", *manifest, "--detector", "baseline:random:p=0.1",
-                     "--min-width", "60s"],
-    }
-    golden = _digest_files()
-    for name, argv in runs.items():
-        out = tmp_path / name
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            assert cli.main([*argv, "--out", str(out)]) == 0, stderr.getvalue()
-        files = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
-                 for path in out.rglob("*") if path.is_file()}
-        expected = {key: value for key, value in golden[name].items()
-                    if key not in ("stdout", "stderr")}
-        assert files == expected, name
+    assert_verbs_write_the_golden_files(tmp_path)

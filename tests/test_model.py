@@ -297,7 +297,8 @@ class TestCollapse:
     def test_shares_the_frozen_timestamps(self):
         series = make_series(["benign", "a", "b"], timestamps=[3, 5, 9])
         collapsed = collapse_multiclass(series)
-        assert np.shares_memory(collapsed.timestamps, series.timestamps)
+        assert np.shares_memory(collapsed.offsets, series.offsets)
+        assert not collapsed.offsets.flags.writeable
         assert not collapsed.timestamps.flags.writeable
         assert not collapsed.label_codes.flags.writeable
         assert list(collapsed.timestamps) == [3, 5, 9]

@@ -125,3 +125,20 @@ def test_ingest_blocks_prints_every_measure():
         assert rows[name]["ms"] > 0 and rows[name]["read_ms"] > 0
         assert rows[name]["parse_ms"] == pytest.approx(rows[name]["ms"] - rows[name]["read_ms"],
                                                        abs=0.002)
+
+
+def test_rusage_pairs_this_checkout_with_another_tree(tmp_path):
+    demo = SCRIPTS.parent / "data" / "demo"
+    argv = ["evaluate", "--config", str(demo / "manifest.json")]
+    done = run_script("rusage.py", "--against", str(SCRIPTS.parent / "src"), "--pairs", "2",
+                      "--", *argv)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert (result["pairs"], result["argv"]) == (2, argv)
+    for side in ("change", "parent"):
+        assert list(result[side]) == ["maxrss_mb", "wall_s", "minflt"]
+        for figures in result[side].values():
+            assert 0 < figures["q1"] <= figures["median"] <= figures["q3"]
+    assert all(0 <= wins <= 2 for wins in result["wins"].values())
+    refused = run_script("rusage.py", "--against", str(tmp_path), "--", *argv)
+    assert refused.returncode == 2 and "holds no idseval package" in refused.stderr
