@@ -63,6 +63,9 @@ OUT_ENV_VAR = "IDSEVAL_OUT"
 DEFAULT_OUT = "idseval-out"
 
 AlertSource = tuple[AlertSeries, Path | None]
+# What the output directory keeps of a source: the detector's name, and the
+# file to copy or, for a generated source, the series to write.
+AlertCopy = tuple[str, "Path | AlertSeries"]
 
 
 def _load_dataset(args: argparse.Namespace):
@@ -146,10 +149,15 @@ def _write_atomic(target: Path, write: Callable[[Path], object]) -> None:
         raise
 
 
+def _copies(sources: list[AlertSource]) -> list[AlertCopy]:
+    """What ``_outputs`` needs of each source; a file source's values are not in it."""
+    return [(alert.detector, alert if src is None else src) for alert, src in sources]
+
+
 def _outputs(
     args: argparse.Namespace,
     series: LabeledSeries,
-    sources: list[AlertSource],
+    copies: list[AlertCopy],
     name: str,
     write: Callable[[Path], object],
 ) -> Path:
@@ -159,12 +167,12 @@ def _outputs(
     alert_dir = outdir / "alerts"
     alert_dir.mkdir(parents=True, exist_ok=True)
     used: set[str] = set()
-    for alert, src in sources:
-        dest = alert_dir / (_safe_filename(alert.detector, used) + ".jsonl")
-        if src is None:
-            _write_atomic(dest, lambda partial: save_alerts(alert, series, partial))
+    for detector, source in copies:
+        dest = alert_dir / (_safe_filename(detector, used) + ".jsonl")
+        if isinstance(source, Path):
+            _write_atomic(dest, lambda partial: shutil.copyfile(source, partial))
         else:
-            _write_atomic(dest, lambda partial: shutil.copyfile(src, partial))
+            _write_atomic(dest, lambda partial: save_alerts(source, series, partial))
     target = outdir / name
     _write_atomic(target, write)
     return target
@@ -197,7 +205,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     else:
         text = build_table(reports, rank_by=getattr(args, "rank_by", None)).render(args.format)
     _outputs(
-        args, series, sources, f"{'comparison' if compare else 'report'}.{args.format}",
+        args, series, _copies(sources), f"{'comparison' if compare else 'report'}.{args.format}",
         lambda partial: partial.write_text(text, encoding="utf-8"),
     )
     print(text, end="")
@@ -246,7 +254,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         min_width_ticks=_width_ticks(width, series.tick_seconds),
         exempt=args.exempt or (),
     )
-    target = _outputs(args, series, sources, "timeline.svg", rendering.save)
+    target = _outputs(args, series, _copies(sources), "timeline.svg", rendering.save)
     widened = sum(np.count_nonzero(lane.widened) for lane in rendering.lanes)
     print(f"wrote {target} ({len(rendering.lanes)} lanes, {widened} alarms widened)")
     return 0
@@ -275,9 +283,12 @@ def cmd_roc(args: argparse.Namespace) -> int:
     series, sources = _inputs(args, specs, one="roc sweeps one scored detector at a time")
     alert = sources[0][0]
     curve = roc(series, alert, alert.values if thresholds is None else thresholds)
+    # The curve is all the writer reads, so the scores go before it runs.
+    copies, detector = _copies(sources), alert.detector
+    del sources, alert
     area = auc(curve)
     if args.format == "json":
-        chunks = roc_json_chunks(curve, series.name, alert.detector, area.value)
+        chunks = roc_json_chunks(curve, series.name, detector, area.value)
     else:
         chunks = roc_csv_chunks(curve)
 
@@ -285,7 +296,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         with open(partial, "wb") as handle:
             handle.writelines(chunks)
 
-    target = _outputs(args, series, sources, f"roc.{args.format}", stream)
+    target = _outputs(args, series, copies, f"roc.{args.format}", stream)
     print(f"auc: {area.value:.6f}")
     print(f"wrote {target}")
     return 0

@@ -64,11 +64,11 @@ def write_flags(
     size = min(len(series), rows)
     longest = len(ALERT_PREFIX + ALERT_FALSE + DETECTOR_KEY + name + b"}\n") + widest
     buf = np.empty(size * longest, dtype=np.uint8)
-    mag, rest, low = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    ticks, mag, rest, low = (np.empty(size, dtype=np.uint64) for _ in range(4))
     digit = np.empty(size, dtype=np.uint8)
     for start in range(0, len(series), rows):
-        stamps = series.ticks(slice(start, start + rows))
         chunk = flags[start : start + rows]
+        stamps = series.ticks(slice(start, start + rows), out=ticks[: len(chunk)])
         trues = int(np.count_nonzero(chunk))
         mixed = 0 < trues < len(chunk)
         key = ALERT_TRUE if trues == len(chunk) else ALERT_FALSE
@@ -111,12 +111,14 @@ def write_scores(
 
     Rows fill a string template from ``tolist()`` chunks: ``%d`` formats
     ints and ``%r`` floats exactly as ``json`` does, and numpy has no
-    byte-exact ``float.__repr__``.
+    byte-exact ``float.__repr__``. Each chunk's ticks go through one buffer.
     """
     line = (ALERT_PREFIX + b"%d" + SCORE_KEY + b"%r" + DETECTOR_KEY).decode()
     line += detector.replace("%", "%%") + "}\n"
+    ticks = np.empty(min(len(series), rows), dtype=np.uint64)
     for start in range(0, len(series), rows):
-        stamps = series.ticks(slice(start, start + rows)).tolist()
+        chunk = ticks[: min(rows, len(series) - start)]
+        stamps = series.ticks(slice(start, start + rows), out=chunk).tolist()
         fields: list[object] = [None] * (2 * len(stamps))
         fields[0::2] = stamps
         fields[1::2] = scores[start : start + rows].tolist()

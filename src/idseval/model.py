@@ -376,9 +376,11 @@ class LabeledSeries(Record):
         """The tick of the last point."""
         return self.origin + int(self.offsets[-1])
 
-    def ticks(self, index=slice(None)) -> np.ndarray:
-        """The ticks at ``index`` as a new int64 array (a scalar for a scalar index)."""
-        return np.add(self.offsets[index], _uint64(self.origin), dtype=np.uint64).view(np.int64)
+    def ticks(self, index=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """The ticks at ``index`` as int64 (a scalar for a scalar index): a new
+        array, or a view of ``out``, a uint64 array of their length, filled."""
+        offsets = self.offsets[index]
+        return np.add(offsets, _uint64(self.origin), out=out, dtype=np.uint64).view(np.int64)
 
     @cached_property
     def timestamps(self) -> np.ndarray:

@@ -29,6 +29,11 @@ from .model import (
 )
 
 
+# Thresholds per pass of the ROC sweep's gather and attack counts, and of
+# the AUC sum; bounds their transient arrays.
+_CHUNK = 1 << 14
+
+
 def confusion(series: LabeledSeries, alerts: AlertSeries) -> ConfusionMatrix:
     """Count TP/TN/FP/FN by comparing labels and boolean alerts point-to-point.
 
@@ -190,22 +195,33 @@ def roc(
     # Sorted as np.unique sorts its copy: a run of equal scores starts with the one it keeps.
     scores = np.sort(alerts.values)
     if every:
-        below = np.flatnonzero(_run_heads(scores))
-        swept = scores[below]  # a distinct score's first index counts the scores below it
+        below = np.flatnonzero(_run_heads(scores))  # a distinct score's first index
     else:
         below = np.searchsorted(scores, swept, side="left")
-    del scores
-    # The curve is written in place, descending, into arrays that RocCurve then shares.
-    thresholds = np.empty(len(swept) + 2)
-    thresholds[0], thresholds[-2:0:-1], thresholds[-1] = np.inf, swept, -np.inf
+    # The curve is written in place, descending, into arrays that RocCurve then
+    # shares; the sorted copy goes before the coordinates are allocated.
+    thresholds = np.empty(len(below) + 2)
+    thresholds[0], thresholds[-1] = np.inf, -np.inf
+    swept_slots = thresholds[-2:0:-1]
+    for start in range(0, len(below), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        swept_slots[part] = scores[below[part]] if every else swept[part]
+    del scores, swept, swept_slots
+    fpr = np.empty_like(thresholds)
+    fpr[-2:0:-1] = below  # the scores below each threshold, exact below 2**53
+    del below
+    tpr = np.empty_like(thresholds)
     attack_scores = alerts.values[series.per_point(series.run_codes > 0)]
     attack_scores.sort()  # the gathered copy, in place
-    hits = np.searchsorted(attack_scores, swept, side="left")
-    del attack_scores, swept
-    np.subtract(below, hits, out=below)  # the benign scores below each threshold
-    fpr, tpr = np.empty_like(thresholds), np.empty_like(thresholds)
-    for coords, counts, total in ((fpr, below, n_benign), (tpr, hits, n_attack)):
-        np.subtract(total, counts, out=coords[-2:0:-1])  # exact below 2**53: rounds as int / int
+    for start in range(1, len(thresholds) - 1, _CHUNK):
+        part = slice(start, min(start + _CHUNK, len(thresholds) - 1))
+        hits = np.searchsorted(attack_scores, thresholds[part], side="left")
+        fpr[part] -= hits  # now the benign scores below each threshold
+        tpr[part] = hits
+    for coords, total in ((fpr, n_benign), (tpr, n_attack)):
+        # Counts below the threshold become coordinates in place; every step on
+        # integers is exact, so each rounds as int / int.
+        np.subtract(total, coords[1:-1], out=coords[1:-1])
         coords[1:-1] /= total
         coords[0], coords[-1] = 0.0, 1.0
     for array in (thresholds, fpr, tpr):
@@ -216,14 +232,21 @@ def roc(
 def auc(curve: RocCurve) -> MetricValue:
     """Trapezoidal area under the ROC curve (FPR on x, TPR on y).
 
-    The terms are summed left to right from 0.0 with ``np.cumsum``;
-    ``np.trapezoid`` sums pairwise and would change the last bits.
+    The terms are summed left to right from 0.0 with ``np.cumsum``, a chunk
+    of ``_CHUNK`` at a time, each chunk's sum starting from the running
+    total; ``np.trapezoid`` sums pairwise and would change the last bits.
     """
     x, y = curve.fpr, curve.tpr
-    terms = np.zeros(len(x))
-    np.subtract(x[1:], x[:-1], out=terms[1:])
-    terms[1:] *= y[:-1] + y[1:]  # halved once at the end: exact, as no partial sum is subnormal
-    return MetricValue(name="auc", value=float(np.cumsum(terms, out=terms)[-1] / 2.0))
+    total = 0.0
+    for start in range(1, len(x), _CHUNK):
+        stop = min(start + _CHUNK, len(x))
+        terms = np.empty(stop - start + 1)
+        terms[0] = total
+        np.subtract(x[start:stop], x[start - 1 : stop - 1], out=terms[1:])
+        # Halved once at the end: exact, as no partial sum is subnormal.
+        terms[1:] *= y[start - 1 : stop - 1] + y[start:stop]
+        total = np.cumsum(terms, out=terms)[-1]
+    return MetricValue(name="auc", value=float(total / 2.0))
 
 
 def auc_single(cm: ConfusionMatrix) -> MetricValue:

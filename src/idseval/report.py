@@ -37,9 +37,11 @@ from .jsonl import without_nuls
 from .pointwise import RocCurve
 
 UNDEFINED_CELL = "—"
-# Rows per chunk of the ROC writers and of a timeline's <rect> rows;
-# bounds the transient arrays.
+# Rows per chunk of a timeline's <rect> rows and of the ROC writers; bounds
+# the transient arrays. A ROC chunk is one ``floattext`` pass per column, so
+# writing a curve holds less than sweeping it did.
 _ROWS = 1 << 14
+_ROC_ROWS = 1 << 13
 
 
 def _escape(text: str) -> str:
@@ -58,6 +60,18 @@ def format_cell(value: MetricValue | None) -> str:
     if value.exact is not None and value.exact.denominator == 1:
         return str(value.exact.numerator)
     return f"{value.value:.3f}"
+
+
+def _exact_text(value: MetricValue) -> str | None:
+    """``value.exact`` as the JSON writers write it, or None where there is none
+    or ``str`` cannot write it under the interpreter's limit on integer digits
+    (``sys.set_int_max_str_digits``); the float ``value`` is written either way."""
+    if value.exact is None:
+        return None
+    try:
+        return str(value.exact)
+    except ValueError:  # past the digit limit
+        return None
 
 
 class ComparisonTable(NamedTuple):
@@ -102,8 +116,9 @@ class ComparisonTable(NamedTuple):
             exact: dict[str, str] = {}
             for column, value in zip(self.columns, row):
                 values[column] = None if value is None else value.value
-                if value is not None and value.exact is not None:
-                    exact[column] = str(value.exact)
+                text = None if value is None else _exact_text(value)
+                if text is not None:
+                    exact[column] = text
             rows.append({"detector": detector, "values": values, "exact": exact})
         payload = {
             "dataset": self.dataset,
@@ -184,8 +199,9 @@ def report_to_dict(report: MetricReport) -> dict:
         }
         if value.params:
             entry["params"] = dict(value.params)
-        if value.exact is not None:
-            entry["exact"] = str(value.exact)
+        text = _exact_text(value)
+        if text is not None:
+            entry["exact"] = text
         metrics.append(entry)
     return {
         "dataset": report.dataset,
@@ -413,30 +429,37 @@ def _roc_rows(
 ) -> Iterator[bytes]:
     """Per point, ``pieces`` interleaved with the reprs of threshold, fpr and tpr.
 
-    Each yielded chunk covers up to ``_ROWS`` points. A chunk is ``_rows`` of
-    the pieces and each column's NUL-padded field (``floattext.repr_fields``);
-    dropping the NULs leaves the text. ``ends`` replaces the first and last
-    thresholds.
+    Each yielded chunk covers up to ``_ROC_ROWS`` points and is made whole
+    before it is yielded, so nothing of its making outlives it. A chunk is
+    ``_rows`` of the pieces and each column's NUL-padded field
+    (``floattext.repr_fields``); dropping the NULs leaves the text. ``ends``
+    replaces the first and last thresholds.
     """
+    n = len(curve.thresholds)
+    for start in range(0, n, _ROC_ROWS):
+        yield _roc_chunk(curve, pieces, ends, slice(start, min(start + _ROC_ROWS, n)))
+
+
+def _roc_chunk(
+    curve: RocCurve, pieces: tuple[bytes, ...], ends: tuple[bytes, bytes] | None, rows: slice
+) -> bytes:
+    """The text of the points at ``rows`` (``_roc_rows``)."""
     # Imported on use, so that verbs without a ROC never compile it.
     from .floattext import WIDTH, repr_fields
 
     fixed = [np.frombuffer(piece, dtype=np.uint8) for piece in pieces]
+    columns = [fixed[0]]  # then each field, the piece after it
+    for column, piece in zip((curve.thresholds, curve.fpr, curve.tpr), fixed[1:]):
+        columns += (repr_fields(column[rows]), piece)
     if ends is not None:
         first, last = (np.frombuffer(end.ljust(WIDTH, b"\0"), dtype=np.uint8) for end in ends)
-    n = len(curve.thresholds)
-    for start in range(0, n, _ROWS):
-        stop = min(start + _ROWS, n)
-        columns = [fixed[0]]  # then each field, the piece after it
-        for column, piece in zip((curve.thresholds, curve.fpr, curve.tpr), fixed[1:]):
-            columns += (repr_fields(column[start:stop]), piece)
-        if ends is not None:
-            if start == 0:
-                columns[1][0] = first
-            if stop == n:
-                columns[1][-1] = last
-        rows = _rows(stop - start, columns)
-        yield rows[rows != 0].tobytes()
+        if rows.start == 0:
+            columns[1][0] = first
+        if rows.stop == len(curve.thresholds):
+            columns[1][-1] = last
+    text = _rows(rows.stop - rows.start, columns)
+    del columns  # the fields go before the NULs are dropped
+    return text[text != 0].tobytes()
 
 
 def roc_csv_chunks(curve: RocCurve) -> Iterator[bytes]:
@@ -470,11 +493,12 @@ def roc_json_chunks(
     if len(curve.thresholds) == 0 or not np.all(np.isfinite(curve.thresholds[1:-1])):
         raise ValueError("a ROC curve in JSON needs points, infinite only at either end")
     # json.dumps writes a finite float as its repr; the endpoints go in quoted.
+    # Each point opens with the comma that ends the one before it.
     pieces = (
-        b'    {\n      "threshold": ',
+        b',\n    {\n      "threshold": ',
         b',\n      "fpr": ',
         b',\n      "tpr": ',
-        b"\n    },\n",
+        b"\n    }",
     )
     head = (
         "{\n"
@@ -487,10 +511,8 @@ def roc_json_chunks(
     def chunks() -> Iterator[bytes]:
         yield head
         rows = _roc_rows(curve, pieces, (b'"inf"', b'"-inf"'))
-        last = next(rows)
-        for chunk in rows:
-            yield last
-            last = chunk
-        yield last[:-2] + b"\n  ]\n}\n"  # the last point takes no comma
+        yield next(rows)[2:]  # the first point takes no comma
+        yield from rows
+        yield b"\n  ]\n}\n"
 
     return chunks()

@@ -175,16 +175,22 @@ def harmonic_f1(precision: float | None, recall: float | None) -> float | None:
 
 
 def _portions(covered: np.ndarray, distinct: np.ndarray, group: np.ndarray) -> Fraction:
-    """Exact sum of ``covered / lengths``, one Fraction per distinct length.
+    """Exact sum of ``covered / lengths``, one term per distinct length.
 
     ``distinct`` and ``group`` are ``np.unique(lengths, return_inverse=True)``.
+    The terms are added pairwise as integer (numerator, denominator) pairs and
+    reduced once at the end: each level of the tree adds numbers of similar
+    size, where a left-to-right sum of Fractions takes a gcd of the whole
+    running denominator at every term.
     """
     covered_by_length = np.zeros(len(distinct), dtype=np.int64)
     np.add.at(covered_by_length, group, covered)
-    return sum(
-        (Fraction(c, n) for c, n in zip(covered_by_length.tolist(), distinct.tolist())),
-        Fraction(0),
-    )
+    some = covered_by_length > 0
+    terms = list(zip(covered_by_length[some].tolist(), distinct[some].tolist())) or [(0, 1)]
+    while len(terms) > 1:
+        pairs = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2 :]
+    return Fraction(*terms[0])
 
 
 def scenario_normalized_recall(

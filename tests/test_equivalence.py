@@ -147,8 +147,9 @@ def test_every_spelling_and_block_size_gives_the_same_artifacts(seed, spelling, 
         expected = _artifacts(canonical, trace)
         _write_spelled(trace, spelled, spelling, first, rng)
         with contextlib.ExitStack() as patches:
-            names = ("_LABEL_BLOCK_BYTES", "_BLOCK_BYTES", "_ROWS")
-            for module, name, size in zip((ingest, ingest, report), names, blocks or ()):
+            names = ("_LABEL_BLOCK_BYTES", "_BLOCK_BYTES", "_ROWS", "_ROC_ROWS")
+            sizes = (*blocks, blocks[-1]) if blocks else ()  # timeline and ROC rows alike
+            for module, name, size in zip((ingest, ingest, report, report), names, sizes):
                 patches.enter_context(mock.patch.object(module, name, size))
             assert _artifacts(spelled, trace) == expected
 

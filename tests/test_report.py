@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -17,6 +18,7 @@ from idseval import (
     BaselineSpec,
     ComparisonTable,
     EvaluationError,
+    LabeledSeries,
     MetricReport,
     MetricValue,
     ParameterError,
@@ -30,7 +32,10 @@ from idseval import (
     report_to_dict,
     report_to_json,
     roc_to_csv,
+    save_alerts,
+    save_labels,
 )
+from idseval.cli import main
 from idseval.report import _ROWS, TimelineRendering
 from idseval.timeaware import ScenarioDetection
 from support import lane_bits, make_alerts, make_series
@@ -190,6 +195,82 @@ class TestReportJson:
             }
         ]
         assert json.loads(report_to_json(full)) == payload
+
+
+PRIMES_BELOW_2000 = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def prime_trace(detector: str = "det") -> tuple[LabeledSeries, AlertSeries]:
+    """One scenario per prime length below 2000, each followed by a benign
+    point, and an alert on each scenario's first point. Scenario recall is
+    the mean of 1/p; its denominator, the primes' product, has 844 digits."""
+    runs = [np.int32([1] * p + [0]) for p in PRIMES_BELOW_2000]
+    codes = np.concatenate(runs)
+    alerts = np.zeros(len(codes), dtype=bool)
+    alerts[np.cumsum([0] + [len(run) for run in runs[:-1]])] = True
+    series = LabeledSeries("primes", np.arange(len(codes)), codes, ("attack",))
+    return series, AlertSeries.from_bool(detector, alerts, "primes")
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's lowest limit on the digits ``str`` writes of an int, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on the digits str writes of an int")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+class TestExactPastTheDigitLimit:
+    """An exact value ``str`` cannot write under the interpreter's digit limit
+    is left out of the JSON writers' ``exact``; its float ``value`` stays."""
+
+    def test_report_and_table_keep_the_float(self, digit_limit):
+        series, alerts = prime_trace()
+        result = evaluate_detector(series, alerts, metrics=["scenario-recall"])
+        (value,) = result.metrics
+        mean = sum(Fraction(1, p) for p in PRIMES_BELOW_2000) / len(PRIMES_BELOW_2000)
+        assert value.exact == mean
+        with pytest.raises(ValueError):
+            str(value.exact)
+        (entry,) = json.loads(report_to_json(result))["metrics"]
+        assert entry["value"] == float(mean)
+        assert "exact" not in entry
+        never = AlertSeries.from_bool("never", np.zeros(len(series), dtype=bool), "primes")
+        table = build_table(
+            [result, evaluate_detector(series, never, metrics=["scenario-recall"])]
+        )
+        rows = json.loads(table.render("json"))["rows"]
+        assert rows[0]["values"] == {"scenario-recall": float(mean)}
+        assert rows[0]["exact"] == {}
+        assert rows[1]["exact"] == {"scenario-recall": "0"}
+        assert f"| det | {float(mean):.3f} |" in table.render("md")
+
+    @pytest.mark.parametrize(
+        "verb,artifact", [("evaluate", "report.json"), ("compare", "comparison.json")]
+    )
+    def test_cli_json_exits_0_with_one_report(self, digit_limit, tmp_path, capsys, verb, artifact):
+        series, alerts = prime_trace()
+        save_labels(series, tmp_path / "labels.csv")
+        save_alerts(alerts, series, tmp_path / "det.jsonl")
+        out = tmp_path / "out"
+        code = main([
+            verb, "--labels", str(tmp_path / "labels.csv"), "--alerts", str(tmp_path / "det.jsonl"),
+            "--metrics", "scenario-recall", "--format", "json", "--out", str(out),
+        ])
+        printed = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in printed.err
+        payload = json.loads(printed.out)
+        assert payload == json.loads((out / artifact).read_text(encoding="utf-8"))
+        if verb == "evaluate":
+            assert [sorted(entry) for entry in payload["metrics"]] == [
+                ["display_name", "name", "value"]
+            ]
+        else:
+            assert [row["exact"] for row in payload["rows"]] == [{}]
 
 
 class TestWidening:

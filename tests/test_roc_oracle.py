@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -35,7 +36,7 @@ from idseval import (
     roc,
     roc_to_csv,
 )
-from idseval import pointwise, report
+from idseval import cli, pointwise, report
 from idseval.cli import main
 from idseval.model import LabeledSeries, collapse_multiclass
 from idseval.report import roc_json_chunks
@@ -93,6 +94,18 @@ def test_matches_reference_sweep(instance):
     assert_same_sweep(attack, scores, thresholds)
     assert_same_sweep(attack, scores, tuple(thresholds))
     assert_same_sweep(attack, scores, np.array(thresholds))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(1, 4))
+def test_sweep_and_area_in_chunks_keep_the_reference_bits(instance, chunk):
+    # Curves many chunks long: the thresholds' gather, the attack counts and
+    # the AUC sum each pass a chunk at a time, and the area's bits are the
+    # reference's left-to-right sum of halved trapezoids.
+    attack, scores, thresholds = instance
+    with mock.patch.object(pointwise, "_CHUNK", chunk):
+        assert_same_sweep(attack, scores, thresholds)
+        assert_same_sweep(attack, scores, np.unique(scores))
 
 
 @pytest.mark.parametrize(
@@ -156,14 +169,20 @@ def test_curve_shares_the_read_only_arrays_roc_builds(monkeypatch):
         assert_same_sweep(attack, scores, thresholds)
 
 
-def test_sweep_peak_memory_is_bounded_by_the_curve():
-    # ~200k distinct thresholds over 220k points. The curve's three arrays are
-    # kept; besides them the sweep holds one class's sorted scores and one
-    # count per threshold (each at most a third of the curve) and a mask.
+def big_sweep() -> tuple[LabeledSeries, AlertSeries]:
+    """220k points, 10% attack, with ~200k distinct scores."""
     n = 220_000
     rng = np.random.default_rng(3)
     series = LabeledSeries("s", np.arange(n), (rng.random(n) < 0.1).astype(np.int32), ("attack",))
-    alerts = AlertSeries.from_scores("d", np.round(rng.random(n), 6), "s")
+    return series, AlertSeries.from_scores("d", np.round(rng.random(n), 6), "s")
+
+
+def test_sweep_peak_memory_is_bounded_by_the_curve():
+    # ~200k distinct thresholds over 220k points. Besides the curve's three
+    # arrays the sweep holds the sorted scores and one count per threshold
+    # until the coordinates are allocated, then the sorted attack scores and
+    # a chunk of counts.
+    series, alerts = big_sweep()
     thresholds = np.unique(alerts.values)
     assert len(thresholds) > 190_000
     tracemalloc.start()
@@ -173,7 +192,19 @@ def test_sweep_peak_memory_is_bounded_by_the_curve():
     finally:
         tracemalloc.stop()
     curve_bytes = curve.thresholds.nbytes + curve.fpr.nbytes + curve.tpr.nbytes
-    assert peak < 2 * curve_bytes
+    assert peak < 1.3 * curve_bytes
+
+
+def test_auc_peak_memory_is_a_chunk_not_the_curve():
+    curve = roc(*big_sweep())
+    assert len(curve.thresholds) > 190_000
+    tracemalloc.start()
+    try:
+        auc(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def assert_same_auto_sweep(attack: list[bool], scores: list[float]) -> None:
@@ -235,10 +266,7 @@ def test_auto_sweep_keeps_the_signed_zero_np_unique_keeps(scores):
 
 def test_auto_sweep_peak_memory_is_bounded_by_the_curve():
     # As above, with the distinct scores found by the sweep's own sort.
-    n = 220_000
-    rng = np.random.default_rng(3)
-    series = LabeledSeries("s", np.arange(n), (rng.random(n) < 0.1).astype(np.int32), ("attack",))
-    alerts = AlertSeries.from_scores("d", np.round(rng.random(n), 6), "s")
+    series, alerts = big_sweep()
     tracemalloc.start()
     try:
         curve = roc(series, alerts)
@@ -247,7 +275,7 @@ def test_auto_sweep_peak_memory_is_bounded_by_the_curve():
         tracemalloc.stop()
     assert len(curve.thresholds) > 190_000
     curve_bytes = curve.thresholds.nbytes + curve.fpr.nbytes + curve.tpr.nbytes
-    assert peak < 2 * curve_bytes
+    assert peak < 1.3 * curve_bytes
 
 
 class TestRocCurve:
@@ -323,7 +351,7 @@ def test_demo_roc_json_matches_the_per_point_payload(tmp_path, capsys, monkeypat
 def test_cli_streams_the_writers_text_in_small_chunks(tmp_path, capsys, monkeypatch, fmt):
     """roc.csv and roc.json are written chunk by chunk, each chunk a few rows."""
     monkeypatch.delenv("IDSEVAL_OUT", raising=False)
-    monkeypatch.setattr(report, "_ROWS", 3)
+    monkeypatch.setattr(report, "_ROC_ROWS", 3)
     code = main([
         "roc", "--config", str(DEMO / "manifest.json"), "--alerts", str(DEMO / "scored.jsonl"),
         "--auto", "--format", fmt, "--out", str(tmp_path),
@@ -337,6 +365,33 @@ def test_cli_streams_the_writers_text_in_small_chunks(tmp_path, capsys, monkeypa
     alert = load_alerts(DEMO / "scored.jsonl", series)
     curve = roc_oracle.roc(series, alert, [float(v) for v in np.unique(alert.values)])
     assert written == roc_oracle.roc_to_csv(curve).encode("utf-8")
+
+
+def test_cli_drops_the_scores_before_the_writer_runs(tmp_path, monkeypatch):
+    """Once the curve is built the alert values are unreachable: roc.json is
+    written from the curve alone, byte for byte as before."""
+    monkeypatch.delenv("IDSEVAL_OUT", raising=False)
+    values, alive = [], []
+
+    def load(*args, **kwargs):
+        alert = load_alerts(*args, **kwargs)
+        values.append(weakref.ref(alert.values))
+        return alert
+
+    def chunks(*args):
+        alive.append(values[0]() is not None)  # on the first piece, as the file is written
+        yield from roc_json_chunks(*args)
+
+    monkeypatch.setattr(cli, "load_alerts", load)
+    monkeypatch.setattr(cli, "roc_json_chunks", chunks)
+    code = main([
+        "roc", "--config", str(DEMO / "manifest.json"), "--alerts", str(DEMO / "scored.jsonl"),
+        "--auto", "--format", "json", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert alive == [False]
+    written = (tmp_path / "roc.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == DEMO_ROC_JSON_SHA256
 
 
 def test_json_chunks_check_the_curve_before_any_text():
@@ -395,7 +450,7 @@ def roc_json(curve, dataset, detector, area) -> str:
     st.sampled_from((1, 2, 3, None)),
 )
 def test_writers_match_csv_writer_and_json_dumps(curve, dataset, detector, area, rows):
-    with mock.patch.object(report, "_ROWS", rows or report._ROWS):
+    with mock.patch.object(report, "_ROC_ROWS", rows or report._ROC_ROWS):
         csv_text = roc_to_csv(curve)
         json_text = roc_json(curve, dataset, detector, area)
     assert csv_text == roc_oracle.roc_to_csv(curve)

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from idseval import (
     report_to_json,
     scenario_normalized_recall,
 )
+from idseval.timeaware import _portions
 from oracles.brute import brute_merge_runs, brute_runs, brute_scenario_recall
 from oracles.eta_oracle import eta_oracle
 from support import make_alerts, make_series, random_binary_instance, random_intervals
@@ -200,6 +202,37 @@ class TestScenarioRecall:
             assert report.metrics == (expected,)
             values.append(expected.exact)
         assert values == [Fraction(2, 3), Fraction(3, 4), Fraction(3, 4)]
+
+
+PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def assert_portions_sum_left_to_right(lengths: list[int], covered: list[int]) -> None:
+    """``_portions`` equals the left-to-right Fraction sum of covered / length."""
+    expected = sum((Fraction(c, n) for c, n in zip(covered, lengths)), Fraction(0))
+    got = _portions(np.array(covered), *np.unique(lengths, return_inverse=True))
+    assert type(got) is Fraction
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(PRIMES) | st.integers(1, 40), st.floats(0.0, 1.0)),
+        max_size=120,
+    )
+)
+def test_pairwise_portions_equal_the_left_to_right_sum(runs):
+    # Lengths repeat or are distinct primes; each run has 0..length points covered.
+    lengths = [n for n, _ in runs]
+    assert_portions_sum_left_to_right(lengths, [round(n * share) for n, share in runs])
+
+
+def test_pairwise_portions_over_every_prime_length_below_2000():
+    rng = random.Random(2000)
+    assert_portions_sum_left_to_right(PRIMES, [rng.randint(0, p) for p in PRIMES])
+    assert_portions_sum_left_to_right(PRIMES, [1] * len(PRIMES))
+    assert_portions_sum_left_to_right(PRIMES * 2, [0] * len(PRIMES) * 2)
 
 
 class TestDetectionDelay:
